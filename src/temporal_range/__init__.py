@@ -21,7 +21,7 @@ from .errors import (ConfigError, DivergenceError, EpisodeFinished,
 from .gradients import (JacobianBlocks, JacobianMode, LossKind, fd_jacobian,
                         input_jacobians, param_gradients, per_step_jacobians,
                         sequence_loss)
-from .linalg import NormKind, Rng, mat_norm, mat_pow
+from .linalg import NormKind, Rng, mat_norm, mat_norms, mat_pow
 from .metric import (Aggregation, InfluenceProfile, InvarianceReport,
                      RangeValues, TRConfig, TemporalRangeReport, analyze,
                      check_input_scaling, check_output_scaling,

@@ -6,9 +6,9 @@ layers:
 * ``param_shapes(d_in, p)``: ordered name -> shape map for initialization.
 * ``step(params, state, u)``: one batched transition ``(B, S) -> (B, S)``
   returning the new state and a cache of intermediates.
-* ``step_jacobians(params, cache)``: exact single-sequence Jacobians of the
-  new state with respect to the previous state ``(S, S)`` and the cell
-  input ``(S, d_in)``, evaluated from a batch-of-one cache.
+* ``step_jacobians(params, cache)``: exact Jacobians of every sequence's
+  new state with respect to its previous state ``(B, S, S)`` and its cell
+  input ``(B, S, d_in)``, evaluated from a batched cache.
 * ``backward(params, cache, d_state_new, grads)``: reverse-mode rule that
   accumulates parameter gradients into ``grads`` and returns the gradients
   with respect to the previous state and the cell input.
@@ -52,6 +52,11 @@ def _sigmoid(a):
     return out
 
 
+def _diag(v):
+    """Stack of diagonal matrices ``(B, p, p)`` from columns ``v`` (B, p, 1)."""
+    return v * np.eye(v.shape[-2])
+
+
 class _LinearRec:
     """h' = A h + C u (no bias, so the unrolled form is an exact sum)."""
 
@@ -68,7 +73,9 @@ class _LinearRec:
 
     @staticmethod
     def step_jacobians(params, cache):
-        return params["A"].copy(), params["C"].copy()
+        B = cache["u"].shape[0]
+        return (np.broadcast_to(params["A"], (B,) + params["A"].shape),
+                np.broadcast_to(params["C"], (B,) + params["C"].shape))
 
     @staticmethod
     def backward(params, cache, d_new, grads):
@@ -102,19 +109,20 @@ class _GRU:
 
     @staticmethod
     def step_jacobians(params, cache):
-        h, z, r, n = (cache[k][0] for k in ("h", "z", "r", "n"))
+        # Per-sequence row scalings carry a trailing axis: (B, p, 1).
+        h, z, r, n = (cache[k][..., None] for k in ("h", "z", "r", "n"))
         Uz, Ur, Un = params["Uz"], params["Ur"], params["Un"]
         Wz, Wr, Wn = params["Wz"], params["Wr"], params["Wn"]
         dz = z * (1.0 - z)
         dr = r * (1.0 - r)
         dn = 1.0 - n * n
         # d(r * h)/dh and /du
-        m_rh_h = np.diag(r) + (h * dr)[:, None] * Ur
-        m_rh_u = (h * dr)[:, None] * Wr
-        dn_dh = dn[:, None] * (Un @ m_rh_h)
-        dn_du = dn[:, None] * (Wn + Un @ m_rh_u)
-        j_state = np.diag(z) + ((h - n) * dz)[:, None] * Uz + (1.0 - z)[:, None] * dn_dh
-        j_input = ((h - n) * dz)[:, None] * Wz + (1.0 - z)[:, None] * dn_du
+        m_rh_h = _diag(r) + (h * dr) * Ur
+        m_rh_u = (h * dr) * Wr
+        dn_dh = dn * (Un @ m_rh_h)
+        dn_du = dn * (Wn + Un @ m_rh_u)
+        j_state = _diag(z) + ((h - n) * dz) * Uz + (1.0 - z) * dn_dh
+        j_input = ((h - n) * dz) * Wz + (1.0 - z) * dn_du
         return j_state, j_input
 
     @staticmethod
@@ -175,19 +183,18 @@ class _LSTM:
 
     @staticmethod
     def step_jacobians(params, cache):
-        h, c, i, f, o, g, hc = (cache[k][0] for k in ("h", "c", "i", "f", "o", "g", "hc"))
+        h, c, i, f, o, g, hc = (
+            cache[k][..., None] for k in ("h", "c", "i", "f", "o", "g", "hc"))
         di, df, do = i * (1 - i), f * (1 - f), o * (1 - o)
         dg = 1.0 - g * g
-        dc_dh = (c * df)[:, None] * params["Uf"] + (g * di)[:, None] * params["Ui"] \
-            + (i * dg)[:, None] * params["Ug"]
-        dc_du = (c * df)[:, None] * params["Wf"] + (g * di)[:, None] * params["Wi"] \
-            + (i * dg)[:, None] * params["Wg"]
+        dc_dh = (c * df) * params["Uf"] + (g * di) * params["Ui"] + (i * dg) * params["Ug"]
+        dc_du = (c * df) * params["Wf"] + (g * di) * params["Wi"] + (i * dg) * params["Wg"]
         k = o * (1.0 - hc * hc)
-        dh_dh = (hc * do)[:, None] * params["Uo"] + k[:, None] * dc_dh
-        dh_dc = np.diag(k * f)
-        dh_du = (hc * do)[:, None] * params["Wo"] + k[:, None] * dc_du
-        j_state = np.block([[dh_dh, dh_dc], [dc_dh, np.diag(f)]])
-        j_input = np.concatenate([dh_du, dc_du], axis=0)
+        dh_dh = (hc * do) * params["Uo"] + k * dc_dh
+        dh_du = (hc * do) * params["Wo"] + k * dc_du
+        # np.block joins the last two axes, so it assembles the whole batch.
+        j_state = np.block([[dh_dh, _diag(k * f)], [dc_dh, _diag(f)]])
+        j_input = np.concatenate([dh_du, dc_du], axis=-2)
         return j_state, j_input
 
     @staticmethod
@@ -254,25 +261,23 @@ class _LEM:
 
     @staticmethod
     def step_jacobians(params, cache):
-        y, z, g1, g2, tz, ty, z_new = (
-            cache[k][0] for k in ("y", "z", "g1", "g2", "tz", "ty", "z_new"))
+        y, z, g1, g2, tz, ty = (
+            cache[k][..., None] for k in ("y", "z", "g1", "g2", "tz", "ty"))
         dt = cache["dt"]
         dt1, dt2 = dt * g1, dt * g2
         dg1 = dt * g1 * (1.0 - g1)
         dg2 = dt * g2 * (1.0 - g2)
         ktz = dt1 * (1.0 - tz * tz)
         kty = dt2 * (1.0 - ty * ty)
-        dz_dy = ((tz - z) * dg1)[:, None] * params["W1"] + ktz[:, None] * params["Wz"]
-        dz_dz = np.diag(1.0 - dt1)
-        dz_du = ((tz - z) * dg1)[:, None] * params["V1"] + ktz[:, None] * params["Vz"]
+        dz_dy = ((tz - z) * dg1) * params["W1"] + ktz * params["Wz"]
+        dz_dz = _diag(1.0 - dt1)
+        dz_du = ((tz - z) * dg1) * params["V1"] + ktz * params["Vz"]
         wy = params["Wy"]
-        dy_dy = np.diag(1.0 - dt2) + ((ty - y) * dg2)[:, None] * params["W2"] \
-            + kty[:, None] * (wy @ dz_dy)
-        dy_dz = kty[:, None] * (wy * (1.0 - dt1)[None, :])
-        dy_du = ((ty - y) * dg2)[:, None] * params["V2"] \
-            + kty[:, None] * (params["Vy"] + wy @ dz_du)
+        dy_dy = _diag(1.0 - dt2) + ((ty - y) * dg2) * params["W2"] + kty * (wy @ dz_dy)
+        dy_dz = kty * (wy * np.swapaxes(1.0 - dt1, -1, -2))
+        dy_du = ((ty - y) * dg2) * params["V2"] + kty * (params["Vy"] + wy @ dz_du)
         j_state = np.block([[dy_dy, dy_dz], [dz_dy, dz_dz]])
-        j_input = np.concatenate([dy_du, dz_du], axis=0)
+        j_input = np.concatenate([dy_du, dz_du], axis=-2)
         return j_state, j_input
 
     @staticmethod

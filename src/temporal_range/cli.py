@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .ablation import (ablation_sweep, curve_csv, deployment_check)
-from .errors import TemporalRangeError
+from .errors import SpecError, TemporalRangeError
 from .gradients import JacobianMode, LossKind
 from .linalg import NormKind, Rng
 from .metric import (Aggregation, TRConfig, analyze, config_fingerprint,
@@ -241,9 +241,12 @@ def _cmd_axioms(args) -> int:
 def _cmd_ablate(args) -> int:
     if args.deploy and not args.report:
         raise TemporalRangeError("--deploy requires --report")
+    try:
+        windows = [int(w) for w in args.windows.split(",")]
+    except ValueError as exc:
+        raise SpecError(f"--windows: {exc}") from None
     model = load_model(args.model)
     sequences, desc = _load_sequences(args, args.n, args.seed)
-    windows = [int(w) for w in args.windows.split(",")]
     metric = Metric.ACCURACY if args.metric == "accuracy" else Metric.MSE
     curve = ablation_sweep(model, sequences, windows, metric)
     prefix = Path(args.out_prefix)
@@ -373,7 +376,7 @@ def main(argv=None) -> int:
     except TemporalRangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,9 +2,10 @@
 
 Three complementary tools:
 
-* ``input_jacobians``: the blocks ``J[s, t] = d y_s / d x_t`` computed by
-  forward propagation of per-origin sensitivity matrices through the
-  unrolled cell, composed with the encoder and decoder Jacobians.
+* The Jacobian engine: blocks ``J[s, t] = d y_s / d x_t`` of a batch of
+  rollouts, forward (``multi_output_blocks``, yielded step by step) or
+  reverse from ``y_T`` (``final_output_blocks``, ``c S^2 T`` work, not
+  ``d S^2 T^2 / 2``); ``input_jacobians`` keys one rollout's by ``(s, t)``.
 * ``fd_jacobian``: a central finite-difference oracle for any single block,
   independent of the analytic path.
 * ``param_gradients``: reverse accumulation through the unroll (BPTT) for
@@ -30,7 +31,9 @@ __all__ = [
     "JacobianMode",
     "LossKind",
     "fd_jacobian",
+    "final_output_blocks",
     "input_jacobians",
+    "multi_output_blocks",
     "param_gradients",
     "per_step_jacobians",
     "sequence_loss",
@@ -77,11 +80,17 @@ def _decoder_rows(model: SequenceModel) -> np.ndarray:
     return rows
 
 
-def _encoder_jacobian(model: SequenceModel, u_t: np.ndarray) -> np.ndarray:
-    """Jacobian of the encoder output at one step, shape (m, d)."""
-    if model.encoder_dim is None:
-        return np.eye(model.cell.input_dim)
-    return (1.0 - u_t * u_t)[:, None] * model.params["enc_W"]
+def _step_factors(model: SequenceModel, X, reverse: bool = False):
+    """One forward pass over ``X`` (R, T, d), then each step's factors
+    ``d state_t / d state_{t-1}`` (R, S, S) and ``d state_t / d x_t`` (R, S, d)."""
+    impl = cell_impl(model.cell.kind)
+    _, _, caches = model.forward_batch(X)
+    for cache in reversed(caches) if reverse else caches:
+        j_state, j_input = impl.step_jacobians(model.params, cache)
+        if model.encoder_dim is not None:
+            u = cache["u"]
+            j_input = j_input @ ((1.0 - u * u)[..., None] * model.params["enc_W"])
+        yield j_state, j_input
 
 
 def per_step_jacobians(model: SequenceModel, x):
@@ -94,56 +103,75 @@ def per_step_jacobians(model: SequenceModel, x):
     ``J[s, t]`` is the product dec_rows @ j_state[s-1] @ .. @ j_state[t]
     @ j_input_x[t-1].
     """
-    x = np.asarray(x, dtype=np.float64)
-    impl = cell_impl(model.cell.kind)
-    _, _, caches = model.forward_batch(x[None])
-    j_state = []
-    j_input_x = []
-    for cache in caches:
-        js, ji = impl.step_jacobians(model.params, cache)
-        j_state.append(js)
-        j_input_x.append(ji @ _encoder_jacobian(model, cache["u"][0]))
-    return j_state, j_input_x, _decoder_rows(model)
+    factors = list(_step_factors(model, np.asarray(x, dtype=np.float64)[None]))
+    return ([js[0] for js, _ in factors], [ji[0] for _, ji in factors],
+            _decoder_rows(model))
+
+
+def multi_output_blocks(model: SequenceModel, X):
+    """Yield ``(s, blocks)`` for ``s = 2..T`` over a batch ``X`` (R, T, d), with
+    ``blocks[r, t-1] = J[s, t]`` of rollout ``r`` (shape (R, s-1, c, d)):
+    sensitivities seeded at each origin are pushed forward step by step.
+
+    Raises:
+        NumericalError: naming the step where a sensitivity is not finite.
+    """
+    R, T, d = np.shape(X)
+    dec_rows = _decoder_rows(model)
+    # Columns (t-1)*d .. t*d hold d state_s / d x_t for each origin t <= s.
+    sens = np.empty((R, model.state_dim, T * d))
+    for s, (j_state, j_input) in enumerate(_step_factors(model, X), start=1):
+        past = sens[:, :, :(s - 1) * d]
+        # Overflow here is caught by the finiteness check below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            past[...] = j_state @ past
+        sens[:, :, (s - 1) * d:s * d] = j_input
+        if not np.all(np.isfinite(sens[:, :, :s * d])):
+            raise NumericalError(f"non-finite sensitivity at step s={s}")
+        if s > 1:
+            blocks = (dec_rows @ past).reshape(R, -1, s - 1, d)
+            yield s, blocks.transpose(0, 2, 1, 3)
+
+
+def final_output_blocks(model: SequenceModel, X) -> np.ndarray:
+    """Blocks ``J[T, t]`` of a batch ``X`` (R, T, d), shape (R, T, c, d): an
+    adjoint ``d y_T / d state_t`` (R, c, S) starts at the decoder rows and,
+    from ``t = T`` down, meets each step's input factor, then its state factor.
+
+    Raises:
+        NumericalError: naming the step where the adjoint or a block is not finite.
+    """
+    R, T, d = np.shape(X)
+    adjoint = _decoder_rows(model)
+    blocks = np.empty((R, T, model.output_dim, d))
+    for t, (j_state, j_input) in zip(range(T, 0, -1), _step_factors(model, X, reverse=True)):
+        # Overflow here is caught by the finiteness check below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks[:, t - 1] = adjoint @ j_input
+            if t > 1:
+                adjoint = adjoint @ j_state
+        if not (np.all(np.isfinite(adjoint)) and np.all(np.isfinite(blocks[:, t - 1]))):
+            raise NumericalError(f"non-finite adjoint at step t={t}")
+    return blocks
 
 
 def input_jacobians(model: SequenceModel, x,
                     mode: JacobianMode = JacobianMode.MULTI_OUTPUT) -> JacobianBlocks:
-    """Jacobian blocks of per-step outputs with respect to past inputs.
-
-    Sensitivities ``d state_s / d x_t`` are seeded at each origin step and
-    pushed forward through the per-step state Jacobians, so one pass over
-    the rollout produces every requested block exactly (up to rounding).
-
-    Raises:
-        NumericalError: if any propagated sensitivity stops being finite;
-            the offending step index is part of the message.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    T = x.shape[0]
-    if T < 2:
-        raise ShapeMismatch(f"need at least 2 steps for lag analysis, got T={T}")
-    j_state, j_input_x, dec_rows = per_step_jacobians(model, x)
-    d = model.cell.input_dim
-    S = model.state_dim
-    blocks: dict[tuple[int, int], np.ndarray] = {}
-    # sens[:, i, :] is d state_s / d x_{i+1} for every origin seeded so far.
-    sens = np.zeros((S, 0, d))
-    for s in range(1, T + 1):
-        if sens.shape[1]:
-            # Overflow here is caught by the finiteness check below.
-            with np.errstate(over="ignore", invalid="ignore"):
-                flat = j_state[s - 1] @ sens.reshape(S, -1)
-            sens = flat.reshape(S, sens.shape[1], d)
-        sens = np.concatenate([sens, j_input_x[s - 1][:, None, :]], axis=1)
-        if not np.all(np.isfinite(sens)):
-            raise NumericalError(f"non-finite sensitivity at step s={s}")
-        if mode is JacobianMode.MULTI_OUTPUT:
-            for t in range(1, s):
-                blocks[(s, t)] = dec_rows @ sens[:, t - 1, :]
-        elif s == T:
-            for t in range(1, T + 1):
-                blocks[(T, t)] = dec_rows @ sens[:, t - 1, :]
-    return JacobianBlocks(T=T, c=model.output_dim, d=d, mode=mode, blocks=blocks)
+    """One rollout's engine blocks keyed by ``(s, t)``, for tests and for
+    comparison with finite differences; raises ``NumericalError`` like them."""
+    X = np.asarray(x, dtype=np.float64)[None]
+    if X.ndim != 3 or X.shape[1] < 2:
+        raise ShapeMismatch(f"need a (T, d) rollout with T >= 2 for lag analysis, "
+                            f"got shape {X.shape[1:]}")
+    T = X.shape[1]
+    if mode is JacobianMode.MULTI_OUTPUT:
+        blocks = {(s, t): b[0, t - 1].copy()
+                  for s, b in multi_output_blocks(model, X) for t in range(1, s)}
+    else:
+        final = final_output_blocks(model, X)[0]
+        blocks = {(T, t): final[t - 1] for t in range(1, T + 1)}
+    return JacobianBlocks(T=T, c=model.output_dim, d=model.cell.input_dim,
+                          mode=mode, blocks=blocks)
 
 
 def fd_jacobian(model: SequenceModel, x, s: int, t: int, h: float = FD_STEP) -> np.ndarray:

@@ -10,16 +10,12 @@ whose streams are reproducible regardless of how work is scheduled.
 from __future__ import annotations
 
 import enum
-import math
 
 import numpy as np
 
 from .errors import InvalidMatrix, ShapeMismatch, SpecError
 
-__all__ = ["NormKind", "Rng", "as_matrix", "mat_norm", "mat_pow"]
-
-SPECTRAL_MAX_ITERS = 200
-SPECTRAL_RTOL = 1e-12
+__all__ = ["NormKind", "Rng", "as_matrix", "mat_norm", "mat_norms", "mat_pow"]
 
 
 class NormKind(enum.Enum):
@@ -45,49 +41,29 @@ def as_matrix(values) -> np.ndarray:
 
 def mat_norm(m, kind: NormKind = NormKind.FROBENIUS) -> float:
     """Return the Frobenius norm or the largest singular value of ``m``."""
-    m = as_matrix(m)
-    if kind is NormKind.FROBENIUS:
-        return float(np.sqrt(np.sum(m * m)))
-    if kind is NormKind.SPECTRAL:
-        return _spectral_norm(m)
-    raise SpecError(f"unknown norm kind: {kind!r}")
+    return float(mat_norms(as_matrix(m), kind))
 
 
-def _spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value via power iteration on the Gram matrix.
+def mat_norms(stack, kind: NormKind = NormKind.FROBENIUS) -> np.ndarray:
+    """Norms of every matrix in a stack ``(..., m, n)``, shape ``(...)``.
 
-    The start vector is the normalized all-ones vector so repeated runs are
-    bit-identical; if that vector happens to lie in the kernel of the Gram
-    matrix the iteration restarts deterministically from basis vectors.
-    Iteration stops after ``SPECTRAL_MAX_ITERS`` rounds or once the Rayleigh
-    quotient's relative change drops below ``SPECTRAL_RTOL``.
+    The spectral norm is the largest singular value from an SVD, exact to
+    rounding; an empty stack gives an empty array.
+
+    Raises:
+        InvalidMatrix: if the data has fewer than 2 dimensions or contains
+            NaN/inf entries.
     """
-    if not m.any():
-        return 0.0
-    # Work on the smaller Gram matrix; singular values are shared.
-    g = m.T @ m if m.shape[1] <= m.shape[0] else m @ m.T
-    n = g.shape[0]
-    v = np.ones(n) / math.sqrt(n)
-    lam_prev = 0.0
-    restart = 0
-    for _ in range(SPECTRAL_MAX_ITERS):
-        w = g @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            if restart >= n:
-                return 0.0
-            v = np.zeros(n)
-            v[restart] = 1.0
-            restart += 1
-            lam_prev = 0.0
-            continue
-        v = w / nw
-        lam = float(v @ (g @ v))
-        if abs(lam - lam_prev) <= SPECTRAL_RTOL * max(abs(lam), 1e-300):
-            lam_prev = lam
-            break
-        lam_prev = lam
-    return float(math.sqrt(max(lam_prev, 0.0)))
+    a = np.asarray(stack, dtype=np.float64)
+    if a.ndim < 2:
+        raise InvalidMatrix(f"expected a stack of matrices, got ndim={a.ndim}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidMatrix("matrix contains non-finite entries")
+    if kind is NormKind.FROBENIUS:
+        return np.sqrt(np.sum(a * a, axis=(-2, -1)))
+    if kind is NormKind.SPECTRAL:
+        return np.linalg.norm(a, 2, axis=(-2, -1))
+    raise SpecError(f"unknown norm kind: {kind!r}")
 
 
 def mat_pow(a, n: int) -> np.ndarray:

@@ -20,12 +20,14 @@ import dataclasses
 import enum
 import hashlib
 import json
+import typing
 
 import numpy as np
 
 from .errors import ConfigError, SpecError
-from .gradients import JacobianBlocks, JacobianMode, input_jacobians
-from .linalg import NormKind, mat_norm
+from .gradients import (JacobianBlocks, JacobianMode, final_output_blocks,
+                        multi_output_blocks)
+from .linalg import NormKind, mat_norms
 from .models import CellKind, SequenceModel
 
 __all__ = [
@@ -111,25 +113,28 @@ class InfluenceProfile:
         return np.arange(self.T - 1, -1, -1, dtype=np.float64)
 
 
-class RangeValues(tuple):
+class RangeValues(typing.NamedTuple):
     """(rho, rho_hat) pair; ``rho_hat`` is None for a degenerate profile."""
 
-    __slots__ = ()
-
-    def __new__(cls, rho: float, rho_hat: float | None):
-        return super().__new__(cls, (rho, rho_hat))
-
-    @property
-    def rho(self) -> float:
-        return self[0]
-
-    @property
-    def rho_hat(self) -> float | None:
-        return self[1]
+    rho: float
+    rho_hat: float | None
 
     @property
     def degenerate(self) -> bool:
-        return self[1] is None
+        return self.rho_hat is None
+
+
+def _position_weights(step_norms, shape, aggregation: Aggregation) -> np.ndarray:
+    """Multi-output weights ``(..., T)``, folding in as they arrive the norms
+    ``||J[s, t]||``, ``t = 1..s-1`` on the last axis, for ``s = 2..T``."""
+    mean = aggregation is Aggregation.MEAN
+    acc = np.zeros(shape)
+    for norms in step_norms:
+        head = acc[..., :norms.shape[-1]]
+        (np.add if mean else np.maximum)(head, norms, out=head)
+    if mean:
+        acc[..., :-1] /= np.arange(shape[-1] - 1, 0, -1)
+    return acc
 
 
 def influence_weights(blocks: JacobianBlocks, cfg: TRConfig) -> InfluenceProfile:
@@ -141,17 +146,14 @@ def influence_weights(blocks: JacobianBlocks, cfg: TRConfig) -> InfluenceProfile
     if blocks.T != cfg.T:
         raise ConfigError(f"blocks have T={blocks.T}, configuration has T={cfg.T}")
     T = blocks.T
-    weights = np.zeros(T)
     if cfg.mode is JacobianMode.FINAL_OUTPUT:
-        for t in range(1, T + 1):
-            weights[t - 1] = mat_norm(blocks.block(T, t), cfg.norm)
+        weights = mat_norms(np.stack([blocks.block(T, t) for t in range(1, T + 1)]), cfg.norm)
     else:
-        for t in range(1, T):
-            norms = [mat_norm(blocks.block(s, t), cfg.norm) for s in range(t + 1, T + 1)]
-            if cfg.aggregation is Aggregation.MEAN:
-                weights[t - 1] = sum(norms) / len(norms)
-            else:
-                weights[t - 1] = max(norms)
+        stack = [blocks.block(s, t) for s in range(2, T + 1) for t in range(1, s)]
+        norms = mat_norms(np.stack(stack), cfg.norm)
+        # Step s contributes s - 1 norms.
+        weights = _position_weights(np.split(norms, np.cumsum(np.arange(1, T - 1))),
+                                    (T,), cfg.aggregation)
     return InfluenceProfile(weights=weights, mode=cfg.mode,
                             aggregation=cfg.aggregation, norm=cfg.norm)
 
@@ -198,27 +200,27 @@ def analyze(model: SequenceModel, rollouts, cfg: TRConfig) -> TemporalRangeRepor
     """Measure the temporal range of ``model`` over a calibration set.
 
     Every rollout must be a ``(T, d)`` observation array matching the
-    configured window length.  Jacobian blocks are computed per rollout in
-    list order, so results are independent of any parallel scheduling.
+    configured window length.  All rollouts go through the Jacobian engine
+    as one batch: final-output blocks by reverse accumulation, multi-output
+    blocks reduced to norms step by step as they appear, never stored.
+    Per-rollout results are listed in rollout order.
     """
-    rollouts = list(rollouts)
+    rollouts = [np.asarray(x, dtype=np.float64) for x in rollouts]
     if not rollouts:
         raise SpecError("analyze requires at least one rollout")
-    all_weights = []
-    per_rho: list[float] = []
-    per_rho_hat: list[float | None] = []
     for x in rollouts:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[0] != cfg.T:
-            raise SpecError(
-                f"rollout length {x.shape[0]} does not match configured T={cfg.T}")
-        blocks = input_jacobians(model, x, cfg.mode)
-        profile = influence_weights(blocks, cfg)
-        values = temporal_range(profile)
-        all_weights.append(profile.weights)
-        per_rho.append(values.rho)
-        per_rho_hat.append(values.rho_hat)
-    W = np.stack(all_weights)
+        if x.shape != (cfg.T, model.cell.input_dim):
+            raise SpecError(f"rollout shape {x.shape} does not match the configured "
+                            f"T={cfg.T} and input dim {model.cell.input_dim}")
+    X = np.stack(rollouts)
+    if cfg.mode is JacobianMode.FINAL_OUTPUT:
+        W = mat_norms(final_output_blocks(model, X), cfg.norm)
+    else:
+        W = _position_weights((mat_norms(blocks, cfg.norm)
+                               for _, blocks in multi_output_blocks(model, X)),
+                              (len(rollouts), cfg.T), cfg.aggregation)
+    per_rho, per_rho_hat = zip(*(temporal_range(InfluenceProfile(
+        weights=w, mode=cfg.mode, aggregation=cfg.aggregation, norm=cfg.norm)) for w in W))
     defined = [v for v in per_rho_hat if v is not None]
     pooled_profile = InfluenceProfile(weights=W.mean(axis=0), mode=cfg.mode,
                                       aggregation=cfg.aggregation, norm=cfg.norm)
@@ -228,8 +230,8 @@ def analyze(model: SequenceModel, rollouts, cfg: TRConfig) -> TemporalRangeRepor
         n_rollouts=len(rollouts),
         rho=float(np.mean(per_rho)),
         rho_hat=float(np.mean(defined)) if defined else None,
-        per_rollout_rho=per_rho,
-        per_rollout_rho_hat=per_rho_hat,
+        per_rollout_rho=list(per_rho),
+        per_rollout_rho_hat=list(per_rho_hat),
         rho_hat_std=float(np.std(defined)) if defined else None,
         pooled_rho_hat=pooled.rho_hat,
         weights_mean=W.mean(axis=0),
@@ -255,9 +257,23 @@ class InvarianceReport:
     resid_rho_ratio: float
 
 
-def _single_rollout_range(model: SequenceModel, x, cfg: TRConfig) -> RangeValues:
-    blocks = input_jacobians(model, np.asarray(x, dtype=np.float64), cfg.mode)
-    return temporal_range(influence_weights(blocks, cfg))
+def _invariance_report(kind: str, factor: float, expected: float, cfg: TRConfig,
+                       model: SequenceModel, x, scaled_model: SequenceModel,
+                       scaled_x) -> InvarianceReport:
+    base = analyze(model, [x], cfg)
+    if base.degenerate:
+        raise SpecError(
+            f"{kind.replace('_', '-')} check needs a non-degenerate base profile")
+    scaled = analyze(scaled_model, [scaled_x], cfg)
+    ratio = scaled.rho / base.rho
+    return InvarianceReport(
+        kind=kind, factor=factor,
+        rho_base=base.rho, rho_scaled=scaled.rho,
+        rho_hat_base=base.rho_hat, rho_hat_scaled=scaled.rho_hat,
+        expected_rho_ratio=expected, rho_ratio=ratio,
+        resid_rho_hat=abs(scaled.rho_hat - base.rho_hat),
+        resid_rho_ratio=abs(ratio / expected - 1.0),
+    )
 
 
 def check_output_scaling(model: SequenceModel, x, alpha: float,
@@ -271,22 +287,11 @@ def check_output_scaling(model: SequenceModel, x, alpha: float,
     """
     if alpha == 0:
         raise SpecError("alpha must be nonzero")
-    base = _single_rollout_range(model, x, cfg)
-    if base.degenerate:
-        raise SpecError("output-scaling check needs a non-degenerate base profile")
     scaled_model = model.copy()
     scaled_model.params["dec_W"] *= alpha
     scaled_model.params["dec_b"] *= alpha
-    scaled = _single_rollout_range(scaled_model, x, cfg)
-    ratio = scaled.rho / base.rho
-    return InvarianceReport(
-        kind="output_scaling", factor=alpha,
-        rho_base=base.rho, rho_scaled=scaled.rho,
-        rho_hat_base=base.rho_hat, rho_hat_scaled=scaled.rho_hat,
-        expected_rho_ratio=abs(alpha), rho_ratio=ratio,
-        resid_rho_hat=abs(scaled.rho_hat - base.rho_hat),
-        resid_rho_ratio=abs(ratio / abs(alpha) - 1.0),
-    )
+    return _invariance_report("output_scaling", alpha, abs(alpha), cfg,
+                              model, x, scaled_model, x)
 
 
 def check_input_scaling(model: SequenceModel, x, beta: float,
@@ -302,23 +307,11 @@ def check_input_scaling(model: SequenceModel, x, beta: float,
     if beta == 0:
         raise SpecError("beta must be nonzero")
     x = np.asarray(x, dtype=np.float64)
-    base = _single_rollout_range(model, x, cfg)
-    if base.degenerate:
-        raise SpecError("input-scaling check needs a non-degenerate base profile")
     scaled_model = model.copy()
     for name in _input_weight_names(model):
         scaled_model.params[name] /= beta
-    scaled = _single_rollout_range(scaled_model, beta * x, cfg)
-    ratio = scaled.rho / base.rho
-    expected = 1.0 / abs(beta)
-    return InvarianceReport(
-        kind="input_scaling", factor=beta,
-        rho_base=base.rho, rho_scaled=scaled.rho,
-        rho_hat_base=base.rho_hat, rho_hat_scaled=scaled.rho_hat,
-        expected_rho_ratio=expected, rho_ratio=ratio,
-        resid_rho_hat=abs(scaled.rho_hat - base.rho_hat),
-        resid_rho_ratio=abs(ratio / expected - 1.0),
-    )
+    return _invariance_report("input_scaling", beta, 1.0 / abs(beta), cfg,
+                              model, x, scaled_model, beta * x)
 
 
 def _input_weight_names(model: SequenceModel) -> list[str]:

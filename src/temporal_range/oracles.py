@@ -24,10 +24,10 @@ import json
 import numpy as np
 
 from .errors import SpecError
-from .linalg import NormKind, Rng, mat_norm
+from .linalg import NormKind, Rng, mat_norms
 from .metric import (Aggregation, InfluenceProfile, RangeValues, TRConfig,
-                     analyze, influence_weights, temporal_range)
-from .gradients import JacobianMode, input_jacobians
+                     analyze, temporal_range)
+from .gradients import JacobianMode
 from .models import CellKind, CellSpec, SequenceModel, build_shift_copy_model
 
 __all__ = [
@@ -61,21 +61,15 @@ class LinearTemporalMap:
         return self.blocks.shape[0]
 
     def block_norms(self, norm: NormKind) -> np.ndarray:
-        return np.array([mat_norm(b, norm) for b in self.blocks])
+        return mat_norms(self.blocks, norm)
 
 
 def linear_map_range(L: LinearTemporalMap, norm: NormKind = NormKind.FROBENIUS) -> RangeValues:
-    """Closed-form ranges of a linear temporal map.
-
-    The normalized value is None (degenerate) when every block is zero.
-    """
-    norms = L.block_norms(norm)
-    lags = np.arange(L.T - 1, -1, -1, dtype=np.float64)
-    rho = float(norms @ lags)
-    total = float(norms.sum())
-    if total <= 0.0:
-        return RangeValues(rho, None)
-    return RangeValues(rho, rho / total)
+    """Closed-form ranges of a linear temporal map, whose block norms are its
+    final-output weights; rho_hat is None (degenerate) when all blocks are zero."""
+    return temporal_range(InfluenceProfile(weights=L.block_norms(norm),
+                                           mode=JacobianMode.FINAL_OUTPUT,
+                                           aggregation=Aggregation.MEAN, norm=norm))
 
 
 @dataclasses.dataclass
@@ -107,13 +101,14 @@ def recurrence_profile(spec: RecurrenceSpec,
     No differentiation is involved, which makes this an independent oracle
     for the autodiff pipeline on wrapped recurrence models.
     """
-    weights = np.empty(spec.T)
+    blocks = np.empty((spec.T, spec.Q.shape[0], spec.C.shape[1]))
     power = np.eye(spec.A.shape[0])
     # Fill from t = T (lag 0) backwards, reusing successive powers of A.
     for lag in range(spec.T):
-        weights[spec.T - 1 - lag] = mat_norm(spec.Q @ power @ spec.C, norm)
+        blocks[spec.T - 1 - lag] = spec.Q @ power @ spec.C
         power = spec.A @ power
-    return InfluenceProfile(weights=weights, mode=JacobianMode.FINAL_OUTPUT,
+    return InfluenceProfile(weights=mat_norms(blocks, norm),
+                            mode=JacobianMode.FINAL_OUTPUT,
                             aggregation=Aggregation.MEAN, norm=norm)
 
 
@@ -242,7 +237,7 @@ def axiom_suite(rng: Rng, trials: int = 100,
         t_single = int(rng.integers(0, T))
         single = _random_map(rng, T, c, d, [t_single])
         k = T - 1 - t_single
-        b_norm = mat_norm(single.blocks[t_single], norm)
+        b_norm = single.block_norms(norm)[t_single]
         rv = linear_map_range(single, norm)
         res["single_step_magnitude"] = max(
             res["single_step_magnitude"], abs(rv.rho - b_norm * k))
@@ -281,6 +276,7 @@ def axiom_suite(rng: Rng, trials: int = 100,
 
         # Position-by-position decomposition reproduces the closed forms.
         full = _random_map(rng, T, c, d, range(T))
+        full_norms = full.block_norms(norm)
         rho_sum = 0.0
         mass = 0.0
         lag_mass = 0.0
@@ -289,7 +285,7 @@ def axiom_suite(rng: Rng, trials: int = 100,
             piece[t] = full.blocks[t]
             piece_rho = linear_map_range(LinearTemporalMap(piece), norm).rho
             rho_sum += piece_rho
-            bn = mat_norm(full.blocks[t], norm)
+            bn = full_norms[t]
             mass += bn
             lag_mass += bn * (T - 1 - t)
         rv_full = linear_map_range(full, norm)
@@ -353,10 +349,10 @@ def pipeline_cross_checks(rng: Rng, trials: int = 20,
             closed.weights[-1] *= 2.0
         model = recurrence_as_model(spec)
         x = np.asarray(rng.gaussian(size=(cfg.T, d)))
-        measured = influence_weights(input_jacobians(model, x, cfg.mode), cfg)
+        measured = analyze(model, [x], cfg).weights_mean
         residuals["recurrence_weights"] = max(
             residuals["recurrence_weights"],
-            float(np.max(np.abs(measured.weights - closed.weights))))
+            float(np.max(np.abs(measured - closed.weights))))
 
         L = LinearTemporalMap(np.asarray(rng.gaussian(size=(8, c, d))))
         closed_rv = linear_map_range(L, norm)
@@ -364,8 +360,7 @@ def pipeline_cross_checks(rng: Rng, trials: int = 20,
                            mode=JacobianMode.FINAL_OUTPUT, T=8)
         map_model = linear_map_as_model(L)
         xm = np.asarray(rng.gaussian(size=(8, d)))
-        rv = temporal_range(influence_weights(
-            input_jacobians(map_model, xm, map_cfg.mode), map_cfg))
+        rv = analyze(map_model, [xm], map_cfg)
         residuals["linear_map_consistency"] = max(
             residuals["linear_map_consistency"],
             abs(rv.rho - closed_rv.rho), abs(rv.rho_hat - closed_rv.rho_hat))

@@ -166,3 +166,22 @@ def test_incompatible_model_and_data_dims_exit_two(tmp_path):
     code = main(["ablate", "--model", str(ckpt), "--data", str(data),
                  "--out-prefix", str(tmp_path / "a")])
     assert code == 2
+
+
+def test_non_integer_window_is_an_input_error(tmp_path, capsys):
+    ckpt = tmp_path / "m.json"
+    save_model(build_shift_copy_model(1, 2), ckpt)
+    code = main(["ablate", "--model", str(ckpt), "--task", "copy", "--k", "1",
+                 "--T", "8", "--V", "2", "--n", "8", "--windows", "1,x",
+                 "--out-prefix", str(tmp_path / "a")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "'x'" in err[0]
+
+
+def test_directory_as_checkpoint_is_an_input_error(tmp_path, capsys):
+    code = main(["analyze", "--model", str(tmp_path), "--task", "copy",
+                 "--k", "1", "--T", "8", "--out-prefix", str(tmp_path / "r")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")

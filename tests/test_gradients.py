@@ -185,3 +185,23 @@ def test_param_gradients_rejects_empty_loss_steps():
     with pytest.raises(SpecError):
         param_gradients(model, x, np.zeros(4, dtype=int),
                         LossKind.CROSS_ENTROPY, [])
+
+
+@pytest.mark.parametrize("kind", list(CellKind))
+@pytest.mark.parametrize("encoder_dim", [None, 3])
+def test_reverse_final_blocks_equal_forward_chain_products(kind, encoder_dim):
+    from temporal_range.gradients import final_output_blocks
+    spec = CellSpec(kind=kind, input_dim=2, hidden_dim=3)
+    model = init_model(spec, 2, Rng(68 + list(CellKind).index(kind)),
+                       encoder_dim=encoder_dim)
+    X = np.asarray(Rng(69).gaussian(size=(3, 6, 2)))
+    reverse = final_output_blocks(model, X)
+    for r, x in enumerate(X):
+        j_state, j_input_x, dec_rows = per_step_jacobians(model, x)
+        for t in range(1, 7):
+            sens = j_input_x[t - 1]
+            for s in range(t + 1, 7):
+                sens = j_state[s - 1] @ sens
+            forward = dec_rows @ sens
+            scale = max(1e-300, np.max(np.abs(forward)))
+            assert np.max(np.abs(reverse[r, t - 1] - forward)) <= 1e-12 * scale

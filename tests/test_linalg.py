@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from temporal_range.errors import InvalidMatrix, ShapeMismatch, SpecError
-from temporal_range.linalg import NormKind, Rng, mat_norm, mat_pow
+from temporal_range.linalg import NormKind, Rng, mat_norm, mat_norms, mat_pow
 
 
 def test_frobenius_345_triple():
@@ -32,8 +32,8 @@ def test_spectral_zero_matrix():
 
 
 def test_spectral_survives_ones_vector_in_kernel():
-    # The Gram matrix of [[1, -1]] annihilates the all-ones start vector;
-    # the deterministic restart must still find the singular value.
+    # [[1, -1]] annihilates the all-ones vector, a natural but wrong guess
+    # for the top right singular vector; the norm must still be sqrt(2).
     assert mat_norm([[1.0, -1.0]], NormKind.SPECTRAL) == pytest.approx(
         math.sqrt(2), abs=1e-10)
 
@@ -60,6 +60,52 @@ def test_norm_rejects_non_finite():
         mat_norm([[np.nan, 1.0]])
     with pytest.raises(InvalidMatrix):
         mat_norm([[np.inf], [0.0]], NormKind.SPECTRAL)
+
+
+def test_spectral_near_tie_is_exact():
+    # Iterative methods converge as (sigma2/sigma1)^(2k); this tie needs an SVD.
+    assert abs(mat_norm(np.diag([1.0, 1.0 - 1e-6]), NormKind.SPECTRAL) - 1.0) <= 1e-12
+
+
+def test_spectral_matches_svd_with_close_top_singular_values():
+    rng = Rng(6)
+    n, size = 2000, 6
+    q1, _ = np.linalg.qr(np.asarray(rng.gaussian(size=(n, size, size))))
+    q2, _ = np.linalg.qr(np.asarray(rng.gaussian(size=(n, size, size))))
+    sigma2 = np.asarray(rng.uniform(size=n, low=0.9, high=1.0 - 1e-6))
+    rest = np.asarray(rng.uniform(size=(n, size - 2))) * sigma2[:, None]
+    sigma = np.concatenate([np.ones((n, 1)), sigma2[:, None], rest], axis=1)
+    ms = q1 @ (sigma[:, :, None] * q2)
+    for m in ms:
+        expected = float(np.linalg.svd(m, compute_uv=False)[0])
+        assert abs(mat_norm(m, NormKind.SPECTRAL) - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", [NormKind.FROBENIUS, NormKind.SPECTRAL])
+def test_mat_norms_of_a_stack_match_mat_norm(kind):
+    stack = np.asarray(Rng(7).gaussian(size=(2, 5, 3, 4)))
+    norms = mat_norms(stack, kind)
+    assert norms.shape == (2, 5)
+    for idx in np.ndindex(2, 5):
+        assert norms[idx] == mat_norm(stack[idx], kind)
+
+
+@pytest.mark.parametrize("kind", [NormKind.FROBENIUS, NormKind.SPECTRAL])
+def test_mat_norms_of_an_empty_stack_is_empty(kind):
+    norms = mat_norms(np.zeros((0, 3, 2)), kind)
+    assert isinstance(norms, np.ndarray)
+    assert norms.shape == (0,)
+
+
+@pytest.mark.parametrize("kind", [NormKind.FROBENIUS, NormKind.SPECTRAL])
+def test_mat_norms_rejects_non_finite(kind):
+    stack = np.zeros((3, 2, 2))
+    stack[1, 0, 1] = np.nan
+    with pytest.raises(InvalidMatrix):
+        mat_norms(stack, kind)
+    stack[1, 0, 1] = -np.inf
+    with pytest.raises(InvalidMatrix):
+        mat_norms(stack, kind)
 
 
 def test_mat_pow_zero_gives_identity():

@@ -259,3 +259,71 @@ def test_recurrence_model_rollouts_pool_to_the_same_value():
     rollouts = [np.asarray(rng.gaussian(size=(6, 2))) for _ in range(4)]
     report = analyze(model, rollouts, TRConfig(mode=JacobianMode.FINAL_OUTPUT, T=6))
     assert report.rho_hat == pytest.approx(report.pooled_rho_hat, abs=1e-12)
+
+
+def _reference_weights(model, x, cfg):
+    """One rollout's weights from its input_jacobians blocks, norm by norm."""
+    from temporal_range.gradients import input_jacobians
+    blocks = input_jacobians(model, x, cfg.mode)
+    order = 2 if cfg.norm is NormKind.SPECTRAL else "fro"
+    T = cfg.T
+    w = np.zeros(T)
+    for t in range(1, T + 1):
+        norms = [np.linalg.norm(J, order) for (s, tt), J in blocks.blocks.items()
+                 if tt == t]
+        if not norms:
+            continue
+        if cfg.mode is JacobianMode.FINAL_OUTPUT or cfg.aggregation is Aggregation.MEAN:
+            w[t - 1] = sum(norms) / len(norms)
+        else:
+            w[t - 1] = max(norms)
+    return w
+
+
+@pytest.mark.parametrize("kind", list(CellKind))
+@pytest.mark.parametrize("encoder_dim", [None, 3])
+@pytest.mark.parametrize("mode", list(JacobianMode))
+@pytest.mark.parametrize("norm", list(NormKind))
+@pytest.mark.parametrize("aggregation", list(Aggregation))
+def test_batched_analyze_matches_per_rollout_reference(kind, encoder_dim, mode, norm,
+                                                       aggregation):
+    T = 7
+    model = init_model(CellSpec(kind=kind, input_dim=2, hidden_dim=4), 3,
+                       Rng(19 + list(CellKind).index(kind)), encoder_dim=encoder_dim)
+    rollouts = [np.asarray(x) for x in Rng(20).gaussian(size=(4, T, 2))]
+    cfg = TRConfig(norm=norm, aggregation=aggregation, mode=mode, T=T)
+    report = analyze(model, rollouts, cfg)
+    for r, x in enumerate(rollouts):
+        want = temporal_range(InfluenceProfile(weights=_reference_weights(model, x, cfg),
+                                               mode=mode, aggregation=aggregation,
+                                               norm=norm))
+        assert abs(report.per_rollout_rho[r] - want.rho) <= 1e-12 * abs(want.rho)
+        assert abs(report.per_rollout_rho_hat[r] - want.rho_hat) <= 1e-12 * abs(want.rho_hat)
+
+
+@pytest.mark.parametrize("mode", list(JacobianMode))
+def test_analyze_reports_the_step_of_a_non_finite_jacobian(mode):
+    from temporal_range.errors import NumericalError
+    from temporal_range.models import SequenceModel
+    p = 2
+    params = {"A": np.eye(p) * 1e200, "C": np.eye(p),
+              "dec_W": np.ones((1, p)), "dec_b": np.zeros(1)}
+    model = SequenceModel(cell=CellSpec(kind=CellKind.LINEAR_REC, input_dim=p,
+                                        hidden_dim=p),
+                          output_dim=1, encoder_dim=None, params=params)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match="step"):
+        analyze(model, [np.ones((4, p))] * 2, TRConfig(mode=mode, T=4))
+
+
+def test_analyze_checks_every_rollout_length_before_any_jacobian_work(monkeypatch):
+    from temporal_range.models import SequenceModel
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("forward pass ran before the rollouts were checked")
+
+    monkeypatch.setattr(SequenceModel, "forward_batch", no_forward)
+    model = build_shift_copy_model(1, 2)
+    with pytest.raises(SpecError, match=r"\(5, 2\)"):
+        analyze(model, [np.zeros((4, 2)), np.zeros((4, 2)), np.zeros((5, 2))],
+                TRConfig(T=4))
