@@ -19,7 +19,7 @@ from .errors import SpecError
 from .metric import TemporalRangeReport
 from .models import OutputSequence, SequenceModel
 from .tasks import LabeledSequence
-from .training import Metric, evaluate
+from .training import Metric, evaluate, score, stack_sequences
 
 __all__ = [
     "AblationCurve",
@@ -42,28 +42,25 @@ def windowed_forward(model: SequenceModel, x, m: int) -> OutputSequence:
     ordinary forward pass exactly.  The returned state trajectory holds
     the restarted state that produced each step's output.
     """
-    x = np.asarray(x, dtype=np.float64)
-    ys, states = _windowed_batch(model, x[None], m)
-    return OutputSequence(outputs=ys[0], states=states[0])
-
-
-def _windowed_batch(model: SequenceModel, X, m: int):
     if m < 1:
         raise SpecError(f"window must be >= 1, got {m}")
-    X = np.asarray(X, dtype=np.float64)
-    B, T, _ = X.shape
+    x = np.asarray(x, dtype=np.float64)
+    runs = [model.forward(x[max(0, s - m):s]) for s in range(1, x.shape[0] + 1)]
+    return OutputSequence(
+        outputs=np.array([run.outputs[-1] for run in runs]),
+        states=np.array([np.zeros(model.state_dim)] + [run.states[-1] for run in runs]))
+
+
+def _windowed_outputs(model: SequenceModel, X, m: int) -> np.ndarray:
+    """``windowed_forward`` outputs of a batch (B, T, d) for a window
+    ``m >= 1``, from ``model.outputs``, which keeps no trace."""
+    T = X.shape[1]
     if m >= T:
-        ys, states, _ = model.forward_batch(X)
-        return ys, states
-    ys = np.empty((B, T, model.output_dim))
-    states = np.empty((B, T + 1, model.state_dim))
-    states[:, 0] = 0.0
+        return model.outputs(X)
+    ys = np.empty((X.shape[0], T, model.output_dim))
     for s in range(1, T + 1):
-        start = max(0, s - m)
-        seg_ys, seg_states, _ = model.forward_batch(X[:, start:s])
-        ys[:, s - 1] = seg_ys[:, -1]
-        states[:, s] = seg_states[:, -1]
-    return ys, states
+        ys[:, s - 1] = model.outputs(X[:, max(0, s - m):s])[:, -1]
+    return ys
 
 
 @dataclasses.dataclass
@@ -86,20 +83,8 @@ class AblationCurve:
 def _evaluate_windowed(model: SequenceModel, data: list[LabeledSequence],
                        m: int, metric: Metric) -> tuple[float, float]:
     """Pooled metric plus its per-sequence standard deviation."""
-    X = np.stack([s.x for s in data])
-    targets = np.stack([s.targets for s in data])
-    masks = np.stack([s.mask for s in data])
-    ys, _ = _windowed_batch(model, X, m)
-    if metric is Metric.ACCURACY:
-        hits = (ys.argmax(axis=-1) == targets) & masks
-        pooled = float(hits.sum() / masks.sum())
-        per_seq = hits.sum(axis=1) / np.maximum(masks.sum(axis=1), 1)
-    elif metric is Metric.MSE:
-        err = np.mean((ys - targets) ** 2, axis=-1)
-        pooled = float(np.sum(err * masks) / masks.sum())
-        per_seq = np.sum(err * masks, axis=1) / np.maximum(masks.sum(axis=1), 1)
-    else:
-        raise SpecError(f"unknown metric: {metric!r}")
+    X, targets, masks = stack_sequences(data)
+    pooled, per_seq = score(_windowed_outputs(model, X, m), targets, masks, metric)
     return pooled, float(np.std(per_seq))
 
 

@@ -1,17 +1,28 @@
 """Recurrent cell implementations with analytic Jacobians and backward rules.
 
-Each cell kind provides four entry points used by the model and gradient
-layers:
+Every gate pre-activation is an input part plus a recurrent part.  The
+input parts do not depend on the state, so the model computes them for the
+whole sequence before the recurrence (one product against the stacked
+input weights ``input_names``, plus ``bias_names``, in gate order); each
+step then issues one product per entry of ``recurrent_names`` against the
+stacked recurrent weights (``recurrent_stacks``).  This is the cuDNN-style
+layout of Appleyard, Kocisky & Blunsom (2016), arXiv:1604.01946.
+
+Each cell kind provides:
 
 * ``param_shapes(d_in, p)``: ordered name -> shape map for initialization.
-* ``step(params, state, u)``: one batched transition ``(B, S) -> (B, S)``
-  returning the new state and a cache of intermediates.
+* ``step(rec, state, proj)``: one batched transition ``(B, S) -> (B, S)``
+  from the stacked recurrent weights ``rec`` and the step's input parts
+  ``proj`` (B, G*p); returns the new state and a cache of intermediates,
+  whose ``"operands"`` are the left operands of the recurrent products.
 * ``step_jacobians(params, cache)``: exact Jacobians of every sequence's
   new state with respect to its previous state ``(B, S, S)`` and its cell
   input ``(B, S, d_in)``, evaluated from a batched cache.
-* ``backward(params, cache, d_state_new, grads)``: reverse-mode rule that
-  accumulates parameter gradients into ``grads`` and returns the gradients
-  with respect to the previous state and the cell input.
+* ``backward(rec, cache, d_state_new, d_pre)``: the recurrent part of the
+  reverse-mode rule; writes the gradient of every gate pre-activation into
+  ``d_pre`` (B, G*p) and returns the gradient with respect to the previous
+  state.  Weight gradients are products of ``d_pre`` with the cell inputs
+  and the cached operands, taken over all steps at once by the caller.
 
 States are flat vectors: plain hidden ``h`` for the linear recurrence and
 the GRU, ``[h, c]`` for the LSTM, and ``[y, z]`` for the LEM cell.  The
@@ -32,7 +43,7 @@ import enum
 
 import numpy as np
 
-__all__ = ["CellKind", "cell_impl"]
+__all__ = ["CellKind", "cell_impl", "recurrent_stacks", "stacked"]
 
 
 class CellKind(enum.Enum):
@@ -43,13 +54,11 @@ class CellKind(enum.Enum):
 
 
 def _sigmoid(a):
-    # Stable in both tails; avoids overflow warnings from exp on large |a|.
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ea = np.exp(a[~pos])
-    out[~pos] = ea / (1.0 + ea)
-    return out
+    # The tanh form has no exp to overflow in either tail.
+    s = np.tanh(0.5 * a)
+    s *= 0.5
+    s += 0.5
+    return s
 
 
 def _diag(v):
@@ -57,37 +66,52 @@ def _diag(v):
     return v * np.eye(v.shape[-2])
 
 
+def stacked(params, names) -> np.ndarray:
+    """The weights ``names`` stacked along their output axis, in order."""
+    return np.concatenate([params[name] for name in names])
+
+
+def recurrent_stacks(impl, params) -> tuple:
+    """Right operands of a cell's recurrent products, one per entry of
+    ``impl.recurrent_names``: the group's weights stacked, transposed."""
+    return tuple(stacked(params, group).T for group in impl.recurrent_names)
+
+
 class _LinearRec:
     """h' = A h + C u (no bias, so the unrolled form is an exact sum)."""
 
     state_mult = 1
+    input_names = ("C",)
+    bias_names = ()
+    recurrent_names = (("A",),)
 
     @staticmethod
     def param_shapes(d_in, p):
         return {"A": (p, p), "C": (p, d_in)}
 
     @staticmethod
-    def step(params, state, u):
-        new = state @ params["A"].T + u @ params["C"].T
-        return new, {"state": state, "u": u}
+    def step(rec, state, proj):
+        return state @ rec[0] + proj, {"h": state, "operands": (state,)}
 
     @staticmethod
     def step_jacobians(params, cache):
-        B = cache["u"].shape[0]
+        B = cache["h"].shape[0]
         return (np.broadcast_to(params["A"], (B,) + params["A"].shape),
                 np.broadcast_to(params["C"], (B,) + params["C"].shape))
 
     @staticmethod
-    def backward(params, cache, d_new, grads):
-        grads["A"] += d_new.T @ cache["state"]
-        grads["C"] += d_new.T @ cache["u"]
-        return d_new @ params["A"], d_new @ params["C"]
+    def backward(rec, cache, d_new, d_pre):
+        d_pre[...] = d_new
+        return d_new @ rec[0].T
 
 
 class _GRU:
     """Gated recurrent unit, h' = (1 - z) * n + z * h convention."""
 
     state_mult = 1
+    input_names = ("Wz", "Wr", "Wn")
+    bias_names = ("bz", "br", "bn")
+    recurrent_names = (("Uz", "Ur"), ("Un",))
 
     @staticmethod
     def param_shapes(d_in, p):
@@ -98,14 +122,19 @@ class _GRU:
         }
 
     @staticmethod
-    def step(params, state, u):
+    def step(rec, state, proj):
         h = state
-        z = _sigmoid(u @ params["Wz"].T + h @ params["Uz"].T + params["bz"])
-        r = _sigmoid(u @ params["Wr"].T + h @ params["Ur"].T + params["br"])
+        p = h.shape[-1]
+        a = h @ rec[0]
+        a += proj[:, :2 * p]
+        zr = _sigmoid(a)
+        z, r = zr[:, :p], zr[:, p:]
         rh = r * h
-        n = np.tanh(u @ params["Wn"].T + rh @ params["Un"].T + params["bn"])
-        new = (1.0 - z) * n + z * h
-        return new, {"h": h, "u": u, "z": z, "r": r, "n": n, "rh": rh}
+        a = rh @ rec[1]
+        a += proj[:, 2 * p:]
+        n = np.tanh(a)
+        new = n + z * (h - n)
+        return new, {"h": h, "zr": zr, "z": z, "r": r, "n": n, "operands": (h, rh)}
 
     @staticmethod
     def step_jacobians(params, cache):
@@ -126,36 +155,27 @@ class _GRU:
         return j_state, j_input
 
     @staticmethod
-    def backward(params, cache, d_new, grads):
-        h, u, z, r, n, rh = (cache[k] for k in ("h", "u", "z", "r", "n", "rh"))
-        dz = d_new * (h - n)
-        dn = d_new * (1.0 - z)
+    def backward(rec, cache, d_new, d_pre):
+        h, zr, z, r, n = (cache[k] for k in ("h", "zr", "z", "r", "n"))
+        p = h.shape[-1]
         dh = d_new * z
-        dan = dn * (1.0 - n * n)
-        grads["Wn"] += dan.T @ u
-        grads["Un"] += dan.T @ rh
-        grads["bn"] += dan.sum(axis=0)
-        drh = dan @ params["Un"]
-        dr = drh * h
-        dh = dh + drh * r
-        daz = dz * z * (1.0 - z)
-        grads["Wz"] += daz.T @ u
-        grads["Uz"] += daz.T @ h
-        grads["bz"] += daz.sum(axis=0)
-        dh = dh + daz @ params["Uz"]
-        dar = dr * r * (1.0 - r)
-        grads["Wr"] += dar.T @ u
-        grads["Ur"] += dar.T @ h
-        grads["br"] += dar.sum(axis=0)
-        dh = dh + dar @ params["Ur"]
-        du = daz @ params["Wz"] + dar @ params["Wr"] + dan @ params["Wn"]
-        return dh, du
+        dan = d_pre[:, 2 * p:]
+        np.multiply(d_new - dh, 1.0 - n * n, out=dan)
+        drh = dan @ rec[1].T
+        dzr = d_pre[:, :2 * p]
+        np.multiply(d_new, h - n, out=dzr[:, :p])
+        np.multiply(drh, h, out=dzr[:, p:])
+        dzr *= zr * (1.0 - zr)
+        return dh + drh * r + dzr @ rec[0].T
 
 
 class _LSTM:
     """Standard LSTM with input/forget/output/cell gates; state is [h, c]."""
 
     state_mult = 2
+    input_names = ("Wi", "Wf", "Wo", "Wg")
+    bias_names = ("bi", "bf", "bo", "bg")
+    recurrent_names = (("Ui", "Uf", "Uo", "Ug"),)
 
     @staticmethod
     def param_shapes(d_in, p):
@@ -167,18 +187,22 @@ class _LSTM:
         }
 
     @staticmethod
-    def step(params, state, u):
+    def step(rec, state, proj):
         p = state.shape[-1] // 2
-        h, c = state[..., :p], state[..., p:]
-        i = _sigmoid(u @ params["Wi"].T + h @ params["Ui"].T + params["bi"])
-        f = _sigmoid(u @ params["Wf"].T + h @ params["Uf"].T + params["bf"])
-        o = _sigmoid(u @ params["Wo"].T + h @ params["Uo"].T + params["bo"])
-        g = np.tanh(u @ params["Wg"].T + h @ params["Ug"].T + params["bg"])
-        c_new = f * c + i * g
+        h, c = state[:, :p], state[:, p:]
+        a = h @ rec[0]
+        a += proj
+        ifo = _sigmoid(a[:, :3 * p])
+        i, f, o = ifo[:, :p], ifo[:, p:2 * p], ifo[:, 2 * p:]
+        g = np.tanh(a[:, 3 * p:])
+        new = np.empty_like(state)
+        c_new = new[:, p:]
+        np.multiply(f, c, out=c_new)
+        c_new += i * g
         hc = np.tanh(c_new)
-        h_new = o * hc
-        new = np.concatenate([h_new, c_new], axis=-1)
-        cache = {"h": h, "c": c, "u": u, "i": i, "f": f, "o": o, "g": g, "hc": hc}
+        np.multiply(o, hc, out=new[:, :p])
+        cache = {"h": h, "c": c, "ifo": ifo, "i": i, "f": f, "o": o, "g": g,
+                 "hc": hc, "operands": (h,)}
         return new, cache
 
     @staticmethod
@@ -198,40 +222,31 @@ class _LSTM:
         return j_state, j_input
 
     @staticmethod
-    def backward(params, cache, d_new, grads):
-        p = d_new.shape[-1] // 2
-        dh_new, dc_ext = d_new[..., :p], d_new[..., p:]
-        h, c, u, i, f, o, g, hc = (cache[k] for k in ("h", "c", "u", "i", "f", "o", "g", "hc"))
-        do = dh_new * hc
+    def backward(rec, cache, d_new, d_pre):
+        c, ifo, i, f, o, g, hc = (
+            cache[k] for k in ("c", "ifo", "i", "f", "o", "g", "hc"))
+        p = c.shape[-1]
+        dh_new, dc_ext = d_new[:, :p], d_new[:, p:]
         dcn = dc_ext + dh_new * o * (1.0 - hc * hc)
-        df = dcn * c
-        di = dcn * g
-        dg = dcn * i
-        dc_prev = dcn * f
-        dai = di * i * (1 - i)
-        daf = df * f * (1 - f)
-        dao = do * o * (1 - o)
-        dag = dg * (1.0 - g * g)
-        dh_prev = np.zeros_like(dh_new)
-        du = np.zeros_like(u)
-        for da, w, uu, b in (
-            (dai, "Wi", "Ui", "bi"),
-            (daf, "Wf", "Uf", "bf"),
-            (dao, "Wo", "Uo", "bo"),
-            (dag, "Wg", "Ug", "bg"),
-        ):
-            grads[w] += da.T @ u
-            grads[uu] += da.T @ h
-            grads[b] += da.sum(axis=0)
-            dh_prev = dh_prev + da @ params[uu]
-            du = du + da @ params[w]
-        return np.concatenate([dh_prev, dc_prev], axis=-1), du
+        difo = d_pre[:, :3 * p]
+        np.multiply(dcn, g, out=difo[:, :p])
+        np.multiply(dcn, c, out=difo[:, p:2 * p])
+        np.multiply(dh_new, hc, out=difo[:, 2 * p:])
+        difo *= ifo * (1.0 - ifo)
+        np.multiply(dcn * i, 1.0 - g * g, out=d_pre[:, 3 * p:])
+        d_prev = np.empty_like(d_new)
+        np.matmul(d_pre, rec[0].T, out=d_prev[:, :p])
+        np.multiply(dcn, f, out=d_prev[:, p:])
+        return d_prev
 
 
 class _LEM:
     """Long expressive memory cell; state is [y, z], base step ``dt``."""
 
     state_mult = 2
+    input_names = ("V1", "V2", "Vz", "Vy")
+    bias_names = ("b1", "b2", "bz", "by")
+    recurrent_names = (("W1", "W2", "Wz"), ("Wy",))
 
     @staticmethod
     def param_shapes(d_in, p):
@@ -243,20 +258,27 @@ class _LEM:
         }
 
     @staticmethod
-    def step(params, state, u, dt=0.5):
+    def step(rec, state, proj, dt=0.5):
         p = state.shape[-1] // 2
-        y, z = state[..., :p], state[..., p:]
-        g1 = _sigmoid(u @ params["V1"].T + y @ params["W1"].T + params["b1"])
-        g2 = _sigmoid(u @ params["V2"].T + y @ params["W2"].T + params["b2"])
-        tz = np.tanh(u @ params["Vz"].T + y @ params["Wz"].T + params["bz"])
+        y, z = state[:, :p], state[:, p:]
+        a = y @ rec[0]
+        a += proj[:, :3 * p]
+        g = _sigmoid(a[:, :2 * p])
+        g1, g2 = g[:, :p], g[:, p:]
+        tz = np.tanh(a[:, 2 * p:])
         dt1 = dt * g1
-        z_new = (1.0 - dt1) * z + dt1 * tz
-        ty = np.tanh(u @ params["Vy"].T + z_new @ params["Wy"].T + params["by"])
+        new = np.empty_like(state)
+        z_new = new[:, p:]
+        np.multiply(1.0 - dt1, z, out=z_new)
+        z_new += dt1 * tz
+        a = z_new @ rec[1]
+        a += proj[:, 3 * p:]
+        ty = np.tanh(a)
         dt2 = dt * g2
-        y_new = (1.0 - dt2) * y + dt2 * ty
-        new = np.concatenate([y_new, z_new], axis=-1)
-        cache = {"y": y, "z": z, "u": u, "g1": g1, "g2": g2, "tz": tz, "ty": ty,
-                 "z_new": z_new, "dt": dt}
+        np.multiply(1.0 - dt2, y, out=new[:, :p])
+        new[:, :p] += dt2 * ty
+        cache = {"y": y, "z": z, "g": g, "g1": g1, "g2": g2, "tz": tz, "ty": ty,
+                 "dt": dt, "operands": (y, z_new)}
         return new, cache
 
     @staticmethod
@@ -281,42 +303,26 @@ class _LEM:
         return j_state, j_input
 
     @staticmethod
-    def backward(params, cache, d_new, grads):
-        p = d_new.shape[-1] // 2
-        dy_new, dz_ext = d_new[..., :p], d_new[..., p:]
-        y, z, u, g1, g2, tz, ty, z_new = (
-            cache[k] for k in ("y", "z", "u", "g1", "g2", "tz", "ty", "z_new"))
+    def backward(rec, cache, d_new, d_pre):
+        y, z, g, g1, g2, tz, ty = (
+            cache[k] for k in ("y", "z", "g", "g1", "g2", "tz", "ty"))
         dt = cache["dt"]
+        p = y.shape[-1]
+        dy_new, dz_ext = d_new[:, :p], d_new[:, p:]
         dt1, dt2 = dt * g1, dt * g2
-        ddt2 = dy_new * (ty - y)
-        day = dy_new * dt2 * (1.0 - ty * ty)
-        dy_prev = dy_new * (1.0 - dt2)
-        grads["Wy"] += day.T @ z_new
-        grads["Vy"] += day.T @ u
-        grads["by"] += day.sum(axis=0)
-        dz_new = dz_ext + day @ params["Wy"]
-        du = day @ params["Vy"]
-        da2 = ddt2 * dt * g2 * (1.0 - g2)
-        grads["W2"] += da2.T @ y
-        grads["V2"] += da2.T @ u
-        grads["b2"] += da2.sum(axis=0)
-        dy_prev = dy_prev + da2 @ params["W2"]
-        du = du + da2 @ params["V2"]
-        ddt1 = dz_new * (tz - z)
-        daz = dz_new * dt1 * (1.0 - tz * tz)
-        dz_prev = dz_new * (1.0 - dt1)
-        grads["Wz"] += daz.T @ y
-        grads["Vz"] += daz.T @ u
-        grads["bz"] += daz.sum(axis=0)
-        dy_prev = dy_prev + daz @ params["Wz"]
-        du = du + daz @ params["Vz"]
-        da1 = ddt1 * dt * g1 * (1.0 - g1)
-        grads["W1"] += da1.T @ y
-        grads["V1"] += da1.T @ u
-        grads["b1"] += da1.sum(axis=0)
-        dy_prev = dy_prev + da1 @ params["W1"]
-        du = du + da1 @ params["V1"]
-        return np.concatenate([dy_prev, dz_prev], axis=-1), du
+        day = d_pre[:, 3 * p:]
+        np.multiply(dy_new * dt2, 1.0 - ty * ty, out=day)
+        dz_new = dz_ext + day @ rec[1].T
+        np.multiply(dz_new * dt1, 1.0 - tz * tz, out=d_pre[:, 2 * p:3 * p])
+        dg = d_pre[:, :2 * p]
+        np.multiply(dz_new, tz - z, out=dg[:, :p])
+        np.multiply(dy_new, ty - y, out=dg[:, p:])
+        dg *= dt * g * (1.0 - g)
+        d_prev = np.empty_like(d_new)
+        np.matmul(d_pre[:, :3 * p], rec[0].T, out=d_prev[:, :p])
+        d_prev[:, :p] += dy_new * (1.0 - dt2)
+        np.multiply(dz_new, 1.0 - dt1, out=d_prev[:, p:])
+        return d_prev
 
 
 _IMPLS = {

@@ -8,8 +8,10 @@ Three complementary tools:
   ``d S^2 T^2 / 2``); ``input_jacobians`` keys one rollout's by ``(s, t)``.
 * ``fd_jacobian``: a central finite-difference oracle for any single block,
   independent of the analytic path.
-* ``param_gradients``: reverse accumulation through the unroll (BPTT) for
-  the gradient of a summed per-step loss with respect to every parameter.
+* ``batch_param_gradients``: reverse accumulation through the unroll (BPTT)
+  for the gradient of a per-step loss (``masked_loss``, the one masked
+  cross-entropy/MSE) with respect to every parameter, reusing the
+  caller's forward pass; ``param_gradients`` does one rollout.
 
 Step indices ``s`` and ``t`` are 1-based throughout, matching the usual
 "position in the window" convention ``t in {1, .., T}``.
@@ -22,7 +24,7 @@ import enum
 
 import numpy as np
 
-from .cells import cell_impl
+from .cells import cell_impl, recurrent_stacks, stacked
 from .errors import NumericalError, ShapeMismatch, SpecError
 from .models import SequenceModel
 
@@ -30,9 +32,11 @@ __all__ = [
     "JacobianBlocks",
     "JacobianMode",
     "LossKind",
+    "batch_param_gradients",
     "fd_jacobian",
     "final_output_blocks",
     "input_jacobians",
+    "masked_loss",
     "multi_output_blocks",
     "param_gradients",
     "per_step_jacobians",
@@ -84,11 +88,12 @@ def _step_factors(model: SequenceModel, X, reverse: bool = False):
     """One forward pass over ``X`` (R, T, d), then each step's factors
     ``d state_t / d state_{t-1}`` (R, S, S) and ``d state_t / d x_t`` (R, S, d)."""
     impl = cell_impl(model.cell.kind)
-    _, _, caches = model.forward_batch(X)
-    for cache in reversed(caches) if reverse else caches:
-        j_state, j_input = impl.step_jacobians(model.params, cache)
+    _, _, trace = model.forward_batch(X)
+    steps = range(len(trace.steps))
+    for t in reversed(steps) if reverse else steps:
+        j_state, j_input = impl.step_jacobians(model.params, trace.steps[t])
         if model.encoder_dim is not None:
-            u = cache["u"]
+            u = trace.inputs[t]
             j_input = j_input @ ((1.0 - u * u)[..., None] * model.params["enc_W"])
         yield j_state, j_input
 
@@ -203,83 +208,103 @@ def fd_jacobian(model: SequenceModel, x, s: int, t: int, h: float = FD_STEP) -> 
     return out
 
 
-def _loss_grad(loss: LossKind, y: np.ndarray, target) -> tuple[float, np.ndarray]:
-    """Loss value and d loss / d y for one batch of step outputs (B, c)."""
-    if loss is LossKind.MSE:
-        diff = y - target
-        return 0.5 * float(np.sum(diff * diff)), diff
+def masked_loss(ys, targets, masks, loss: LossKind) -> tuple[float, np.ndarray]:
+    """Summed loss over the masked steps of outputs ``ys`` (..., T, c) and
+    its gradient with respect to ``ys`` (zero at unmasked steps).
+
+    ``targets`` holds class indices (..., T) for cross-entropy or vectors
+    (..., T, c) for MSE; ``masks`` (..., T) selects the steps.
+    """
+    m = masks[..., None]
     if loss is LossKind.CROSS_ENTROPY:
-        shifted = y - y.max(axis=-1, keepdims=True)
+        onehot = targets[..., None] == np.arange(ys.shape[-1])
+        shifted = ys - ys.max(axis=-1, keepdims=True)
         logz = np.log(np.sum(np.exp(shifted), axis=-1))
-        idx = np.asarray(target, dtype=np.int64)
-        rows = np.arange(y.shape[0])
-        value = float(np.sum(logz - shifted[rows, idx]))
-        grad = np.exp(shifted) / np.exp(logz)[..., None]
-        grad[rows, idx] -= 1.0
-        return value, grad
+        picked = np.sum(shifted * onehot, axis=-1)
+        probs = np.exp(shifted - logz[..., None])
+        return float(np.sum((logz - picked) * masks)), (probs - onehot) * m
+    if loss is LossKind.MSE:
+        diff = ys - targets
+        return 0.5 * float(np.sum(diff * diff * m)), diff * m
     raise SpecError(f"unknown loss kind: {loss!r}")
 
 
-def _normalize_loss_steps(loss_steps, T: int) -> list[int]:
+def _masked_targets(target, loss: LossKind, loss_steps, T: int):
+    """Targets and step mask of one rollout for ``masked_loss``; targets at
+    steps outside ``loss_steps`` (1-based) are never read."""
     steps = sorted(set(int(s) for s in loss_steps))
     if not steps:
         raise SpecError("loss_steps must not be empty")
     if steps[0] < 1 or steps[-1] > T:
         raise SpecError(f"loss_steps must lie in 1..{T}, got {steps}")
-    return steps
+    mask = np.zeros(T, dtype=bool)
+    mask[np.asarray(steps) - 1] = True
+    if loss is LossKind.CROSS_ENTROPY:
+        return np.where(mask, np.asarray(target), 0).astype(np.int64), mask
+    return np.where(mask[:, None], np.asarray(target, dtype=np.float64), 0.0), mask
 
 
 def sequence_loss(model: SequenceModel, x, target, loss: LossKind, loss_steps) -> float:
     """Summed per-step loss over ``loss_steps`` (1-based) for one rollout."""
     x = np.asarray(x, dtype=np.float64)
-    steps = _normalize_loss_steps(loss_steps, x.shape[0])
-    ys = model.forward(x).outputs
-    total = 0.0
-    for s in steps:
-        tgt = target[s - 1]
-        if loss is LossKind.CROSS_ENTROPY:
-            value, _ = _loss_grad(loss, ys[None, s - 1], np.asarray([tgt]))
-        else:
-            value, _ = _loss_grad(loss, ys[None, s - 1], np.asarray(tgt)[None])
-        total += value
-    return total
+    targets, mask = _masked_targets(target, loss, loss_steps, x.shape[0])
+    return masked_loss(model.outputs(x[None])[0], targets, mask, loss)[0]
 
 
-def zero_gradients(model: SequenceModel) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in model.params.items()}
-
-
-def batch_param_gradients(model: SequenceModel, X, step_grads) -> dict[str, np.ndarray]:
+def batch_param_gradients(model: SequenceModel, X, step_grads,
+                          forward) -> dict[str, np.ndarray]:
     """Reverse accumulation through the unroll for a batch.
 
-    ``step_grads`` has shape (B, T, c) and holds d loss / d y_s for every
-    sequence and step (zero rows for steps outside the loss).  Returns the
-    exact gradient of that scalar loss for every parameter.
+    ``forward`` is the caller's ``model.forward_batch(X)``, whose outputs
+    gave ``step_grads`` (B, T, c): d loss / d y_s for every sequence and
+    step (zero rows for steps outside the loss).  Each step does only the
+    recurrent work and records the gradients of its gate pre-activations;
+    every weight gradient is then one product over all B*T rows.  Returns
+    the exact gradient of that scalar loss for every parameter.
     """
     X = np.asarray(X, dtype=np.float64)
+    _, states, trace = forward
     impl = cell_impl(model.cell.kind)
-    _, states, caches = model.forward_batch(X)
-    p = model.cell.hidden_dim
-    B, T, _ = X.shape
-    grads = zero_gradients(model)
+    params, p = model.params, model.cell.hidden_dim
+    rec = recurrent_stacks(impl, params)
+    dY = np.swapaxes(step_grads, 0, 1)
+    d_read = dY @ params["dec_W"]
+    T, B = d_read.shape[:2]
+    d_pre = np.empty((T, B, len(impl.input_names) * p))
     d_state = np.zeros((B, model.state_dim))
-    dec_W = model.params["dec_W"]
-    for s in range(T, 0, -1):
-        dy = step_grads[:, s - 1]
-        if dy.any():
-            read = states[:, s, :p]
-            grads["dec_W"] += dy.T @ read
-            grads["dec_b"] += dy.sum(axis=0)
-            d_state[:, :p] += dy @ dec_W
-        d_state, du = impl.backward(model.params, caches[s - 1], d_state, grads)
-        if model.encoder_dim is not None:
-            u = caches[s - 1]["u"]
-            da = du * (1.0 - u * u)
-            grads["enc_W"] += da.T @ X[:, s - 1]
-            grads["enc_b"] += da.sum(axis=0)
+    for t in range(T - 1, -1, -1):
+        d_state[:, :p] += d_read[t]
+        d_state = impl.backward(rec, trace.steps[t], d_state, d_pre[t])
         if not np.all(np.isfinite(d_state)):
-            raise NumericalError(f"non-finite adjoint at step s={s}")
-    return grads
+            raise NumericalError(f"non-finite adjoint at step s={t + 1}")
+    rows_pre = _rows(d_pre)
+    grads = {"dec_W": _rows(dY).T @ _rows(np.swapaxes(states, 0, 1)[1:, :, :p]),
+             "dec_b": _rows(dY).sum(axis=0)}
+    _split(grads, impl.input_names, rows_pre.T @ _rows(trace.inputs))
+    _split(grads, impl.bias_names, rows_pre.sum(axis=0))
+    col = 0
+    for k, group in enumerate(impl.recurrent_names):
+        operands = np.stack([cache["operands"][k] for cache in trace.steps])
+        width = len(group) * p
+        _split(grads, group, rows_pre[:, col:col + width].T @ _rows(operands))
+        col += width
+    if model.encoder_dim is not None:
+        u = _rows(trace.inputs)
+        da = (rows_pre @ stacked(params, impl.input_names)) * (1.0 - u * u)
+        grads["enc_W"] = da.T @ _rows(np.swapaxes(X, 0, 1))
+        grads["enc_b"] = da.sum(axis=0)
+    return {name: grads[name] for name in params}
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """A (T, B, k) array as its (T*B, k) rows."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _split(grads: dict, names, stacked_grad: np.ndarray) -> None:
+    """Store equal row blocks of ``stacked_grad`` under ``names``, in order."""
+    if names:
+        grads.update(zip(names, np.split(stacked_grad, len(names))))
 
 
 def param_gradients(model: SequenceModel, x, target, loss: LossKind,
@@ -290,15 +315,8 @@ def param_gradients(model: SequenceModel, x, target, loss: LossKind,
     cross-entropy or a length-``c`` vector for MSE.  Only steps listed in
     ``loss_steps`` contribute.
     """
-    x = np.asarray(x, dtype=np.float64)
-    T = x.shape[0]
-    steps = _normalize_loss_steps(loss_steps, T)
-    ys = model.forward(x).outputs
-    step_grads = np.zeros((1, T, model.output_dim))
-    for s in steps:
-        if loss is LossKind.CROSS_ENTROPY:
-            _, g = _loss_grad(loss, ys[None, s - 1], np.asarray([target[s - 1]]))
-        else:
-            _, g = _loss_grad(loss, ys[None, s - 1], np.asarray(target[s - 1])[None])
-        step_grads[0, s - 1] = g[0]
-    return batch_param_gradients(model, x[None], step_grads)
+    X = np.asarray(x, dtype=np.float64)[None]
+    targets, mask = _masked_targets(target, loss, loss_steps, X.shape[1])
+    forward = model.forward_batch(X)
+    _, d_ys = masked_loss(forward[0][0], targets, mask, loss)
+    return batch_param_gradients(model, X, d_ys[None], forward)

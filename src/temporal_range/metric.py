@@ -24,11 +24,12 @@ import typing
 
 import numpy as np
 
+from .cells import cell_impl
 from .errors import ConfigError, SpecError
 from .gradients import (JacobianBlocks, JacobianMode, final_output_blocks,
                         multi_output_blocks)
 from .linalg import NormKind, mat_norms
-from .models import CellKind, SequenceModel
+from .models import SequenceModel
 
 __all__ = [
     "Aggregation",
@@ -314,17 +315,10 @@ def check_input_scaling(model: SequenceModel, x, beta: float,
                               model, x, scaled_model, beta * x)
 
 
-def _input_weight_names(model: SequenceModel) -> list[str]:
+def _input_weight_names(model: SequenceModel) -> tuple[str, ...]:
     if model.encoder_dim is not None:
-        return ["enc_W"]
-    kind = model.cell.kind
-    if kind is CellKind.LINEAR_REC:
-        return ["C"]
-    if kind is CellKind.GRU:
-        return ["Wz", "Wr", "Wn"]
-    if kind is CellKind.LSTM:
-        return ["Wi", "Wf", "Wo", "Wg"]
-    return ["V1", "V2", "Vz", "Vy"]
+        return ("enc_W",)
+    return cell_impl(model.cell.kind).input_names
 
 
 def report_json(report: TemporalRangeReport) -> str:

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .cells import CellKind, cell_impl
+from .cells import CellKind, cell_impl, recurrent_stacks, stacked
 from .errors import FormatError, ShapeMismatch, SpecError, VersionError
 from .linalg import Rng
 
@@ -27,6 +27,7 @@ __all__ = [
     "CellSpec",
     "OutputSequence",
     "SequenceModel",
+    "Trace",
     "build_shift_copy_model",
     "init_model",
     "load_model",
@@ -35,6 +36,9 @@ __all__ = [
 
 CHECKPOINT_FORMAT = "temporal-range/model"
 CHECKPOINT_VERSION = 1
+# Steps whose encoder outputs and gate input parts a forward pass computes
+# (and holds) at once.
+UNROLL_CHUNK_STEPS = 8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,6 +75,16 @@ class OutputSequence:
 
 
 @dataclasses.dataclass
+class Trace:
+    """What a forward pass keeps for the backward pass and the Jacobian
+    engine: the cell inputs ``(T, B, d_in)``, time-major, and each step's
+    cell cache."""
+
+    inputs: np.ndarray
+    steps: list[dict]
+
+
+@dataclasses.dataclass
 class SequenceModel:
     """A recurrent cell with affine encoder/decoder readout.
 
@@ -100,14 +114,8 @@ class SequenceModel:
             params={k: v.copy() for k, v in self.params.items()},
         )
 
-    def step(self, state, u):
-        impl = cell_impl(self.cell.kind)
-        if self.cell.kind is CellKind.LEM:
-            return impl.step(self.params, state, u, dt=self.cell.lem_dt)
-        return impl.step(self.params, state, u)
-
     def encode(self, X):
-        """Encoder output for a batch of step inputs ``(B, d)`` or ``(B, T, d)``."""
+        """Encoder output for step inputs ``(..., d)``."""
         if self.encoder_dim is None:
             return X
         return np.tanh(X @ self.params["enc_W"].T + self.params["enc_b"])
@@ -124,28 +132,64 @@ class SequenceModel:
         return OutputSequence(outputs=ys[0], states=states[0])
 
     def forward_batch(self, X):
-        """Run a batch ``(B, T, d)``; returns outputs, states, step caches.
+        """Run a batch ``(B, T, d)``; returns outputs, states and the trace.
 
-        Encoding and decoding happen per step so the arithmetic at step
-        ``t`` is independent of the sequence length; a prefix run therefore
-        reproduces the full run's outputs bit for bit.
+        The encoder and every gate's input part are computed ahead of the
+        recurrence (``_unroll``) and the decoder runs once after it, each
+        as a stacked product over time-major steps.  A stacked product
+        multiplies each step's ``(B, .)`` slice on its own, so the
+        arithmetic at step ``t`` does not depend on the sequence length: a
+        prefix run reproduces the full run's outputs bit for bit.
         """
+        X = self._check_batch(X)
+        B, T, _ = X.shape
+        inputs = np.empty((T, B, self.cell_input_dim))
+        states = np.zeros((T + 1, B, self.state_dim))
+        steps = []
+        for t, (u, state, cache) in enumerate(self._unroll(X)):
+            inputs[t], states[t + 1] = u, state
+            steps.append(cache)
+        ys = self.decode(states[1:])
+        return (np.swapaxes(ys, 0, 1), np.swapaxes(states, 0, 1),
+                Trace(inputs=inputs, steps=steps))
+
+    def outputs(self, X):
+        """``forward_batch(X)[0]`` bit for bit, keeping neither the trace
+        nor the states, so memory beyond the outputs does not grow with
+        ``T``."""
+        X = self._check_batch(X)
+        ys = np.empty((X.shape[1], X.shape[0], self.output_dim))
+        for t, (_, state, _) in enumerate(self._unroll(X)):
+            ys[t] = self.decode(state)
+        return np.swapaxes(ys, 0, 1)
+
+    def _unroll(self, X):
+        """Yield each step's cell input, new state and cell cache over a
+        checked batch ``X``.  Cell inputs and every gate's input part are
+        computed ``UNROLL_CHUNK_STEPS`` steps at a time, as stacked
+        products over the time-major observations."""
+        impl = cell_impl(self.cell.kind)
+        rec = recurrent_stacks(impl, self.params)
+        W = stacked(self.params, impl.input_names).T
+        bias = stacked(self.params, impl.bias_names) if impl.bias_names else None
+        extra = {"dt": self.cell.lem_dt} if self.cell.kind is CellKind.LEM else {}
+        X_tm = np.swapaxes(X, 0, 1)
+        state = np.zeros((X.shape[0], self.state_dim))
+        for t0 in range(0, X_tm.shape[0], UNROLL_CHUNK_STEPS):
+            U = self.encode(X_tm[t0:t0 + UNROLL_CHUNK_STEPS])
+            P = U @ W
+            if bias is not None:
+                P += bias
+            for u, proj in zip(U, P):
+                state, cache = impl.step(rec, state, proj, **extra)
+                yield u, state, cache
+
+    def _check_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 3 or X.shape[2] != self.cell.input_dim:
             raise ShapeMismatch(
                 f"expected batch of shape (B, T, {self.cell.input_dim}), got {X.shape}")
-        B, T, _ = X.shape
-        state = np.zeros((B, self.state_dim))
-        states = np.empty((B, T + 1, self.state_dim))
-        states[:, 0] = state
-        ys = np.empty((B, T, self.output_dim))
-        caches = []
-        for t in range(T):
-            state, cache = self.step(state, self.encode(X[:, t]))
-            states[:, t + 1] = state
-            ys[:, t] = self.decode(state)
-            caches.append(cache)
-        return ys, states, caches
+        return X
 
     def _check_sequence(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from .errors import DivergenceError, NumericalError, SpecError
-from .gradients import LossKind, batch_param_gradients
+from .gradients import LossKind, batch_param_gradients, masked_loss
 from .linalg import Rng
 from .models import SequenceModel
 from .tasks import LabeledSequence
@@ -52,10 +52,19 @@ class OptConfig:
     val_fraction: float = 0.1
 
     def __post_init__(self):
-        if not self.lr > 0:
-            raise SpecError(f"learning rate must be > 0, got {self.lr}")
-        if not self.grad_clip > 0:
-            raise SpecError(f"grad clip must be > 0, got {self.grad_clip}")
+        checks = (
+            ("lr", self.lr > 0, "> 0"),
+            ("grad_clip", self.grad_clip > 0, "> 0"),
+            ("eps", self.eps > 0, "> 0"),
+            ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+            ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+            ("val_fraction", 0 <= self.val_fraction < 1, "in [0, 1)"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("steps", self.steps >= 1, ">= 1"),
+        )
+        for name, ok, want in checks:
+            if not ok:
+                raise SpecError(f"{name} must be {want}, got {getattr(self, name)!r}")
 
 
 @dataclasses.dataclass
@@ -126,56 +135,43 @@ class TrainLog:
         return "\n".join(lines) + "\n"
 
 
-def _stack(data: list[LabeledSequence]):
+def stack_sequences(data: list[LabeledSequence]):
+    """Observations, targets and masks of ``data`` as batch arrays.
+
+    Raises:
+        SpecError: if ``data`` is empty or has no masked step.
+    """
+    if not data:
+        raise SpecError("data must not be empty")
     X = np.stack([s.x for s in data])
     targets = np.stack([s.targets for s in data])
     masks = np.stack([s.mask for s in data])
+    if not masks.any():
+        raise SpecError("no masked steps in data")
     return X, targets, masks
 
 
 def _batch_loss_and_grads(model: SequenceModel, X, targets, masks, loss: LossKind):
-    """Mean-per-masked-step loss and its exact parameter gradients."""
-    ys, _, _ = model.forward_batch(X)
+    """Mean-per-masked-step loss and its exact parameter gradients, from
+    one forward pass."""
     n_masked = int(masks.sum())
     if n_masked == 0:
         raise SpecError("no masked steps in batch")
     scale = 1.0 / n_masked
-    B, T, c = ys.shape
-    step_grads = np.zeros_like(ys)
-    total = 0.0
-    if loss is LossKind.CROSS_ENTROPY:
-        shifted = ys - ys.max(axis=-1, keepdims=True)
-        logz = np.log(np.sum(np.exp(shifted), axis=-1))
-        picked = np.take_along_axis(shifted, targets[..., None], axis=-1)[..., 0]
-        total = float(np.sum((logz - picked) * masks))
-        probs = np.exp(shifted - logz[..., None])
-        onehot = np.zeros_like(ys)
-        np.put_along_axis(onehot, targets[..., None], 1.0, axis=-1)
-        step_grads = (probs - onehot) * masks[..., None] * scale
-    else:
-        diff = ys - targets
-        total = 0.5 * float(np.sum(diff * diff * masks[..., None]))
-        step_grads = diff * masks[..., None] * scale
-    grads = batch_param_gradients(model, X, step_grads)
-    return total * scale, grads
+    forward = model.forward_batch(X)
+    total, d_ys = masked_loss(forward[0], targets, masks, loss)
+    return total * scale, batch_param_gradients(model, X, d_ys * scale, forward)
 
 
 def _fd_spot_check(model: SequenceModel, X, targets, masks, loss: LossKind,
                    rng: Rng, n_coords: int = 20, h: float = 1e-5,
                    tol: float = 1e-4) -> None:
     """Compare a few gradient coordinates against central differences."""
-    value, grads = _batch_loss_and_grads(model, X, targets, masks, loss)
+    _, grads = _batch_loss_and_grads(model, X, targets, masks, loss)
+    scale = 1.0 / int(masks.sum())
 
     def loss_only(m):
-        ys, _, _ = m.forward_batch(X)
-        n_masked = int(masks.sum())
-        if loss is LossKind.CROSS_ENTROPY:
-            shifted = ys - ys.max(axis=-1, keepdims=True)
-            logz = np.log(np.sum(np.exp(shifted), axis=-1))
-            picked = np.take_along_axis(shifted, targets[..., None], axis=-1)[..., 0]
-            return float(np.sum((logz - picked) * masks)) / n_masked
-        diff = ys - targets
-        return 0.5 * float(np.sum(diff * diff * masks[..., None])) / n_masked
+        return masked_loss(m.outputs(X), targets, masks, loss)[0] * scale
 
     names = sorted(model.params)
     for _ in range(n_coords):
@@ -209,11 +205,9 @@ def train(model: SequenceModel, data: list[LabeledSequence], cfg: OptConfig,
     initial value for 100 consecutive steps) aborts with an error rather
     than returning a broken model.
     """
-    if not data:
-        raise SpecError("training data must not be empty")
     t0 = time.perf_counter()
     rng = Rng(cfg.seed)
-    X, targets, masks = _stack(data)
+    X, targets, masks = stack_sequences(data)
     n = X.shape[0]
     n_val = min(int(round(n * cfg.val_fraction)), n - 1) if n > 1 else 0
     order = np.asarray(rng.permutation(n))
@@ -264,17 +258,20 @@ def train(model: SequenceModel, data: list[LabeledSequence], cfg: OptConfig,
 def evaluate(model: SequenceModel, data: list[LabeledSequence],
              metric: Metric = Metric.ACCURACY) -> float:
     """Masked mean of the metric over all valid steps in ``data``."""
-    if not data:
-        raise SpecError("evaluation data must not be empty")
-    X, targets, masks = _stack(data)
-    if not masks.any():
-        raise SpecError("no masked steps to evaluate")
-    ys, _, _ = model.forward_batch(X)
+    X, targets, masks = stack_sequences(data)
+    return score(model.outputs(X), targets, masks, metric)[0]
+
+
+def score(ys, targets, masks, metric: Metric) -> tuple[float, np.ndarray]:
+    """Masked metric of outputs ``ys`` (B, T, c): the mean over all valid
+    steps, and each sequence's own mean (0 without valid steps)."""
     if metric is Metric.ACCURACY:
-        pred = ys.argmax(axis=-1)
-        return float(np.sum((pred == targets) & masks) / masks.sum())
-    if metric is Metric.MSE:
+        per_step = ys.argmax(axis=-1) == targets
+    elif metric is Metric.MSE:
         diff = ys - targets
         per_step = np.mean(diff * diff, axis=-1)
-        return float(np.sum(per_step * masks) / masks.sum())
-    raise SpecError(f"unknown metric: {metric!r}")
+    else:
+        raise SpecError(f"unknown metric: {metric!r}")
+    per_step = per_step * masks
+    pooled = float(np.sum(per_step) / masks.sum())
+    return pooled, per_step.sum(axis=1) / np.maximum(masks.sum(axis=1), 1)

@@ -185,3 +185,11 @@ def test_directory_as_checkpoint_is_an_input_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_zero_batch_is_an_input_error(tmp_path, capsys):
+    code = main(["train", "--task", "copy", "--k", "1", "--T", "8", "--n", "8",
+                 "--batch", "0", "--steps", "1", "--out-prefix", str(tmp_path / "m")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "batch_size" in err[0]

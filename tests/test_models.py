@@ -1,13 +1,15 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from temporal_range.cells import _sigmoid
 from temporal_range.errors import FormatError, ShapeMismatch, SpecError, VersionError
 from temporal_range.linalg import Rng, mat_pow
-from temporal_range.models import (CellKind, CellSpec, SequenceModel,
-                                   build_shift_copy_model, init_model,
-                                   load_model, save_model)
+from temporal_range.models import (UNROLL_CHUNK_STEPS, CellKind, CellSpec,
+                                   SequenceModel, build_shift_copy_model,
+                                   init_model, load_model, save_model)
 
 
 def _spec(kind, d=3, p=8):
@@ -79,6 +81,28 @@ def test_forward_prefix_property():
         for s in (1, 4, 9):
             prefix = model.forward(x[:s])
             assert np.array_equal(prefix.outputs[-1], full.outputs[s - 1])
+
+
+@pytest.mark.parametrize("kind", list(CellKind))
+@pytest.mark.parametrize("encoder_dim", [None, 4])
+def test_outputs_reproduce_forward_batch_bit_for_bit(kind, encoder_dim):
+    # T is not a multiple of the chunk, so the last chunk is a short one.
+    model = init_model(_spec(kind, 3, 5), 2, Rng(23), encoder_dim=encoder_dim)
+    X = np.asarray(Rng(24).gaussian(size=(6, 2 * UNROLL_CHUNK_STEPS + 5, 3)))
+    assert np.array_equal(model.outputs(X), model.forward_batch(X)[0])
+
+
+def test_sigmoid_tails_are_finite_and_silent():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _sigmoid(np.array([-1000.0, 1000.0]))
+    assert np.all(np.isfinite(out))
+    assert np.all((0.0 <= out) & (out <= 1.0))
+
+
+def test_sigmoid_matches_the_logistic_function():
+    a = np.linspace(-30.0, 30.0, 6001)
+    assert np.max(np.abs(_sigmoid(a) - 1.0 / (1.0 + np.exp(-a)))) <= 1e-15
 
 
 def test_causality_future_perturbations_do_not_change_past_outputs():

@@ -1,14 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from temporal_range.errors import DivergenceError, NumericalError, SpecError
+from temporal_range.gradients import LossKind, param_gradients, sequence_loss
 from temporal_range.linalg import Rng
-from temporal_range.models import (CellKind, CellSpec,
+from temporal_range.models import (CellKind, CellSpec, SequenceModel,
                                    build_shift_copy_model, init_model)
 from temporal_range.tasks import CopyTaskSpec, LabeledSequence, gen_copyk
-from temporal_range.training import (AdamState, Metric, OptConfig, adam_step,
+from temporal_range.training import (AdamState, Metric, OptConfig,
+                                     _batch_loss_and_grads, adam_step,
                                      clip_by_global_norm, evaluate,
-                                     global_norm, train)
+                                     global_norm, stack_sequences, train)
 
 
 def test_adam_zero_gradient_leaves_parameters_unchanged():
@@ -143,7 +147,65 @@ def test_evaluate_rejects_empty_mask():
 
 
 def test_opt_config_validation():
-    with pytest.raises(SpecError):
-        OptConfig(lr=0.0)
-    with pytest.raises(SpecError):
-        OptConfig(grad_clip=0.0)
+    for field, value in [
+        ("lr", 0.0), ("grad_clip", 0.0), ("eps", 0.0), ("eps", -1e-8),
+        ("batch_size", 0), ("steps", 0), ("val_fraction", -0.1),
+        ("val_fraction", 1.0), ("beta1", -0.1), ("beta1", 1.0),
+        ("beta2", 1.0), ("beta2", float("nan")),
+    ]:
+        with pytest.raises(SpecError, match=field):
+            OptConfig(**{field: value})
+    OptConfig(batch_size=1, steps=1, val_fraction=0.0, beta1=0.0, beta2=0.0)
+
+
+def test_train_runs_one_forward_pass_per_adam_step(monkeypatch):
+    calls = {"forward_batch": 0, "outputs": 0}
+    for method in calls:
+        original = getattr(SequenceModel, method)
+
+        def counted(self, X, _method=method, _original=original):
+            calls[_method] += 1
+            return _original(self, X)
+
+        monkeypatch.setattr(SequenceModel, method, counted)
+    model = init_model(CellSpec(kind=CellKind.GRU, input_dim=4, hidden_dim=6),
+                       4, Rng(11))
+    cfg = OptConfig(lr=1e-3, batch_size=8, steps=7, seed=2)
+    train(model, _tiny_copy_data(n=20), cfg)
+    # The spot check's analytic gradient is the one extra forward pass; its
+    # 20 coordinates' central differences (2 each) and the train and
+    # validation evaluations read outputs only.
+    assert calls == {"forward_batch": cfg.steps + 1, "outputs": 2 * 20 + 2}
+
+
+@pytest.mark.parametrize("kind", list(CellKind))
+@pytest.mark.parametrize("encoder_dim", [None, 5])
+def test_batch_gradients_are_the_scaled_sum_of_per_sequence_gradients(kind, encoder_dim):
+    X, targets, masks = stack_sequences(_tiny_copy_data(k=2, T=9, n=5, seed=12))
+    model = init_model(CellSpec(kind=kind, input_dim=4, hidden_dim=6), 4,
+                       Rng(13), encoder_dim=encoder_dim)
+    loss = LossKind.CROSS_ENTROPY
+    value, grads = _batch_loss_and_grads(model, X, targets, masks, loss)
+    n_masked = int(masks.sum())
+    per_seq = [(param_gradients(model, x, t, loss, np.flatnonzero(m) + 1),
+                sequence_loss(model, x, t, loss, np.flatnonzero(m) + 1))
+               for x, t, m in zip(X, targets, masks)]
+    want_value = sum(v for _, v in per_seq) / n_masked
+    assert abs(value - want_value) <= 1e-12 * abs(want_value)
+    assert list(grads) == list(model.params)
+    for name, g in grads.items():
+        want = sum(gs[name] for gs, _ in per_seq) / n_masked
+        assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+
+def test_evaluate_keeps_no_trace():
+    data = gen_copyk(CopyTaskSpec(k=3, T=32, V=4), 1350, Rng(14))
+    model = init_model(CellSpec(kind=CellKind.GRU, input_dim=4, hidden_dim=32),
+                       4, Rng(15), encoder_dim=32)
+    tracemalloc.start()
+    try:
+        evaluate(model, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
