@@ -53,13 +53,15 @@ def windowed_forward(model: SequenceModel, x, m: int) -> OutputSequence:
 
 def _windowed_outputs(model: SequenceModel, X, m: int) -> np.ndarray:
     """``windowed_forward`` outputs of a batch (B, T, d) for a window
-    ``m >= 1``, from ``model.outputs``, which keeps no trace."""
+    ``m >= 1``, from ``model.outputs``, which keeps no trace; by the prefix
+    property one pass over ``X[:, :m]`` gives steps ``1..m``."""
     T = X.shape[1]
     if m >= T:
         return model.outputs(X)
     ys = np.empty((X.shape[0], T, model.output_dim))
-    for s in range(1, T + 1):
-        ys[:, s - 1] = model.outputs(X[:, max(0, s - m):s])[:, -1]
+    ys[:, :m] = model.outputs(X[:, :m])
+    for s in range(m + 1, T + 1):
+        ys[:, s - 1] = model.outputs(X[:, s - m:s])[:, -1]
     return ys
 
 

@@ -66,6 +66,11 @@ def _diag(v):
     return v * np.eye(v.shape[-2])
 
 
+def _diagonal(a):
+    """Writable view ``(..., p)`` of the diagonals of a stack ``(..., p, p)``."""
+    return np.einsum("...ii->...i", a)
+
+
 def stacked(params, names) -> np.ndarray:
     """The weights ``names`` stacked along their output axis, in order."""
     return np.concatenate([params[name] for name in names])
@@ -211,14 +216,20 @@ class _LSTM:
             cache[k][..., None] for k in ("h", "c", "i", "f", "o", "g", "hc"))
         di, df, do = i * (1 - i), f * (1 - f), o * (1 - o)
         dg = 1.0 - g * g
-        dc_dh = (c * df) * params["Uf"] + (g * di) * params["Ui"] + (i * dg) * params["Ug"]
-        dc_du = (c * df) * params["Wf"] + (g * di) * params["Wi"] + (i * dg) * params["Wg"]
         k = o * (1.0 - hc * hc)
-        dh_dh = (hc * do) * params["Uo"] + k * dc_dh
-        dh_du = (hc * do) * params["Wo"] + k * dc_du
-        # np.block joins the last two axes, so it assembles the whole batch.
-        j_state = np.block([[dh_dh, _diag(k * f)], [dc_dh, _diag(f)]])
-        j_input = np.concatenate([dh_du, dc_du], axis=-2)
+        B, p = h.shape[:2]
+        # Each factor is filled in place: rows [dh; dc], columns [h, c] or u.
+        j_state = np.zeros((B, 2 * p, 2 * p))
+        j_input = np.empty((B, 2 * p, params["Wi"].shape[1]))
+        for j, w in ((j_state[..., :p], "U"), (j_input, "W")):
+            dh, dc = j[:, :p], j[:, p:]
+            np.multiply(c * df, params[w + "f"], out=dc)
+            dc += (g * di) * params[w + "i"]
+            dc += (i * dg) * params[w + "g"]
+            np.multiply(hc * do, params[w + "o"], out=dh)
+            dh += k * dc
+        _diagonal(j_state[:, :p, p:])[...] = (k * f)[..., 0]
+        _diagonal(j_state[:, p:, p:])[...] = f[..., 0]
         return j_state, j_input
 
     @staticmethod
@@ -291,15 +302,22 @@ class _LEM:
         dg2 = dt * g2 * (1.0 - g2)
         ktz = dt1 * (1.0 - tz * tz)
         kty = dt2 * (1.0 - ty * ty)
-        dz_dy = ((tz - z) * dg1) * params["W1"] + ktz * params["Wz"]
-        dz_dz = _diag(1.0 - dt1)
-        dz_du = ((tz - z) * dg1) * params["V1"] + ktz * params["Vz"]
         wy = params["Wy"]
-        dy_dy = _diag(1.0 - dt2) + ((ty - y) * dg2) * params["W2"] + kty * (wy @ dz_dy)
-        dy_dz = kty * (wy * np.swapaxes(1.0 - dt1, -1, -2))
-        dy_du = ((ty - y) * dg2) * params["V2"] + kty * (params["Vy"] + wy @ dz_du)
-        j_state = np.block([[dy_dy, dy_dz], [dz_dy, dz_dz]])
-        j_input = np.concatenate([dy_du, dz_du], axis=-2)
+        B, p = y.shape[:2]
+        # Each factor is filled in place: rows [dy; dz], columns [y, z] or u.
+        j_state = np.zeros((B, 2 * p, 2 * p))
+        j_input = np.empty((B, 2 * p, params["V1"].shape[1]))
+        for dz, w in ((j_state[:, p:, :p], "W"), (j_input[:, p:], "V")):
+            np.multiply((tz - z) * dg1, params[w + "1"], out=dz)
+            dz += ktz * params[w + "z"]
+        _diagonal(j_state[:, p:, p:])[...] = (1.0 - dt1)[..., 0]
+        dy_dy = j_state[:, :p, :p]
+        _diagonal(dy_dy)[...] = (1.0 - dt2)[..., 0]
+        dy_dy += ((ty - y) * dg2) * params["W2"]
+        dy_dy += kty * (wy @ j_state[:, p:, :p])
+        np.multiply(kty, wy * np.swapaxes(1.0 - dt1, -1, -2), out=j_state[:, :p, p:])
+        np.multiply((ty - y) * dg2, params["V2"], out=j_input[:, :p])
+        j_input[:, :p] += kty * (params["Vy"] + wy @ j_input[:, p:])
         return j_state, j_input
 
     @staticmethod

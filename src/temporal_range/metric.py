@@ -25,7 +25,7 @@ import typing
 import numpy as np
 
 from .cells import cell_impl
-from .errors import ConfigError, SpecError
+from .errors import ConfigError, FormatError, SpecError, VersionError
 from .gradients import (JacobianBlocks, JacobianMode, final_output_blocks,
                         multi_output_blocks)
 from .linalg import NormKind, mat_norms
@@ -45,6 +45,7 @@ __all__ = [
     "config_fingerprint",
     "influence_weights",
     "profile_csv",
+    "range_values",
     "report_json",
     "temporal_range",
 ]
@@ -110,9 +111,6 @@ class InfluenceProfile:
     def T(self) -> int:
         return self.weights.shape[0]
 
-    def lags(self) -> np.ndarray:
-        return np.arange(self.T - 1, -1, -1, dtype=np.float64)
-
 
 class RangeValues(typing.NamedTuple):
     """(rho, rho_hat) pair; ``rho_hat`` is None for a degenerate profile."""
@@ -159,14 +157,19 @@ def influence_weights(blocks: JacobianBlocks, cfg: TRConfig) -> InfluenceProfile
                             aggregation=cfg.aggregation, norm=cfg.norm)
 
 
+def range_values(weights) -> tuple[np.ndarray, np.ndarray]:
+    """``rho`` and ``rho_hat`` of every profile in a stack of weights
+    ``(..., T)``; ``rho_hat`` is NaN where a profile's total weight is <= 0."""
+    w = np.asarray(weights, dtype=np.float64)
+    rho = w @ np.arange(w.shape[-1] - 1, -1, -1, dtype=np.float64)
+    total = w.sum(axis=-1)
+    return rho, np.divide(rho, total, out=np.full_like(rho, np.nan), where=total > 0)
+
+
 def temporal_range(profile: InfluenceProfile) -> RangeValues:
     """Magnitude-weighted lag sum and average of an influence profile."""
-    w = profile.weights
-    rho = float(w @ profile.lags())
-    total = float(w.sum())
-    if total <= 0.0:
-        return RangeValues(rho, None)
-    return RangeValues(rho, rho / total)
+    rho, rho_hat = range_values(profile.weights)
+    return RangeValues(float(rho), None if np.isnan(rho_hat) else float(rho_hat))
 
 
 @dataclasses.dataclass
@@ -220,25 +223,24 @@ def analyze(model: SequenceModel, rollouts, cfg: TRConfig) -> TemporalRangeRepor
         W = _position_weights((mat_norms(blocks, cfg.norm)
                                for _, blocks in multi_output_blocks(model, X)),
                               (len(rollouts), cfg.T), cfg.aggregation)
-    per_rho, per_rho_hat = zip(*(temporal_range(InfluenceProfile(
-        weights=w, mode=cfg.mode, aggregation=cfg.aggregation, norm=cfg.norm)) for w in W))
-    defined = [v for v in per_rho_hat if v is not None]
-    pooled_profile = InfluenceProfile(weights=W.mean(axis=0), mode=cfg.mode,
-                                      aggregation=cfg.aggregation, norm=cfg.norm)
-    pooled = temporal_range(pooled_profile)
+    rho, rho_hat = range_values(W)
+    defined = rho_hat[~np.isnan(rho_hat)]
+    weights_mean = W.mean(axis=0)
+    pooled = temporal_range(InfluenceProfile(weights=weights_mean, mode=cfg.mode,
+                                             aggregation=cfg.aggregation, norm=cfg.norm))
     return TemporalRangeReport(
         config=cfg,
         n_rollouts=len(rollouts),
-        rho=float(np.mean(per_rho)),
-        rho_hat=float(np.mean(defined)) if defined else None,
-        per_rollout_rho=list(per_rho),
-        per_rollout_rho_hat=list(per_rho_hat),
-        rho_hat_std=float(np.std(defined)) if defined else None,
+        rho=float(rho.mean()),
+        rho_hat=float(defined.mean()) if defined.size else None,
+        per_rollout_rho=rho.tolist(),
+        per_rollout_rho_hat=[None if np.isnan(v) else v for v in rho_hat.tolist()],
+        rho_hat_std=float(defined.std()) if defined.size else None,
         pooled_rho_hat=pooled.rho_hat,
-        weights_mean=W.mean(axis=0),
+        weights_mean=weights_mean,
         weights_std=W.std(axis=0),
-        degenerate=not defined,
-        n_degenerate=len(per_rho_hat) - len(defined),
+        degenerate=defined.size == 0,
+        n_degenerate=len(rollouts) - defined.size,
     )
 
 
@@ -346,12 +348,13 @@ def report_from_json(text: str) -> TemporalRangeReport:
     """Rebuild a report from its JSON serialization.
 
     Raises:
-        SpecError: on schema mismatch or malformed content.
+        FormatError: on malformed content.
+        VersionError: on a schema mismatch.
     """
     try:
         doc = json.loads(text)
         if doc["schema"] != REPORT_SCHEMA_VERSION:
-            raise SpecError(
+            raise VersionError(
                 f"unsupported report schema {doc['schema']!r} "
                 f"(expected {REPORT_SCHEMA_VERSION})")
         cfg_doc = doc["config"]
@@ -375,10 +378,8 @@ def report_from_json(text: str) -> TemporalRangeReport:
             degenerate=bool(doc["degenerate"]),
             n_degenerate=int(doc["n_degenerate_rollouts"]),
         )
-    except SpecError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError(f"malformed range report: {exc}") from exc
+    except (KeyError, TypeError, ValueError, SpecError) as exc:
+        raise FormatError(f"malformed range report: {exc}") from exc
 
 
 def profile_csv(report: TemporalRangeReport) -> str:

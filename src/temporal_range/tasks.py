@@ -310,7 +310,8 @@ def save_dataset(sequences: list[LabeledSequence], path, task: str,
 
 
 def load_dataset(path) -> tuple[list[LabeledSequence], dict]:
-    """Read a dataset container; returns (sequences, header)."""
+    """Read a dataset container; returns (sequences, header).  Sequences
+    that disagree with the header's n, T or d raise ``FormatError``."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -325,15 +326,19 @@ def load_dataset(path) -> tuple[list[LabeledSequence], dict]:
             f"unsupported dataset version {doc.get('version')!r} "
             f"(expected {DATASET_VERSION})")
     try:
-        sequences = [
-            LabeledSequence(
-                x=np.array([[float.fromhex(v) for v in row] for row in entry["x"]]),
-                targets=np.asarray(entry["targets"], dtype=np.int64),
-                mask=np.asarray(entry["mask"], dtype=bool),
-            )
-            for entry in doc["sequences"]
-        ]
         header = {k: doc[k] for k in ("task", "spec", "seed", "n", "T", "d")}
+        if len(doc["sequences"]) != header["n"]:
+            raise FormatError(f"dataset {path} holds {len(doc['sequences'])} "
+                              f"sequences, its header declares n={header['n']!r}")
+        sequences = []
+        for i, entry in enumerate(doc["sequences"]):
+            x = np.array([[float.fromhex(v) for v in row] for row in entry["x"]])
+            if x.shape != (header["T"], header["d"]):
+                raise FormatError(f"dataset {path}: sequence {i} has shape {x.shape}, its "
+                                  f"header declares T={header['T']!r}, d={header['d']!r}")
+            sequences.append(LabeledSequence(
+                x=x, targets=np.asarray(entry["targets"], dtype=np.int64),
+                mask=np.asarray(entry["mask"], dtype=bool)))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed dataset {path}: {exc}") from exc
     return sequences, header

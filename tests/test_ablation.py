@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from temporal_range.ablation import (AblationCurve, ablation_sweep, curve_csv,
-                                     deployment_check, knee, windowed_forward)
+from temporal_range.ablation import (AblationCurve, _windowed_outputs, ablation_sweep,
+                                     curve_csv, deployment_check, knee,
+                                     windowed_forward)
 from temporal_range.errors import SpecError
 from temporal_range.gradients import JacobianMode
 from temporal_range.linalg import Rng
@@ -22,6 +23,17 @@ def test_windowed_forward_with_full_window_is_bitwise_identical():
     for m in (9, 12, 100):
         win = windowed_forward(model, x, m)
         assert np.array_equal(win.outputs, full.outputs)
+
+
+@pytest.mark.parametrize("kind", list(CellKind))
+def test_windowed_outputs_equal_one_cold_restart_per_step(kind):
+    model = init_model(CellSpec(kind=kind, input_dim=3, hidden_dim=4),
+                       2, Rng(3), encoder_dim=3)
+    X = np.asarray(Rng(4).gaussian(size=(5, 19, 3)))
+    for m in range(1, 21):
+        want = np.stack([model.outputs(X[:, max(0, s - m):s])[:, -1]
+                         for s in range(1, 20)], axis=1)
+        assert np.array_equal(_windowed_outputs(model, X, m), want)
 
 
 def test_windowed_forward_on_memoryless_model_matches_full():

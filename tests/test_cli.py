@@ -120,10 +120,12 @@ def test_analyze_aggregation_flag_changes_the_fingerprint(tmp_path):
 
 def test_axioms_command_passes_and_writes_report(tmp_path):
     out = tmp_path / "axioms.json"
-    assert main(["axioms", "--trials", "50", "--seed", "1",
-                 "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    assert doc["max_residual"] < 1e-9
+    for norm in ("frobenius", "spectral"):
+        assert main(["axioms", "--trials", "50", "--seed", "1", "--norm", norm,
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["norm"] == norm
+        assert doc["max_residual"] < 1e-9
 
 
 def test_oracle_command_and_fault_injection(tmp_path):
@@ -193,3 +195,34 @@ def test_zero_batch_is_an_input_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "batch_size" in err[0]
+
+
+def _train_on_edited_dataset(tmp_path, edit):
+    data = tmp_path / "d.json"
+    assert main(["gen-data", "--task", "copy", "--k", "1", "--T", "8", "--n", "4",
+                 "--seed", "0", "--out", str(data)]) == 0
+    doc = json.loads(data.read_text())
+    edit(doc)
+    data.write_text(json.dumps(doc))
+    return main(["train", "--data", str(data), "--model", "gru", "--hidden", "4",
+                 "--steps", "1", "--out-prefix", str(tmp_path / "m")])
+
+
+def test_dataset_sequence_shorter_than_the_header_is_an_input_error(tmp_path, capsys):
+    def shorten(doc):
+        seq = doc["sequences"][2]
+        for key in ("x", "targets", "mask"):
+            seq[key] = seq[key][:-2]
+
+    assert _train_on_edited_dataset(tmp_path, shorten) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "sequence 2" in err[0]
+
+
+def test_dataset_count_other_than_the_header_n_is_an_input_error(tmp_path, capsys):
+    def overstate(doc):
+        doc["n"] = 9
+
+    assert _train_on_edited_dataset(tmp_path, overstate) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "n=9" in err[0]

@@ -205,3 +205,50 @@ def test_reverse_final_blocks_equal_forward_chain_products(kind, encoder_dim):
             forward = dec_rows @ sens
             scale = max(1e-300, np.max(np.abs(forward)))
             assert np.max(np.abs(reverse[r, t - 1] - forward)) <= 1e-12 * scale
+
+
+def _block_assembled_factors(kind, params, cache):
+    """Reference: every (B, 2p, 2p) factor built from diagonal matrices and
+    joined with ``np.block``, as the factors were first written."""
+    def diag(v):
+        return v * np.eye(v.shape[-2])
+
+    if kind is CellKind.LSTM:
+        h, c, i, f, o, g, hc = (
+            cache[k][..., None] for k in ("h", "c", "i", "f", "o", "g", "hc"))
+        di, df, do = i * (1 - i), f * (1 - f), o * (1 - o)
+        dg = 1.0 - g * g
+        dc_dh = (c * df) * params["Uf"] + (g * di) * params["Ui"] + (i * dg) * params["Ug"]
+        dc_du = (c * df) * params["Wf"] + (g * di) * params["Wi"] + (i * dg) * params["Wg"]
+        k = o * (1.0 - hc * hc)
+        dh_dh = (hc * do) * params["Uo"] + k * dc_dh
+        dh_du = (hc * do) * params["Wo"] + k * dc_du
+        return (np.block([[dh_dh, diag(k * f)], [dc_dh, diag(f)]]),
+                np.concatenate([dh_du, dc_du], axis=-2))
+    y, z, g1, g2, tz, ty = (
+        cache[k][..., None] for k in ("y", "z", "g1", "g2", "tz", "ty"))
+    dt = cache["dt"]
+    dt1, dt2 = dt * g1, dt * g2
+    dg1, dg2 = dt * g1 * (1.0 - g1), dt * g2 * (1.0 - g2)
+    ktz, kty = dt1 * (1.0 - tz * tz), dt2 * (1.0 - ty * ty)
+    dz_dy = ((tz - z) * dg1) * params["W1"] + ktz * params["Wz"]
+    dz_du = ((tz - z) * dg1) * params["V1"] + ktz * params["Vz"]
+    wy = params["Wy"]
+    dy_dy = diag(1.0 - dt2) + ((ty - y) * dg2) * params["W2"] + kty * (wy @ dz_dy)
+    dy_dz = kty * (wy * np.swapaxes(1.0 - dt1, -1, -2))
+    dy_du = ((ty - y) * dg2) * params["V2"] + kty * (params["Vy"] + wy @ dz_du)
+    return (np.block([[dy_dy, dy_dz], [dz_dy, diag(1.0 - dt1)]]),
+            np.concatenate([dy_du, dz_du], axis=-2))
+
+
+@pytest.mark.parametrize("kind", [CellKind.LSTM, CellKind.LEM])
+@pytest.mark.parametrize("encoder_dim", [None, 3])
+def test_in_place_factors_equal_the_block_assembly_bit_for_bit(kind, encoder_dim):
+    from temporal_range.cells import cell_impl
+    model = init_model(CellSpec(kind=kind, input_dim=2, hidden_dim=4), 2, Rng(70),
+                       encoder_dim=encoder_dim)
+    X = 3.0 * np.asarray(Rng(71).gaussian(size=(5, 6, 2)))
+    for cache in model.forward_batch(X)[2].steps:
+        got = cell_impl(kind).step_jacobians(model.params, cache)
+        for a, b in zip(got, _block_assembled_factors(kind, model.params, cache)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -1,16 +1,17 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from temporal_range.errors import ConfigError, SpecError
+from temporal_range.errors import ConfigError, FormatError, SpecError, VersionError
 from temporal_range.gradients import JacobianBlocks, JacobianMode
 from temporal_range.linalg import NormKind, Rng, mat_norm
 from temporal_range.metric import (Aggregation, InfluenceProfile, TRConfig,
                                    analyze, check_input_scaling,
                                    check_output_scaling, influence_weights,
-                                   profile_csv, report_from_json, report_json,
-                                   temporal_range)
+                                   profile_csv, range_values, report_from_json,
+                                   report_json, temporal_range)
 from temporal_range.models import CellKind, CellSpec, build_shift_copy_model, init_model
 from temporal_range.oracles import RecurrenceSpec, recurrence_as_model
 
@@ -232,6 +233,51 @@ def test_report_json_round_trip():
     assert loaded.config == report.config
     assert np.array_equal(loaded.weights_mean, report.weights_mean)
     assert report_json(loaded) == text
+
+
+def _report_doc():
+    rng = Rng(16)
+    report = analyze(build_shift_copy_model(2, 2), [np.asarray(rng.gaussian(size=(6, 2)))],
+                     TRConfig(mode=JacobianMode.FINAL_OUTPUT, T=6))
+    return json.loads(report_json(report))
+
+
+def test_report_schema_mismatch_is_a_version_error():
+    doc = _report_doc()
+    doc["schema"] = 99
+    with pytest.raises(VersionError, match="99"):
+        report_from_json(json.dumps(doc))
+
+
+def test_malformed_report_is_a_format_error():
+    doc = _report_doc()
+    del doc["rho"]
+    bad_t = _report_doc()
+    bad_t["config"]["T"] = 1
+    for text in ("{not json", "[]", json.dumps(doc), json.dumps(bad_t)):
+        with pytest.raises(FormatError) as exc:
+            report_from_json(text)
+        assert not isinstance(exc.value, VersionError)
+
+
+def test_range_values_match_temporal_range_row_by_row():
+    W = np.abs(np.asarray(Rng(30).gaussian(size=(3, 5, 9))))
+    W[0, 2] = 0.0
+    W[2, 4] = 0.0
+    rho, rho_hat = range_values(W)
+    assert rho.shape == rho_hat.shape == (3, 5)
+    for idx in np.ndindex(3, 5):
+        rv = temporal_range(InfluenceProfile(
+            weights=W[idx], mode=JacobianMode.FINAL_OUTPUT,
+            aggregation=Aggregation.MEAN, norm=NormKind.FROBENIUS))
+        # A matrix-vector product may sum in another order than a dot product.
+        assert rho[idx] == pytest.approx(rv.rho, rel=1e-14, abs=0.0)
+        if rv.rho_hat is None:
+            assert np.isnan(rho_hat[idx])
+        else:
+            assert rho_hat[idx] == pytest.approx(rv.rho_hat, rel=1e-14)
+    assert np.isnan(rho_hat[0, 2]) and np.isnan(rho_hat[2, 4])
+    assert np.sum(np.isnan(rho_hat)) == 2
 
 
 def test_profile_csv_orders_rows_by_lag():

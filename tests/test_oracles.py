@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from temporal_range import oracles
 from temporal_range.errors import SpecError
 from temporal_range.gradients import JacobianMode, input_jacobians
 from temporal_range.linalg import NormKind, Rng, mat_norm
-from temporal_range.metric import TRConfig, influence_weights, temporal_range
+from temporal_range.metric import (TRConfig, influence_weights, range_values,
+                                   temporal_range)
 from temporal_range.models import build_shift_copy_model
-from temporal_range.oracles import (LinearTemporalMap, RecurrenceSpec,
+from temporal_range.oracles import (LinearTemporalMap, RecurrenceSpec, _trial_maps,
                                     axiom_suite, copyk_mae, copyk_oracle,
                                     linear_map_as_model, linear_map_range,
                                     pipeline_cross_checks,
@@ -103,12 +105,51 @@ def test_copyk_mae_of_exact_model_is_zero():
 def test_axiom_suite_residuals_vanish(norm):
     report = axiom_suite(Rng(3), trials=100, norm=norm)
     assert report.max_residual() < 1e-9
+    assert all(type(v) is float for v in report.residuals.values())
     assert report.passed()
     assert set(report.residuals) == {
         "single_step_magnitude", "single_step_normalized",
         "additivity_disjoint", "absolute_homogeneity",
         "weighted_average_disjoint", "decomposition_rho",
         "decomposition_rho_hat"}
+
+
+def test_trial_maps_follow_the_per_block_draw_order():
+    rng_batched, rng = Rng(6), Rng(6)
+    for trial in range(8):
+        maps, t_single, alpha, a, b = _trial_maps(rng_batched, trial % 7 == 0)
+        # The same trial drawn one block at a time.
+        T, c, d = (int(rng.integers(4, 17)), int(rng.integers(1, 4)),
+                   int(rng.integers(1, 4)))
+        want = np.zeros((6 + T, T, c, d))
+        assert t_single == int(rng.integers(0, T))
+        want[0, t_single] = rng.gaussian(size=(c, d))
+        perm = rng.permutation(T)
+        cut = int(rng.integers(1, T))
+        for t in perm[:cut]:
+            want[1, t] = rng.gaussian(size=(c, d))
+        for t in perm[cut:]:
+            want[2, t] = rng.gaussian(size=(c, d))
+        want[3] = want[1] + want[2]
+        assert alpha == float(rng.uniform(low=-3.0, high=3.0))
+        want[4] = alpha * want[1]
+        assert a == (0.0 if trial % 7 == 0 else float(rng.uniform(low=-2.0, high=2.0)))
+        assert b == float(rng.uniform(low=0.5, high=2.0))
+        for t in range(T):
+            want[5, t] = rng.gaussian(size=(c, d))
+            want[6 + t, t] = want[5, t]
+        assert np.array_equal(maps, want)
+
+
+def test_axiom_suite_fails_when_the_range_drops_the_oldest_lag(monkeypatch):
+    def drop_oldest(weights):
+        w = np.array(weights, dtype=np.float64)
+        w[..., 0] = 0.0
+        return range_values(w)
+
+    assert axiom_suite(Rng(3), trials=20).passed()
+    monkeypatch.setattr(oracles, "range_values", drop_oldest)
+    assert not axiom_suite(Rng(3), trials=20).passed()
 
 
 def test_axiom_report_json_is_deterministic():
