@@ -17,12 +17,15 @@ Each cell kind provides:
   whose ``"operands"`` are the left operands of the recurrent products.
 * ``step_jacobians(params, cache)``: exact Jacobians of every sequence's
   new state with respect to its previous state ``(B, S, S)`` and its cell
-  input ``(B, S, d_in)``, evaluated from a batched cache.
+  input ``(B, S, d_in)``, evaluated from a batched cache.  Only forward-mode
+  sensitivities (multi-output Jacobians) use these factors.
 * ``backward(rec, cache, d_state_new, d_pre)``: the recurrent part of the
   reverse-mode rule; writes the gradient of every gate pre-activation into
   ``d_pre`` (B, G*p) and returns the gradient with respect to the previous
-  state.  Weight gradients are products of ``d_pre`` with the cell inputs
-  and the cached operands, taken over all steps at once by the caller.
+  state.  It serves training (BPTT), where weight gradients are products of
+  ``d_pre`` with the cell inputs and the cached operands, taken over all
+  steps at once by the caller, and final-output Jacobians, where ``d_pre``
+  times the stacked input weights is a row block of ``d y_T / d u_t``.
 
 States are flat vectors: plain hidden ``h`` for the linear recurrence and
 the GRU, ``[h, c]`` for the LSTM, and ``[y, z]`` for the LEM cell.  The
@@ -59,11 +62,6 @@ def _sigmoid(a):
     s *= 0.5
     s += 0.5
     return s
-
-
-def _diag(v):
-    """Stack of diagonal matrices ``(B, p, p)`` from columns ``v`` (B, p, 1)."""
-    return v * np.eye(v.shape[-2])
 
 
 def _diagonal(a):
@@ -150,12 +148,19 @@ class _GRU:
         dz = z * (1.0 - z)
         dr = r * (1.0 - r)
         dn = 1.0 - n * n
-        # d(r * h)/dh and /du
-        m_rh_h = _diag(r) + (h * dr) * Ur
+        B, p = h.shape[:2]
+        # d(r * h)/dh and /du.  Each diagonal is written before the sums, so
+        # they round exactly as ``diag(v) + ...`` does.
+        m_rh_h = np.zeros((B, p, p))
+        _diagonal(m_rh_h)[...] = r[..., 0]
+        m_rh_h += (h * dr) * Ur
         m_rh_u = (h * dr) * Wr
         dn_dh = dn * (Un @ m_rh_h)
         dn_du = dn * (Wn + Un @ m_rh_u)
-        j_state = _diag(z) + ((h - n) * dz) * Uz + (1.0 - z) * dn_dh
+        j_state = np.zeros((B, p, p))
+        _diagonal(j_state)[...] = z[..., 0]
+        j_state += ((h - n) * dz) * Uz
+        j_state += (1.0 - z) * dn_dh
         j_input = ((h - n) * dz) * Wz + (1.0 - z) * dn_du
         return j_state, j_input
 

@@ -3,9 +3,12 @@
 Three complementary tools:
 
 * The Jacobian engine: blocks ``J[s, t] = d y_s / d x_t`` of a batch of
-  rollouts, forward (``multi_output_blocks``, yielded step by step) or
-  reverse from ``y_T`` (``final_output_blocks``, ``c S^2 T`` work, not
-  ``d S^2 T^2 / 2``); ``input_jacobians`` keys one rollout's by ``(s, t)``.
+  rollouts, forward through the cells' per-step factors
+  (``multi_output_blocks``, yielded step by step) or reverse from ``y_T``
+  through the cells' ``backward`` rules (``final_output_blocks``: vector-
+  Jacobian products of ``c`` adjoint rows, ``c S^2 T`` work, not
+  ``d S^2 T^2 / 2``, and no ``(S, S)`` factor is built);
+  ``input_jacobians`` keys one rollout's by ``(s, t)``.
 * ``fd_jacobian``: a central finite-difference oracle for any single block,
   independent of the analytic path.
 * ``batch_param_gradients``: reverse accumulation through the unroll (BPTT)
@@ -84,14 +87,13 @@ def _decoder_rows(model: SequenceModel) -> np.ndarray:
     return rows
 
 
-def _step_factors(model: SequenceModel, X, reverse: bool = False):
+def _step_factors(model: SequenceModel, X):
     """One forward pass over ``X`` (R, T, d), then each step's factors
     ``d state_t / d state_{t-1}`` (R, S, S) and ``d state_t / d x_t`` (R, S, d)."""
     impl = cell_impl(model.cell.kind)
     _, _, trace = model.forward_batch(X)
-    steps = range(len(trace.steps))
-    for t in reversed(steps) if reverse else steps:
-        j_state, j_input = impl.step_jacobians(model.params, trace.steps[t])
+    for t, cache in enumerate(trace.steps):
+        j_state, j_input = impl.step_jacobians(model.params, cache)
         if model.encoder_dim is not None:
             u = trace.inputs[t]
             j_input = j_input @ ((1.0 - u * u)[..., None] * model.params["enc_W"])
@@ -139,23 +141,38 @@ def multi_output_blocks(model: SequenceModel, X):
 
 
 def final_output_blocks(model: SequenceModel, X) -> np.ndarray:
-    """Blocks ``J[T, t]`` of a batch ``X`` (R, T, d), shape (R, T, c, d): an
-    adjoint ``d y_T / d state_t`` (R, c, S) starts at the decoder rows and,
-    from ``t = T`` down, meets each step's input factor, then its state factor.
+    """Blocks ``J[T, t]`` of a batch ``X`` (R, T, d), shape (R, T, c, d), by
+    reverse accumulation: the adjoint ``d y_T / d state_t`` (R*c, S), one row
+    per rollout and output, starts at the decoder rows and goes back one step
+    at a time through the cell's ``backward`` rule, with every cache row
+    repeated once per output.  Each step's gate gradients times the stacked
+    input weights (and the encoder's derivative) give ``J[T, t]``.
 
     Raises:
         NumericalError: naming the step where the adjoint or a block is not finite.
     """
     R, T, d = np.shape(X)
-    adjoint = _decoder_rows(model)
-    blocks = np.empty((R, T, model.output_dim, d))
-    for t, (j_state, j_input) in zip(range(T, 0, -1), _step_factors(model, X, reverse=True)):
+    c = model.output_dim
+    impl = cell_impl(model.cell.kind)
+    params = model.params
+    rec = recurrent_stacks(impl, params)
+    w_in = stacked(params, impl.input_names)
+    _, _, trace = model.forward_batch(X)
+    adjoint = np.tile(_decoder_rows(model), (R, 1))
+    d_pre = np.empty((R * c, w_in.shape[0]))
+    blocks = np.empty((R, T, c, d))
+    for t in range(T, 0, -1):
+        cache = {k: v if np.ndim(v) == 0 else np.repeat(v, c, axis=0)
+                 for k, v in trace.steps[t - 1].items() if k != "operands"}
         # Overflow here is caught by the finiteness check below.
         with np.errstate(over="ignore", invalid="ignore"):
-            blocks[:, t - 1] = adjoint @ j_input
-            if t > 1:
-                adjoint = adjoint @ j_state
-        if not (np.all(np.isfinite(adjoint)) and np.all(np.isfinite(blocks[:, t - 1]))):
+            adjoint = impl.backward(rec, cache, adjoint, d_pre)
+            block = (d_pre @ w_in).reshape(R, c, -1)
+            if model.encoder_dim is not None:
+                u = trace.inputs[t - 1][:, None]
+                block = (block * (1.0 - u * u)) @ params["enc_W"]
+        blocks[:, t - 1] = block
+        if not (np.all(np.isfinite(block)) and (t == 1 or np.all(np.isfinite(adjoint)))):
             raise NumericalError(f"non-finite adjoint at step t={t}")
     return blocks
 

@@ -311,7 +311,8 @@ def save_dataset(sequences: list[LabeledSequence], path, task: str,
 
 def load_dataset(path) -> tuple[list[LabeledSequence], dict]:
     """Read a dataset container; returns (sequences, header).  Sequences
-    that disagree with the header's n, T or d raise ``FormatError``."""
+    whose count, ``x`` shape, targets or mask disagree with the header's n,
+    T and d raise ``FormatError`` naming the first bad sequence."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -336,9 +337,13 @@ def load_dataset(path) -> tuple[list[LabeledSequence], dict]:
             if x.shape != (header["T"], header["d"]):
                 raise FormatError(f"dataset {path}: sequence {i} has shape {x.shape}, its "
                                   f"header declares T={header['T']!r}, d={header['d']!r}")
-            sequences.append(LabeledSequence(
-                x=x, targets=np.asarray(entry["targets"], dtype=np.int64),
-                mask=np.asarray(entry["mask"], dtype=bool)))
+            targets = np.asarray(entry["targets"], dtype=np.int64)
+            mask = np.asarray(entry["mask"], dtype=bool)
+            if targets.shape != (header["T"],) or mask.shape != (header["T"],):
+                raise FormatError(f"dataset {path}: sequence {i} has {targets.shape} "
+                                  f"targets and {mask.shape} mask entries, its header "
+                                  f"declares T={header['T']!r}")
+            sequences.append(LabeledSequence(x=x, targets=targets, mask=mask))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed dataset {path}: {exc}") from exc
     return sequences, header

@@ -219,6 +219,17 @@ def test_dataset_sequence_shorter_than_the_header_is_an_input_error(tmp_path, ca
     assert len(err) == 1 and err[0].startswith("error:") and "sequence 2" in err[0]
 
 
+@pytest.mark.parametrize("key", ["targets", "mask"])
+def test_dataset_targets_or_mask_of_another_length_is_an_input_error(tmp_path, capsys, key):
+    def shorten(doc):
+        seq = doc["sequences"][1]
+        seq[key] = seq[key][:-1]
+
+    assert _train_on_edited_dataset(tmp_path, shorten) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "sequence 1" in err[0]
+
+
 def test_dataset_count_other_than_the_header_n_is_an_input_error(tmp_path, capsys):
     def overstate(doc):
         doc["n"] = 9

@@ -192,7 +192,7 @@ def test_param_gradients_rejects_empty_loss_steps():
 def test_reverse_final_blocks_equal_forward_chain_products(kind, encoder_dim):
     from temporal_range.gradients import final_output_blocks
     spec = CellSpec(kind=kind, input_dim=2, hidden_dim=3)
-    model = init_model(spec, 2, Rng(68 + list(CellKind).index(kind)),
+    model = init_model(spec, 3, Rng(68 + list(CellKind).index(kind)),
                        encoder_dim=encoder_dim)
     X = np.asarray(Rng(69).gaussian(size=(3, 6, 2)))
     reverse = final_output_blocks(model, X)
@@ -208,11 +208,20 @@ def test_reverse_final_blocks_equal_forward_chain_products(kind, encoder_dim):
 
 
 def _block_assembled_factors(kind, params, cache):
-    """Reference: every (B, 2p, 2p) factor built from diagonal matrices and
-    joined with ``np.block``, as the factors were first written."""
+    """Reference: every factor built from ``v * np.eye`` diagonal matrices
+    and, for the two-part states, joined with ``np.block``, as the factors
+    were first written."""
     def diag(v):
         return v * np.eye(v.shape[-2])
 
+    if kind is CellKind.GRU:
+        h, z, r, n = (cache[k][..., None] for k in ("h", "z", "r", "n"))
+        dz, dr, dn = z * (1.0 - z), r * (1.0 - r), 1.0 - n * n
+        m_rh_h = diag(r) + (h * dr) * params["Ur"]
+        dn_dh = dn * (params["Un"] @ m_rh_h)
+        dn_du = dn * (params["Wn"] + params["Un"] @ ((h * dr) * params["Wr"]))
+        return (diag(z) + ((h - n) * dz) * params["Uz"] + (1.0 - z) * dn_dh,
+                ((h - n) * dz) * params["Wz"] + (1.0 - z) * dn_du)
     if kind is CellKind.LSTM:
         h, c, i, f, o, g, hc = (
             cache[k][..., None] for k in ("h", "c", "i", "f", "o", "g", "hc"))
@@ -241,7 +250,7 @@ def _block_assembled_factors(kind, params, cache):
             np.concatenate([dy_du, dz_du], axis=-2))
 
 
-@pytest.mark.parametrize("kind", [CellKind.LSTM, CellKind.LEM])
+@pytest.mark.parametrize("kind", [CellKind.GRU, CellKind.LSTM, CellKind.LEM])
 @pytest.mark.parametrize("encoder_dim", [None, 3])
 def test_in_place_factors_equal_the_block_assembly_bit_for_bit(kind, encoder_dim):
     from temporal_range.cells import cell_impl

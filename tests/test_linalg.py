@@ -97,6 +97,26 @@ def test_mat_norms_of_an_empty_stack_is_empty(kind):
     assert norms.shape == (0,)
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (1, 5), (5, 1), (2, 5), (6, 3)])
+def test_spectral_mat_norms_match_svd_at_extreme_scales(shape):
+    # Unscaled Gram products underflow to 0 at 1e-170 and overflow at 1e160.
+    base = np.asarray(Rng(8).gaussian(size=(7,) + shape))
+    for scale in (1.0, 1e-170, 1e150, 1e160):
+        stack = base * scale
+        want = np.linalg.norm(stack, ord=2, axis=(-2, -1))
+        got = mat_norms(stack, NormKind.SPECTRAL)
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+def test_spectral_mat_norms_of_zero_and_empty_blocks():
+    stack = np.asarray(Rng(9).gaussian(size=(3, 2, 5)))
+    stack[1] = 0.0
+    norms = mat_norms(stack, NormKind.SPECTRAL)
+    assert norms[1] == 0.0 and np.all(norms[[0, 2]] > 0.0)
+    for shape in [(3, 0, 2), (3, 2, 0)]:
+        assert np.array_equal(mat_norms(np.zeros(shape), NormKind.SPECTRAL), np.zeros(3))
+
+
 @pytest.mark.parametrize("kind", [NormKind.FROBENIUS, NormKind.SPECTRAL])
 def test_mat_norms_rejects_non_finite(kind):
     stack = np.zeros((3, 2, 2))
