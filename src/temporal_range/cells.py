@@ -11,21 +11,35 @@ layout of Appleyard, Kocisky & Blunsom (2016), arXiv:1604.01946.
 Each cell kind provides:
 
 * ``param_shapes(d_in, p)``: ordered name -> shape map for initialization.
-* ``step(rec, state, proj)``: one batched transition ``(B, S) -> (B, S)``
+* ``fields``: the per-step arrays its ``backward`` rule, ``step_jacobians``
+  and the weight gradients read beyond the states, as name -> width in
+  units of ``p``, in order (GRU ``zr``, ``n``, ``rh``; LSTM ``ifo``, ``g``,
+  ``hc``; LEM ``g``, ``tz``, ``ty``; none for the linear recurrence).
+* ``step(rec, state, proj, out)``: one batched transition ``(B, S) -> (B, S)``
   from the stacked recurrent weights ``rec`` and the step's input parts
-  ``proj`` (B, G*p); returns the new state and a cache of intermediates,
-  whose ``"operands"`` are the left operands of the recurrent products.
+  ``proj`` (B, G*p).  It writes the new state and each field into the
+  targets ``out = (new, *fields)`` and returns them; without targets it
+  allocates them.  A forward pass hands each step its slice of one
+  time-major buffer per field and of the state trajectory, so nothing is
+  copied after the step.
+* ``views(prev, fields)``: the named arrays a step's cache holds (``h``,
+  ``z``, ``r``, ... as views of the previous state and the fields), for
+  any leading axes: one step, or all steps of a trace at once.
+* ``operands(states, fields)``: the left operands of the recurrent
+  products over all steps, as views of the state trajectory
+  ``(T+1, B, S)`` and the fields, one per entry of ``recurrent_names``.
 * ``step_jacobians(params, cache)``: exact Jacobians of every sequence's
   new state with respect to its previous state ``(B, S, S)`` and its cell
   input ``(B, S, d_in)``, evaluated from a batched cache.  Only forward-mode
   sensitivities (multi-output Jacobians) use these factors.
-* ``backward(rec, cache, d_state_new, d_pre)``: the recurrent part of the
+* ``backward(rec, cache, d_new, d_pre, d_prev)``: the recurrent part of the
   reverse-mode rule; writes the gradient of every gate pre-activation into
-  ``d_pre`` (B, G*p) and returns the gradient with respect to the previous
-  state.  It serves training (BPTT), where weight gradients are products of
-  ``d_pre`` with the cell inputs and the cached operands, taken over all
-  steps at once by the caller, and final-output Jacobians, where ``d_pre``
-  times the stacked input weights is a row block of ``d y_T / d u_t``.
+  ``d_pre`` (B, G*p) and the gradient with respect to the previous state
+  into ``d_prev`` (B, S).  It serves training (BPTT), where weight
+  gradients are products of ``d_pre`` with the cell inputs and the
+  operands, taken over all steps at once by the caller, and final-output
+  Jacobians, where ``d_pre`` times the stacked input weights is a row
+  block of ``d y_T / d u_t``.
 
 States are flat vectors: plain hidden ``h`` for the linear recurrence and
 the GRU, ``[h, c]`` for the LSTM, and ``[y, z]`` for the LEM cell.  The
@@ -56,9 +70,10 @@ class CellKind(enum.Enum):
     LEM = "lem"
 
 
-def _sigmoid(a):
+def _sigmoid(a, out=None):
     # The tanh form has no exp to overflow in either tail.
-    s = np.tanh(0.5 * a)
+    s = np.multiply(a, 0.5, out=out)
+    np.tanh(s, out=s)
     s *= 0.5
     s += 0.5
     return s
@@ -67,6 +82,13 @@ def _sigmoid(a):
 def _diagonal(a):
     """Writable view ``(..., p)`` of the diagonals of a stack ``(..., p, p)``."""
     return np.einsum("...ii->...i", a)
+
+
+def _targets(impl, state) -> tuple:
+    """Fresh targets of one step of ``impl``: the new state, then each field."""
+    B, S = state.shape
+    p = S // impl.state_mult
+    return (np.empty((B, S)), *[np.empty((B, w * p)) for w in impl.fields.values()])
 
 
 def stacked(params, names) -> np.ndarray:
@@ -87,14 +109,26 @@ class _LinearRec:
     input_names = ("C",)
     bias_names = ()
     recurrent_names = (("A",),)
+    fields = {}
 
     @staticmethod
     def param_shapes(d_in, p):
         return {"A": (p, p), "C": (p, d_in)}
 
     @staticmethod
-    def step(rec, state, proj):
-        return state @ rec[0] + proj, {"h": state, "operands": (state,)}
+    def step(rec, state, proj, out=None):
+        new, = out or _targets(_LinearRec, state)
+        np.matmul(state, rec[0], out=new)
+        new += proj
+        return (new,)
+
+    @staticmethod
+    def views(prev, fields):
+        return {"h": prev}
+
+    @staticmethod
+    def operands(states, fields):
+        return (states[:-1],)
 
     @staticmethod
     def step_jacobians(params, cache):
@@ -103,9 +137,9 @@ class _LinearRec:
                 np.broadcast_to(params["C"], (B,) + params["C"].shape))
 
     @staticmethod
-    def backward(rec, cache, d_new, d_pre):
+    def backward(rec, cache, d_new, d_pre, d_prev):
         d_pre[...] = d_new
-        return d_new @ rec[0].T
+        np.matmul(d_new, rec[0].T, out=d_prev)
 
 
 class _GRU:
@@ -115,6 +149,7 @@ class _GRU:
     input_names = ("Wz", "Wr", "Wn")
     bias_names = ("bz", "br", "bn")
     recurrent_names = (("Uz", "Ur"), ("Un",))
+    fields = {"zr": 2, "n": 1, "rh": 1}
 
     @staticmethod
     def param_shapes(d_in, p):
@@ -125,19 +160,33 @@ class _GRU:
         }
 
     @staticmethod
-    def step(rec, state, proj):
+    def step(rec, state, proj, out=None):
+        new, zr, n, rh = out or _targets(_GRU, state)
         h = state
         p = h.shape[-1]
-        a = h @ rec[0]
-        a += proj[:, :2 * p]
-        zr = _sigmoid(a)
-        z, r = zr[:, :p], zr[:, p:]
-        rh = r * h
-        a = rh @ rec[1]
-        a += proj[:, 2 * p:]
-        n = np.tanh(a)
-        new = n + z * (h - n)
-        return new, {"h": h, "zr": zr, "z": z, "r": r, "n": n, "operands": (h, rh)}
+        np.matmul(h, rec[0], out=zr)
+        zr += proj[:, :2 * p]
+        _sigmoid(zr, out=zr)
+        np.multiply(zr[:, p:], h, out=rh)
+        np.matmul(rh, rec[1], out=n)
+        n += proj[:, 2 * p:]
+        np.tanh(n, out=n)
+        # n + z * (h - n)
+        np.subtract(h, n, out=new)
+        new *= zr[:, :p]
+        new += n
+        return new, zr, n, rh
+
+    @staticmethod
+    def views(prev, fields):
+        p = prev.shape[-1]
+        zr = fields["zr"]
+        return {"h": prev, "zr": zr, "z": zr[..., :p], "r": zr[..., p:],
+                "n": fields["n"]}
+
+    @staticmethod
+    def operands(states, fields):
+        return states[:-1], fields["rh"]
 
     @staticmethod
     def step_jacobians(params, cache):
@@ -165,7 +214,7 @@ class _GRU:
         return j_state, j_input
 
     @staticmethod
-    def backward(rec, cache, d_new, d_pre):
+    def backward(rec, cache, d_new, d_pre, d_prev):
         h, zr, z, r, n = (cache[k] for k in ("h", "zr", "z", "r", "n"))
         p = h.shape[-1]
         dh = d_new * z
@@ -176,7 +225,10 @@ class _GRU:
         np.multiply(d_new, h - n, out=dzr[:, :p])
         np.multiply(drh, h, out=dzr[:, p:])
         dzr *= zr * (1.0 - zr)
-        return dh + drh * r + dzr @ rec[0].T
+        # dh + drh * r + dzr @ Uzr
+        np.multiply(drh, r, out=d_prev)
+        d_prev += dh
+        d_prev += dzr @ rec[0].T
 
 
 class _LSTM:
@@ -186,6 +238,7 @@ class _LSTM:
     input_names = ("Wi", "Wf", "Wo", "Wg")
     bias_names = ("bi", "bf", "bo", "bg")
     recurrent_names = (("Ui", "Uf", "Uo", "Ug"),)
+    fields = {"ifo": 3, "g": 1, "hc": 1}
 
     @staticmethod
     def param_shapes(d_in, p):
@@ -197,23 +250,33 @@ class _LSTM:
         }
 
     @staticmethod
-    def step(rec, state, proj):
+    def step(rec, state, proj, out=None):
+        new, ifo, g, hc = out or _targets(_LSTM, state)
         p = state.shape[-1] // 2
         h, c = state[:, :p], state[:, p:]
         a = h @ rec[0]
         a += proj
-        ifo = _sigmoid(a[:, :3 * p])
-        i, f, o = ifo[:, :p], ifo[:, p:2 * p], ifo[:, 2 * p:]
-        g = np.tanh(a[:, 3 * p:])
-        new = np.empty_like(state)
+        _sigmoid(a[:, :3 * p], out=ifo)
+        np.tanh(a[:, 3 * p:], out=g)
+        # c' = f * c + i * g, h' = o * tanh(c')
         c_new = new[:, p:]
-        np.multiply(f, c, out=c_new)
-        c_new += i * g
-        hc = np.tanh(c_new)
-        np.multiply(o, hc, out=new[:, :p])
-        cache = {"h": h, "c": c, "ifo": ifo, "i": i, "f": f, "o": o, "g": g,
-                 "hc": hc, "operands": (h,)}
-        return new, cache
+        np.multiply(ifo[:, p:2 * p], c, out=c_new)
+        c_new += ifo[:, :p] * g
+        np.tanh(c_new, out=hc)
+        np.multiply(ifo[:, 2 * p:], hc, out=new[:, :p])
+        return new, ifo, g, hc
+
+    @staticmethod
+    def views(prev, fields):
+        p = prev.shape[-1] // 2
+        ifo = fields["ifo"]
+        return {"h": prev[..., :p], "c": prev[..., p:], "ifo": ifo,
+                "i": ifo[..., :p], "f": ifo[..., p:2 * p], "o": ifo[..., 2 * p:],
+                "g": fields["g"], "hc": fields["hc"]}
+
+    @staticmethod
+    def operands(states, fields):
+        return (states[:-1, :, :states.shape[-1] // 2],)
 
     @staticmethod
     def step_jacobians(params, cache):
@@ -238,7 +301,7 @@ class _LSTM:
         return j_state, j_input
 
     @staticmethod
-    def backward(rec, cache, d_new, d_pre):
+    def backward(rec, cache, d_new, d_pre, d_prev):
         c, ifo, i, f, o, g, hc = (
             cache[k] for k in ("c", "ifo", "i", "f", "o", "g", "hc"))
         p = c.shape[-1]
@@ -250,10 +313,8 @@ class _LSTM:
         np.multiply(dh_new, hc, out=difo[:, 2 * p:])
         difo *= ifo * (1.0 - ifo)
         np.multiply(dcn * i, 1.0 - g * g, out=d_pre[:, 3 * p:])
-        d_prev = np.empty_like(d_new)
         np.matmul(d_pre, rec[0].T, out=d_prev[:, :p])
         np.multiply(dcn, f, out=d_prev[:, p:])
-        return d_prev
 
 
 class _LEM:
@@ -263,6 +324,7 @@ class _LEM:
     input_names = ("V1", "V2", "Vz", "Vy")
     bias_names = ("b1", "b2", "bz", "by")
     recurrent_names = (("W1", "W2", "Wz"), ("Wy",))
+    fields = {"g": 2, "tz": 1, "ty": 1}
 
     @staticmethod
     def param_shapes(d_in, p):
@@ -274,28 +336,39 @@ class _LEM:
         }
 
     @staticmethod
-    def step(rec, state, proj, dt=0.5):
+    def step(rec, state, proj, out=None, dt=0.5):
+        new, g, tz, ty = out or _targets(_LEM, state)
         p = state.shape[-1] // 2
         y, z = state[:, :p], state[:, p:]
         a = y @ rec[0]
         a += proj[:, :3 * p]
-        g = _sigmoid(a[:, :2 * p])
-        g1, g2 = g[:, :p], g[:, p:]
-        tz = np.tanh(a[:, 2 * p:])
-        dt1 = dt * g1
-        new = np.empty_like(state)
+        _sigmoid(a[:, :2 * p], out=g)
+        np.tanh(a[:, 2 * p:], out=tz)
+        dt1 = dt * g[:, :p]
         z_new = new[:, p:]
         np.multiply(1.0 - dt1, z, out=z_new)
         z_new += dt1 * tz
-        a = z_new @ rec[1]
-        a += proj[:, 3 * p:]
-        ty = np.tanh(a)
-        dt2 = dt * g2
-        np.multiply(1.0 - dt2, y, out=new[:, :p])
-        new[:, :p] += dt2 * ty
-        cache = {"y": y, "z": z, "g": g, "g1": g1, "g2": g2, "tz": tz, "ty": ty,
-                 "dt": dt, "operands": (y, z_new)}
-        return new, cache
+        np.matmul(z_new, rec[1], out=ty)
+        ty += proj[:, 3 * p:]
+        np.tanh(ty, out=ty)
+        dt2 = dt * g[:, p:]
+        y_new = new[:, :p]
+        np.multiply(1.0 - dt2, y, out=y_new)
+        y_new += dt2 * ty
+        return new, g, tz, ty
+
+    @staticmethod
+    def views(prev, fields):
+        p = prev.shape[-1] // 2
+        g = fields["g"]
+        return {"y": prev[..., :p], "z": prev[..., p:], "g": g,
+                "g1": g[..., :p], "g2": g[..., p:], "tz": fields["tz"],
+                "ty": fields["ty"]}
+
+    @staticmethod
+    def operands(states, fields):
+        p = states.shape[-1] // 2
+        return states[:-1, :, :p], states[1:, :, p:]
 
     @staticmethod
     def step_jacobians(params, cache):
@@ -326,7 +399,7 @@ class _LEM:
         return j_state, j_input
 
     @staticmethod
-    def backward(rec, cache, d_new, d_pre):
+    def backward(rec, cache, d_new, d_pre, d_prev):
         y, z, g, g1, g2, tz, ty = (
             cache[k] for k in ("y", "z", "g", "g1", "g2", "tz", "ty"))
         dt = cache["dt"]
@@ -341,11 +414,9 @@ class _LEM:
         np.multiply(dz_new, tz - z, out=dg[:, :p])
         np.multiply(dy_new, ty - y, out=dg[:, p:])
         dg *= dt * g * (1.0 - g)
-        d_prev = np.empty_like(d_new)
         np.matmul(d_pre[:, :3 * p], rec[0].T, out=d_prev[:, :p])
         d_prev[:, :p] += dy_new * (1.0 - dt2)
         np.multiply(dz_new, 1.0 - dt1, out=d_prev[:, p:])
-        return d_prev
 
 
 _IMPLS = {

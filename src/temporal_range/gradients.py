@@ -144,7 +144,7 @@ def final_output_blocks(model: SequenceModel, X) -> np.ndarray:
     """Blocks ``J[T, t]`` of a batch ``X`` (R, T, d), shape (R, T, c, d), by
     reverse accumulation: the adjoint ``d y_T / d state_t`` (R*c, S), one row
     per rollout and output, starts at the decoder rows and goes back one step
-    at a time through the cell's ``backward`` rule, with every cache row
+    at a time through the cell's ``backward`` rule, with every trace row
     repeated once per output.  Each step's gate gradients times the stacked
     input weights (and the encoder's derivative) give ``J[T, t]``.
 
@@ -159,14 +159,15 @@ def final_output_blocks(model: SequenceModel, X) -> np.ndarray:
     w_in = stacked(params, impl.input_names)
     _, _, trace = model.forward_batch(X)
     adjoint = np.tile(_decoder_rows(model), (R, 1))
+    spare = np.empty_like(adjoint)
     d_pre = np.empty((R * c, w_in.shape[0]))
     blocks = np.empty((R, T, c, d))
     for t in range(T, 0, -1):
-        cache = {k: v if np.ndim(v) == 0 else np.repeat(v, c, axis=0)
-                 for k, v in trace.steps[t - 1].items() if k != "operands"}
+        cache = trace.repeated_step(t - 1, c)
         # Overflow here is caught by the finiteness check below.
         with np.errstate(over="ignore", invalid="ignore"):
-            adjoint = impl.backward(rec, cache, adjoint, d_pre)
+            impl.backward(rec, cache, adjoint, d_pre, spare)
+            adjoint, spare = spare, adjoint
             block = (d_pre @ w_in).reshape(R, c, -1)
             if model.encoder_dim is not None:
                 u = trace.inputs[t - 1][:, None]
@@ -275,12 +276,18 @@ def batch_param_gradients(model: SequenceModel, X, step_grads,
     ``forward`` is the caller's ``model.forward_batch(X)``, whose outputs
     gave ``step_grads`` (B, T, c): d loss / d y_s for every sequence and
     step (zero rows for steps outside the loss).  Each step does only the
-    recurrent work and records the gradients of its gate pre-activations;
-    every weight gradient is then one product over all B*T rows.  Returns
-    the exact gradient of that scalar loss for every parameter.
+    recurrent work and writes the gradients of its gate pre-activations and
+    of its previous state into time-major buffers, which are checked once
+    after the loop; every weight gradient is then one product over all B*T
+    rows, against the trace's inputs and operands.  Returns the exact
+    gradient of that scalar loss for every parameter.
+
+    Raises:
+        NumericalError: naming the first step, in backward order, whose
+            adjoint is not finite.
     """
     X = np.asarray(X, dtype=np.float64)
-    _, states, trace = forward
+    _, _, trace = forward
     impl = cell_impl(model.cell.kind)
     params, p = model.params, model.cell.hidden_dim
     rec = recurrent_stacks(impl, params)
@@ -288,22 +295,29 @@ def batch_param_gradients(model: SequenceModel, X, step_grads,
     d_read = dY @ params["dec_W"]
     T, B = d_read.shape[:2]
     d_pre = np.empty((T, B, len(impl.input_names) * p))
-    d_state = np.zeros((B, model.state_dim))
-    for t in range(T - 1, -1, -1):
-        d_state[:, :p] += d_read[t]
-        d_state = impl.backward(rec, trace.steps[t], d_state, d_pre[t])
-        if not np.all(np.isfinite(d_state)):
-            raise NumericalError(f"non-finite adjoint at step s={t + 1}")
+    # adjoint[t] is d loss / d state_t through step t+1's rule.
+    adjoint = np.empty((T, B, model.state_dim))
+    d_new = np.zeros((B, model.state_dim))
+    # Overflow here is caught by the finiteness check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, cache in zip(range(T - 1, -1, -1), reversed(trace.steps)):
+            d_new[:, :p] += d_read[t]
+            impl.backward(rec, cache, d_new, d_pre[t], adjoint[t])
+            d_new[...] = adjoint[t]
+    finite = np.isfinite(adjoint).all(axis=(1, 2))
+    if not finite.all():
+        # The loop reaches the latest such step first.
+        s = np.flatnonzero(~finite)[-1] + 1
+        raise NumericalError(f"non-finite adjoint at step s={s}")
     rows_pre = _rows(d_pre)
-    grads = {"dec_W": _rows(dY).T @ _rows(np.swapaxes(states, 0, 1)[1:, :, :p]),
+    grads = {"dec_W": _rows(dY).T @ _rows(trace.states[1:, :, :p]),
              "dec_b": _rows(dY).sum(axis=0)}
     _split(grads, impl.input_names, rows_pre.T @ _rows(trace.inputs))
     _split(grads, impl.bias_names, rows_pre.sum(axis=0))
     col = 0
-    for k, group in enumerate(impl.recurrent_names):
-        operands = np.stack([cache["operands"][k] for cache in trace.steps])
+    for group, operand in zip(impl.recurrent_names, trace.operands):
         width = len(group) * p
-        _split(grads, group, rows_pre[:, col:col + width].T @ _rows(operands))
+        _split(grads, group, rows_pre[:, col:col + width].T @ _rows(operand))
         col += width
     if model.encoder_dim is not None:
         u = _rows(trace.inputs)

@@ -122,6 +122,12 @@ class Rng:
         e = self._seq.entropy
         return int(e) if isinstance(e, int) else 0
 
+    @property
+    def spawn_key(self) -> tuple[int, ...]:
+        """This stream's path from its root through ``split``: the child
+        index at each level; empty for a root stream."""
+        return tuple(self._seq.spawn_key)
+
     def uniform(self, size=None, low: float = 0.0, high: float = 1.0):
         return self._gen.uniform(low, high, size=size)
 

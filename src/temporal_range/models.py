@@ -13,6 +13,7 @@ which round-trips every float64 value bit-exactly.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -65,6 +66,12 @@ class CellSpec:
         if self.kind is CellKind.LEM and not self.lem_dt > 0:
             raise SpecError(f"lem_dt must be > 0, got {self.lem_dt}")
 
+    @property
+    def step_kwargs(self) -> dict:
+        """The cell's constant arguments of ``step``, also kept in each
+        step's cache: LEM's ``dt``."""
+        return {"dt": self.lem_dt} if self.kind is CellKind.LEM else {}
+
 
 @dataclasses.dataclass
 class OutputSequence:
@@ -77,11 +84,39 @@ class OutputSequence:
 @dataclasses.dataclass
 class Trace:
     """What a forward pass keeps for the backward pass and the Jacobian
-    engine: the cell inputs ``(T, B, d_in)``, time-major, and each step's
-    cell cache."""
+    engine, time-major over its T steps of B sequences: the cell inputs
+    ``(T, B, d_in)``, the states ``(T+1, B, S)`` from the zero initial
+    state, and one buffer ``(T, B, k)`` per field of the cell
+    (``cells``), which each step wrote in place along with its new state.
 
+    ``steps[t]`` is step ``t+1``'s cache: the cell's named views of its
+    previous state and its fields, plus the cell's constant arguments.
+    ``operands`` are the left operands of the recurrent products over all
+    steps, as views of the same buffers."""
+
+    cell: CellSpec
     inputs: np.ndarray
-    steps: list[dict]
+    states: np.ndarray
+    fields: dict[str, np.ndarray]
+
+    @property
+    def steps(self) -> list[dict]:
+        views = cell_impl(self.cell.kind).views(self.states[:-1], self.fields)
+        return [dict(zip(views, step), **self.cell.step_kwargs)
+                for step in zip(*views.values())]
+
+    @property
+    def operands(self) -> tuple:
+        return cell_impl(self.cell.kind).operands(self.states, self.fields)
+
+    def repeated_step(self, t: int, n: int) -> dict:
+        """``steps[t]`` with every sequence's row repeated ``n`` times: the
+        previous state and the fields are repeated once each and the views
+        are taken of the copies."""
+        fields = {k: np.repeat(v[t], n, axis=0) for k, v in self.fields.items()}
+        views = cell_impl(self.cell.kind).views(
+            np.repeat(self.states[t], n, axis=0), fields)
+        return dict(views, **self.cell.step_kwargs)
 
 
 @dataclasses.dataclass
@@ -139,19 +174,21 @@ class SequenceModel:
         as a stacked product over time-major steps.  A stacked product
         multiplies each step's ``(B, .)`` slice on its own, so the
         arithmetic at step ``t`` does not depend on the sequence length: a
-        prefix run reproduces the full run's outputs bit for bit.
+        prefix run reproduces the full run's outputs bit for bit.  The
+        trace's buffers are allocated once per pass; each step writes its
+        new state and fields into its slice of them.
         """
         X = self._check_batch(X)
         B, T, _ = X.shape
-        inputs = np.empty((T, B, self.cell_input_dim))
-        states = np.zeros((T + 1, B, self.state_dim))
-        steps = []
-        for t, (u, state, cache) in enumerate(self._unroll(X)):
-            inputs[t], states[t + 1] = u, state
-            steps.append(cache)
-        ys = self.decode(states[1:])
-        return (np.swapaxes(ys, 0, 1), np.swapaxes(states, 0, 1),
-                Trace(inputs=inputs, steps=steps))
+        p = self.cell.hidden_dim
+        fields = cell_impl(self.cell.kind).fields
+        trace = Trace(cell=self.cell, inputs=np.empty((T, B, self.cell_input_dim)),
+                      states=np.zeros((T + 1, B, self.state_dim)),
+                      fields={k: np.empty((T, B, w * p)) for k, w in fields.items()})
+        for _ in self._unroll(X, trace):
+            pass
+        ys = self.decode(trace.states[1:])
+        return np.swapaxes(ys, 0, 1), np.swapaxes(trace.states, 0, 1), trace
 
     def outputs(self, X):
         """``forward_batch(X)[0]`` bit for bit, keeping neither the trace
@@ -159,30 +196,38 @@ class SequenceModel:
         ``T``."""
         X = self._check_batch(X)
         ys = np.empty((X.shape[1], X.shape[0], self.output_dim))
-        for t, (_, state, _) in enumerate(self._unroll(X)):
+        for t, state in enumerate(self._unroll(X)):
             ys[t] = self.decode(state)
         return np.swapaxes(ys, 0, 1)
 
-    def _unroll(self, X):
-        """Yield each step's cell input, new state and cell cache over a
-        checked batch ``X``.  Cell inputs and every gate's input part are
-        computed ``UNROLL_CHUNK_STEPS`` steps at a time, as stacked
-        products over the time-major observations."""
+    def _unroll(self, X, trace: Trace | None = None):
+        """Yield each step's new state over a checked batch ``X``.  Cell
+        inputs and every gate's input part are computed
+        ``UNROLL_CHUNK_STEPS`` steps at a time, as stacked products over the
+        time-major observations.  With a ``trace``, the cell inputs, each
+        new state and each field are written into its buffers; without
+        one, every step allocates its own."""
         impl = cell_impl(self.cell.kind)
         rec = recurrent_stacks(impl, self.params)
         W = stacked(self.params, impl.input_names).T
         bias = stacked(self.params, impl.bias_names) if impl.bias_names else None
-        extra = {"dt": self.cell.lem_dt} if self.cell.kind is CellKind.LEM else {}
+        kwargs = self.cell.step_kwargs
         X_tm = np.swapaxes(X, 0, 1)
-        state = np.zeros((X.shape[0], self.state_dim))
+        if trace is None:
+            state, targets = np.zeros((X.shape[0], self.state_dim)), itertools.repeat(None)
+        else:
+            state, targets = trace.states[0], zip(trace.states[1:], *trace.fields.values())
         for t0 in range(0, X_tm.shape[0], UNROLL_CHUNK_STEPS):
             U = self.encode(X_tm[t0:t0 + UNROLL_CHUNK_STEPS])
+            if trace is not None:
+                trace.inputs[t0:t0 + len(U)] = U
             P = U @ W
             if bias is not None:
                 P += bias
-            for u, proj in zip(U, P):
-                state, cache = impl.step(rec, state, proj, **extra)
-                yield u, state, cache
+            # zip stops at the chunk's end without drawing another target.
+            for proj, out in zip(P, targets):
+                state = impl.step(rec, state, proj, out, **kwargs)[0]
+                yield state
 
     def _check_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)

@@ -160,12 +160,16 @@ def copyk_mae(rho_hats, k: int) -> float:
 
 @dataclasses.dataclass
 class AxiomReport:
-    """Max residuals per axiom over randomized trials."""
+    """Max residuals per axiom over randomized trials.  ``seed`` and
+    ``spawn_key`` identify the random stream (``Rng.entropy``,
+    ``Rng.spawn_key``); the JSON names the spawn key only for a child
+    stream."""
 
     trials: int
     seed: int
     norm: NormKind
     residuals: dict[str, float]
+    spawn_key: tuple[int, ...] = ()
 
     def max_residual(self) -> float:
         return max(self.residuals.values())
@@ -181,6 +185,8 @@ class AxiomReport:
             "residuals": {k: self.residuals[k] for k in sorted(self.residuals)},
             "max_residual": self.max_residual(),
         }
+        if self.spawn_key:
+            doc["spawn_key"] = list(self.spawn_key)
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
@@ -263,7 +269,8 @@ def axiom_suite(rng: Rng, trials: int = 100,
         }
         for key, value in trial_res.items():
             res[key] = max(res.get(key, 0.0), math.inf if np.isnan(value) else float(value))
-    return AxiomReport(trials=trials, seed=rng.entropy, norm=norm, residuals=res)
+    return AxiomReport(trials=trials, seed=rng.entropy, norm=norm, residuals=res,
+                       spawn_key=rng.spawn_key)
 
 
 def _stable_recurrence(rng: Rng, p: int, d: int, c: int, T: int) -> RecurrenceSpec:

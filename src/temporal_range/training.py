@@ -69,17 +69,17 @@ class OptConfig:
 
 @dataclasses.dataclass
 class AdamState:
+    """Adam's step count and moment estimates, each one flat vector over
+    the parameters in their mapping's order."""
+
     step: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
 
     @staticmethod
     def init(params: dict[str, np.ndarray]) -> "AdamState":
-        return AdamState(
-            step=0,
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-        )
+        size = sum(p.size for p in params.values())
+        return AdamState(step=0, m=np.zeros(size), v=np.zeros(size))
 
 
 def global_norm(grads: dict[str, np.ndarray]) -> float:
@@ -102,23 +102,21 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     Raises:
         NumericalError: if any gradient is non-finite (the step is rejected).
     """
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient for parameter {name!r}")
+    g = np.concatenate([grads[name].ravel() for name in params])
+    if not np.all(np.isfinite(g)):
+        bad = next(name for name, v in grads.items() if not np.all(np.isfinite(v)))
+        raise NumericalError(f"non-finite gradient for parameter {bad!r}")
     t = state.step + 1
-    new_params = {}
-    new_m = {}
-    new_v = {}
     bc1 = 1.0 - cfg.beta1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
-    for name, p in params.items():
-        g = grads[name]
-        m = cfg.beta1 * state.m[name] + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * state.v[name] + (1.0 - cfg.beta2) * g * g
-        new_m[name] = m
-        new_v[name] = v
-        new_params[name] = p - cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
-    return new_params, AdamState(step=t, m=new_m, v=new_v)
+    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
+    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g * g
+    flat = np.concatenate([p.ravel() for p in params.values()])
+    flat = flat - cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+    ends = np.cumsum([p.size for p in params.values()])[:-1]
+    new_params = {name: part.reshape(p.shape) for (name, p), part
+                  in zip(params.items(), np.split(flat, ends))}
+    return new_params, AdamState(step=t, m=m, v=v)
 
 
 @dataclasses.dataclass
@@ -151,14 +149,16 @@ def stack_sequences(data: list[LabeledSequence]):
     return X, targets, masks
 
 
-def _batch_loss_and_grads(model: SequenceModel, X, targets, masks, loss: LossKind):
+def _batch_loss_and_grads(model: SequenceModel, X, targets, masks, loss: LossKind,
+                          forward=None):
     """Mean-per-masked-step loss and its exact parameter gradients, from
-    one forward pass."""
+    one forward pass: ``forward`` if given, else ``model.forward_batch(X)``."""
     n_masked = int(masks.sum())
     if n_masked == 0:
         raise SpecError("no masked steps in batch")
     scale = 1.0 / n_masked
-    forward = model.forward_batch(X)
+    if forward is None:
+        forward = model.forward_batch(X)
     total, d_ys = masked_loss(forward[0], targets, masks, loss)
     return total * scale, batch_param_gradients(model, X, d_ys * scale, forward)
 
@@ -231,7 +231,13 @@ def train(model: SequenceModel, data: list[LabeledSequence], cfg: OptConfig,
         take = min(cfg.batch_size, perm.size)
         idx = perm[cursor:cursor + take]
         cursor += take
-        value, grads = _batch_loss_and_grads(model, Xt[idx], Tt[idx], Mt[idx], loss)
+        X_step = Xt[idx]
+        # The last step's pass is released only once this one is built, so
+        # the allocator reuses its buffers instead of returning them to the
+        # system and faulting them in again.
+        forward = model.forward_batch(X_step)
+        value, grads = _batch_loss_and_grads(model, X_step, Tt[idx], Mt[idx], loss,
+                                             forward)
         if not np.isfinite(value):
             raise DivergenceError(f"non-finite loss at step {step}")
         grads = clip_by_global_norm(grads, cfg.grad_clip)
@@ -244,6 +250,7 @@ def train(model: SequenceModel, data: list[LabeledSequence], cfg: OptConfig,
             raise DivergenceError(
                 f"loss exceeded 10x the initial value for 100 consecutive "
                 f"steps (step {step})")
+    del forward
     train_metric = evaluate(model, [data[i] for i in train_idx], metric)
     if val_idx.size:
         val_metric = evaluate(model, [data[i] for i in val_idx], metric)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from temporal_range.errors import NumericalError, SpecError
-from temporal_range.gradients import (JacobianMode, LossKind, fd_jacobian,
+from temporal_range.gradients import (JacobianMode, LossKind,
+                                      batch_param_gradients, fd_jacobian,
                                       input_jacobians, param_gradients,
                                       per_step_jacobians, sequence_loss)
 from temporal_range.linalg import Rng, mat_pow
@@ -261,3 +262,21 @@ def test_in_place_factors_equal_the_block_assembly_bit_for_bit(kind, encoder_dim
         got = cell_impl(kind).step_jacobians(model.params, cache)
         for a, b in zip(got, _block_assembled_factors(kind, model.params, cache)):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_an_overflowing_adjoint_names_its_step():
+    # h' = 1e200 h + C u with zero inputs keeps every state at zero, so the
+    # forward pass is finite.  With a loss gradient g at the last step only,
+    # backprop gives d/d state_{T-1} = 1e200 * dec_W^T g at step s = T, which
+    # is finite, and d/d state_{T-2} = 1e400 * dec_W^T g at step s = T-1,
+    # which overflows.
+    p, T = 2, 5
+    params = {"A": 1e200 * np.eye(p), "C": np.ones((p, 1)),
+              "dec_W": np.ones((1, p)), "dec_b": np.zeros(1)}
+    model = SequenceModel(cell=CellSpec(kind=CellKind.LINEAR_REC, input_dim=1, hidden_dim=p),
+                          output_dim=1, encoder_dim=None, params=params)
+    X = np.zeros((3, T, 1))
+    step_grads = np.zeros((3, T, 1))
+    step_grads[:, -1] = 1.0
+    with pytest.raises(NumericalError, match=f"non-finite adjoint at step s={T - 1}$"):
+        batch_param_gradients(model, X, step_grads, model.forward_batch(X))

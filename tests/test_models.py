@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from temporal_range.cells import _sigmoid
+from temporal_range.cells import _sigmoid, cell_impl, recurrent_stacks, stacked
 from temporal_range.errors import FormatError, ShapeMismatch, SpecError, VersionError
 from temporal_range.linalg import Rng, mat_pow
 from temporal_range.models import (UNROLL_CHUNK_STEPS, CellKind, CellSpec,
@@ -90,6 +90,34 @@ def test_outputs_reproduce_forward_batch_bit_for_bit(kind, encoder_dim):
     model = init_model(_spec(kind, 3, 5), 2, Rng(23), encoder_dim=encoder_dim)
     X = np.asarray(Rng(24).gaussian(size=(6, 2 * UNROLL_CHUNK_STEPS + 5, 3)))
     assert np.array_equal(model.outputs(X), model.forward_batch(X)[0])
+
+
+@pytest.mark.parametrize("kind", list(CellKind))
+@pytest.mark.parametrize("encoder_dim", [None, 4])
+def test_trace_buffers_equal_a_step_by_step_recomputation(kind, encoder_dim):
+    # Each step taken on its own, without targets, from the trace's previous
+    # state must give the new state and fields the forward pass wrote in
+    # place.  T spans two full chunks and a short one.
+    model = init_model(_spec(kind, 3, 5), 2, Rng(25), encoder_dim=encoder_dim)
+    X = np.asarray(Rng(26).gaussian(size=(4, 2 * UNROLL_CHUNK_STEPS + 5, 3)))
+    _, states, trace = model.forward_batch(X)
+    impl = cell_impl(kind)
+    rec = recurrent_stacks(impl, model.params)
+    W = stacked(model.params, impl.input_names).T
+    assert list(trace.fields) == list(impl.fields)
+    assert np.array_equal(trace.states, np.swapaxes(states, 0, 1))
+    assert not trace.states[0].any()
+    for t in range(X.shape[1]):
+        u = model.encode(X[:, t])
+        assert u.tobytes() == trace.inputs[t].tobytes()
+        proj = u @ W
+        if impl.bias_names:
+            proj += stacked(model.params, impl.bias_names)
+        got = impl.step(rec, trace.states[t], proj, **model.cell.step_kwargs)
+        want = (trace.states[t + 1], *(f[t] for f in trace.fields.values()))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), t
 
 
 def test_sigmoid_tails_are_finite_and_silent():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,15 @@ def test_axiom_report_json_is_deterministic():
     a = axiom_suite(Rng(4), trials=10).to_json()
     b = axiom_suite(Rng(4), trials=10).to_json()
     assert a == b
+
+
+def test_axiom_report_tells_a_child_stream_from_its_root():
+    child = axiom_suite(Rng(5).split(1)[0], trials=1)
+    root = axiom_suite(Rng(5), trials=1)
+    assert (child.seed, child.spawn_key) != (root.seed, root.spawn_key)
+    # A root stream's JSON keeps its old fields, so CLI reports do not change.
+    assert json.loads(child.to_json())["spawn_key"] == [0]
+    assert "spawn_key" not in json.loads(root.to_json())
 
 
 def test_zero_coefficient_average_reduces_to_the_other_map():

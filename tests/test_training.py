@@ -45,6 +45,32 @@ def test_adam_rejects_non_finite_gradients():
                   OptConfig())
 
 
+def test_flat_adam_equals_a_per_array_reference_bit_for_bit():
+    cfg = OptConfig(lr=0.01)
+    rng = Rng(16)
+    shapes = {"a": (3,), "b": (2, 4), "c": (1,)}
+    params = {k: np.asarray(rng.gaussian(size=s)) for k, s in shapes.items()}
+    want = {k: v.copy() for k, v in params.items()}
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    state = AdamState.init(params)
+    for t in range(1, 6):
+        grads = {k: np.asarray(rng.gaussian(size=s)) for k, s in shapes.items()}
+        params, state = adam_step(params, grads, state, cfg)
+        bc1, bc2 = 1.0 - cfg.beta1 ** t, 1.0 - cfg.beta2 ** t
+        for k, g in grads.items():
+            m[k] = cfg.beta1 * m[k] + (1.0 - cfg.beta1) * g
+            v[k] = cfg.beta2 * v[k] + (1.0 - cfg.beta2) * g * g
+            want[k] = want[k] - cfg.lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + cfg.eps)
+        for k, shape in shapes.items():
+            assert params[k].shape == shape
+            assert params[k].tobytes() == want[k].tobytes(), (t, k)
+    assert state.step == 5
+    grads["b"][1, 2] = np.nan
+    with pytest.raises(NumericalError, match="parameter 'b'"):
+        adam_step(params, grads, state, cfg)
+
+
 def test_clip_rescales_to_the_threshold():
     grads = {"a": np.array([3.0]), "b": np.array([4.0])}
     assert global_norm(grads) == pytest.approx(5.0, abs=1e-12)
