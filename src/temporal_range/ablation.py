@@ -6,6 +6,15 @@ last ``m`` observations (cold restart from the zero state), which turns
 sweeping ``m`` produces a curve whose knee marks the smallest window that
 preserves full-context behavior, and the deployment check compares the
 window suggested by a measured range against half that window.
+
+All windows of a sweep share their cold-restart passes.  A pass that starts
+from the zero state after position ``a`` gives, at its ``k``-th step, the
+window-``k`` output of step ``a + k``, for every ``k`` at once.  So a sweep
+over ``T`` steps makes one full pass, which gives the baseline, every window
+``m >= T`` and steps ``1..m`` of every window, plus one pass per start
+``a = 1..T-1`` that stops at the largest requested window that fits: at
+most ``T + sum_a min(m*, T - a)`` batched cell steps, where ``m*`` is the
+largest requested window below ``T``, however many windows there are.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from .errors import SpecError
 from .metric import TemporalRangeReport
 from .models import OutputSequence, SequenceModel
 from .tasks import LabeledSequence
-from .training import Metric, evaluate, score, stack_sequences
+from .training import Metric, score, stack_sequences
 
 __all__ = [
     "AblationCurve",
@@ -27,11 +36,36 @@ __all__ = [
     "ablation_sweep",
     "curve_csv",
     "deployment_check",
+    "deployment_windows",
     "knee",
+    "sweep_with_deployment",
     "windowed_forward",
 ]
 
 DEFAULT_WINDOWS = (1, 2, 4, 8, 16, 32)
+
+
+def _cold_restarts(model: SequenceModel, X, windows):
+    """Yield ``(s, ms, state)`` over a batch ``X`` (B, T, d): ``state``
+    (B, S) is a cold restart's state at step ``s`` and ``ms`` lists the
+    windows among ``windows`` whose step-``s`` state it is.
+
+    The full pass yields steps ``1..T`` for every window ``m >= s`` (``ms``
+    may be empty).  The pass that starts after position ``a`` runs to the
+    largest window below ``T`` that fits and yields its ``k``-th step as
+    window ``k``'s state of step ``a + k`` only where ``k`` is a window.  By
+    the prefix property of ``SequenceModel.unroll`` every state is
+    bit-identical to that of a pass over exactly the window's steps.
+    """
+    T = X.shape[1]
+    for s, state in enumerate(model.unroll(X), 1):
+        yield s, [m for m in windows if m >= s], state
+    short = sorted({m for m in windows if m < T})
+    for a in range(1, T - short[0] + 1) if short else ():
+        fits = [m for m in short if m <= T - a]
+        for k, state in enumerate(model.unroll(X[:, a:a + fits[-1]]), 1):
+            if k in fits:
+                yield a + k, [k], state
 
 
 def windowed_forward(model: SequenceModel, x, m: int) -> OutputSequence:
@@ -44,25 +78,30 @@ def windowed_forward(model: SequenceModel, x, m: int) -> OutputSequence:
     """
     if m < 1:
         raise SpecError(f"window must be >= 1, got {m}")
-    x = np.asarray(x, dtype=np.float64)
-    runs = [model.forward(x[max(0, s - m):s]) for s in range(1, x.shape[0] + 1)]
-    return OutputSequence(
-        outputs=np.array([run.outputs[-1] for run in runs]),
-        states=np.array([np.zeros(model.state_dim)] + [run.states[-1] for run in runs]))
-
-
-def _windowed_outputs(model: SequenceModel, X, m: int) -> np.ndarray:
-    """``windowed_forward`` outputs of a batch (B, T, d) for a window
-    ``m >= 1``, from ``model.outputs``, which keeps no trace; by the prefix
-    property one pass over ``X[:, :m]`` gives steps ``1..m``."""
+    X = np.asarray(x, dtype=np.float64)[None]
     T = X.shape[1]
-    if m >= T:
-        return model.outputs(X)
-    ys = np.empty((X.shape[0], T, model.output_dim))
-    ys[:, :m] = model.outputs(X[:, :m])
-    for s in range(m + 1, T + 1):
-        ys[:, s - 1] = model.outputs(X[:, s - m:s])[:, -1]
-    return ys
+    outputs = np.empty((T, model.output_dim))
+    states = np.zeros((T + 1, model.state_dim))
+    for s, ms, state in _cold_restarts(model, X, [m]):
+        if ms:
+            outputs[s - 1], states[s] = model.decode(state)[0], state[0]
+    return OutputSequence(outputs=outputs, states=states)
+
+
+def _windowed_outputs(model: SequenceModel, X, windows) -> dict[int, np.ndarray]:
+    """``windowed_forward`` outputs (B, T, c) of a batch ``X`` (B, T, d) for
+    each window, and the full-context outputs (``model.outputs(X)``) under
+    the key ``T``, from the shared passes of ``_cold_restarts``.  Each
+    yielded state is decoded once."""
+    B, T, _ = X.shape
+    ys = {m: np.empty((B, T, model.output_dim)) for m in windows if m < T}
+    # model.outputs' time-major layout, so that scores sum in the same order.
+    ys[T] = np.empty((T, B, model.output_dim)).swapaxes(0, 1)
+    for s, ms, state in _cold_restarts(model, X, ys):
+        y = model.decode(state)
+        for m in ms:
+            ys[m][:, s - 1] = y
+    return {m: ys[min(m, T)] for m in (*windows, T)}
 
 
 @dataclasses.dataclass
@@ -82,14 +121,6 @@ class AblationCurve:
     metric: Metric
 
 
-def _evaluate_windowed(model: SequenceModel, data: list[LabeledSequence],
-                       m: int, metric: Metric) -> tuple[float, float]:
-    """Pooled metric plus its per-sequence standard deviation."""
-    X, targets, masks = stack_sequences(data)
-    pooled, per_seq = score(_windowed_outputs(model, X, m), targets, masks, metric)
-    return pooled, float(np.std(per_seq))
-
-
 def _normalize(value: float, baseline: float, metric: Metric) -> float:
     if metric is Metric.MSE:
         if value <= 0:
@@ -102,18 +133,23 @@ def _normalize(value: float, baseline: float, metric: Metric) -> float:
 
 def ablation_sweep(model: SequenceModel, data: list[LabeledSequence],
                    windows=DEFAULT_WINDOWS, metric: Metric = Metric.ACCURACY) -> AblationCurve:
-    """Evaluate the model under each window and normalize to full context."""
+    """Evaluate the model under each window and normalize to full context.
+
+    Every window and the baseline come from one set of shared cold-restart
+    passes (see the module docstring)."""
     if not data:
         raise SpecError("ablation requires evaluation data")
     windows = sorted(set(int(m) for m in windows))
     if not windows or windows[0] < 1:
         raise SpecError(f"windows must be distinct integers >= 1, got {windows}")
-    baseline = evaluate(model, data, metric)
+    X, targets, masks = stack_sequences(data)
+    ys = _windowed_outputs(model, X, windows)
+    baseline = score(ys[X.shape[1]], targets, masks, metric)[0]
     means, stds, normalized = [], [], []
     for m in windows:
-        pooled, std = _evaluate_windowed(model, data, m, metric)
+        pooled, per_seq = score(ys[m], targets, masks, metric)
         means.append(pooled)
-        stds.append(std)
+        stds.append(float(np.std(per_seq)))
         normalized.append(_normalize(pooled, baseline, metric))
     return AblationCurve(windows=windows, mean=means, std=stds,
                          normalized=normalized, baseline=baseline, metric=metric)
@@ -145,6 +181,14 @@ class DeploymentCheck:
     metric: Metric
 
 
+def deployment_windows(report: TemporalRangeReport) -> tuple[int, int]:
+    """The window ``ceil(rho_hat + 1)`` and half of it,
+    ``ceil((rho_hat + 1) / 2)``; a degenerate report is a ``SpecError``."""
+    if report.degenerate or report.rho_hat is None:
+        raise SpecError("deployment check requires a non-degenerate range report")
+    return math.ceil(report.rho_hat + 1.0), math.ceil((report.rho_hat + 1.0) / 2.0)
+
+
 def deployment_check(model: SequenceModel, data: list[LabeledSequence],
                      report: TemporalRangeReport,
                      metric: Metric = Metric.ACCURACY) -> DeploymentCheck:
@@ -153,20 +197,31 @@ def deployment_check(model: SequenceModel, data: list[LabeledSequence],
     Retention is windowed performance relative to the full-context
     baseline (ratios may exceed 1; they are reported raw).
     """
-    if report.degenerate or report.rho_hat is None:
-        raise SpecError("deployment check requires a non-degenerate range report")
-    window = math.ceil(report.rho_hat + 1.0)
-    half = math.ceil((report.rho_hat + 1.0) / 2.0)
-    baseline = evaluate(model, data, metric)
-    perf_window, _ = _evaluate_windowed(model, data, window, metric)
-    perf_half, _ = _evaluate_windowed(model, data, half, metric)
-    return DeploymentCheck(
+    return sweep_with_deployment(model, data, (), report, metric)[1]
+
+
+def sweep_with_deployment(model: SequenceModel, data: list[LabeledSequence], windows,
+                          report: TemporalRangeReport, metric: Metric = Metric.ACCURACY
+                          ) -> tuple[AblationCurve, DeploymentCheck]:
+    """``ablation_sweep`` over ``windows`` and ``deployment_check`` from one
+    sweep over their union with the deployment windows: one baseline and
+    one set of cold-restart passes."""
+    window, half = deployment_windows(report)
+    sweep = ablation_sweep(model, data, (*windows, window, half), metric)
+    at = {m: i for i, m in enumerate(sweep.windows)}
+    keep = [at[m] for m in sorted(set(int(m) for m in windows))]
+    curve = dataclasses.replace(sweep, **{
+        field: [getattr(sweep, field)[i] for i in keep]
+        for field in ("windows", "mean", "std", "normalized")})
+    check = DeploymentCheck(
         tr_value=report.rho_hat, window=window, half_window=half,
-        baseline=baseline, perf_window=perf_window, perf_half=perf_half,
-        retention_window=_normalize(perf_window, baseline, metric),
-        retention_half=_normalize(perf_half, baseline, metric),
+        baseline=sweep.baseline,
+        perf_window=sweep.mean[at[window]], perf_half=sweep.mean[at[half]],
+        retention_window=sweep.normalized[at[window]],
+        retention_half=sweep.normalized[at[half]],
         metric=metric,
     )
+    return curve, check
 
 
 def curve_csv(curve: AblationCurve) -> str:

@@ -21,7 +21,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .ablation import (ablation_sweep, curve_csv, deployment_check)
+from .ablation import (ablation_sweep, curve_csv, deployment_windows,
+                       sweep_with_deployment)
 from .errors import SpecError, TemporalRangeError
 from .gradients import JacobianMode, LossKind
 from .linalg import NormKind, Rng
@@ -245,15 +246,20 @@ def _cmd_ablate(args) -> int:
         windows = [int(w) for w in args.windows.split(",")]
     except ValueError as exc:
         raise SpecError(f"--windows: {exc}") from None
-    model = load_model(args.model)
-    sequences, desc = _load_sequences(args, args.n, args.seed)
-    metric = Metric.ACCURACY if args.metric == "accuracy" else Metric.MSE
-    curve = ablation_sweep(model, sequences, windows, metric)
-    prefix = Path(args.out_prefix)
-    _write(_out(prefix, ".curve.csv"), curve_csv(curve))
     report = None
     if args.report:
         report = report_from_json(Path(args.report).read_text(encoding="utf-8"))
+        if args.deploy:
+            deployment_windows(report)  # rejects a degenerate report before the sweep
+    model = load_model(args.model)
+    sequences, desc = _load_sequences(args, args.n, args.seed)
+    metric = Metric.ACCURACY if args.metric == "accuracy" else Metric.MSE
+    if args.deploy:
+        curve, check = sweep_with_deployment(model, sequences, windows, report, metric)
+    else:
+        curve = ablation_sweep(model, sequences, windows, metric)
+    prefix = Path(args.out_prefix)
+    _write(_out(prefix, ".curve.csv"), curve_csv(curve))
     svg = line_chart(curve.windows, curve.normalized,
                      marker_x=None if report is None else report.rho_hat,
                      title="Window ablation",
@@ -263,7 +269,6 @@ def _cmd_ablate(args) -> int:
     outputs = [str(_out(prefix, ".curve.csv")),
                str(_out(prefix, ".curve.svg"))]
     if args.deploy:
-        check = deployment_check(model, sequences, report, metric)
         doc = {
             "tr_value": check.tr_value, "window": check.window,
             "half_window": check.half_window, "baseline": check.baseline,

@@ -200,6 +200,13 @@ class SequenceModel:
             ys[t] = self.decode(state)
         return np.swapaxes(ys, 0, 1)
 
+    def unroll(self, X):
+        """Yield each step's new state ``(B, S)`` over a batch ``(B, T, d)``,
+        keeping nothing else.  By the prefix property (``forward_batch``)
+        the state after ``k`` steps is bit-identical to the last state of a
+        pass over ``X[:, :k]``."""
+        return self._unroll(self._check_batch(X))
+
     def _unroll(self, X, trace: Trace | None = None):
         """Yield each step's new state over a checked batch ``X``.  Cell
         inputs and every gate's input part are computed

@@ -27,13 +27,21 @@ def test_windowed_forward_with_full_window_is_bitwise_identical():
 
 @pytest.mark.parametrize("kind", list(CellKind))
 def test_windowed_outputs_equal_one_cold_restart_per_step(kind):
-    model = init_model(CellSpec(kind=kind, input_dim=3, hidden_dim=4),
-                       2, Rng(3), encoder_dim=3)
-    X = np.asarray(Rng(4).gaussian(size=(5, 19, 3)))
-    for m in range(1, 21):
-        want = np.stack([model.outputs(X[:, max(0, s - m):s])[:, -1]
-                         for s in range(1, 20)], axis=1)
-        assert np.array_equal(_windowed_outputs(model, X, m), want)
+    # T = 33 runs past UNROLL_CHUNK_STEPS, so passes of different lengths
+    # split their input projections into different chunks.
+    for encoder_dim in (None, 3):
+        model = init_model(CellSpec(kind=kind, input_dim=3, hidden_dim=4),
+                           2, Rng(3), encoder_dim=encoder_dim)
+        for T in (19, 33):
+            X = np.asarray(Rng(4).gaussian(size=(5, T, 3)))
+            windows = [*range(1, T + 3), 1, 4, T]
+            ys = _windowed_outputs(model, X, windows)
+            assert np.array_equal(ys[T], model.outputs(X))
+            cold = {(a, s): model.outputs(X[:, a:s])[:, -1]
+                    for s in range(1, T + 1) for a in range(s)}
+            for m in windows:
+                want = np.stack([cold[max(0, s - m), s] for s in range(1, T + 1)], axis=1)
+                assert np.array_equal(ys[m], want)
 
 
 def test_windowed_forward_on_memoryless_model_matches_full():
@@ -176,6 +184,19 @@ def test_deployment_check_with_window_past_t_keeps_everything():
     big = dataclasses.replace(report, rho_hat=float(T + 3))
     check = deployment_check(model, data, big, Metric.ACCURACY)
     assert check.retention_window == 1.0
+
+
+def test_deployment_check_with_equal_windows_reports_both():
+    # rho_hat = 0 gives window = half_window = 1.
+    model = build_shift_copy_model(0, 4)
+    data = gen_copyk(CopyTaskSpec(k=1, T=8, V=4), 20, Rng(16))
+    rollouts = [s.x for s in data[:2]]
+    report = analyze(model, rollouts, TRConfig(mode=JacobianMode.FINAL_OUTPUT, T=8))
+    assert report.rho_hat == 0.0
+    check = deployment_check(model, data, report, Metric.ACCURACY)
+    assert check.window == check.half_window == 1
+    assert check.retention_window == 1.0
+    assert check.retention_half == 1.0
 
 
 def test_deployment_check_rejects_degenerate_reports():

@@ -1,9 +1,16 @@
+import dataclasses
 import json
 
 import pytest
 
+from temporal_range import cells
 from temporal_range.cli import main
-from temporal_range.models import build_shift_copy_model, save_model
+from temporal_range.gradients import JacobianMode
+from temporal_range.linalg import Rng
+from temporal_range.metric import TRConfig, analyze, report_json
+from temporal_range.models import (CellKind, CellSpec, build_shift_copy_model,
+                                   init_model, save_model)
+from temporal_range.tasks import load_dataset
 
 
 def _strip_svg_comment(text: str) -> str:
@@ -150,6 +157,57 @@ def test_deploy_without_report_is_an_input_error(tmp_path):
                  "--T", "8", "--V", "2", "--n", "8", "--deploy",
                  "--out-prefix", str(tmp_path / "a")])
     assert code == 2
+
+
+def test_bad_report_is_rejected_before_the_sweep(tmp_path, capsys):
+    ckpt = tmp_path / "m.json"
+    model = build_shift_copy_model(0, 2)
+    save_model(model, ckpt)
+    rollouts = list(Rng(0).gaussian(size=(2, 8, 2)))
+    report = analyze(model, rollouts, TRConfig(T=8))
+    assert report.degenerate
+    (tmp_path / "r.json").write_text(report_json(report))
+    for path in (tmp_path / "r.json", tmp_path / "absent.json"):
+        code = main(["ablate", "--model", str(ckpt), "--task", "copy", "--k", "1",
+                     "--T", "8", "--V", "2", "--n", "8", "--deploy",
+                     "--report", str(path), "--out-prefix", str(tmp_path / "a")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not list(tmp_path.glob("a.*"))
+
+
+def test_ablate_deploy_shares_cold_restart_passes(tmp_path, monkeypatch):
+    # The CLI pipeline's ablation: an LSTM-16 on cart-pole sequences of
+    # T = 32, the default windows and deployment windows 5 and 3, counted
+    # in batched cell steps (one per sequence-batch step).
+    T = 32
+    data = tmp_path / "d.json"
+    assert main(["gen-data", "--task", "cartpole", "--T", str(T), "--n", "6",
+                 "--seed", "0", "--out", str(data)]) == 0
+    sequences, _ = load_dataset(data)
+    model = init_model(CellSpec(kind=CellKind.LSTM, input_dim=sequences[0].x.shape[1],
+                                hidden_dim=16), 2, Rng(0))
+    save_model(model, tmp_path / "m.json")
+    report = analyze(model, [s.x for s in sequences[:2]],
+                     TRConfig(mode=JacobianMode.FINAL_OUTPUT, T=T))
+    (tmp_path / "r.json").write_text(report_json(dataclasses.replace(report, rho_hat=3.5)))
+    step, calls = cells._LSTM.step, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(cells._LSTM, "step", staticmethod(counted))
+    assert main(["ablate", "--model", str(tmp_path / "m.json"), "--data", str(data),
+                 "--report", str(tmp_path / "r.json"), "--deploy",
+                 "--out-prefix", str(tmp_path / "a")]) == 0
+    deploy = json.loads((tmp_path / "a.deployment.json").read_text())
+    assert (deploy["window"], deploy["half_window"]) == (5, 3)
+    longest = max(m for m in (1, 2, 3, 4, 5, 8, 16, 32) if m < T)
+    bound = T + sum(min(longest, T - a) for a in range(1, T))
+    assert bound == 408
+    assert 0 < len(calls) <= bound
 
 
 def test_missing_checkpoint_is_an_input_error(tmp_path):
