@@ -22,11 +22,10 @@ from .gradients import (JacobianBlocks, JacobianMode, LossKind, fd_jacobian,
                         input_jacobians, param_gradients, per_step_jacobians,
                         sequence_loss)
 from .linalg import NormKind, Rng, mat_norm, mat_norms, mat_pow
-from .metric import (Aggregation, InfluenceProfile, InvarianceReport,
-                     RangeValues, TRConfig, TemporalRangeReport, analyze,
-                     check_input_scaling, check_output_scaling,
-                     influence_weights, profile_csv, report_from_json,
-                     report_json, temporal_range)
+from .metric import (Aggregation, InvarianceReport, RangeValues, TRConfig,
+                     TemporalRangeReport, analyze, check_input_scaling,
+                     check_output_scaling, influence_weights, profile_csv,
+                     report_from_json, report_json, temporal_range)
 from .models import (CellSpec, OutputSequence, SequenceModel,
                      build_shift_copy_model, init_model, load_model,
                      save_model)

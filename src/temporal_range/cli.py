@@ -203,6 +203,21 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _verdict(residuals: dict[str, float], text: str, out) -> int:
+    """Write a verification's report ``text`` to ``out`` (if given) and to
+    stdout; exit code 1, naming the worst residual on stderr, unless every
+    residual is under ``RESIDUAL_TOL``."""
+    if out:
+        _write(Path(out), text)
+    print(text, end="")
+    worst = max(residuals, key=residuals.get)
+    if not residuals[worst] < RESIDUAL_TOL:
+        print(f"FAIL: worst residual {residuals[worst]:.3e} ({worst})",
+              file=sys.stderr)
+        return 1
+    return 0
+
+
 def _cmd_oracle(args) -> int:
     residuals = pipeline_cross_checks(Rng(args.seed), trials=args.trials,
                                       norm=_NORMS[args.norm],
@@ -212,31 +227,13 @@ def _cmd_oracle(args) -> int:
            "tolerance": RESIDUAL_TOL, "trials": args.trials,
            "seed": args.seed, "norm": args.norm,
            "passed": bool(worst < RESIDUAL_TOL)}
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        _write(Path(args.out), text)
-    print(text, end="")
-    if worst >= RESIDUAL_TOL:
-        worst_name = max(residuals, key=residuals.get)
-        print(f"FAIL: worst residual {worst:.3e} ({worst_name})",
-              file=sys.stderr)
-        return 1
-    return 0
+    return _verdict(residuals, json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
 
 
 def _cmd_axioms(args) -> int:
     report = axiom_suite(Rng(args.seed), trials=args.trials,
                          norm=_NORMS[args.norm])
-    text = report.to_json()
-    if args.out:
-        _write(Path(args.out), text)
-    print(text, end="")
-    if not report.passed(RESIDUAL_TOL):
-        worst = max(report.residuals, key=report.residuals.get)
-        print(f"FAIL: worst residual {report.max_residual():.3e} ({worst})",
-              file=sys.stderr)
-        return 1
-    return 0
+    return _verdict(report.residuals, report.to_json(), args.out)
 
 
 def _cmd_ablate(args) -> int:
@@ -253,11 +250,10 @@ def _cmd_ablate(args) -> int:
             deployment_windows(report)  # rejects a degenerate report before the sweep
     model = load_model(args.model)
     sequences, desc = _load_sequences(args, args.n, args.seed)
-    metric = Metric.ACCURACY if args.metric == "accuracy" else Metric.MSE
     if args.deploy:
-        curve, check = sweep_with_deployment(model, sequences, windows, report, metric)
+        curve, check = sweep_with_deployment(model, sequences, windows, report)
     else:
-        curve = ablation_sweep(model, sequences, windows, metric)
+        curve = ablation_sweep(model, sequences, windows)
     prefix = Path(args.out_prefix)
     _write(_out(prefix, ".curve.csv"), curve_csv(curve))
     svg = line_chart(curve.windows, curve.normalized,
@@ -284,7 +280,7 @@ def _cmd_ablate(args) -> int:
               f"{check.retention_window:.3f}, half window {check.half_window} "
               f"retention {check.retention_half:.3f}")
     config = {"model": args.model, "data": desc, "windows": windows,
-              "metric": args.metric, "seed": args.seed,
+              "metric": Metric.ACCURACY.value, "seed": args.seed,
               "report": args.report, "deploy": bool(args.deploy)}
     _write_manifest(prefix, "ablate", config, args.seed,
                     inputs=[p for p in (args.model, args.data, args.report) if p],
@@ -363,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=256,
                    help="sequences to generate when using --task")
     p.add_argument("--windows", default="1,2,4,8,16,32")
-    p.add_argument("--metric", choices=["accuracy", "mse"], default="accuracy")
     p.add_argument("--report", help="range report JSON for the rho-hat marker")
     p.add_argument("--deploy", action="store_true",
                    help="also run the deployment window check (needs --report)")

@@ -71,13 +71,8 @@ class JacobianBlocks:
     """Jacobian blocks of one rollout, keyed by 1-based ``(s, t)`` pairs."""
 
     T: int
-    c: int
-    d: int
     mode: JacobianMode
     blocks: dict[tuple[int, int], np.ndarray]
-
-    def block(self, s: int, t: int) -> np.ndarray:
-        return self.blocks[(s, t)]
 
 
 def _decoder_rows(model: SequenceModel) -> np.ndarray:
@@ -193,8 +188,7 @@ def input_jacobians(model: SequenceModel, x,
     else:
         final = final_output_blocks(model, X)[0]
         blocks = {(T, t): final[t - 1] for t in range(1, T + 1)}
-    return JacobianBlocks(T=T, c=model.output_dim, d=model.cell.input_dim,
-                          mode=mode, blocks=blocks)
+    return JacobianBlocks(T=T, mode=mode, blocks=blocks)
 
 
 def fd_jacobian(model: SequenceModel, x, s: int, t: int, h: float = FD_STEP) -> np.ndarray:

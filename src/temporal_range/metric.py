@@ -33,7 +33,6 @@ from .models import SequenceModel
 
 __all__ = [
     "Aggregation",
-    "InfluenceProfile",
     "InvarianceReport",
     "RangeValues",
     "TRConfig",
@@ -93,25 +92,6 @@ def config_fingerprint(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()[:16]
 
 
-@dataclasses.dataclass
-class InfluenceProfile:
-    """Per-position weights ``w_1..w_T`` with their lag structure.
-
-    ``weights[i]`` belongs to position ``t = i + 1`` whose lag is
-    ``T - t``; in multi-output mode the final position always carries
-    weight zero because it has no later outputs to influence.
-    """
-
-    weights: np.ndarray
-    mode: JacobianMode
-    aggregation: Aggregation
-    norm: NormKind
-
-    @property
-    def T(self) -> int:
-        return self.weights.shape[0]
-
-
 class RangeValues(typing.NamedTuple):
     """(rho, rho_hat) pair; ``rho_hat`` is None for a degenerate profile."""
 
@@ -136,8 +116,11 @@ def _position_weights(step_norms, shape, aggregation: Aggregation) -> np.ndarray
     return acc
 
 
-def influence_weights(blocks: JacobianBlocks, cfg: TRConfig) -> InfluenceProfile:
-    """Aggregate Jacobian block norms into one weight per position."""
+def influence_weights(blocks: JacobianBlocks, cfg: TRConfig) -> np.ndarray:
+    """Aggregate Jacobian block norms into one weight per position: ``(T,)``,
+    where ``weights[i]`` belongs to position ``t = i + 1`` at lag ``T - t``.
+    In multi-output mode the final position always carries weight zero
+    because it has no later outputs to influence."""
     if blocks.mode is not cfg.mode:
         raise ConfigError(
             f"blocks were computed in {blocks.mode.value} mode but the "
@@ -146,15 +129,12 @@ def influence_weights(blocks: JacobianBlocks, cfg: TRConfig) -> InfluenceProfile
         raise ConfigError(f"blocks have T={blocks.T}, configuration has T={cfg.T}")
     T = blocks.T
     if cfg.mode is JacobianMode.FINAL_OUTPUT:
-        weights = mat_norms(np.stack([blocks.block(T, t) for t in range(1, T + 1)]), cfg.norm)
-    else:
-        stack = [blocks.block(s, t) for s in range(2, T + 1) for t in range(1, s)]
-        norms = mat_norms(np.stack(stack), cfg.norm)
-        # Step s contributes s - 1 norms.
-        weights = _position_weights(np.split(norms, np.cumsum(np.arange(1, T - 1))),
-                                    (T,), cfg.aggregation)
-    return InfluenceProfile(weights=weights, mode=cfg.mode,
-                            aggregation=cfg.aggregation, norm=cfg.norm)
+        return mat_norms(np.stack([blocks.blocks[T, t] for t in range(1, T + 1)]), cfg.norm)
+    stack = [blocks.blocks[s, t] for s in range(2, T + 1) for t in range(1, s)]
+    norms = mat_norms(np.stack(stack), cfg.norm)
+    # Step s contributes s - 1 norms.
+    return _position_weights(np.split(norms, np.cumsum(np.arange(1, T - 1))),
+                             (T,), cfg.aggregation)
 
 
 def range_values(weights) -> tuple[np.ndarray, np.ndarray]:
@@ -166,9 +146,10 @@ def range_values(weights) -> tuple[np.ndarray, np.ndarray]:
     return rho, np.divide(rho, total, out=np.full_like(rho, np.nan), where=total > 0)
 
 
-def temporal_range(profile: InfluenceProfile) -> RangeValues:
-    """Magnitude-weighted lag sum and average of an influence profile."""
-    rho, rho_hat = range_values(profile.weights)
+def temporal_range(weights) -> RangeValues:
+    """Magnitude-weighted lag sum and average of one influence profile
+    ``(T,)``: ``range_values`` of a single row."""
+    rho, rho_hat = range_values(weights)
     return RangeValues(float(rho), None if np.isnan(rho_hat) else float(rho_hat))
 
 
@@ -195,9 +176,6 @@ class TemporalRangeReport:
     weights_std: np.ndarray
     degenerate: bool
     n_degenerate: int
-
-    def fingerprint(self) -> str:
-        return self.config.fingerprint()
 
 
 def analyze(model: SequenceModel, rollouts, cfg: TRConfig) -> TemporalRangeReport:
@@ -226,8 +204,6 @@ def analyze(model: SequenceModel, rollouts, cfg: TRConfig) -> TemporalRangeRepor
     rho, rho_hat = range_values(W)
     defined = rho_hat[~np.isnan(rho_hat)]
     weights_mean = W.mean(axis=0)
-    pooled = temporal_range(InfluenceProfile(weights=weights_mean, mode=cfg.mode,
-                                             aggregation=cfg.aggregation, norm=cfg.norm))
     return TemporalRangeReport(
         config=cfg,
         n_rollouts=len(rollouts),
@@ -236,7 +212,7 @@ def analyze(model: SequenceModel, rollouts, cfg: TRConfig) -> TemporalRangeRepor
         per_rollout_rho=rho.tolist(),
         per_rollout_rho_hat=[None if np.isnan(v) else v for v in rho_hat.tolist()],
         rho_hat_std=float(defined.std()) if defined.size else None,
-        pooled_rho_hat=pooled.rho_hat,
+        pooled_rho_hat=temporal_range(weights_mean).rho_hat,
         weights_mean=weights_mean,
         weights_std=W.std(axis=0),
         degenerate=defined.size == 0,
@@ -328,7 +304,7 @@ def report_json(report: TemporalRangeReport) -> str:
     doc = {
         "schema": REPORT_SCHEMA_VERSION,
         "config": report.config.as_dict(),
-        "config_fingerprint": report.fingerprint(),
+        "config_fingerprint": report.config.fingerprint(),
         "n_rollouts": report.n_rollouts,
         "degenerate": report.degenerate,
         "n_degenerate_rollouts": report.n_degenerate,

@@ -306,14 +306,10 @@ def build_shift_copy_model(k: int, d: int, readout=None) -> SequenceModel:
         raise ShapeMismatch(f"readout must be (c, {d}), got {U.shape}")
     c = U.shape[0]
     p = (k + 1) * d
-    A = np.zeros((p, p))
-    for j in range(k):
-        A[(j + 1) * d:(j + 2) * d, j * d:(j + 1) * d] = np.eye(d)
-    C = np.zeros((p, d))
-    C[:d, :] = np.eye(d)
     dec_W = np.zeros((c, p))
     dec_W[:, k * d:(k + 1) * d] = U
-    params = {"A": A, "C": C, "dec_W": dec_W, "dec_b": np.zeros(c)}
+    params = {"A": np.eye(p, k=-d), "C": np.eye(p, d), "dec_W": dec_W,
+              "dec_b": np.zeros(c)}
     spec = CellSpec(kind=CellKind.LINEAR_REC, input_dim=d, hidden_dim=p)
     return SequenceModel(cell=spec, output_dim=c, encoder_dim=None, params=params)
 
@@ -340,6 +336,26 @@ def save_model(model: SequenceModel, path) -> None:
         fh.write("\n")
 
 
+def _read_versioned_json(path, noun: str, fmt: str, version: int, kind: str) -> dict:
+    """The JSON object in ``path``.  Raises ``FormatError`` (with the byte
+    offset of a parse failure) unless it parses and is tagged ``fmt``, and
+    ``VersionError`` unless its version is ``version``; messages call the
+    file a ``noun`` and a ``fmt`` ``kind``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(
+            f"corrupt {noun} {path}: {exc.msg} at byte offset {exc.pos}") from exc
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise FormatError(f"{path} is not a {fmt} {kind}")
+    if doc.get("version") != version:
+        raise VersionError(
+            f"unsupported {noun} version {doc.get('version')!r} (expected {version})")
+    return doc
+
+
 def load_model(path) -> SequenceModel:
     """Load a checkpoint written by ``save_model``.
 
@@ -348,19 +364,8 @@ def load_model(path) -> SequenceModel:
             carries the byte offset for parse failures).
         VersionError: parseable checkpoint with an unsupported version.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(
-            f"corrupt checkpoint {path}: {exc.msg} at byte offset {exc.pos}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
-        raise FormatError(f"{path} is not a {CHECKPOINT_FORMAT} checkpoint")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise VersionError(
-            f"unsupported checkpoint version {doc.get('version')!r} "
-            f"(expected {CHECKPOINT_VERSION})")
+    doc = _read_versioned_json(path, "checkpoint", CHECKPOINT_FORMAT,
+                               CHECKPOINT_VERSION, "checkpoint")
     try:
         kind = CellKind(doc["cell_kind"])
         spec = CellSpec(kind=kind, input_dim=int(doc["input_dim"]),
@@ -376,8 +381,6 @@ def load_model(path) -> SequenceModel:
                 raise FormatError(
                     f"parameter {name!r}: {flat.size} values for shape {shape}")
             params[name] = flat.reshape(shape)
-    except FormatError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed checkpoint {path}: {exc}") from exc
     model = SequenceModel(cell=spec, output_dim=output_dim,

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import SpecError
 from .linalg import NormKind, Rng, mat_norms
-from .metric import (Aggregation, InfluenceProfile, RangeValues, TRConfig,
-                     analyze, range_values, temporal_range)
+from .metric import (Aggregation, RangeValues, TRConfig, analyze, range_values,
+                     temporal_range)
 from .gradients import JacobianMode
 from .models import CellKind, CellSpec, SequenceModel, build_shift_copy_model
 
@@ -65,9 +65,7 @@ class LinearTemporalMap:
 def linear_map_range(L: LinearTemporalMap, norm: NormKind = NormKind.FROBENIUS) -> RangeValues:
     """Closed-form ranges of a linear temporal map, whose block norms are its
     final-output weights; rho_hat is None (degenerate) when all blocks are zero."""
-    return temporal_range(InfluenceProfile(weights=mat_norms(L.blocks, norm),
-                                           mode=JacobianMode.FINAL_OUTPUT,
-                                           aggregation=Aggregation.MEAN, norm=norm))
+    return temporal_range(mat_norms(L.blocks, norm))
 
 
 @dataclasses.dataclass
@@ -93,7 +91,7 @@ class RecurrenceSpec:
 
 
 def recurrence_profile(spec: RecurrenceSpec,
-                       norm: NormKind = NormKind.FROBENIUS) -> InfluenceProfile:
+                       norm: NormKind = NormKind.FROBENIUS) -> np.ndarray:
     """Final-output influence weights ``w_t = ||Q A^(T-t) C||`` from matrix powers.
 
     No differentiation is involved, which makes this an independent oracle
@@ -105,9 +103,7 @@ def recurrence_profile(spec: RecurrenceSpec,
     for lag in range(spec.T):
         blocks[spec.T - 1 - lag] = spec.Q @ power @ spec.C
         power = spec.A @ power
-    return InfluenceProfile(weights=mat_norms(blocks, norm),
-                            mode=JacobianMode.FINAL_OUTPUT,
-                            aggregation=Aggregation.MEAN, norm=norm)
+    return mat_norms(blocks, norm)
 
 
 def recurrence_as_model(spec: RecurrenceSpec) -> SequenceModel:
@@ -123,24 +119,16 @@ def recurrence_as_model(spec: RecurrenceSpec) -> SequenceModel:
 def linear_map_as_model(L: LinearTemporalMap) -> SequenceModel:
     """Encode a linear temporal map as a delay-line recurrence model.
 
-    The state stacks the last ``T`` inputs; the decoder applies block
-    ``B_t`` to the slot holding ``x_t``, so the final output equals
+    The state is the shift register of ``build_shift_copy_model(T - 1, d)``,
+    which stacks the last ``T`` inputs; the decoder applies block ``B_t`` to
+    the slot holding ``x_t``, so the final output equals
     ``L(x_1..x_T)`` and the final-output Jacobian row is exactly ``B_t``.
     """
     T, c, d = L.blocks.shape
-    p = T * d
-    A = np.zeros((p, p))
-    for j in range(T - 1):
-        A[(j + 1) * d:(j + 2) * d, j * d:(j + 1) * d] = np.eye(d)
-    C = np.zeros((p, d))
-    C[:d, :] = np.eye(d)
-    dec_W = np.zeros((c, p))
+    model = build_shift_copy_model(T - 1, d, np.zeros((c, d)))
     # After T steps, slot j holds x_{T-j}; give it block B_{T-j}.
-    for j in range(T):
-        dec_W[:, j * d:(j + 1) * d] = L.blocks[T - 1 - j]
-    params = {"A": A, "C": C, "dec_W": dec_W, "dec_b": np.zeros(c)}
-    cell = CellSpec(kind=CellKind.LINEAR_REC, input_dim=d, hidden_dim=p)
-    return SequenceModel(cell=cell, output_dim=c, encoder_dim=None, params=params)
+    model.params["dec_W"] = np.hstack(L.blocks[::-1])
+    return model
 
 
 def copyk_oracle(k: int, T: int) -> float:
@@ -323,13 +311,13 @@ def pipeline_cross_checks(rng: Rng, trials: int = 20,
         spec = _stable_recurrence(rng, p, d, c, cfg.T)
         closed = recurrence_profile(spec, norm)
         if inject_fault:
-            closed.weights[-1] *= 2.0
+            closed[-1] *= 2.0
         model = recurrence_as_model(spec)
         x = np.asarray(rng.gaussian(size=(cfg.T, d)))
         measured = analyze(model, [x], cfg).weights_mean
         residuals["recurrence_weights"] = max(
             residuals["recurrence_weights"],
-            float(np.max(np.abs(measured - closed.weights))))
+            float(np.max(np.abs(measured - closed))))
 
         L = LinearTemporalMap(np.asarray(rng.gaussian(size=(8, c, d))))
         closed_rv = linear_map_range(L, norm)

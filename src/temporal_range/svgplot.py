@@ -18,13 +18,6 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
-def _axis_ticks(vmax: float, n: int = 5) -> list[float]:
-    if vmax <= 0:
-        return [0.0, 1.0]
-    step = vmax / n
-    return [i * step for i in range(n + 1)]
-
-
 def _frame(title: str, xlabel: str, ylabel: str, comment: str | None) -> list[str]:
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -52,15 +45,37 @@ def _frame(title: str, xlabel: str, ylabel: str, comment: str | None) -> list[st
     return parts
 
 
-def _y_scale(values) -> tuple[float, list[float]]:
+def _y_axis(parts: list[str], values) -> float:
+    """Append six evenly spaced y-axis ticks from 0 to the largest of
+    ``values`` (NaN ignored; 1 when none is positive) and return that top."""
     vmax = max([v for v in values if v == v] + [0.0])
     vmax = vmax if vmax > 0 else 1.0
-    return vmax, _axis_ticks(vmax)
+    step = vmax / 5
+    for i in range(6):
+        tick = i * step
+        y = _y_pos(tick, vmax)
+        parts.append(
+            f'<line x1="{_ML - 4}" y1="{_fmt(y)}" x2="{_ML}" y2="{_fmt(y)}" '
+            f'stroke="black"/>')
+        parts.append(
+            f'<text x="{_ML - 8}" y="{_fmt(y + 4)}" text-anchor="end" '
+            f'font-family="sans-serif" font-size="10">{tick:.3g}</text>')
+    return vmax
 
 
 def _y_pos(v: float, vmax: float) -> float:
     span = _H - _MT - _MB
     return _H - _MB - (v / vmax) * span
+
+
+def _marker(parts: list[str], cx: float, value: float) -> None:
+    """Append a dashed vertical marker at ``cx`` labelled with ``value``."""
+    parts.append(
+        f'<line x1="{_fmt(cx)}" y1="{_MT}" x2="{_fmt(cx)}" y2="{_H - _MB}" '
+        f'stroke="crimson" stroke-dasharray="5,4" stroke-width="1.5"/>')
+    parts.append(
+        f'<text x="{_fmt(cx + 4)}" y="{_MT + 12}" font-family="sans-serif" '
+        f'font-size="11" fill="crimson">{value:.3g}</text>')
 
 
 def bar_chart(xs, heights, marker_x: float | None = None, title: str = "",
@@ -69,15 +84,7 @@ def bar_chart(xs, heights, marker_x: float | None = None, title: str = "",
     xs = [float(v) for v in xs]
     heights = [float(v) for v in heights]
     parts = _frame(title, xlabel, ylabel, comment)
-    vmax, ticks = _y_scale(heights)
-    for tick in ticks:
-        y = _y_pos(tick, vmax)
-        parts.append(
-            f'<line x1="{_ML - 4}" y1="{_fmt(y)}" x2="{_ML}" y2="{_fmt(y)}" '
-            f'stroke="black"/>')
-        parts.append(
-            f'<text x="{_ML - 8}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="10">{tick:.3g}</text>')
+    vmax = _y_axis(parts, heights)
     span_x = _W - _ML - _MR
     lo, hi = min(xs), max(xs)
     width = span_x / max(len(xs), 1) * 0.8
@@ -102,13 +109,7 @@ def bar_chart(xs, heights, marker_x: float | None = None, title: str = "",
                 f'<text x="{_fmt(cx)}" y="{_H - _MB + 16}" text-anchor="middle" '
                 f'font-family="sans-serif" font-size="10">{x:g}</text>')
     if marker_x is not None:
-        cx = x_pos(float(marker_x))
-        parts.append(
-            f'<line x1="{_fmt(cx)}" y1="{_MT}" x2="{_fmt(cx)}" y2="{_H - _MB}" '
-            f'stroke="crimson" stroke-dasharray="5,4" stroke-width="1.5"/>')
-        parts.append(
-            f'<text x="{_fmt(cx + 4)}" y="{_MT + 12}" font-family="sans-serif" '
-            f'font-size="11" fill="crimson">{float(marker_x):.3g}</text>')
+        _marker(parts, x_pos(float(marker_x)), float(marker_x))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -119,15 +120,7 @@ def line_chart(xs, ys, marker_x: float | None = None, title: str = "",
     xs = [float(v) for v in xs]
     ys = [float(v) for v in ys]
     parts = _frame(title, xlabel, ylabel, comment)
-    vmax, ticks = _y_scale(ys)
-    for tick in ticks:
-        y = _y_pos(tick, vmax)
-        parts.append(
-            f'<line x1="{_ML - 4}" y1="{_fmt(y)}" x2="{_ML}" y2="{_fmt(y)}" '
-            f'stroke="black"/>')
-        parts.append(
-            f'<text x="{_ML - 8}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="10">{tick:.3g}</text>')
+    vmax = _y_axis(parts, ys)
     span_x = _W - _ML - _MR
 
     def rank_x(i: int) -> float:
@@ -160,12 +153,6 @@ def line_chart(xs, ys, marker_x: float | None = None, title: str = "",
                     frac = (mx - xs[i]) / (xs[i + 1] - xs[i])
                     pos = i + frac
                     break
-        cx = _ML + (pos / max(len(xs) - 1, 1)) * span_x
-        parts.append(
-            f'<line x1="{_fmt(cx)}" y1="{_MT}" x2="{_fmt(cx)}" y2="{_H - _MB}" '
-            f'stroke="crimson" stroke-dasharray="5,4" stroke-width="1.5"/>')
-        parts.append(
-            f'<text x="{_fmt(cx + 4)}" y="{_MT + 12}" font-family="sans-serif" '
-            f'font-size="11" fill="crimson">{mx:.3g}</text>')
+        _marker(parts, _ML + (pos / max(len(xs) - 1, 1)) * span_x, mx)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

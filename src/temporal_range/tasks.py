@@ -19,8 +19,9 @@ import math
 
 import numpy as np
 
-from .errors import EpisodeFinished, FormatError, SpecError, VersionError
+from .errors import EpisodeFinished, FormatError, SpecError
 from .linalg import Rng
+from .models import _read_versioned_json
 
 __all__ = [
     "CartPoleState",
@@ -313,19 +314,8 @@ def load_dataset(path) -> tuple[list[LabeledSequence], dict]:
     """Read a dataset container; returns (sequences, header).  Sequences
     whose count, ``x`` shape, targets or mask disagree with the header's n,
     T and d raise ``FormatError`` naming the first bad sequence."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(
-            f"corrupt dataset {path}: {exc.msg} at byte offset {exc.pos}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != DATASET_FORMAT:
-        raise FormatError(f"{path} is not a {DATASET_FORMAT} container")
-    if doc.get("version") != DATASET_VERSION:
-        raise VersionError(
-            f"unsupported dataset version {doc.get('version')!r} "
-            f"(expected {DATASET_VERSION})")
+    doc = _read_versioned_json(path, "dataset", DATASET_FORMAT, DATASET_VERSION,
+                               "container")
     try:
         header = {k: doc[k] for k in ("task", "spec", "seed", "n", "T", "d")}
         if len(doc["sequences"]) != header["n"]:

@@ -275,6 +275,9 @@ def score(ys, targets, masks, metric: Metric) -> tuple[float, np.ndarray]:
     if metric is Metric.ACCURACY:
         per_step = ys.argmax(axis=-1) == targets
     elif metric is Metric.MSE:
+        if targets.shape != ys.shape:
+            raise SpecError(f"MSE targets of shape {targets.shape} do not match "
+                            f"outputs of shape {ys.shape}")
         diff = ys - targets
         per_step = np.mean(diff * diff, axis=-1)
     else:

@@ -126,7 +126,7 @@ def test_criterion_02_linear_recurrence_closed_form(verdict):
         model = recurrence_as_model(spec)
         x = np.asarray(rng.gaussian(size=(T, d)))
         measured = influence_weights(input_jacobians(model, x, cfg.mode), cfg)
-        worst = max(worst, float(np.max(np.abs(measured.weights - closed.weights))))
+        worst = max(worst, float(np.max(np.abs(measured - closed))))
     verdict(2, worst < RESIDUAL_TOL,
             f"matrix-power vs autodiff weights on 20 specs, worst |delta w| "
             f"{worst:.2e} (tol {RESIDUAL_TOL})")
@@ -162,7 +162,7 @@ def test_criterion_03_gradient_correctness(verdict):
             else:
                 picked = [keys[int(rng.integers(0, len(keys)))] for _ in range(8)]
             for (s, t) in picked:
-                worst = max(worst, rel(blocks.block(s, t), fd_jacobian(model, x, s, t)))
+                worst = max(worst, rel(blocks.blocks[s, t], fd_jacobian(model, x, s, t)))
 
             if loss is LossKind.CROSS_ENTROPY:
                 target = np.asarray(rng.integers(0, c, size=T))

@@ -1,5 +1,7 @@
 import dataclasses
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -295,3 +297,33 @@ def test_dataset_count_other_than_the_header_n_is_an_input_error(tmp_path, capsy
     assert _train_on_edited_dataset(tmp_path, overstate) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "n=9" in err[0]
+
+
+def test_ablate_has_no_metric_flag(capsys):
+    # The CLI's datasets hold class-index targets only, so accuracy is the
+    # one metric ablate can score.
+    with pytest.raises(SystemExit) as exc:
+        main(["ablate", "--model", "m.json", "--task", "copy", "--metric", "mse",
+              "--out-prefix", "a"])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_bench_tracer_patches_and_restores_every_traced_name():
+    # The benchmark's tracer looks up functions and cell methods by name;
+    # installing it fails if one of them is gone.
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._patches)
+        assert all(owner.__dict__[attr] is not original
+                   for owner, attr, original in patched)
+    finally:
+        tracer.uninstall()
+    assert len(patched) > len(tracer_module.FUNCTIONS)
+    for owner, attr, original in patched:
+        assert owner.__dict__[attr] is original

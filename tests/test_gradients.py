@@ -52,7 +52,7 @@ def test_linear_recurrence_final_blocks_are_propagator_products():
     blocks = input_jacobians(model, x, JacobianMode.FINAL_OUTPUT)
     for t in range(1, T + 1):
         expected = Q @ mat_pow(A, T - t) @ C
-        assert np.max(np.abs(blocks.block(T, t) - expected)) < 1e-10
+        assert np.max(np.abs(blocks.blocks[T, t] - expected)) < 1e-10
 
 
 def test_memoryless_model_has_zero_cross_step_blocks():

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -7,11 +6,10 @@ import pytest
 from temporal_range.errors import ConfigError, FormatError, SpecError, VersionError
 from temporal_range.gradients import JacobianBlocks, JacobianMode
 from temporal_range.linalg import NormKind, Rng, mat_norm
-from temporal_range.metric import (Aggregation, InfluenceProfile, TRConfig,
-                                   analyze, check_input_scaling,
-                                   check_output_scaling, influence_weights,
-                                   profile_csv, range_values, report_from_json,
-                                   report_json, temporal_range)
+from temporal_range.metric import (Aggregation, TRConfig, analyze,
+                                   check_input_scaling, check_output_scaling,
+                                   influence_weights, profile_csv, range_values,
+                                   report_from_json, report_json, temporal_range)
 from temporal_range.models import CellKind, CellSpec, build_shift_copy_model, init_model
 from temporal_range.oracles import RecurrenceSpec, recurrence_as_model
 
@@ -21,22 +19,21 @@ def _scalar_blocks(entries, T):
     for s in range(1, T + 1):
         for t in range(1, s):
             blocks[(s, t)] = np.array([[float(entries.get((s, t), 0.0))]])
-    return JacobianBlocks(T=T, c=1, d=1, mode=JacobianMode.MULTI_OUTPUT,
-                          blocks=blocks)
+    return JacobianBlocks(T=T, mode=JacobianMode.MULTI_OUTPUT, blocks=blocks)
 
 
 def test_mean_weights_hand_example():
     blocks = _scalar_blocks({(2, 1): 1.0, (3, 1): 3.0, (3, 2): 2.0}, T=3)
     cfg = TRConfig(T=3)
     profile = influence_weights(blocks, cfg)
-    assert profile.weights == pytest.approx([2.0, 2.0, 0.0], abs=1e-15)
+    assert profile == pytest.approx([2.0, 2.0, 0.0], abs=1e-15)
 
 
 def test_max_weights_hand_example():
     blocks = _scalar_blocks({(2, 1): 1.0, (3, 1): 3.0, (3, 2): 2.0}, T=3)
     cfg = TRConfig(aggregation=Aggregation.MAX, T=3)
     profile = influence_weights(blocks, cfg)
-    assert profile.weights == pytest.approx([3.0, 2.0, 0.0], abs=1e-15)
+    assert profile == pytest.approx([3.0, 2.0, 0.0], abs=1e-15)
 
 
 def test_final_position_weight_is_zero_in_multi_mode():
@@ -47,15 +44,11 @@ def test_final_position_weight_is_zero_in_multi_mode():
     x = np.asarray(Rng(1).gaussian(size=(6, 2)))
     profile = influence_weights(input_jacobians(model, x, JacobianMode.MULTI_OUTPUT),
                                 TRConfig(T=6))
-    assert profile.weights[-1] == 0.0
+    assert profile[-1] == 0.0
 
 
 def test_temporal_range_hand_example():
-    profile = InfluenceProfile(weights=np.array([2.0, 2.0, 0.0]),
-                               mode=JacobianMode.MULTI_OUTPUT,
-                               aggregation=Aggregation.MEAN,
-                               norm=NormKind.FROBENIUS)
-    values = temporal_range(profile)
+    values = temporal_range(np.array([2.0, 2.0, 0.0]))
     assert values.rho == pytest.approx(6.0, abs=1e-15)
     assert values.rho_hat == pytest.approx(1.5, abs=1e-15)
 
@@ -65,18 +58,11 @@ def test_single_weight_at_lag_k_normalizes_to_k():
     for k in (0, 3, 9):
         w = np.zeros(T)
         w[T - 1 - k] = 0.37
-        profile = InfluenceProfile(weights=w, mode=JacobianMode.FINAL_OUTPUT,
-                                   aggregation=Aggregation.MEAN,
-                                   norm=NormKind.FROBENIUS)
-        assert temporal_range(profile).rho_hat == pytest.approx(float(k), abs=1e-12)
+        assert temporal_range(w).rho_hat == pytest.approx(float(k), abs=1e-12)
 
 
 def test_all_zero_weights_are_degenerate_not_an_error():
-    profile = InfluenceProfile(weights=np.zeros(5),
-                               mode=JacobianMode.MULTI_OUTPUT,
-                               aggregation=Aggregation.MEAN,
-                               norm=NormKind.FROBENIUS)
-    values = temporal_range(profile)
+    values = temporal_range(np.zeros(5))
     assert values.rho == 0.0
     assert values.rho_hat is None
     assert values.degenerate
@@ -87,14 +73,10 @@ def test_normalized_range_is_bounded_and_scale_invariant():
     for _ in range(100):
         T = int(rng.integers(2, 20))
         w = np.abs(np.asarray(rng.gaussian(size=T))) + 1e-12
-        profile = InfluenceProfile(weights=w, mode=JacobianMode.FINAL_OUTPUT,
-                                   aggregation=Aggregation.MEAN,
-                                   norm=NormKind.FROBENIUS)
-        rv = temporal_range(profile)
+        rv = temporal_range(w)
         assert 0.0 <= rv.rho_hat <= T - 1
         lam = float(rng.uniform(low=0.1, high=10.0))
-        scaled = dataclasses.replace(profile, weights=lam * w)
-        assert temporal_range(scaled).rho_hat == pytest.approx(rv.rho_hat, abs=1e-9)
+        assert temporal_range(lam * w).rho_hat == pytest.approx(rv.rho_hat, abs=1e-9)
 
 
 @pytest.mark.parametrize("norm", [NormKind.FROBENIUS, NormKind.SPECTRAL])
@@ -109,7 +91,7 @@ def test_shift_copy_final_weights_are_an_indicator(norm):
     profile = influence_weights(input_jacobians(model, x, cfg.mode), cfg)
     expected = np.zeros(T)
     expected[T - 1 - k] = mat_norm(U, norm)
-    assert profile.weights == pytest.approx(expected, abs=1e-10)
+    assert profile == pytest.approx(expected, abs=1e-10)
 
 
 def test_mode_mismatch_raises_config_error():
@@ -267,9 +249,7 @@ def test_range_values_match_temporal_range_row_by_row():
     rho, rho_hat = range_values(W)
     assert rho.shape == rho_hat.shape == (3, 5)
     for idx in np.ndindex(3, 5):
-        rv = temporal_range(InfluenceProfile(
-            weights=W[idx], mode=JacobianMode.FINAL_OUTPUT,
-            aggregation=Aggregation.MEAN, norm=NormKind.FROBENIUS))
+        rv = temporal_range(W[idx])
         # A matrix-vector product may sum in another order than a dot product.
         assert rho[idx] == pytest.approx(rv.rho, rel=1e-14, abs=0.0)
         if rv.rho_hat is None:
@@ -340,9 +320,7 @@ def test_batched_analyze_matches_per_rollout_reference(kind, encoder_dim, mode, 
     cfg = TRConfig(norm=norm, aggregation=aggregation, mode=mode, T=T)
     report = analyze(model, rollouts, cfg)
     for r, x in enumerate(rollouts):
-        want = temporal_range(InfluenceProfile(weights=_reference_weights(model, x, cfg),
-                                               mode=mode, aggregation=aggregation,
-                                               norm=norm))
+        want = temporal_range(_reference_weights(model, x, cfg))
         assert abs(report.per_rollout_rho[r] - want.rho) <= 1e-12 * abs(want.rho)
         assert abs(report.per_rollout_rho_hat[r] - want.rho_hat) <= 1e-12 * abs(want.rho_hat)
 

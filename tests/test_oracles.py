@@ -56,7 +56,7 @@ def test_zero_map_is_degenerate():
 def test_recurrence_profile_scalar_geometric_closed_form():
     spec = RecurrenceSpec(A=[[0.5]], C=[[1.0]], Q=[[1.0]], T=4)
     profile = recurrence_profile(spec)
-    assert profile.weights == pytest.approx([0.125, 0.25, 0.5, 1.0], abs=1e-15)
+    assert profile == pytest.approx([0.125, 0.25, 0.5, 1.0], abs=1e-15)
     rv = temporal_range(profile)
     # Independent evaluation of the weighted lag average.
     weights = [0.5 ** lag for lag in (3, 2, 1, 0)]
@@ -68,8 +68,8 @@ def test_recurrence_profile_scalar_geometric_closed_form():
 def test_recurrence_profile_zero_transition_is_lag_zero_only():
     spec = RecurrenceSpec(A=np.zeros((2, 2)), C=np.eye(2), Q=np.ones((1, 2)), T=5)
     profile = recurrence_profile(spec)
-    assert np.max(np.abs(profile.weights[:-1])) == 0.0
-    assert profile.weights[-1] == pytest.approx(mat_norm(np.ones((1, 2))), abs=1e-12)
+    assert np.max(np.abs(profile[:-1])) == 0.0
+    assert profile[-1] == pytest.approx(mat_norm(np.ones((1, 2))), abs=1e-12)
     assert temporal_range(profile).rho_hat == pytest.approx(0.0, abs=1e-12)
 
 
@@ -77,7 +77,7 @@ def test_recurrence_profile_identity_transition_is_uniform():
     T = 7
     spec = RecurrenceSpec(A=np.eye(3), C=np.eye(3), Q=np.ones((2, 3)), T=T)
     profile = recurrence_profile(spec)
-    assert np.allclose(profile.weights, profile.weights[0])
+    assert np.allclose(profile, profile[0])
     assert temporal_range(profile).rho_hat == pytest.approx((T - 1) / 2, abs=1e-12)
 
 
@@ -192,7 +192,7 @@ def test_wrapped_recurrence_matches_autodiff_weights():
         model = recurrence_as_model(spec)
         x = np.asarray(rng.gaussian(size=(10, d)))
         measured = influence_weights(input_jacobians(model, x, cfg.mode), cfg)
-        assert np.max(np.abs(measured.weights - closed.weights)) < 1e-9
+        assert np.max(np.abs(measured - closed)) < 1e-9
 
 
 def test_linear_map_model_encoding_matches_closed_form():

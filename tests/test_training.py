@@ -12,7 +12,7 @@ from temporal_range.tasks import CopyTaskSpec, LabeledSequence, gen_copyk
 from temporal_range.training import (AdamState, Metric, OptConfig,
                                      _batch_loss_and_grads, adam_step,
                                      clip_by_global_norm, evaluate,
-                                     global_norm, stack_sequences, train)
+                                     global_norm, score, stack_sequences, train)
 
 
 def test_adam_zero_gradient_leaves_parameters_unchanged():
@@ -162,6 +162,13 @@ def test_evaluate_mse_metric():
     x = np.asarray(Rng(8).gaussian(size=(5, 2)))
     seq = LabeledSequence(x=x, targets=x.copy(), mask=np.ones(5, dtype=bool))
     assert evaluate(model, [seq], Metric.MSE) == pytest.approx(0.0, abs=1e-18)
+
+
+def test_mse_score_rejects_class_index_targets():
+    ys = np.zeros((2, 5, 3))
+    with pytest.raises(SpecError):
+        score(ys, np.zeros((2, 5), dtype=np.int64), np.ones((2, 5), dtype=bool),
+              Metric.MSE)
 
 
 def test_evaluate_rejects_empty_mask():
