@@ -325,15 +325,64 @@ def save_model(model: SequenceModel, path) -> None:
         "lem_dt": model.cell.lem_dt.hex(),
         "output_dim": model.output_dim,
         "encoder_dim": model.encoder_dim,
-        "params": {
-            name: {"shape": list(arr.shape),
-                   "data": [v.hex() for v in arr.ravel().tolist()]}
-            for name, arr in model.params.items()
-        },
+        "params": {},
     }
+    _write_json(path, doc, "params", (
+        f"{json.dumps(name)}: " + _object_json({
+            "data": _array_json(arr.ravel(), 3),
+            "shape": _array_json(np.array(arr.shape, dtype=np.int64), 3)}, 2)
+        for name, arr in sorted(model.params.items())))
+
+
+def _nested_lists(shape, level: int, leaf: str) -> str:
+    """A ``%`` template of the nested lists that ``json.dumps(...,
+    indent=1)`` writes at indent level ``level`` for an array of ``shape``,
+    with one ``leaf`` per entry in row-major order."""
+    if not shape:
+        return leaf
+    if shape[0] == 0:
+        return "[]"
+    pad = "\n" + " " * (level + 1)
+    inner = _nested_lists(shape[1:], level + 1, leaf)
+    return "[" + pad + ("," + pad).join([inner] * shape[0]) + "\n" + " " * level + "]"
+
+
+def _array_json(a: np.ndarray, level: int) -> str:
+    """``a`` as ``json.dumps(..., indent=1)`` writes its nested lists at
+    indent level ``level``: floats as hex strings, integers and booleans as
+    integers."""
+    if a.dtype.kind == "f":
+        leaf, values = '"%s"', map(float.hex, a.ravel().tolist())
+    else:
+        leaf, values = "%d", a.ravel().tolist()
+    return _nested_lists(a.shape, level, leaf) % tuple(values)
+
+
+def _object_json(members: dict, level: int) -> str:
+    """A JSON object at indent level ``level`` whose ``members`` map each key
+    to its value's text at level ``level + 1``, keys in sorted order."""
+    pad = "\n" + " " * (level + 1)
+    items = (f"{json.dumps(k)}: {v}" for k, v in sorted(members.items()))
+    return "{" + pad + ("," + pad).join(items) + "\n" + " " * level + "}"
+
+
+def _write_json(path, doc: dict, key: str, members) -> None:
+    """Write ``json.dumps(doc, sort_keys=True, indent=1)`` and a newline to
+    ``path``, where ``doc[key]`` is an empty list or object whose members
+    ``members`` yields one at a time, each as that encoder writes it at
+    indent level 2 (an object's as ``"name": value``, in sorted order).
+    Only ``doc`` and one member are ever held as text."""
+    empty = json.dumps(doc[key])
+    # A line that starts with exactly one space holds a top-level key.
+    marker = f"\n {json.dumps(key)}: "
+    head, tail = json.dumps(doc, sort_keys=True, indent=1).split(marker + empty)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(head + marker)
+        opened = False
+        for text in members:
+            fh.write((",\n  " if opened else empty[0] + "\n  ") + text)
+            opened = True
+        fh.write(("\n " + empty[1] if opened else empty) + tail + "\n")
 
 
 def _read_versioned_json(path, noun: str, fmt: str, version: int, kind: str) -> dict:
@@ -376,7 +425,7 @@ def load_model(path) -> SequenceModel:
         params = {}
         for name, entry in doc["params"].items():
             shape = tuple(int(s) for s in entry["shape"])
-            flat = np.array([float.fromhex(v) for v in entry["data"]], dtype=np.float64)
+            flat = np.fromiter(map(float.fromhex, entry["data"]), dtype=np.float64)
             if flat.size != int(np.prod(shape)):
                 raise FormatError(
                     f"parameter {name!r}: {flat.size} values for shape {shape}")

@@ -131,11 +131,27 @@ def linear_map_as_model(L: LinearTemporalMap) -> SequenceModel:
     return model
 
 
-def copyk_oracle(k: int, T: int) -> float:
-    """Ground-truth normalized range of an exact ``k``-step delay line."""
+def copyk_oracle(k: int, T: int, mode: JacobianMode = JacobianMode.FINAL_OUTPUT,
+                 aggregation: Aggregation = Aggregation.MEAN) -> float | None:
+    """Ground-truth normalized range of an exact ``k``-step delay line over a
+    window of ``T`` steps; None where its profile is zero (degenerate).
+
+    Final-output mode reads ``k``.  In multi-output mode only the pairs
+    ``s - t = k`` carry a block, so the positions at lags ``l = k..T-1`` each
+    have one nonzero block among their ``l`` later outputs: the mean reads
+    ``(T-k) / sum_{l=k}^{T-1} 1/l`` and the max, a uniform profile over
+    those lags, ``(T+k-1)/2``.  With ``k = 0`` no later output depends on an
+    input, so the multi-output profile is zero.
+    """
     if not 0 <= k <= T - 1:
         raise SpecError(f"offset k must lie in 0..{T - 1}, got {k}")
-    return float(k)
+    if mode is JacobianMode.FINAL_OUTPUT:
+        return float(k)
+    if k == 0:
+        return None
+    if aggregation is Aggregation.MAX:
+        return (T + k - 1) / 2
+    return (T - k) / math.fsum(1.0 / lag for lag in range(k, T))
 
 
 def copyk_mae(rho_hats, k: int) -> float:

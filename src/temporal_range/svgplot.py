@@ -123,10 +123,10 @@ def line_chart(xs, ys, marker_x: float | None = None, title: str = "",
     vmax = _y_axis(parts, ys)
     span_x = _W - _ML - _MR
 
-    def rank_x(i: int) -> float:
+    def rank_x(pos: float) -> float:
         if len(xs) == 1:
             return _ML + span_x / 2
-        return _ML + i / (len(xs) - 1) * span_x
+        return _ML + pos / (len(xs) - 1) * span_x
 
     pts = " ".join(f"{_fmt(rank_x(i))},{_fmt(_y_pos(v, vmax))}"
                    for i, v in enumerate(ys))
@@ -153,6 +153,6 @@ def line_chart(xs, ys, marker_x: float | None = None, title: str = "",
                     frac = (mx - xs[i]) / (xs[i + 1] - xs[i])
                     pos = i + frac
                     break
-        _marker(parts, _ML + (pos / max(len(xs) - 1, 1)) * span_x, mx)
+        _marker(parts, rank_x(pos), mx)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

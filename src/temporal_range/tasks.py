@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import json
+import itertools
 import math
 
 import numpy as np
 
 from .errors import EpisodeFinished, FormatError, SpecError
 from .linalg import Rng
-from .models import _read_versioned_json
+from .models import _array_json, _object_json, _read_versioned_json, _write_json
 
 __all__ = [
     "CartPoleState",
@@ -298,16 +298,12 @@ def save_dataset(sequences: list[LabeledSequence], path, task: str,
         "n": len(sequences),
         "T": T,
         "d": d,
-        "sequences": [
-            {"x": [[v.hex() for v in row] for row in seq.x.tolist()],
-             "targets": seq.targets.tolist(),
-             "mask": seq.mask.astype(int).tolist()}
-            for seq in sequences
-        ],
+        "sequences": [],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_json(path, doc, "sequences", (
+        _object_json({"x": _array_json(seq.x, 3), "targets": _array_json(seq.targets, 3),
+                      "mask": _array_json(seq.mask, 3)}, 2)
+        for seq in sequences))
 
 
 def load_dataset(path) -> tuple[list[LabeledSequence], dict]:
@@ -323,10 +319,18 @@ def load_dataset(path) -> tuple[list[LabeledSequence], dict]:
                               f"sequences, its header declares n={header['n']!r}")
         sequences = []
         for i, entry in enumerate(doc["sequences"]):
-            x = np.array([[float.fromhex(v) for v in row] for row in entry["x"]])
-            if x.shape != (header["T"], header["d"]):
-                raise FormatError(f"dataset {path}: sequence {i} has shape {x.shape}, its "
+            rows = entry["x"]
+            values = np.fromiter(map(float.fromhex, itertools.chain.from_iterable(rows)),
+                                 dtype=np.float64)
+            widths = sorted(set(map(len, rows)))
+            if len(widths) > 1:
+                raise FormatError(f"dataset {path}: sequence {i} has rows of {widths} "
+                                  f"values, its header declares d={header['d']!r}")
+            shape = (len(rows), *widths)
+            if shape != (header["T"], header["d"]):
+                raise FormatError(f"dataset {path}: sequence {i} has shape {shape}, its "
                                   f"header declares T={header['T']!r}, d={header['d']!r}")
+            x = values.reshape(shape)
             targets = np.asarray(entry["targets"], dtype=np.int64)
             mask = np.asarray(entry["mask"], dtype=bool)
             if targets.shape != (header["T"],) or mask.shape != (header["T"],):

@@ -299,6 +299,54 @@ def test_dataset_count_other_than_the_header_n_is_an_input_error(tmp_path, capsy
     assert len(err) == 1 and err[0].startswith("error:") and "n=9" in err[0]
 
 
+def _error_line(capsys) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    return err[0]
+
+
+def test_dataset_bad_value_is_reported_before_a_later_short_sequence(tmp_path, capsys):
+    def corrupt(doc):
+        doc["sequences"][1]["x"][4][2] = "0xzz"
+        doc["sequences"][3]["x"] = doc["sequences"][3]["x"][:-1]
+
+    assert _train_on_edited_dataset(tmp_path, corrupt) == 2
+    assert _error_line(capsys) == (f"error: malformed dataset {tmp_path / 'd.json'}: "
+                                   "invalid hexadecimal floating-point string")
+
+
+def test_dataset_ragged_row_is_an_input_error(tmp_path, capsys):
+    def drop_value(doc):
+        doc["sequences"][2]["x"][3].pop()
+
+    assert _train_on_edited_dataset(tmp_path, drop_value) == 2
+    assert _error_line(capsys) == (f"error: dataset {tmp_path / 'd.json'}: sequence 2 "
+                                   "has rows of [3, 4] values, its header declares d=4")
+
+
+def test_dataset_non_string_value_is_an_input_error(tmp_path, capsys):
+    def number(doc):
+        doc["sequences"][0]["x"][1][0] = 0.5
+
+    assert _train_on_edited_dataset(tmp_path, number) == 2
+    with pytest.raises(TypeError) as exc:
+        float.fromhex(0.5)
+    assert _error_line(capsys) == (f"error: malformed dataset {tmp_path / 'd.json'}: "
+                                   f"{exc.value}")
+
+
+def test_checkpoint_data_count_other_than_its_shape_is_an_input_error(tmp_path, capsys):
+    ckpt = tmp_path / "m.json"
+    save_model(build_shift_copy_model(1, 2), ckpt)
+    doc = json.loads(ckpt.read_text())
+    doc["params"]["A"]["data"].pop()
+    ckpt.write_text(json.dumps(doc))
+    code = main(["analyze", "--model", str(ckpt), "--task", "copy", "--k", "1",
+                 "--T", "8", "--out-prefix", str(tmp_path / "r")])
+    assert code == 2
+    assert _error_line(capsys) == "error: parameter 'A': 15 values for shape (4, 4)"
+
+
 def test_ablate_has_no_metric_flag(capsys):
     # The CLI's datasets hold class-index targets only, so accuracy is the
     # one metric ablate can score.

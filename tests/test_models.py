@@ -205,6 +205,22 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
         assert np.array_equal(loaded.forward(x).outputs, model.forward(x).outputs)
 
 
+@pytest.mark.parametrize("kind", list(CellKind))
+@pytest.mark.parametrize("encoder_dim", [None, 4])
+def test_save_model_writes_the_json_encoders_bytes(tmp_path, kind, encoder_dim):
+    model = init_model(_spec(kind, 3, 5), 2, Rng(23), encoder_dim=encoder_dim)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = {"format": "temporal-range/model", "version": 1,
+           "cell_kind": kind.value, "input_dim": 3, "hidden_dim": 5,
+           "lem_dt": model.cell.lem_dt.hex(), "output_dim": 2,
+           "encoder_dim": encoder_dim,
+           "params": {name: {"shape": list(arr.shape),
+                             "data": [v.hex() for v in arr.ravel().tolist()]}
+                      for name, arr in model.params.items()}}
+    assert path.read_text(encoding="utf-8") == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
 def test_checkpoint_truncated_file_is_format_error(tmp_path):
     model = init_model(_spec(CellKind.GRU, 2, 3), 2, Rng(19))
     path = tmp_path / "model.json"

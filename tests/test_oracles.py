@@ -7,8 +7,8 @@ from temporal_range import oracles
 from temporal_range.errors import SpecError
 from temporal_range.gradients import JacobianMode, input_jacobians
 from temporal_range.linalg import NormKind, Rng, mat_norm
-from temporal_range.metric import (TRConfig, influence_weights, range_values,
-                                   temporal_range)
+from temporal_range.metric import (Aggregation, TRConfig, analyze, influence_weights,
+                                   range_values, temporal_range)
 from temporal_range.models import build_shift_copy_model
 from temporal_range.oracles import (LinearTemporalMap, RecurrenceSpec, _trial_maps,
                                     axiom_suite, copyk_mae, copyk_oracle,
@@ -88,6 +88,38 @@ def test_copyk_oracle_values_and_bounds():
         copyk_oracle(32, 32)
     with pytest.raises(SpecError):
         copyk_oracle(-1, 32)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("T", [8, 16, 64, 256])
+def test_copyk_oracle_closed_forms_match_analyze(k, T):
+    rng = Rng(100 * k + T)
+    for c, d in ((1, 1), (2, 3), (3, 2)):
+        model = build_shift_copy_model(k, d, np.asarray(rng.gaussian(size=(c, d))))
+        rollouts = [np.asarray(rng.gaussian(size=(T, d))) for _ in range(2)]
+        for mode, agg in ((JacobianMode.FINAL_OUTPUT, Aggregation.MEAN),
+                          (JacobianMode.MULTI_OUTPUT, Aggregation.MEAN),
+                          (JacobianMode.MULTI_OUTPUT, Aggregation.MAX)):
+            report = analyze(model, rollouts, TRConfig(aggregation=agg, mode=mode, T=T))
+            assert abs(report.rho_hat - copyk_oracle(k, T, mode, agg)) < 1e-12
+
+
+def test_copyk_oracle_multi_output_values():
+    # ROADMAP's delay line: k = 5 over T = 16 and 64.
+    assert round(copyk_oracle(5, 16, JacobianMode.MULTI_OUTPUT), 2) == 8.91
+    assert round(copyk_oracle(5, 64, JacobianMode.MULTI_OUTPUT), 2) == 22.31
+    assert copyk_oracle(5, 16, JacobianMode.MULTI_OUTPUT, Aggregation.MAX) == 10.0
+
+
+@pytest.mark.parametrize("agg", [Aggregation.MEAN, Aggregation.MAX])
+def test_zero_offset_delay_line_is_degenerate_in_multi_output_mode(agg):
+    T = 8
+    model = build_shift_copy_model(0, 2)
+    rollouts = [np.asarray(Rng(6).gaussian(size=(T, 2)))]
+    report = analyze(model, rollouts,
+                     TRConfig(aggregation=agg, mode=JacobianMode.MULTI_OUTPUT, T=T))
+    assert report.degenerate and report.rho_hat is None
+    assert copyk_oracle(0, T, JacobianMode.MULTI_OUTPUT, agg) is None
 
 
 def test_copyk_mae_of_exact_model_is_zero():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import pytest
 
@@ -32,9 +33,11 @@ CASES = {
     "line_marker_between": (
         line_chart, [1, 2, 4, 8], [0.25, 0.5, 1.0, 1.0], 3.0,
         "3734fc1eeee22cb2c30e6b646901a1a786bda8347ef959e09d9e1c7eae126263"),
+    # Redrawn on purpose: the marker now sits on the lone point (x = 340),
+    # not at the left axis (x = 60).
     "line_single_point": (
         line_chart, [5], [0.8], 5.0,
-        "afa226e5b149276082eccb60f7f76a028f8f0d884947567d45f00c888cb4e1be"),
+        "867de9c271c5fc0c29ad1e9d4e6a8788d2c292fac4485fdf0741e7f73e3d7564"),
     "line_nan_value": (
         line_chart, [1, 2, 3], [0.5, math.nan, 1.5], None,
         "eac45351668853e1478363e26a121f4cd85686fbd1eae3e0517cfa8ea53d74c5"),
@@ -47,3 +50,10 @@ def test_chart_markup_is_pinned(name):
     svg = chart(xs, ys, marker_x=marker, title="t", xlabel="x", ylabel="y",
                 comment="c")
     assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == want
+
+
+def test_marker_of_a_one_point_line_sits_on_the_point():
+    svg = line_chart([5], [0.8], marker_x=5.0)
+    point = re.search(r'<circle cx="([^"]+)"', svg).group(1)
+    marker = re.search(r'<line x1="([^"]+)"[^>]*stroke="crimson"', svg).group(1)
+    assert point == marker == "340.000"

@@ -236,6 +236,47 @@ def test_dataset_corrupt_and_version_errors(tmp_path):
         load_dataset(path)
 
 
+def _json_encoder_text(sequences, task, spec, seed):
+    """The container as ``json.dumps`` renders the whole document: the
+    reference the bulk writer must match byte for byte."""
+    T, d = sequences[0].x.shape
+    doc = {"format": "temporal-range/dataset", "version": 1, "task": task,
+           "spec": spec, "seed": seed, "n": len(sequences), "T": T, "d": d,
+           "sequences": [{"x": [[v.hex() for v in row] for row in seq.x.tolist()],
+                          "targets": seq.targets.tolist(),
+                          "mask": seq.mask.astype(int).tolist()}
+                         for seq in sequences]}
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+WRITER_CASES = {
+    "copy": lambda: gen_copyk(CopyTaskSpec(k=3, T=16, V=4), 5, Rng(40)),
+    "repeat-first": lambda: gen_repeatfirst(12, 3, 4, Rng(41)),
+    "cartpole-full": lambda: gen_imitation(ObsVariant(), 3, 10, Rng(42)),
+    "cartpole-stateless": lambda: gen_imitation(
+        ObsVariant(kind=ObsKind.STATELESS), 3, 10, Rng(43)),
+    "cartpole-noisy": lambda: gen_imitation(
+        ObsVariant(kind=ObsKind.NOISY_STATELESS, sigma=0.1), 3, 10, Rng(44)),
+    "one-sequence": lambda: gen_copyk(CopyTaskSpec(k=1, T=6, V=3), 1, Rng(45)),
+    "d=1": lambda: [LabeledSequence(x=np.asarray(Rng(46 + i).gaussian(size=(5, 1))),
+                                    targets=np.arange(5) % 2, mask=np.arange(5) > 0)
+                    for i in range(3)],
+    "T=2": lambda: gen_copyk(CopyTaskSpec(k=1, T=2, V=2), 4, Rng(47)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_save_dataset_writes_the_json_encoders_bytes(tmp_path, case):
+    sequences = WRITER_CASES[case]()
+    spec = {"case": case, "k": 1, "sigma": 0.1, "variant": None}
+    path = tmp_path / "dataset.json"
+    save_dataset(sequences, path, task="t", spec=spec, seed=48)
+    assert path.read_text(encoding="utf-8") == _json_encoder_text(sequences, "t", spec, 48)
+    loaded, _ = load_dataset(path)
+    for sa, sb in zip(sequences, loaded):
+        assert sa.x.tobytes() == sb.x.tobytes()
+
+
 def test_labeled_sequence_shape_validation():
     with pytest.raises(SpecError):
         LabeledSequence(x=np.zeros((4, 2)), targets=np.zeros(3, dtype=int),
