@@ -21,7 +21,7 @@ from .errors import (ConfigError, DivergenceError, EpisodeFinished,
 from .gradients import (JacobianBlocks, JacobianMode, LossKind, fd_jacobian,
                         input_jacobians, param_gradients, per_step_jacobians,
                         sequence_loss)
-from .linalg import NormKind, Rng, mat_norm, mat_norms, mat_pow
+from .linalg import NormKind, Rng, mat_norm, mat_norms
 from .metric import (Aggregation, InvarianceReport, RangeValues, TRConfig,
                      TemporalRangeReport, analyze, check_input_scaling,
                      check_output_scaling, influence_weights, profile_csv,
@@ -30,13 +30,12 @@ from .models import (CellSpec, OutputSequence, SequenceModel,
                      build_shift_copy_model, init_model, load_model,
                      save_model)
 from .oracles import (AxiomReport, LinearTemporalMap, RecurrenceSpec,
-                      axiom_suite, copyk_mae, copyk_oracle,
-                      linear_map_as_model, linear_map_range,
-                      pipeline_cross_checks, recurrence_as_model,
-                      recurrence_profile)
+                      axiom_suite, copyk_oracle, linear_map_as_model,
+                      linear_map_range, pipeline_cross_checks,
+                      recurrence_as_model, recurrence_profile)
 from .tasks import (CartPoleState, CopyTaskSpec, LabeledSequence, ObsKind,
                     ObsVariant, cartpole_step, expert_action, gen_copyk,
                     gen_imitation, gen_repeatfirst, load_dataset, observe,
                     run_expert_episode, save_dataset)
-from .training import (AdamState, Metric, OptConfig, TrainLog, adam_step,
+from .training import (AdamState, OptConfig, TrainLog, adam_step,
                        clip_by_global_norm, evaluate, train)

@@ -28,7 +28,7 @@ from .errors import SpecError
 from .metric import TemporalRangeReport
 from .models import OutputSequence, SequenceModel
 from .tasks import LabeledSequence
-from .training import Metric, score, stack_sequences
+from .training import score, stack_sequences
 
 __all__ = [
     "AblationCurve",
@@ -106,33 +106,18 @@ def _windowed_outputs(model: SequenceModel, X, windows) -> dict[int, np.ndarray]
 
 @dataclasses.dataclass
 class AblationCurve:
-    """Per-window performance against the full-context baseline.
-
-    ``normalized`` is mean performance divided by the baseline for
-    higher-is-better metrics; for MSE it is baseline divided by the
-    windowed error, so values near 1 always mean "close to full context".
-    """
+    """Per-window masked accuracy against the full-context baseline;
+    ``normalized`` is each window's accuracy divided by the baseline."""
 
     windows: list[int]
     mean: list[float]
     std: list[float]
     normalized: list[float]
     baseline: float
-    metric: Metric
-
-
-def _normalize(value: float, baseline: float, metric: Metric) -> float:
-    if metric is Metric.MSE:
-        if value <= 0:
-            return 1.0 if baseline <= 0 else math.inf
-        return baseline / value
-    if baseline == 0:
-        raise SpecError("cannot normalize against a zero baseline")
-    return value / baseline
 
 
 def ablation_sweep(model: SequenceModel, data: list[LabeledSequence],
-                   windows=DEFAULT_WINDOWS, metric: Metric = Metric.ACCURACY) -> AblationCurve:
+                   windows=DEFAULT_WINDOWS) -> AblationCurve:
     """Evaluate the model under each window and normalize to full context.
 
     Every window and the baseline come from one set of shared cold-restart
@@ -144,15 +129,17 @@ def ablation_sweep(model: SequenceModel, data: list[LabeledSequence],
         raise SpecError(f"windows must be distinct integers >= 1, got {windows}")
     X, targets, masks = stack_sequences(data)
     ys = _windowed_outputs(model, X, windows)
-    baseline = score(ys[X.shape[1]], targets, masks, metric)[0]
+    baseline = score(ys[X.shape[1]], targets, masks)[0]
+    if baseline == 0:
+        raise SpecError("cannot normalize against a zero baseline")
     means, stds, normalized = [], [], []
     for m in windows:
-        pooled, per_seq = score(ys[m], targets, masks, metric)
+        pooled, per_seq = score(ys[m], targets, masks)
         means.append(pooled)
         stds.append(float(np.std(per_seq)))
-        normalized.append(_normalize(pooled, baseline, metric))
+        normalized.append(pooled / baseline)
     return AblationCurve(windows=windows, mean=means, std=stds,
-                         normalized=normalized, baseline=baseline, metric=metric)
+                         normalized=normalized, baseline=baseline)
 
 
 def knee(curve: AblationCurve, threshold: float = 0.9) -> int | None:
@@ -178,7 +165,6 @@ class DeploymentCheck:
     perf_half: float
     retention_window: float
     retention_half: float
-    metric: Metric
 
 
 def deployment_windows(report: TemporalRangeReport) -> tuple[int, int]:
@@ -190,24 +176,23 @@ def deployment_windows(report: TemporalRangeReport) -> tuple[int, int]:
 
 
 def deployment_check(model: SequenceModel, data: list[LabeledSequence],
-                     report: TemporalRangeReport,
-                     metric: Metric = Metric.ACCURACY) -> DeploymentCheck:
+                     report: TemporalRangeReport) -> DeploymentCheck:
     """Evaluate at window ``ceil(rho_hat + 1)`` and at half that window.
 
     Retention is windowed performance relative to the full-context
     baseline (ratios may exceed 1; they are reported raw).
     """
-    return sweep_with_deployment(model, data, (), report, metric)[1]
+    return sweep_with_deployment(model, data, (), report)[1]
 
 
 def sweep_with_deployment(model: SequenceModel, data: list[LabeledSequence], windows,
-                          report: TemporalRangeReport, metric: Metric = Metric.ACCURACY
+                          report: TemporalRangeReport
                           ) -> tuple[AblationCurve, DeploymentCheck]:
     """``ablation_sweep`` over ``windows`` and ``deployment_check`` from one
     sweep over their union with the deployment windows: one baseline and
     one set of cold-restart passes."""
     window, half = deployment_windows(report)
-    sweep = ablation_sweep(model, data, (*windows, window, half), metric)
+    sweep = ablation_sweep(model, data, (*windows, window, half))
     at = {m: i for i, m in enumerate(sweep.windows)}
     keep = [at[m] for m in sorted(set(int(m) for m in windows))]
     curve = dataclasses.replace(sweep, **{
@@ -219,7 +204,6 @@ def sweep_with_deployment(model: SequenceModel, data: list[LabeledSequence], win
         perf_window=sweep.mean[at[window]], perf_half=sweep.mean[at[half]],
         retention_window=sweep.normalized[at[window]],
         retention_half=sweep.normalized[at[half]],
-        metric=metric,
     )
     return curve, check
 

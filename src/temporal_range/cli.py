@@ -13,7 +13,6 @@ tolerance, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -24,19 +23,21 @@ from . import __version__
 from .ablation import (ablation_sweep, curve_csv, deployment_windows,
                        sweep_with_deployment)
 from .errors import SpecError, TemporalRangeError
-from .gradients import JacobianMode, LossKind
+from .gradients import JacobianMode
 from .linalg import NormKind, Rng
-from .metric import (Aggregation, TRConfig, analyze, config_fingerprint,
-                     profile_csv, report_from_json, report_json)
+from .metric import (Aggregation, TRConfig, analyze, artifact_json,
+                     config_fingerprint, profile_csv, report_from_json,
+                     report_json)
 from .models import CellKind, CellSpec, init_model, load_model, save_model
 from .oracles import axiom_suite, pipeline_cross_checks
 from .svgplot import bar_chart, line_chart
 from .tasks import (CopyTaskSpec, ObsKind, ObsVariant, gen_copyk,
                     gen_imitation, gen_repeatfirst, load_dataset,
                     save_dataset)
-from .training import Metric, OptConfig, train
+from .training import OptConfig, train
 
 RESIDUAL_TOL = 1e-9
+DEFAULT_T = 32
 
 _NORMS = {"frobenius": NormKind.FROBENIUS, "spectral": NormKind.SPECTRAL}
 _AGGS = {"mean": Aggregation.MEAN, "max": Aggregation.MAX}
@@ -76,15 +77,15 @@ def _write_manifest(prefix: Path, command: str, config: dict, seed,
         "tool_version": __version__,
         "timestamp": _timestamp(),
     }
-    _write(_out(prefix, ".manifest.json"),
-           json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write(_out(prefix, ".manifest.json"), artifact_json(doc))
 
 
 def _add_task_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--task", choices=["copy", "repeatfirst", "cartpole"],
                    help="generate sequences from this task")
     p.add_argument("--k", type=int, default=3, help="copy offset")
-    p.add_argument("--T", type=int, default=32, help="sequence length")
+    p.add_argument("--T", type=int, help=f"sequence length of a generated task "
+                   f"(default {DEFAULT_T}); with --data, the dataset's T")
     p.add_argument("--V", type=int, default=4, help="symbol vocabulary size")
     p.add_argument("--variant", choices=sorted(_VARIANTS), default="stateless",
                    help="cartpole observation variant")
@@ -94,25 +95,30 @@ def _add_task_flags(p: argparse.ArgumentParser) -> None:
 
 def _gen_task_sequences(args, n: int, seed: int):
     rng = Rng(seed)
+    T = DEFAULT_T if args.T is None else args.T
     if args.task == "copy":
-        spec = CopyTaskSpec(k=args.k, T=args.T, V=args.V)
+        spec = CopyTaskSpec(k=args.k, T=T, V=args.V)
         return gen_copyk(spec, n, rng), {"task": "copy", "k": args.k,
-                                         "T": args.T, "V": args.V}
+                                         "T": T, "V": args.V}
     if args.task == "repeatfirst":
-        return (gen_repeatfirst(args.T, args.V, n, rng),
-                {"task": "repeatfirst", "T": args.T, "V": args.V})
+        return (gen_repeatfirst(T, args.V, n, rng),
+                {"task": "repeatfirst", "T": T, "V": args.V})
     if args.task == "cartpole":
         variant = ObsVariant(kind=_VARIANTS[args.variant], sigma=args.sigma)
-        return (gen_imitation(variant, n, args.T, rng),
+        return (gen_imitation(variant, n, T, rng),
                 {"task": "cartpole", "variant": args.variant,
-                 "sigma": args.sigma, "T": args.T})
+                 "sigma": args.sigma, "T": T})
     raise TemporalRangeError(f"unknown task {args.task!r}")
 
 
 def _load_sequences(args, n: int, seed: int):
-    """Sequences from --data if given, else generated from --task flags."""
+    """Sequences from --data if given, else generated from --task flags.
+    An explicit --T must match the dataset's T."""
     if getattr(args, "data", None):
         sequences, header = load_dataset(args.data)
+        if args.T is not None and args.T != header["T"]:
+            raise SpecError(f"--T {args.T} does not match the T={header['T']!r} "
+                            f"of dataset {args.data}")
         return sequences, {"source": args.data, **{k: header[k] for k in ("task", "spec")}}
     if not getattr(args, "task", None):
         raise TemporalRangeError("either --data or --task is required")
@@ -139,8 +145,7 @@ def _cmd_train(args) -> int:
     model = init_model(spec, n_classes, Rng(args.seed), encoder_dim=encoder_dim)
     cfg = OptConfig(lr=args.lr, batch_size=args.batch, steps=args.steps,
                     seed=args.seed, grad_clip=args.clip)
-    trained, log = train(model, sequences, cfg, loss=LossKind.CROSS_ENTROPY,
-                         metric=Metric.ACCURACY)
+    trained, log = train(model, sequences, cfg)
     prefix = Path(args.out_prefix)
     ckpt = _out(prefix, ".model.json")
     prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -152,8 +157,7 @@ def _cmd_train(args) -> int:
         "steps": len(log.losses),
         "final_loss": log.losses[-1] if log.losses else None,
     }
-    _write(_out(prefix, ".metrics.json"),
-           json.dumps(metrics, sort_keys=True, indent=2) + "\n")
+    _write(_out(prefix, ".metrics.json"), artifact_json(metrics))
     config = {"data": desc, "model": args.model, "hidden": args.hidden,
               "encoder_dim": args.encoder_dim, "lr": args.lr,
               "batch": args.batch, "steps": args.steps, "clip": args.clip,
@@ -171,10 +175,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_analyze(args) -> int:
     model = load_model(args.model)
-    cfg = TRConfig(norm=_NORMS[args.norm], aggregation=_AGGS[args.agg],
-                   mode=_MODES[args.mode], T=args.T)
     sequences, desc = _load_sequences(args, args.n_rollouts, args.seed)
     rollouts = [seq.x for seq in sequences[:args.n_rollouts]]
+    # The window is the rollouts' length; without rollouts analyze rejects the call.
+    cfg = TRConfig(norm=_NORMS[args.norm], aggregation=_AGGS[args.agg],
+                   mode=_MODES[args.mode], T=len(rollouts[0]) if rollouts else DEFAULT_T)
     report = analyze(model, rollouts, cfg)
     prefix = Path(args.out_prefix)
     _write(_out(prefix, ".report.json"), report_json(report))
@@ -227,7 +232,7 @@ def _cmd_oracle(args) -> int:
            "tolerance": RESIDUAL_TOL, "trials": args.trials,
            "seed": args.seed, "norm": args.norm,
            "passed": bool(worst < RESIDUAL_TOL)}
-    return _verdict(residuals, json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
+    return _verdict(residuals, artifact_json(doc), args.out)
 
 
 def _cmd_axioms(args) -> int:
@@ -271,16 +276,15 @@ def _cmd_ablate(args) -> int:
             "perf_window": check.perf_window, "perf_half": check.perf_half,
             "retention_window": check.retention_window,
             "retention_half": check.retention_half,
-            "metric": check.metric.value,
+            "metric": "accuracy",
         }
-        _write(_out(prefix, ".deployment.json"),
-               json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        _write(_out(prefix, ".deployment.json"), artifact_json(doc))
         outputs.append(str(_out(prefix, ".deployment.json")))
         print(f"deployment: window {check.window} retention "
               f"{check.retention_window:.3f}, half window {check.half_window} "
               f"retention {check.retention_half:.3f}")
     config = {"model": args.model, "data": desc, "windows": windows,
-              "metric": Metric.ACCURACY.value, "seed": args.seed,
+              "metric": "accuracy", "seed": args.seed,
               "report": args.report, "deploy": bool(args.deploy)}
     _write_manifest(prefix, "ablate", config, args.seed,
                     inputs=[p for p in (args.model, args.data, args.report) if p],

@@ -2,9 +2,9 @@
 
 Every numeric object in this package is a plain ``numpy.ndarray`` in
 float64.  This module adds the small amount of structure the rest of the
-code relies on: validated matrix construction, the two supported matrix
-norms, integer matrix powers, and a counter-based random number generator
-whose streams are reproducible regardless of how work is scheduled.
+code relies on: the two supported matrix norms and a counter-based random
+number generator whose streams are reproducible regardless of how work is
+scheduled.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ import enum
 
 import numpy as np
 
-from .errors import InvalidMatrix, ShapeMismatch, SpecError
+from .errors import InvalidMatrix, SpecError
 
-__all__ = ["NormKind", "Rng", "as_matrix", "mat_norm", "mat_norms", "mat_pow"]
+__all__ = ["NormKind", "Rng", "mat_norm", "mat_norms"]
 
 
 class NormKind(enum.Enum):
@@ -25,23 +25,16 @@ class NormKind(enum.Enum):
     SPECTRAL = "spectral"
 
 
-def as_matrix(values) -> np.ndarray:
-    """Validate and return ``values`` as a finite 2-D float64 array.
+def mat_norm(m, kind: NormKind = NormKind.FROBENIUS) -> float:
+    """Return the Frobenius norm or the largest singular value of ``m``.
 
     Raises:
-        InvalidMatrix: if the data is not 2-D or contains NaN/inf entries.
+        InvalidMatrix: if ``m`` is not 2-D or contains NaN/inf entries.
     """
-    m = np.asarray(values, dtype=np.float64)
+    m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise InvalidMatrix(f"expected a 2-D array, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
-        raise InvalidMatrix("matrix contains non-finite entries")
-    return m
-
-
-def mat_norm(m, kind: NormKind = NormKind.FROBENIUS) -> float:
-    """Return the Frobenius norm or the largest singular value of ``m``."""
-    return float(mat_norms(as_matrix(m), kind))
+    return float(mat_norms(m, kind))
 
 
 def mat_norms(stack, kind: NormKind = NormKind.FROBENIUS) -> np.ndarray:
@@ -74,32 +67,6 @@ def mat_norms(stack, kind: NormKind = NormKind.FROBENIUS) -> np.ndarray:
         gram = bt @ b if a.shape[-1] <= a.shape[-2] else b @ bt
         return scale * np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
     raise SpecError(f"unknown norm kind: {kind!r}")
-
-
-def mat_pow(a, n: int) -> np.ndarray:
-    """Return ``a`` raised to the non-negative integer power ``n``.
-
-    Uses exponentiation by squaring; ``n == 0`` yields the identity.
-
-    Raises:
-        ShapeMismatch: if ``a`` is not square.
-        SpecError: if ``n`` is negative.
-    """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeMismatch(f"matrix power requires a square matrix, got {a.shape}")
-    if n < 0:
-        raise SpecError(f"matrix power requires n >= 0, got {n}")
-    result = np.eye(a.shape[0])
-    base = a.copy()
-    e = int(n)
-    while e > 0:
-        if e & 1:
-            result = result @ base
-        e >>= 1
-        if e:
-            base = base @ base
-    return result
 
 
 class Rng:

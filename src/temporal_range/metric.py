@@ -38,6 +38,7 @@ __all__ = [
     "TRConfig",
     "TemporalRangeReport",
     "analyze",
+    "artifact_json",
     "canonical_json",
     "check_input_scaling",
     "check_output_scaling",
@@ -86,6 +87,12 @@ class TRConfig:
 def canonical_json(obj) -> str:
     """Stable serialization: sorted keys, no incidental whitespace."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def artifact_json(doc) -> str:
+    """The text of a JSON artifact: sorted keys, two-space indent, one
+    trailing newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def config_fingerprint(obj) -> str:
@@ -317,7 +324,7 @@ def report_json(report: TemporalRangeReport) -> str:
         "weights_mean_by_position": report.weights_mean.tolist(),
         "weights_std_by_position": report.weights_std.tolist(),
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return artifact_json(doc)
 
 
 def report_from_json(text: str) -> TemporalRangeReport:

@@ -19,15 +19,14 @@ normalized to unit total block norm.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 
 import numpy as np
 
 from .errors import SpecError
 from .linalg import NormKind, Rng, mat_norms
-from .metric import (Aggregation, RangeValues, TRConfig, analyze, range_values,
-                     temporal_range)
+from .metric import (Aggregation, RangeValues, TRConfig, analyze, artifact_json,
+                     range_values, temporal_range)
 from .gradients import JacobianMode
 from .models import CellKind, CellSpec, SequenceModel, build_shift_copy_model
 
@@ -36,7 +35,6 @@ __all__ = [
     "LinearTemporalMap",
     "RecurrenceSpec",
     "axiom_suite",
-    "copyk_mae",
     "copyk_oracle",
     "linear_map_as_model",
     "linear_map_range",
@@ -154,14 +152,6 @@ def copyk_oracle(k: int, T: int, mode: JacobianMode = JacobianMode.FINAL_OUTPUT,
     return (T - k) / math.fsum(1.0 / lag for lag in range(k, T))
 
 
-def copyk_mae(rho_hats, k: int) -> float:
-    """Mean absolute error of measured normalized ranges against ``k``."""
-    values = [v for v in rho_hats if v is not None]
-    if not values:
-        raise SpecError("no defined range values to score")
-    return float(np.mean([abs(v - k) for v in values]))
-
-
 @dataclasses.dataclass
 class AxiomReport:
     """Max residuals per axiom over randomized trials.  ``seed`` and
@@ -191,7 +181,7 @@ class AxiomReport:
         }
         if self.spawn_key:
             doc["spawn_key"] = list(self.spawn_key)
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return artifact_json(doc)
 
 
 def _trial_maps(rng: Rng, zero_coefficient: bool):

@@ -64,9 +64,12 @@ EXPERT_GAINS = (1.0, 2.0, 18.0, 4.0)
 class LabeledSequence:
     """One training sequence: observations, per-step targets, loss mask.
 
-    Targets are class indices ``(T,)`` for classification or float vectors
-    ``(T, c)`` for regression; the mask marks the steps where a target is
-    defined.
+    Targets are class indices ``(T,)``; the mask ``(T,)`` marks the steps
+    where a target is defined.
+
+    Raises:
+        SpecError: naming the first target that is not a non-negative
+            integer or mask entry that is not 0 or 1, or a shape mismatch.
     """
 
     x: np.ndarray
@@ -75,15 +78,28 @@ class LabeledSequence:
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
-        self.targets = np.asarray(self.targets)
-        if self.targets.dtype.kind in "iu":
-            self.targets = self.targets.astype(np.int64)
-        else:
-            self.targets = self.targets.astype(np.float64)
-        self.mask = np.asarray(self.mask, dtype=bool)
+        targets, mask = np.asarray(self.targets), np.asarray(self.mask)
         T = self.x.shape[0]
-        if self.targets.shape[0] != T or self.mask.shape != (T,):
-            raise SpecError("targets and mask must have one entry per step")
+        if targets.shape != (T,) or mask.shape != (T,):
+            raise SpecError(f"{targets.shape} targets and {mask.shape} mask entries "
+                            f"for {T} steps")
+        # Unsigned values of 2**63 and more turn negative here and fail too.
+        ints = targets.astype(np.int64) if targets.dtype.kind in "biu" else None
+        if ints is None or ints.min(initial=0) < 0:
+            bad = _first_entry(self.targets, lambda v: isinstance(v, int) and 0 <= v < 2 ** 63)
+            raise SpecError(f"target {bad} is not a class index (a non-negative integer)")
+        if mask.dtype != bool and not ((mask == 0) | (mask == 1)).all():
+            bad = _first_entry(self.mask, lambda v: v in (0, 1))
+            raise SpecError(f"mask entry {bad} is not 0 or 1")
+        self.targets, self.mask = ints, mask.astype(bool, copy=False)
+
+
+def _first_entry(values, ok) -> str:
+    """``"<value> at step <s>"`` for the first entry of ``values`` (a list or
+    an array, as given) that ``ok`` rejects; step 0 if it accepts them all."""
+    values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    step = next((s for s, v in enumerate(values) if not ok(v)), 0)
+    return f"{values[step]!r} at step {step}"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -286,8 +302,6 @@ def save_dataset(sequences: list[LabeledSequence], path, task: str,
     """Write sequences with a self-describing header to a JSON container."""
     if not sequences:
         raise SpecError("refusing to save an empty dataset")
-    if any(seq.targets.dtype.kind not in "iu" for seq in sequences):
-        raise SpecError("the dataset container stores class-index targets only")
     T, d = sequences[0].x.shape
     doc = {
         "format": DATASET_FORMAT,
@@ -309,7 +323,8 @@ def save_dataset(sequences: list[LabeledSequence], path, task: str,
 def load_dataset(path) -> tuple[list[LabeledSequence], dict]:
     """Read a dataset container; returns (sequences, header).  Sequences
     whose count, ``x`` shape, targets or mask disagree with the header's n,
-    T and d raise ``FormatError`` naming the first bad sequence."""
+    T and d, and targets or mask entries that ``LabeledSequence`` rejects,
+    raise ``FormatError`` naming the first bad sequence."""
     doc = _read_versioned_json(path, "dataset", DATASET_FORMAT, DATASET_VERSION,
                                "container")
     try:
@@ -330,14 +345,12 @@ def load_dataset(path) -> tuple[list[LabeledSequence], dict]:
             if shape != (header["T"], header["d"]):
                 raise FormatError(f"dataset {path}: sequence {i} has shape {shape}, its "
                                   f"header declares T={header['T']!r}, d={header['d']!r}")
-            x = values.reshape(shape)
-            targets = np.asarray(entry["targets"], dtype=np.int64)
-            mask = np.asarray(entry["mask"], dtype=bool)
-            if targets.shape != (header["T"],) or mask.shape != (header["T"],):
-                raise FormatError(f"dataset {path}: sequence {i} has {targets.shape} "
-                                  f"targets and {mask.shape} mask entries, its header "
-                                  f"declares T={header['T']!r}")
-            sequences.append(LabeledSequence(x=x, targets=targets, mask=mask))
+            try:
+                sequences.append(LabeledSequence(x=values.reshape(shape),
+                                                 targets=entry["targets"],
+                                                 mask=entry["mask"]))
+            except SpecError as exc:
+                raise FormatError(f"dataset {path}: sequence {i}: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed dataset {path}: {exc}") from exc
     return sequences, header

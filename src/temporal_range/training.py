@@ -11,7 +11,6 @@ so a broken backward rule fails fast instead of training quietly wrong.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import time
 
 import numpy as np
@@ -24,7 +23,6 @@ from .tasks import LabeledSequence
 
 __all__ = [
     "AdamState",
-    "Metric",
     "OptConfig",
     "TrainLog",
     "adam_step",
@@ -32,11 +30,6 @@ __all__ = [
     "evaluate",
     "train",
 ]
-
-
-class Metric(enum.Enum):
-    ACCURACY = "accuracy"
-    MSE = "mse"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -124,7 +117,6 @@ class TrainLog:
     losses: list[float]
     final_train_metric: float
     final_val_metric: float
-    metric: Metric
     wall_time_s: float
 
     def to_csv(self) -> str:
@@ -149,29 +141,28 @@ def stack_sequences(data: list[LabeledSequence]):
     return X, targets, masks
 
 
-def _batch_loss_and_grads(model: SequenceModel, X, targets, masks, loss: LossKind,
-                          forward=None):
-    """Mean-per-masked-step loss and its exact parameter gradients, from
-    one forward pass: ``forward`` if given, else ``model.forward_batch(X)``."""
+def _batch_loss_and_grads(model: SequenceModel, X, targets, masks, forward=None):
+    """Mean-per-masked-step cross-entropy and its exact parameter
+    gradients, from one forward pass: ``forward`` if given, else
+    ``model.forward_batch(X)``."""
     n_masked = int(masks.sum())
     if n_masked == 0:
         raise SpecError("no masked steps in batch")
     scale = 1.0 / n_masked
     if forward is None:
         forward = model.forward_batch(X)
-    total, d_ys = masked_loss(forward[0], targets, masks, loss)
+    total, d_ys = masked_loss(forward[0], targets, masks, LossKind.CROSS_ENTROPY)
     return total * scale, batch_param_gradients(model, X, d_ys * scale, forward)
 
 
-def _fd_spot_check(model: SequenceModel, X, targets, masks, loss: LossKind,
-                   rng: Rng, n_coords: int = 20, h: float = 1e-5,
-                   tol: float = 1e-4) -> None:
+def _fd_spot_check(model: SequenceModel, X, targets, masks, rng: Rng,
+                   n_coords: int = 20, h: float = 1e-5, tol: float = 1e-4) -> None:
     """Compare a few gradient coordinates against central differences."""
-    _, grads = _batch_loss_and_grads(model, X, targets, masks, loss)
+    _, grads = _batch_loss_and_grads(model, X, targets, masks)
     scale = 1.0 / int(masks.sum())
 
     def loss_only(m):
-        return masked_loss(m.outputs(X), targets, masks, loss)[0] * scale
+        return masked_loss(m.outputs(X), targets, masks, LossKind.CROSS_ENTROPY)[0] * scale
 
     names = sorted(model.params)
     for _ in range(n_coords):
@@ -194,10 +185,10 @@ def _fd_spot_check(model: SequenceModel, X, targets, masks, loss: LossKind,
                 f"{name}[{flat_index}]: analytic={an!r}, fd={fd!r}, rel={rel:.3e}")
 
 
-def train(model: SequenceModel, data: list[LabeledSequence], cfg: OptConfig,
-          loss: LossKind = LossKind.CROSS_ENTROPY,
-          metric: Metric = Metric.ACCURACY) -> tuple[SequenceModel, TrainLog]:
-    """Train a copy of ``model`` on ``data``; the input model is unchanged.
+def train(model: SequenceModel, data: list[LabeledSequence],
+          cfg: OptConfig) -> tuple[SequenceModel, TrainLog]:
+    """Train a copy of ``model`` on ``data`` by masked cross-entropy; the
+    input model is unchanged.  The log's metrics are masked accuracies.
 
     The data is shuffled once into train/validation splits and minibatch
     order is drawn from the config seed, so the same (seed, data, config)
@@ -217,7 +208,7 @@ def train(model: SequenceModel, data: list[LabeledSequence], cfg: OptConfig,
     state = AdamState.init(model.params)
 
     check_n = min(4, Xt.shape[0])
-    _fd_spot_check(model, Xt[:check_n], Tt[:check_n], Mt[:check_n], loss, rng)
+    _fd_spot_check(model, Xt[:check_n], Tt[:check_n], Mt[:check_n], rng)
 
     losses: list[float] = []
     initial_loss = None
@@ -236,8 +227,7 @@ def train(model: SequenceModel, data: list[LabeledSequence], cfg: OptConfig,
         # the allocator reuses its buffers instead of returning them to the
         # system and faulting them in again.
         forward = model.forward_batch(X_step)
-        value, grads = _batch_loss_and_grads(model, X_step, Tt[idx], Mt[idx], loss,
-                                             forward)
+        value, grads = _batch_loss_and_grads(model, X_step, Tt[idx], Mt[idx], forward)
         if not np.isfinite(value):
             raise DivergenceError(f"non-finite loss at step {step}")
         grads = clip_by_global_norm(grads, cfg.grad_clip)
@@ -251,37 +241,26 @@ def train(model: SequenceModel, data: list[LabeledSequence], cfg: OptConfig,
                 f"loss exceeded 10x the initial value for 100 consecutive "
                 f"steps (step {step})")
     del forward
-    train_metric = evaluate(model, [data[i] for i in train_idx], metric)
+    train_metric = evaluate(model, [data[i] for i in train_idx])
     if val_idx.size:
-        val_metric = evaluate(model, [data[i] for i in val_idx], metric)
+        val_metric = evaluate(model, [data[i] for i in val_idx])
     else:
         val_metric = train_metric
     log = TrainLog(losses=losses, final_train_metric=train_metric,
-                   final_val_metric=val_metric, metric=metric,
-                   wall_time_s=time.perf_counter() - t0)
+                   final_val_metric=val_metric, wall_time_s=time.perf_counter() - t0)
     return model, log
 
 
-def evaluate(model: SequenceModel, data: list[LabeledSequence],
-             metric: Metric = Metric.ACCURACY) -> float:
-    """Masked mean of the metric over all valid steps in ``data``."""
+def evaluate(model: SequenceModel, data: list[LabeledSequence]) -> float:
+    """Masked accuracy over all valid steps in ``data``."""
     X, targets, masks = stack_sequences(data)
-    return score(model.outputs(X), targets, masks, metric)[0]
+    return score(model.outputs(X), targets, masks)[0]
 
 
-def score(ys, targets, masks, metric: Metric) -> tuple[float, np.ndarray]:
-    """Masked metric of outputs ``ys`` (B, T, c): the mean over all valid
-    steps, and each sequence's own mean (0 without valid steps)."""
-    if metric is Metric.ACCURACY:
-        per_step = ys.argmax(axis=-1) == targets
-    elif metric is Metric.MSE:
-        if targets.shape != ys.shape:
-            raise SpecError(f"MSE targets of shape {targets.shape} do not match "
-                            f"outputs of shape {ys.shape}")
-        diff = ys - targets
-        per_step = np.mean(diff * diff, axis=-1)
-    else:
-        raise SpecError(f"unknown metric: {metric!r}")
-    per_step = per_step * masks
+def score(ys, targets, masks) -> tuple[float, np.ndarray]:
+    """Masked accuracy of outputs ``ys`` (B, T, c) against class-index
+    ``targets`` (B, T): the mean over all valid steps, and each sequence's
+    own mean (0 without valid steps)."""
+    per_step = (ys.argmax(axis=-1) == targets) * masks
     pooled = float(np.sum(per_step) / masks.sum())
     return pooled, per_step.sum(axis=1) / np.maximum(masks.sum(axis=1), 1)

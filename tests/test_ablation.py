@@ -12,7 +12,6 @@ from temporal_range.linalg import Rng
 from temporal_range.metric import TRConfig, analyze
 from temporal_range.models import CellKind, CellSpec, build_shift_copy_model, init_model
 from temporal_range.tasks import CopyTaskSpec, gen_copyk
-from temporal_range.training import Metric
 
 
 def test_windowed_forward_with_full_window_is_bitwise_identical():
@@ -90,7 +89,7 @@ def test_windowed_forward_rejects_bad_window():
 def test_knee_on_hand_curve():
     curve = AblationCurve(windows=[1, 2, 4, 8], mean=[0.2, 0.3, 0.95, 1.0],
                           std=[0.0] * 4, normalized=[0.2, 0.3, 0.95, 1.0],
-                          baseline=1.0, metric=Metric.ACCURACY)
+                          baseline=1.0)
     assert knee(curve, 0.9) == 4
     assert knee(curve, 0.99) == 8
     assert knee(dataclasses.replace(curve, normalized=[0.1, 0.2, 0.3, 0.4]),
@@ -103,7 +102,7 @@ def test_exact_delay_line_knee_is_one_past_the_offset():
     k, T = 3, 12
     data = gen_copyk(CopyTaskSpec(k=k, T=T, V=4), 40, Rng(6))
     model = build_shift_copy_model(k, 4)
-    curve = ablation_sweep(model, data, windows=range(1, 9), metric=Metric.ACCURACY)
+    curve = ablation_sweep(model, data, windows=range(1, 9))
     assert knee(curve, 0.99) == k + 1
 
 
@@ -112,7 +111,7 @@ def test_memoryless_model_has_a_flat_curve():
     # Score the memoryless identity readout on the copy task: accuracy is
     # insensitive to the window because nothing past the current step matters.
     model = build_shift_copy_model(0, 4)
-    curve = ablation_sweep(model, data, windows=(1, 2, 4, 8), metric=Metric.ACCURACY)
+    curve = ablation_sweep(model, data, windows=(1, 2, 4, 8))
     assert len(set(curve.mean)) == 1
     assert curve.normalized == pytest.approx([1.0] * 4)
 
@@ -167,7 +166,7 @@ def test_deployment_check_on_the_exact_delay_line():
     rollouts = [s.x for s in gen_copyk(CopyTaskSpec(k=k, T=T, V=4), 4, Rng(11))]
     report = analyze(model, rollouts, TRConfig(mode=JacobianMode.FINAL_OUTPUT, T=T))
     assert report.rho_hat == pytest.approx(3.0, abs=1e-12)
-    check = deployment_check(model, data, report, Metric.ACCURACY)
+    check = deployment_check(model, data, report)
     assert check.window == 4
     assert check.half_window == 2
     assert check.retention_window == pytest.approx(1.0, abs=1e-12)
@@ -182,7 +181,7 @@ def test_deployment_check_with_window_past_t_keeps_everything():
     rollouts = [s.x for s in gen_copyk(CopyTaskSpec(k=k, T=T, V=4), 2, Rng(13))]
     report = analyze(model, rollouts, TRConfig(mode=JacobianMode.FINAL_OUTPUT, T=T))
     big = dataclasses.replace(report, rho_hat=float(T + 3))
-    check = deployment_check(model, data, big, Metric.ACCURACY)
+    check = deployment_check(model, data, big)
     assert check.retention_window == 1.0
 
 
@@ -193,7 +192,7 @@ def test_deployment_check_with_equal_windows_reports_both():
     rollouts = [s.x for s in data[:2]]
     report = analyze(model, rollouts, TRConfig(mode=JacobianMode.FINAL_OUTPUT, T=8))
     assert report.rho_hat == 0.0
-    check = deployment_check(model, data, report, Metric.ACCURACY)
+    check = deployment_check(model, data, report)
     assert check.window == check.half_window == 1
     assert check.retention_window == 1.0
     assert check.retention_half == 1.0
@@ -206,4 +205,4 @@ def test_deployment_check_rejects_degenerate_reports():
     report = analyze(model, rollouts, TRConfig(T=6))
     assert report.degenerate
     with pytest.raises(SpecError):
-        deployment_check(model, data, report, Metric.ACCURACY)
+        deployment_check(model, data, report)

@@ -27,7 +27,7 @@ from temporal_range.models import (CellKind, CellSpec, build_shift_copy_model,
 from temporal_range.oracles import (RecurrenceSpec, axiom_suite, copyk_oracle,
                                     recurrence_as_model, recurrence_profile)
 from temporal_range.tasks import CopyTaskSpec, gen_copyk
-from temporal_range.training import Metric, OptConfig, train
+from temporal_range.training import OptConfig, train
 
 RESIDUAL_TOL = 1e-9
 WINDOW_GRID = (1, 2, 4, 8, 16, 32)
@@ -275,7 +275,7 @@ def test_criterion_08_window_ablation_knees(trained_models, verdict):
         eval_data = gen_copyk(CopyTaskSpec(k=k, T=32, V=4), 200, Rng(8000 + k))
         for seed in (1, 2, 3):
             curve = ablation_sweep(trained_models["models"][(k, seed)],
-                                   eval_data, WINDOW_GRID, Metric.ACCURACY)
+                                   eval_data, WINDOW_GRID)
             by_window = dict(zip(curve.windows, curve.normalized))
             for m, norm_perf in by_window.items():
                 if m >= k + 1 and norm_perf < 0.9:
@@ -298,7 +298,7 @@ def test_criterion_09_deployment_windows(trained_models, proxy_window_report, ve
     details = [f"proxy rho_hat estimate {report.rho_hat:.2f}"]
     for seed in (1, 2, 3):
         check = deployment_check(trained_models["models"][(3, seed)],
-                                 eval_data, report, Metric.ACCURACY)
+                                 eval_data, report)
         details.append(f"seed {seed}: window {check.window} retention "
                        f"{check.retention_window:.3f}, half {check.half_window} "
                        f"retention {check.retention_half:.3f}")

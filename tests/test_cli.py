@@ -335,6 +335,43 @@ def test_dataset_non_string_value_is_an_input_error(tmp_path, capsys):
                                    f"{exc.value}")
 
 
+@pytest.mark.parametrize("edits, message", [
+    # A float target is not truncated and a mask entry of 5 is not read as
+    # True; the target is reported first.
+    ({"targets": (0, 4, 2.7), "mask": (0, 1, 5)},
+     "sequence 0: target 2.7 at step 4 is not a class index (a non-negative integer)"),
+    ({"mask": (2, 1, 5)}, "sequence 2: mask entry 5 at step 1 is not 0 or 1"),
+    ({"targets": (3, 5, -1)},
+     "sequence 3: target -1 at step 5 is not a class index (a non-negative integer)"),
+])
+def test_dataset_entry_that_is_no_class_index_or_mask_bit_is_an_input_error(
+        tmp_path, capsys, edits, message):
+    def edit(doc):
+        for key, (i, step, value) in edits.items():
+            doc["sequences"][i][key][step] = value
+
+    assert _train_on_edited_dataset(tmp_path, edit) == 2
+    assert _error_line(capsys) == f"error: dataset {tmp_path / 'd.json'}: {message}"
+
+
+def test_analyze_takes_its_window_from_the_dataset(tmp_path, capsys):
+    data = tmp_path / "d.json"
+    assert main(["gen-data", "--task", "copy", "--k", "2", "--T", "12", "--n", "4",
+                 "--seed", "0", "--out", str(data)]) == 0
+    ckpt = tmp_path / "m.json"
+    save_model(build_shift_copy_model(2, 4), ckpt)
+    for T in ([], ["--T", "12"]):
+        assert main(["analyze", "--model", str(ckpt), "--data", str(data), *T,
+                     "--mode", "final", "--out-prefix", str(tmp_path / "r")]) == 0
+        report = json.loads((tmp_path / "r.report.json").read_text())
+        assert report["config"]["T"] == 12
+        assert report["rho_hat"] == pytest.approx(2.0, abs=1e-12)
+    capsys.readouterr()
+    assert main(["analyze", "--model", str(ckpt), "--data", str(data), "--T", "32",
+                 "--out-prefix", str(tmp_path / "r")]) == 2
+    assert _error_line(capsys) == f"error: --T 32 does not match the T=12 of dataset {data}"
+
+
 def test_checkpoint_data_count_other_than_its_shape_is_an_input_error(tmp_path, capsys):
     ckpt = tmp_path / "m.json"
     save_model(build_shift_copy_model(1, 2), ckpt)

@@ -6,7 +6,7 @@ from temporal_range.gradients import (JacobianMode, LossKind,
                                       batch_param_gradients, fd_jacobian,
                                       input_jacobians, param_gradients,
                                       per_step_jacobians, sequence_loss)
-from temporal_range.linalg import Rng, mat_pow
+from temporal_range.linalg import Rng
 from temporal_range.models import (CellKind, CellSpec, SequenceModel,
                                    build_shift_copy_model, init_model)
 from temporal_range.oracles import RecurrenceSpec, recurrence_as_model
@@ -51,7 +51,7 @@ def test_linear_recurrence_final_blocks_are_propagator_products():
     x = np.asarray(rng.gaussian(size=(T, d)))
     blocks = input_jacobians(model, x, JacobianMode.FINAL_OUTPUT)
     for t in range(1, T + 1):
-        expected = Q @ mat_pow(A, T - t) @ C
+        expected = Q @ np.linalg.matrix_power(A, T - t) @ C
         assert np.max(np.abs(blocks.blocks[T, t] - expected)) < 1e-10
 
 

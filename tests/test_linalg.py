@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from temporal_range.errors import InvalidMatrix, ShapeMismatch, SpecError
-from temporal_range.linalg import NormKind, Rng, mat_norm, mat_norms, mat_pow
+from temporal_range.errors import InvalidMatrix
+from temporal_range.linalg import NormKind, Rng, mat_norm, mat_norms
 
 
 def test_frobenius_345_triple():
@@ -60,6 +60,12 @@ def test_norm_rejects_non_finite():
         mat_norm([[np.nan, 1.0]])
     with pytest.raises(InvalidMatrix):
         mat_norm([[np.inf], [0.0]], NormKind.SPECTRAL)
+
+
+def test_mat_norm_takes_one_matrix_only():
+    for values in ([1.0, 2.0], np.zeros((2, 2, 2))):
+        with pytest.raises(InvalidMatrix, match="2-D"):
+            mat_norm(values)
 
 
 def test_spectral_near_tie_is_exact():
@@ -126,41 +132,6 @@ def test_mat_norms_rejects_non_finite(kind):
     stack[1, 0, 1] = -np.inf
     with pytest.raises(InvalidMatrix):
         mat_norms(stack, kind)
-
-
-def test_mat_pow_zero_gives_identity():
-    a = np.asarray(Rng(4).gaussian(size=(3, 3)))
-    assert np.array_equal(mat_pow(a, 0), np.eye(3))
-
-
-def test_mat_pow_diagonal():
-    result = mat_pow(np.diag([0.5]), 3)
-    assert result == pytest.approx(np.diag([0.125]), abs=1e-15)
-
-
-def test_mat_pow_nilpotent():
-    n = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert np.array_equal(mat_pow(n, 2), np.zeros((2, 2)))
-
-
-def test_mat_pow_additivity_of_exponents():
-    rng = Rng(5)
-    a = np.asarray(rng.gaussian(size=(4, 4))) * 0.5
-    for m, n in [(1, 2), (3, 4), (0, 5), (2, 2)]:
-        left = mat_pow(a, m + n)
-        right = mat_pow(a, m) @ mat_pow(a, n)
-        scale = np.max(np.abs(left)) + 1e-30
-        assert np.max(np.abs(left - right)) / scale < 1e-10
-
-
-def test_mat_pow_requires_square():
-    with pytest.raises(ShapeMismatch):
-        mat_pow(np.zeros((2, 3)), 2)
-
-
-def test_mat_pow_rejects_negative_exponent():
-    with pytest.raises(SpecError):
-        mat_pow(np.eye(2), -1)
 
 
 def test_rng_same_seed_same_streams():

@@ -11,7 +11,7 @@ from temporal_range.metric import (Aggregation, TRConfig, analyze, influence_wei
                                    range_values, temporal_range)
 from temporal_range.models import build_shift_copy_model
 from temporal_range.oracles import (LinearTemporalMap, RecurrenceSpec, _trial_maps,
-                                    axiom_suite, copyk_mae, copyk_oracle,
+                                    axiom_suite, copyk_oracle,
                                     linear_map_as_model, linear_map_range,
                                     pipeline_cross_checks,
                                     recurrence_as_model, recurrence_profile)
@@ -120,19 +120,6 @@ def test_zero_offset_delay_line_is_degenerate_in_multi_output_mode(agg):
                      TRConfig(aggregation=agg, mode=JacobianMode.MULTI_OUTPUT, T=T))
     assert report.degenerate and report.rho_hat is None
     assert copyk_oracle(0, T, JacobianMode.MULTI_OUTPUT, agg) is None
-
-
-def test_copyk_mae_of_exact_model_is_zero():
-    rng = Rng(2)
-    k, T = 4, 12
-    model = build_shift_copy_model(k, 2)
-    cfg = TRConfig(mode=JacobianMode.FINAL_OUTPUT, T=T)
-    rho_hats = []
-    for _ in range(3):
-        x = np.asarray(rng.gaussian(size=(T, 2)))
-        rv = temporal_range(influence_weights(input_jacobians(model, x, cfg.mode), cfg))
-        rho_hats.append(rv.rho_hat)
-    assert copyk_mae(rho_hats, k) == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("norm", [NormKind.FROBENIUS, NormKind.SPECTRAL])

@@ -281,3 +281,20 @@ def test_labeled_sequence_shape_validation():
     with pytest.raises(SpecError):
         LabeledSequence(x=np.zeros((4, 2)), targets=np.zeros(3, dtype=int),
                         mask=np.ones(4, dtype=bool))
+
+
+@pytest.mark.parametrize("targets, mask, message", [
+    ([0, 1, 2.7, 1], [1, 1, 1, 1], "target 2.7 at step 2 is not a class index"),
+    (np.array([0.0, 1.0, 2.0, 1.0]), [1, 1, 1, 1], "target 0.0 at step 0 is not"),
+    ([0, 1, -1, 1], [1, 1, 1, 1], "target -1 at step 2 is not"),
+    (np.array([0, 2 ** 63, 1, 1], dtype=np.uint64), [1, 1, 1, 1],
+     "target 9223372036854775808 at step 1 is not"),
+    ([0, 1, 2, 1], [0, 5, 1, 1], "mask entry 5 at step 1 is not 0 or 1"),
+    ([0, 1, 2, 1], [0, 1, 0.5, 1], "mask entry 0.5 at step 2 is not 0 or 1"),
+])
+def test_labeled_sequence_takes_class_indices_and_a_zero_one_mask(targets, mask, message):
+    with pytest.raises(SpecError, match=message):
+        LabeledSequence(x=np.zeros((4, 2)), targets=targets, mask=mask)
+    seq = LabeledSequence(x=np.zeros((4, 2)), targets=[0, 1, 2, 1], mask=[0, 1, 1, 1])
+    assert seq.targets.dtype == np.int64 and seq.mask.dtype == bool
+    assert seq.mask.tolist() == [False, True, True, True]

@@ -9,10 +9,10 @@ from temporal_range.linalg import Rng
 from temporal_range.models import (CellKind, CellSpec, SequenceModel,
                                    build_shift_copy_model, init_model)
 from temporal_range.tasks import CopyTaskSpec, LabeledSequence, gen_copyk
-from temporal_range.training import (AdamState, Metric, OptConfig,
+from temporal_range.training import (AdamState, OptConfig,
                                      _batch_loss_and_grads, adam_step,
                                      clip_by_global_norm, evaluate,
-                                     global_norm, score, stack_sequences, train)
+                                     global_norm, stack_sequences, train)
 
 
 def test_adam_zero_gradient_leaves_parameters_unchanged():
@@ -143,7 +143,7 @@ def test_evaluate_perfect_predictor_scores_one():
     k, T = 2, 10
     data = _tiny_copy_data(k=k, T=T, n=10, seed=6)
     model = build_shift_copy_model(k, 4)
-    assert evaluate(model, data, Metric.ACCURACY) == 1.0
+    assert evaluate(model, data) == 1.0
 
 
 def test_evaluate_constant_predictor_scores_near_chance():
@@ -151,24 +151,10 @@ def test_evaluate_constant_predictor_scores_near_chance():
     model = build_shift_copy_model(0, 4)
     for name in model.params:
         model.params[name][:] = 0.0
-    acc = evaluate(model, data, Metric.ACCURACY)  # argmax of zeros is class 0
+    acc = evaluate(model, data)  # argmax of zeros is class 0
     n = sum(int(s.mask.sum()) for s in data)
     sigma = np.sqrt(0.25 * 0.75 / n)
     assert abs(acc - 0.25) <= 3 * sigma
-
-
-def test_evaluate_mse_metric():
-    model = build_shift_copy_model(0, 2)
-    x = np.asarray(Rng(8).gaussian(size=(5, 2)))
-    seq = LabeledSequence(x=x, targets=x.copy(), mask=np.ones(5, dtype=bool))
-    assert evaluate(model, [seq], Metric.MSE) == pytest.approx(0.0, abs=1e-18)
-
-
-def test_mse_score_rejects_class_index_targets():
-    ys = np.zeros((2, 5, 3))
-    with pytest.raises(SpecError):
-        score(ys, np.zeros((2, 5), dtype=np.int64), np.ones((2, 5), dtype=bool),
-              Metric.MSE)
 
 
 def test_evaluate_rejects_empty_mask():
@@ -176,7 +162,7 @@ def test_evaluate_rejects_empty_mask():
                           mask=np.zeros(4, dtype=bool))
     model = build_shift_copy_model(0, 2)
     with pytest.raises(SpecError):
-        evaluate(model, [seq], Metric.ACCURACY)
+        evaluate(model, [seq])
 
 
 def test_opt_config_validation():
@@ -218,7 +204,7 @@ def test_batch_gradients_are_the_scaled_sum_of_per_sequence_gradients(kind, enco
     model = init_model(CellSpec(kind=kind, input_dim=4, hidden_dim=6), 4,
                        Rng(13), encoder_dim=encoder_dim)
     loss = LossKind.CROSS_ENTROPY
-    value, grads = _batch_loss_and_grads(model, X, targets, masks, loss)
+    value, grads = _batch_loss_and_grads(model, X, targets, masks)
     n_masked = int(masks.sum())
     per_seq = [(param_gradients(model, x, t, loss, np.flatnonzero(m) + 1),
                 sequence_loss(model, x, t, loss, np.flatnonzero(m) + 1))
