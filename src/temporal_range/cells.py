@@ -19,9 +19,10 @@ Each cell kind provides:
   from the stacked recurrent weights ``rec`` and the step's input parts
   ``proj`` (B, G*p).  It writes the new state and each field into the
   targets ``out = (new, *fields)`` and returns them; without targets it
-  allocates them.  A forward pass hands each step its slice of one
-  time-major buffer per field and of the state trajectory, so nothing is
-  copied after the step.
+  allocates them.  The LEM step also takes its base step ``dt`` by
+  keyword, from ``CellSpec.lem_dt``.  A forward pass hands each step its
+  slice of one time-major buffer per field and of the state trajectory,
+  so nothing is copied after the step.
 * ``views(prev, fields)``: the named arrays a step's cache holds (``h``,
   ``z``, ``r``, ... as views of the previous state and the fields), for
   any leading axes: one step, or all steps of a trace at once.
@@ -34,12 +35,14 @@ Each cell kind provides:
   sensitivities (multi-output Jacobians) use these factors.
 * ``backward(rec, cache, d_new, d_pre, d_prev)``: the recurrent part of the
   reverse-mode rule; writes the gradient of every gate pre-activation into
-  ``d_pre`` (B, G*p) and the gradient with respect to the previous state
-  into ``d_prev`` (B, S).  It serves training (BPTT), where weight
-  gradients are products of ``d_pre`` with the cell inputs and the
-  operands, taken over all steps at once by the caller, and final-output
-  Jacobians, where ``d_pre`` times the stacked input weights is a row
-  block of ``d y_T / d u_t``.
+  ``d_pre`` (..., B, G*p) and the gradient with respect to the previous
+  state into ``d_prev`` (..., B, S).  It indexes trailing axes only, so an
+  adjoint ``d_new`` (..., B, S) with leading axes broadcasts against a
+  ``(B, .)`` step cache.  It serves training (BPTT), with no leading axes,
+  where weight gradients are products of ``d_pre`` with the cell inputs
+  and the operands, taken over all steps at once by the caller, and
+  final-output Jacobians, one leading row per output, where ``d_pre``
+  times the stacked input weights is a row block of ``d y_T / d u_t``.
 
 States are flat vectors: plain hidden ``h`` for the linear recurrence and
 the GRU, ``[h, c]`` for the LSTM, and ``[y, z]`` for the LEM cell.  The
@@ -218,12 +221,12 @@ class _GRU:
         h, zr, z, r, n = (cache[k] for k in ("h", "zr", "z", "r", "n"))
         p = h.shape[-1]
         dh = d_new * z
-        dan = d_pre[:, 2 * p:]
+        dan = d_pre[..., 2 * p:]
         np.multiply(d_new - dh, 1.0 - n * n, out=dan)
         drh = dan @ rec[1].T
-        dzr = d_pre[:, :2 * p]
-        np.multiply(d_new, h - n, out=dzr[:, :p])
-        np.multiply(drh, h, out=dzr[:, p:])
+        dzr = d_pre[..., :2 * p]
+        np.multiply(d_new, h - n, out=dzr[..., :p])
+        np.multiply(drh, h, out=dzr[..., p:])
         dzr *= zr * (1.0 - zr)
         # dh + drh * r + dzr @ Uzr
         np.multiply(drh, r, out=d_prev)
@@ -305,16 +308,16 @@ class _LSTM:
         c, ifo, i, f, o, g, hc = (
             cache[k] for k in ("c", "ifo", "i", "f", "o", "g", "hc"))
         p = c.shape[-1]
-        dh_new, dc_ext = d_new[:, :p], d_new[:, p:]
+        dh_new, dc_ext = d_new[..., :p], d_new[..., p:]
         dcn = dc_ext + dh_new * o * (1.0 - hc * hc)
-        difo = d_pre[:, :3 * p]
-        np.multiply(dcn, g, out=difo[:, :p])
-        np.multiply(dcn, c, out=difo[:, p:2 * p])
-        np.multiply(dh_new, hc, out=difo[:, 2 * p:])
+        difo = d_pre[..., :3 * p]
+        np.multiply(dcn, g, out=difo[..., :p])
+        np.multiply(dcn, c, out=difo[..., p:2 * p])
+        np.multiply(dh_new, hc, out=difo[..., 2 * p:])
         difo *= ifo * (1.0 - ifo)
-        np.multiply(dcn * i, 1.0 - g * g, out=d_pre[:, 3 * p:])
-        np.matmul(d_pre, rec[0].T, out=d_prev[:, :p])
-        np.multiply(dcn, f, out=d_prev[:, p:])
+        np.multiply(dcn * i, 1.0 - g * g, out=d_pre[..., 3 * p:])
+        np.matmul(d_pre, rec[0].T, out=d_prev[..., :p])
+        np.multiply(dcn, f, out=d_prev[..., p:])
 
 
 class _LEM:
@@ -336,7 +339,7 @@ class _LEM:
         }
 
     @staticmethod
-    def step(rec, state, proj, out=None, dt=0.5):
+    def step(rec, state, proj, out=None, *, dt):
         new, g, tz, ty = out or _targets(_LEM, state)
         p = state.shape[-1] // 2
         y, z = state[:, :p], state[:, p:]
@@ -404,19 +407,19 @@ class _LEM:
             cache[k] for k in ("y", "z", "g", "g1", "g2", "tz", "ty"))
         dt = cache["dt"]
         p = y.shape[-1]
-        dy_new, dz_ext = d_new[:, :p], d_new[:, p:]
+        dy_new, dz_ext = d_new[..., :p], d_new[..., p:]
         dt1, dt2 = dt * g1, dt * g2
-        day = d_pre[:, 3 * p:]
+        day = d_pre[..., 3 * p:]
         np.multiply(dy_new * dt2, 1.0 - ty * ty, out=day)
         dz_new = dz_ext + day @ rec[1].T
-        np.multiply(dz_new * dt1, 1.0 - tz * tz, out=d_pre[:, 2 * p:3 * p])
-        dg = d_pre[:, :2 * p]
-        np.multiply(dz_new, tz - z, out=dg[:, :p])
-        np.multiply(dy_new, ty - y, out=dg[:, p:])
+        np.multiply(dz_new * dt1, 1.0 - tz * tz, out=d_pre[..., 2 * p:3 * p])
+        dg = d_pre[..., :2 * p]
+        np.multiply(dz_new, tz - z, out=dg[..., :p])
+        np.multiply(dy_new, ty - y, out=dg[..., p:])
         dg *= dt * g * (1.0 - g)
-        np.matmul(d_pre[:, :3 * p], rec[0].T, out=d_prev[:, :p])
-        d_prev[:, :p] += dy_new * (1.0 - dt2)
-        np.multiply(dz_new, 1.0 - dt1, out=d_prev[:, p:])
+        np.matmul(d_pre[..., :3 * p], rec[0].T, out=d_prev[..., :p])
+        d_prev[..., :p] += dy_new * (1.0 - dt2)
+        np.multiply(dz_new, 1.0 - dt1, out=d_prev[..., p:])
 
 
 _IMPLS = {

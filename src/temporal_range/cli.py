@@ -174,6 +174,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    if args.n_rollouts < 1:
+        raise SpecError(f"--n-rollouts must be >= 1, got {args.n_rollouts}")
     model = load_model(args.model)
     sequences, desc = _load_sequences(args, args.n_rollouts, args.seed)
     rollouts = [seq.x for seq in sequences[:args.n_rollouts]]

@@ -137,11 +137,11 @@ def multi_output_blocks(model: SequenceModel, X):
 
 def final_output_blocks(model: SequenceModel, X) -> np.ndarray:
     """Blocks ``J[T, t]`` of a batch ``X`` (R, T, d), shape (R, T, c, d), by
-    reverse accumulation: the adjoint ``d y_T / d state_t`` (R*c, S), one row
-    per rollout and output, starts at the decoder rows and goes back one step
-    at a time through the cell's ``backward`` rule, with every trace row
-    repeated once per output.  Each step's gate gradients times the stacked
-    input weights (and the encoder's derivative) give ``J[T, t]``.
+    reverse accumulation: the adjoint ``d y_T / d state_t`` (c, R, S), one
+    leading row per output, starts at the decoder rows and goes back through
+    the trace's steps by the cell's ``backward`` rule, which broadcasts it
+    against each step's ``(R, .)`` cache.  Each step's gate gradients times
+    the stacked input weights (and the encoder's derivative) give ``J[T, t]``.
 
     Raises:
         NumericalError: naming the step where the adjoint or a block is not finite.
@@ -153,21 +153,20 @@ def final_output_blocks(model: SequenceModel, X) -> np.ndarray:
     rec = recurrent_stacks(impl, params)
     w_in = stacked(params, impl.input_names)
     _, _, trace = model.forward_batch(X)
-    adjoint = np.tile(_decoder_rows(model), (R, 1))
+    adjoint = np.repeat(_decoder_rows(model)[:, None], R, axis=1)
     spare = np.empty_like(adjoint)
-    d_pre = np.empty((R * c, w_in.shape[0]))
+    d_pre = np.empty((c, R, w_in.shape[0]))
     blocks = np.empty((R, T, c, d))
-    for t in range(T, 0, -1):
-        cache = trace.repeated_step(t - 1, c)
+    for t, cache in zip(range(T, 0, -1), reversed(trace.steps)):
         # Overflow here is caught by the finiteness check below.
         with np.errstate(over="ignore", invalid="ignore"):
             impl.backward(rec, cache, adjoint, d_pre, spare)
             adjoint, spare = spare, adjoint
-            block = (d_pre @ w_in).reshape(R, c, -1)
+            block = d_pre @ w_in
             if model.encoder_dim is not None:
-                u = trace.inputs[t - 1][:, None]
+                u = trace.inputs[t - 1]
                 block = (block * (1.0 - u * u)) @ params["enc_W"]
-        blocks[:, t - 1] = block
+        blocks[:, t - 1] = np.swapaxes(block, 0, 1)
         if not (np.all(np.isfinite(block)) and (t == 1 or np.all(np.isfinite(adjoint)))):
             raise NumericalError(f"non-finite adjoint at step t={t}")
     return blocks
@@ -191,10 +190,10 @@ def input_jacobians(model: SequenceModel, x,
     return JacobianBlocks(T=T, mode=mode, blocks=blocks)
 
 
-def fd_jacobian(model: SequenceModel, x, s: int, t: int, h: float = FD_STEP) -> np.ndarray:
+def fd_jacobian(model: SequenceModel, x, s: int, t: int) -> np.ndarray:
     """Central-difference estimate of ``d y_s / d x_t``; zero when ``t > s``.
 
-    Each input coordinate ``x[t, j]`` is perturbed by ``h * max(1, |x[t, j]|)``
+    Each input coordinate ``x[t, j]`` is perturbed by ``FD_STEP * max(1, |x[t, j]|)``
     in both directions.  This is the independent oracle the analytic path is
     validated against.
     """
@@ -209,7 +208,7 @@ def fd_jacobian(model: SequenceModel, x, s: int, t: int, h: float = FD_STEP) -> 
     # Outputs at step s do not depend on later inputs; truncate the unroll.
     xs = x[:s].copy()
     for j in range(d):
-        step = h * max(1.0, abs(xs[t - 1, j]))
+        step = FD_STEP * max(1.0, abs(xs[t - 1, j]))
         orig = xs[t - 1, j]
         xs[t - 1, j] = orig + step
         y_plus = model.forward(xs).outputs[s - 1]

@@ -91,8 +91,10 @@ class Trace:
 
     ``steps[t]`` is step ``t+1``'s cache: the cell's named views of its
     previous state and its fields, plus the cell's constant arguments.
-    ``operands`` are the left operands of the recurrent products over all
-    steps, as views of the same buffers."""
+    Training's backward pass and final-output Jacobians both walk these
+    caches; neither copies a row of them.  ``operands`` are the left
+    operands of the recurrent products over all steps, as views of the
+    same buffers."""
 
     cell: CellSpec
     inputs: np.ndarray
@@ -108,15 +110,6 @@ class Trace:
     @property
     def operands(self) -> tuple:
         return cell_impl(self.cell.kind).operands(self.states, self.fields)
-
-    def repeated_step(self, t: int, n: int) -> dict:
-        """``steps[t]`` with every sequence's row repeated ``n`` times: the
-        previous state and the fields are repeated once each and the views
-        are taken of the copies."""
-        fields = {k: np.repeat(v[t], n, axis=0) for k, v in self.fields.items()}
-        views = cell_impl(self.cell.kind).views(
-            np.repeat(self.states[t], n, axis=0), fields)
-        return dict(views, **self.cell.step_kwargs)
 
 
 @dataclasses.dataclass

@@ -43,6 +43,9 @@ __all__ = [
     "recurrence_profile",
 ]
 
+# Window of the delay lines that ``pipeline_cross_checks`` analyzes.
+COPYK_CHECK_T = 32
+
 
 @dataclasses.dataclass
 class LinearTemporalMap:
@@ -278,14 +281,15 @@ def _stable_recurrence(rng: Rng, p: int, d: int, c: int, T: int) -> RecurrenceSp
 
 
 def pipeline_cross_checks(rng: Rng, trials: int = 20,
-                          norm: NormKind = NormKind.FROBENIUS, T: int = 32,
+                          norm: NormKind = NormKind.FROBENIUS,
                           inject_fault: bool = False) -> dict[str, float]:
     """Cross-check the generic Jacobian pipeline against the closed forms.
 
     Returns max residuals per check:
 
     * ``copyk_exact``: the analyzed normalized range of exact delay lines
-      (k in {1, 3, 5, 10}, final-output mode, both aggregations) vs ``k``.
+      (k in {1, 3, 5, 10}, final-output mode, both aggregations, window
+      ``COPYK_CHECK_T``) vs ``k``.
     * ``recurrence_weights``: autodiff final-output weights of wrapped
       random stable recurrences vs the matrix-power profile.
     * ``linear_map_consistency``: closed-form ranges of random linear maps
@@ -293,7 +297,13 @@ def pipeline_cross_checks(rng: Rng, trials: int = 20,
 
     ``inject_fault`` deliberately corrupts one closed-form weight in the
     recurrence check; a healthy pipeline must then report a residual.
+
+    Raises:
+        SpecError: if ``trials < 1``.
     """
+    if trials < 1:
+        raise SpecError(f"trials must be >= 1, got {trials}")
+    T = COPYK_CHECK_T
     residuals = {"copyk_exact": 0.0, "recurrence_weights": 0.0,
                  "linear_map_consistency": 0.0}
     for agg in (Aggregation.MEAN, Aggregation.MAX):

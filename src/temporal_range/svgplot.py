@@ -1,4 +1,4 @@
-"""Minimal deterministic SVG charts (bars and lines) with no dependencies.
+"""Minimal deterministic SVG charts (bars and lines), NumPy-only.
 
 CSV files are the canonical data artifacts; these drawings are a quick
 visual check.  All coordinates are formatted with fixed precision so the
@@ -7,6 +7,8 @@ same data always yields the same markup; an optional metadata comment
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 __all__ = ["bar_chart", "line_chart"]
 
@@ -141,18 +143,7 @@ def line_chart(xs, ys, marker_x: float | None = None, title: str = "",
             f'font-family="sans-serif" font-size="10">{xs[i]:g}</text>')
     if marker_x is not None:
         mx = float(marker_x)
-        # Interpolate a rank position for the marker between tested x values.
-        pos = 0.0
-        if mx <= xs[0]:
-            pos = 0.0
-        elif mx >= xs[-1]:
-            pos = len(xs) - 1.0
-        else:
-            for i in range(len(xs) - 1):
-                if xs[i] <= mx <= xs[i + 1]:
-                    frac = (mx - xs[i]) / (xs[i + 1] - xs[i])
-                    pos = i + frac
-                    break
-        _marker(parts, rank_x(pos), mx)
+        # The marker's rank position, interpolated between tested x values.
+        _marker(parts, rank_x(float(np.interp(mx, xs, range(len(xs))))), mx)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -32,26 +32,27 @@ __all__ = [
 ]
 
 
+# Adam's moment decay rates and denominator floor.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+# Share of the data ``train`` holds out for validation (none of a single
+# sequence).
+VAL_FRACTION = 0.1
+
+
 @dataclasses.dataclass(frozen=True)
 class OptConfig:
     lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     grad_clip: float = 0.5
     batch_size: int = 32
     steps: int = 2000
     seed: int = 0
-    val_fraction: float = 0.1
 
     def __post_init__(self):
         checks = (
             ("lr", self.lr > 0, "> 0"),
             ("grad_clip", self.grad_clip > 0, "> 0"),
-            ("eps", self.eps > 0, "> 0"),
-            ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
-            ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
-            ("val_fraction", 0 <= self.val_fraction < 1, "in [0, 1)"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
             ("steps", self.steps >= 1, ">= 1"),
         )
@@ -100,12 +101,12 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         bad = next(name for name, v in grads.items() if not np.all(np.isfinite(v)))
         raise NumericalError(f"non-finite gradient for parameter {bad!r}")
     t = state.step + 1
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
-    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g * g
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
     flat = np.concatenate([p.ravel() for p in params.values()])
-    flat = flat - cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+    flat = flat - cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     ends = np.cumsum([p.size for p in params.values()])[:-1]
     new_params = {name: part.reshape(p.shape) for (name, p), part
                   in zip(params.items(), np.split(flat, ends))}
@@ -141,16 +142,13 @@ def stack_sequences(data: list[LabeledSequence]):
     return X, targets, masks
 
 
-def _batch_loss_and_grads(model: SequenceModel, X, targets, masks, forward=None):
+def _batch_loss_and_grads(model: SequenceModel, X, targets, masks, forward):
     """Mean-per-masked-step cross-entropy and its exact parameter
-    gradients, from one forward pass: ``forward`` if given, else
-    ``model.forward_batch(X)``."""
+    gradients, from the caller's ``forward = model.forward_batch(X)``."""
     n_masked = int(masks.sum())
     if n_masked == 0:
         raise SpecError("no masked steps in batch")
     scale = 1.0 / n_masked
-    if forward is None:
-        forward = model.forward_batch(X)
     total, d_ys = masked_loss(forward[0], targets, masks, LossKind.CROSS_ENTROPY)
     return total * scale, batch_param_gradients(model, X, d_ys * scale, forward)
 
@@ -158,7 +156,7 @@ def _batch_loss_and_grads(model: SequenceModel, X, targets, masks, forward=None)
 def _fd_spot_check(model: SequenceModel, X, targets, masks, rng: Rng,
                    n_coords: int = 20, h: float = 1e-5, tol: float = 1e-4) -> None:
     """Compare a few gradient coordinates against central differences."""
-    _, grads = _batch_loss_and_grads(model, X, targets, masks)
+    _, grads = _batch_loss_and_grads(model, X, targets, masks, model.forward_batch(X))
     scale = 1.0 / int(masks.sum())
 
     def loss_only(m):
@@ -200,7 +198,7 @@ def train(model: SequenceModel, data: list[LabeledSequence],
     rng = Rng(cfg.seed)
     X, targets, masks = stack_sequences(data)
     n = X.shape[0]
-    n_val = min(int(round(n * cfg.val_fraction)), n - 1) if n > 1 else 0
+    n_val = min(int(round(n * VAL_FRACTION)), n - 1) if n > 1 else 0
     order = np.asarray(rng.permutation(n))
     val_idx, train_idx = order[:n_val], order[n_val:]
     Xt, Tt, Mt = X[train_idx], targets[train_idx], masks[train_idx]

@@ -372,6 +372,32 @@ def test_analyze_takes_its_window_from_the_dataset(tmp_path, capsys):
     assert _error_line(capsys) == f"error: --T 32 does not match the T=12 of dataset {data}"
 
 
+@pytest.mark.parametrize("n", ["-3", "0"])
+def test_analyze_rejects_a_rollout_count_below_one_before_reading_files(
+        tmp_path, capsys, n):
+    # A negative count would slice rollouts off the dataset's end; the
+    # missing checkpoint shows that no file is read first.
+    data = tmp_path / "d.json"
+    assert main(["gen-data", "--task", "copy", "--k", "1", "--T", "8", "--n", "20",
+                 "--seed", "0", "--out", str(data)]) == 0
+    ckpt = tmp_path / "m.json"
+    save_model(build_shift_copy_model(1, 4), ckpt)
+    capsys.readouterr()
+    for model in (ckpt, tmp_path / "missing.json"):
+        assert main(["analyze", "--model", str(model), "--data", str(data),
+                     "--n-rollouts", n, "--out-prefix", str(tmp_path / "r")]) == 2
+        assert _error_line(capsys) == f"error: --n-rollouts must be >= 1, got {n}"
+    assert not list(tmp_path.glob("r.*"))
+
+
+def test_oracle_with_no_trials_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "oracle.json"
+    for trials in ("0", "-2"):
+        assert main(["oracle", "--trials", trials, "--out", str(out)]) == 2
+        assert _error_line(capsys) == f"error: trials must be >= 1, got {trials}"
+    assert not out.exists()
+
+
 def test_checkpoint_data_count_other_than_its_shape_is_an_input_error(tmp_path, capsys):
     ckpt = tmp_path / "m.json"
     save_model(build_shift_copy_model(1, 2), ckpt)

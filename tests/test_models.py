@@ -120,6 +120,26 @@ def test_trace_buffers_equal_a_step_by_step_recomputation(kind, encoder_dim):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), t
 
 
+@pytest.mark.parametrize("kind", list(CellKind))
+def test_backward_broadcasts_an_adjoint_over_leading_axes(kind):
+    # Final-output Jacobians take c adjoint rows per sequence back through
+    # one (B, .) step cache at once; each row must come out as its own call.
+    model = init_model(_spec(kind, 3, 5), 2, Rng(27))
+    _, _, trace = model.forward_batch(np.asarray(Rng(28).gaussian(size=(4, 3, 3))))
+    impl = cell_impl(kind)
+    rec = recurrent_stacks(impl, model.params)
+    cache = trace.steps[1]
+    c, G = 3, len(impl.input_names) * model.cell.hidden_dim
+    d_new = np.asarray(Rng(29).gaussian(size=(c, 4, model.state_dim)))
+    d_pre, d_prev = np.empty((c, 4, G)), np.empty_like(d_new)
+    impl.backward(rec, cache, d_new, d_pre, d_prev)
+    for j in range(c):
+        want_pre, want_prev = np.empty((4, G)), np.empty((4, model.state_dim))
+        impl.backward(rec, cache, d_new[j], want_pre, want_prev)
+        assert d_pre[j].tobytes() == want_pre.tobytes(), j
+        assert d_prev[j].tobytes() == want_prev.tobytes(), j
+
+
 def test_sigmoid_tails_are_finite_and_silent():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
