@@ -29,9 +29,14 @@ Each cell kind provides:
 * ``operands(states, fields)``: the left operands of the recurrent
   products over all steps, as views of the state trajectory
   ``(T+1, B, S)`` and the fields, one per entry of ``recurrent_names``.
-* ``step_jacobians(params, cache)``: exact Jacobians of every sequence's
-  new state with respect to its previous state ``(B, S, S)`` and its cell
-  input ``(B, S, d_in)``, evaluated from a batched cache.  Only forward-mode
+* ``step_jacobians(params, cache, w_x)``: exact Jacobians of every
+  sequence's new state with respect to its previous state ``(B, S, S)`` and
+  an input ``x`` of width ``d`` ``(B, S, d)``, evaluated from a batched
+  cache.  ``w_x`` is ``d (stacked input parts) / d x``: the stacked input
+  weights ``(G*p, d_in)`` for the cell input itself, or, for the model's
+  observation behind an encoder, those weights times the encoder's
+  derivative, ``(B, G*p, d)``.  Each gate's input block is read from it, so
+  the input factor is built in the observation's width.  Only forward-mode
   sensitivities (multi-output Jacobians) use these factors.
 * ``backward(rec, cache, d_new, d_pre, d_prev)``: the recurrent part of the
   reverse-mode rule; writes the gradient of every gate pre-activation into
@@ -134,10 +139,10 @@ class _LinearRec:
         return (states[:-1],)
 
     @staticmethod
-    def step_jacobians(params, cache):
+    def step_jacobians(params, cache, w_x):
         B = cache["h"].shape[0]
         return (np.broadcast_to(params["A"], (B,) + params["A"].shape),
-                np.broadcast_to(params["C"], (B,) + params["C"].shape))
+                np.broadcast_to(w_x, (B,) + w_x.shape[-2:]))
 
     @staticmethod
     def backward(rec, cache, d_new, d_pre, d_prev):
@@ -192,26 +197,23 @@ class _GRU:
         return states[:-1], fields["rh"]
 
     @staticmethod
-    def step_jacobians(params, cache):
+    def step_jacobians(params, cache, w_x):
         # Per-sequence row scalings carry a trailing axis: (B, p, 1).
         h, z, r, n = (cache[k][..., None] for k in ("h", "z", "r", "n"))
         Uz, Ur, Un = params["Uz"], params["Ur"], params["Un"]
-        Wz, Wr, Wn = params["Wz"], params["Wr"], params["Wn"]
+        Wz, Wr, Wn = np.split(w_x, 3, axis=-2)
         dz = z * (1.0 - z)
         dr = r * (1.0 - r)
         dn = 1.0 - n * n
-        B, p = h.shape[:2]
-        # d(r * h)/dh and /du.  Each diagonal is written before the sums, so
-        # they round exactly as ``diag(v) + ...`` does.
-        m_rh_h = np.zeros((B, p, p))
-        _diagonal(m_rh_h)[...] = r[..., 0]
-        m_rh_h += (h * dr) * Ur
+        # d(r * h)/dh and /dx.  Each diagonal is added before any further
+        # sum, so it rounds exactly as ``diag(v) + ...`` does.
+        m_rh_h = (h * dr) * Ur
+        _diagonal(m_rh_h)[...] += r[..., 0]
         m_rh_u = (h * dr) * Wr
         dn_dh = dn * (Un @ m_rh_h)
         dn_du = dn * (Wn + Un @ m_rh_u)
-        j_state = np.zeros((B, p, p))
-        _diagonal(j_state)[...] = z[..., 0]
-        j_state += ((h - n) * dz) * Uz
+        j_state = ((h - n) * dz) * Uz
+        _diagonal(j_state)[...] += z[..., 0]
         j_state += (1.0 - z) * dn_dh
         j_input = ((h - n) * dz) * Wz + (1.0 - z) * dn_du
         return j_state, j_input
@@ -282,22 +284,24 @@ class _LSTM:
         return (states[:-1, :, :states.shape[-1] // 2],)
 
     @staticmethod
-    def step_jacobians(params, cache):
+    def step_jacobians(params, cache, w_x):
         h, c, i, f, o, g, hc = (
             cache[k][..., None] for k in ("h", "c", "i", "f", "o", "g", "hc"))
         di, df, do = i * (1 - i), f * (1 - f), o * (1 - o)
         dg = 1.0 - g * g
         k = o * (1.0 - hc * hc)
         B, p = h.shape[:2]
-        # Each factor is filled in place: rows [dh; dc], columns [h, c] or u.
+        # Each factor is filled in place: rows [dh; dc], columns [h, c] or x.
         j_state = np.zeros((B, 2 * p, 2 * p))
-        j_input = np.empty((B, 2 * p, params["Wi"].shape[1]))
-        for j, w in ((j_state[..., :p], "U"), (j_input, "W")):
+        j_input = np.empty((B, 2 * p, w_x.shape[-1]))
+        for j, (wi, wf, wo, wg) in (
+                (j_state[..., :p], [params[u] for u in ("Ui", "Uf", "Uo", "Ug")]),
+                (j_input, np.split(w_x, 4, axis=-2))):
             dh, dc = j[:, :p], j[:, p:]
-            np.multiply(c * df, params[w + "f"], out=dc)
-            dc += (g * di) * params[w + "i"]
-            dc += (i * dg) * params[w + "g"]
-            np.multiply(hc * do, params[w + "o"], out=dh)
+            np.multiply(c * df, wf, out=dc)
+            dc += (g * di) * wi
+            dc += (i * dg) * wg
+            np.multiply(hc * do, wo, out=dh)
             dh += k * dc
         _diagonal(j_state[:, :p, p:])[...] = (k * f)[..., 0]
         _diagonal(j_state[:, p:, p:])[...] = f[..., 0]
@@ -374,7 +378,7 @@ class _LEM:
         return states[:-1, :, :p], states[1:, :, p:]
 
     @staticmethod
-    def step_jacobians(params, cache):
+    def step_jacobians(params, cache, w_x):
         y, z, g1, g2, tz, ty = (
             cache[k][..., None] for k in ("y", "z", "g1", "g2", "tz", "ty"))
         dt = cache["dt"]
@@ -384,21 +388,23 @@ class _LEM:
         ktz = dt1 * (1.0 - tz * tz)
         kty = dt2 * (1.0 - ty * ty)
         wy = params["Wy"]
+        v1, v2, vz, vy = np.split(w_x, 4, axis=-2)
         B, p = y.shape[:2]
-        # Each factor is filled in place: rows [dy; dz], columns [y, z] or u.
+        # Each factor is filled in place: rows [dy; dz], columns [y, z] or x.
         j_state = np.zeros((B, 2 * p, 2 * p))
-        j_input = np.empty((B, 2 * p, params["V1"].shape[1]))
-        for dz, w in ((j_state[:, p:, :p], "W"), (j_input[:, p:], "V")):
-            np.multiply((tz - z) * dg1, params[w + "1"], out=dz)
-            dz += ktz * params[w + "z"]
+        j_input = np.empty((B, 2 * p, w_x.shape[-1]))
+        for dz, w1, wz in ((j_state[:, p:, :p], params["W1"], params["Wz"]),
+                           (j_input[:, p:], v1, vz)):
+            np.multiply((tz - z) * dg1, w1, out=dz)
+            dz += ktz * wz
         _diagonal(j_state[:, p:, p:])[...] = (1.0 - dt1)[..., 0]
         dy_dy = j_state[:, :p, :p]
         _diagonal(dy_dy)[...] = (1.0 - dt2)[..., 0]
         dy_dy += ((ty - y) * dg2) * params["W2"]
         dy_dy += kty * (wy @ j_state[:, p:, :p])
         np.multiply(kty, wy * np.swapaxes(1.0 - dt1, -1, -2), out=j_state[:, :p, p:])
-        np.multiply((ty - y) * dg2, params["V2"], out=j_input[:, :p])
-        j_input[:, :p] += kty * (params["Vy"] + wy @ j_input[:, p:])
+        np.multiply((ty - y) * dg2, v2, out=j_input[:, :p])
+        j_input[:, :p] += kty * (vy + wy @ j_input[:, p:])
         return j_state, j_input
 
     @staticmethod

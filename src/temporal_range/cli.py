@@ -135,13 +135,17 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if args.n < 1:
+        raise SpecError(f"--n must be >= 1, got {args.n}")
+    if args.encoder_dim < 0:
+        raise SpecError(f"--encoder-dim must be >= 0, got {args.encoder_dim}")
     cell_kind = _CELLS[args.model]
     sequences, desc = _load_sequences(args, args.n, args.data_seed)
     d = sequences[0].x.shape[1]
     n_classes = int(max(int(s.targets.max()) for s in sequences)) + 1
     spec = CellSpec(kind=cell_kind, input_dim=d, hidden_dim=args.hidden,
                     lem_dt=args.lem_dt)
-    encoder_dim = args.encoder_dim if args.encoder_dim > 0 else None
+    encoder_dim = args.encoder_dim or None
     model = init_model(spec, n_classes, Rng(args.seed), encoder_dim=encoder_dim)
     cfg = OptConfig(lr=args.lr, batch_size=args.batch, steps=args.steps,
                     seed=args.seed, grad_clip=args.clip)

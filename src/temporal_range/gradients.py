@@ -84,15 +84,19 @@ def _decoder_rows(model: SequenceModel) -> np.ndarray:
 
 def _step_factors(model: SequenceModel, X):
     """One forward pass over ``X`` (R, T, d), then each step's factors
-    ``d state_t / d state_{t-1}`` (R, S, S) and ``d state_t / d x_t`` (R, S, d)."""
+    ``d state_t / d state_{t-1}`` (R, S, S) and ``d state_t / d x_t`` (R, S, d).
+    Behind an encoder, the stacked input weights are first mapped through
+    the step's encoder derivative (R, G*p, d), so the input factor is built
+    ``d`` columns wide and no (R, S, d_in) factor is formed."""
     impl = cell_impl(model.cell.kind)
+    w_in = stacked(model.params, impl.input_names)
     _, _, trace = model.forward_batch(X)
     for t, cache in enumerate(trace.steps):
-        j_state, j_input = impl.step_jacobians(model.params, cache)
+        w_x = w_in
         if model.encoder_dim is not None:
             u = trace.inputs[t]
-            j_input = j_input @ ((1.0 - u * u)[..., None] * model.params["enc_W"])
-        yield j_state, j_input
+            w_x = w_in @ ((1.0 - u * u)[..., None] * model.params["enc_W"])
+        yield impl.step_jacobians(model.params, cache, w_x)
 
 
 def per_step_jacobians(model: SequenceModel, x):
@@ -114,6 +118,8 @@ def multi_output_blocks(model: SequenceModel, X):
     """Yield ``(s, blocks)`` for ``s = 2..T`` over a batch ``X`` (R, T, d), with
     ``blocks[r, t-1] = J[s, t]`` of rollout ``r`` (shape (R, s-1, c, d)):
     sensitivities seeded at each origin are pushed forward step by step.
+    Two sensitivity buffers are allocated once; each step's product is
+    written into the spare one, and the two are then swapped.
 
     Raises:
         NumericalError: naming the step where a sensitivity is not finite.
@@ -122,16 +128,18 @@ def multi_output_blocks(model: SequenceModel, X):
     dec_rows = _decoder_rows(model)
     # Columns (t-1)*d .. t*d hold d state_s / d x_t for each origin t <= s.
     sens = np.empty((R, model.state_dim, T * d))
+    spare = np.empty_like(sens)
     for s, (j_state, j_input) in enumerate(_step_factors(model, X), start=1):
-        past = sens[:, :, :(s - 1) * d]
+        m = (s - 1) * d
         # Overflow here is caught by the finiteness check below.
         with np.errstate(over="ignore", invalid="ignore"):
-            past[...] = j_state @ past
-        sens[:, :, (s - 1) * d:s * d] = j_input
-        if not np.all(np.isfinite(sens[:, :, :s * d])):
+            np.matmul(j_state, sens[..., :m], out=spare[..., :m])
+        sens, spare = spare, sens
+        sens[..., m:m + d] = j_input
+        if not np.all(np.isfinite(sens[..., :m + d])):
             raise NumericalError(f"non-finite sensitivity at step s={s}")
         if s > 1:
-            blocks = (dec_rows @ past).reshape(R, -1, s - 1, d)
+            blocks = (dec_rows @ sens[..., :m]).reshape(R, -1, s - 1, d)
             yield s, blocks.transpose(0, 2, 1, 3)
 
 

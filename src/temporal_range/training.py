@@ -39,6 +39,11 @@ ADAM_EPS = 1e-8
 # Share of the data ``train`` holds out for validation (none of a single
 # sequence).
 VAL_FRACTION = 0.1
+# The spot check before training: gradient coordinates it probes, their
+# central-difference step, and the largest relative residual it accepts.
+FD_CHECK_COORDS = 20
+FD_CHECK_STEP = 1e-5
+FD_CHECK_TOL = 1e-4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -153,8 +158,7 @@ def _batch_loss_and_grads(model: SequenceModel, X, targets, masks, forward):
     return total * scale, batch_param_gradients(model, X, d_ys * scale, forward)
 
 
-def _fd_spot_check(model: SequenceModel, X, targets, masks, rng: Rng,
-                   n_coords: int = 20, h: float = 1e-5, tol: float = 1e-4) -> None:
+def _fd_spot_check(model: SequenceModel, X, targets, masks, rng: Rng) -> None:
     """Compare a few gradient coordinates against central differences."""
     _, grads = _batch_loss_and_grads(model, X, targets, masks, model.forward_batch(X))
     scale = 1.0 / int(masks.sum())
@@ -163,21 +167,21 @@ def _fd_spot_check(model: SequenceModel, X, targets, masks, rng: Rng,
         return masked_loss(m.outputs(X), targets, masks, LossKind.CROSS_ENTROPY)[0] * scale
 
     names = sorted(model.params)
-    for _ in range(n_coords):
+    for _ in range(FD_CHECK_COORDS):
         name = names[int(rng.integers(0, len(names)))]
         flat_index = int(rng.integers(0, model.params[name].size))
         probe = model.copy()
         arr = probe.params[name].ravel()
         orig = arr[flat_index]
-        arr[flat_index] = orig + h
+        arr[flat_index] = orig + FD_CHECK_STEP
         f_plus = loss_only(probe)
-        arr[flat_index] = orig - h
+        arr[flat_index] = orig - FD_CHECK_STEP
         f_minus = loss_only(probe)
         arr[flat_index] = orig
-        fd = (f_plus - f_minus) / (2.0 * h)
+        fd = (f_plus - f_minus) / (2.0 * FD_CHECK_STEP)
         an = float(grads[name].ravel()[flat_index])
         rel = abs(fd - an) / max(1.0, abs(fd), abs(an))
-        if rel > tol:
+        if rel > FD_CHECK_TOL:
             raise NumericalError(
                 f"analytic gradient disagrees with finite differences for "
                 f"{name}[{flat_index}]: analytic={an!r}, fd={fd!r}, rel={rel:.3e}")

@@ -390,6 +390,20 @@ def test_analyze_rejects_a_rollout_count_below_one_before_reading_files(
     assert not list(tmp_path.glob("r.*"))
 
 
+@pytest.mark.parametrize("flag, value, least", [("--n", "0", 1), ("--n", "-2", 1),
+                                                ("--encoder-dim", "-3", 0)])
+def test_train_rejects_a_count_or_width_below_its_range(tmp_path, capsys, flag, value,
+                                                        least):
+    # An empty --n used to end in an IndexError traceback, and a negative
+    # --encoder-dim trained an identity encoder while the manifest kept -3.
+    flags = {"--n": "4", "--encoder-dim": "8", flag: value}
+    assert main(["train", "--task", "copy", "--k", "1", "--T", "8", "--hidden", "4",
+                 "--steps", "1", *[a for item in flags.items() for a in item],
+                 "--out-prefix", str(tmp_path / "m")]) == 2
+    assert _error_line(capsys) == f"error: {flag} must be >= {least}, got {value}"
+    assert not list(tmp_path.iterdir())
+
+
 def test_oracle_with_no_trials_is_an_input_error(tmp_path, capsys):
     out = tmp_path / "oracle.json"
     for trials in ("0", "-2"):
