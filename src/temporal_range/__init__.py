@@ -26,9 +26,8 @@ from .metric import (Aggregation, InvarianceReport, RangeValues, TRConfig,
                      TemporalRangeReport, analyze, check_input_scaling,
                      check_output_scaling, influence_weights, profile_csv,
                      report_from_json, report_json, temporal_range)
-from .models import (CellSpec, OutputSequence, SequenceModel,
-                     build_shift_copy_model, init_model, load_model,
-                     save_model)
+from .models import (CellSpec, SequenceModel, build_shift_copy_model,
+                     init_model, load_model, save_model)
 from .oracles import (AxiomReport, LinearTemporalMap, RecurrenceSpec,
                       axiom_suite, copyk_oracle, linear_map_as_model,
                       linear_map_range, pipeline_cross_checks,

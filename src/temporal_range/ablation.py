@@ -24,9 +24,9 @@ import math
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import ShapeMismatch, SpecError
 from .metric import TemporalRangeReport
-from .models import OutputSequence, SequenceModel
+from .models import SequenceModel
 from .tasks import LabeledSequence
 from .training import score, stack_sequences
 
@@ -68,31 +68,26 @@ def _cold_restarts(model: SequenceModel, X, windows):
                 yield a + k, [k], state
 
 
-def windowed_forward(model: SequenceModel, x, m: int) -> OutputSequence:
-    """Outputs when each step sees only the last ``m`` observations.
+def windowed_forward(model: SequenceModel, x, m: int) -> np.ndarray:
+    """Outputs ``(T, c)`` when each step sees only the last ``m`` observations.
 
     The output at step ``s`` comes from running the cell from the zero
     state over ``x[s-m+1 .. s]``; with ``m >= T`` this reproduces the
-    ordinary forward pass exactly.  The returned state trajectory holds
-    the restarted state that produced each step's output.
+    ordinary forward pass exactly.
     """
     if m < 1:
         raise SpecError(f"window must be >= 1, got {m}")
-    X = np.asarray(x, dtype=np.float64)[None]
-    T = X.shape[1]
-    outputs = np.empty((T, model.output_dim))
-    states = np.zeros((T + 1, model.state_dim))
-    for s, ms, state in _cold_restarts(model, X, [m]):
-        if ms:
-            outputs[s - 1], states[s] = model.decode(state)[0], state[0]
-    return OutputSequence(outputs=outputs, states=states)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ShapeMismatch(f"expected observation sequence of shape (T, d), got {x.shape}")
+    return _windowed_outputs(model, x[None], [m])[m][0]
 
 
 def _windowed_outputs(model: SequenceModel, X, windows) -> dict[int, np.ndarray]:
-    """``windowed_forward`` outputs (B, T, c) of a batch ``X`` (B, T, d) for
-    each window, and the full-context outputs (``model.outputs(X)``) under
-    the key ``T``, from the shared passes of ``_cold_restarts``.  Each
-    yielded state is decoded once."""
+    """Windowed outputs (B, T, c) of a batch ``X`` (B, T, d) for each
+    window, and the full-context outputs (``model.outputs(X)``) under the
+    key ``T``, from the shared passes of ``_cold_restarts``.  Each yielded
+    state is decoded once."""
     B, T, _ = X.shape
     ys = {m: np.empty((B, T, model.output_dim)) for m in windows if m < T}
     # model.outputs' time-major layout, so that scores sum in the same order.

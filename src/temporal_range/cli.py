@@ -2,9 +2,10 @@
 
 Every command is a pure function of its flags, input files, and seed; the
 data artifacts it writes (JSON/CSV, and SVG up to a metadata comment) are
-byte-identical across reruns.  A run manifest with provenance (command
-line, config fingerprint, tool version, timestamp) is written alongside
-every output; set ``SOURCE_DATE_EPOCH`` to pin the manifest timestamp.
+byte-identical across reruns.  train, analyze and ablate also write a run
+manifest with provenance (command line, config fingerprint, tool version,
+timestamp) next to their outputs; set ``SOURCE_DATE_EPOCH`` to pin its
+timestamp.
 
 Exit codes: 0 success, 1 a verification command found residuals over
 tolerance, 2 usage or input errors.
@@ -13,6 +14,7 @@ tolerance, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -276,14 +278,7 @@ def _cmd_ablate(args) -> int:
     outputs = [str(_out(prefix, ".curve.csv")),
                str(_out(prefix, ".curve.svg"))]
     if args.deploy:
-        doc = {
-            "tr_value": check.tr_value, "window": check.window,
-            "half_window": check.half_window, "baseline": check.baseline,
-            "perf_window": check.perf_window, "perf_half": check.perf_half,
-            "retention_window": check.retention_window,
-            "retention_half": check.retention_half,
-            "metric": "accuracy",
-        }
+        doc = {**dataclasses.asdict(check), "metric": "accuracy"}
         _write(_out(prefix, ".deployment.json"), artifact_json(doc))
         outputs.append(str(_out(prefix, ".deployment.json")))
         print(f"deployment: window {check.window} retention "

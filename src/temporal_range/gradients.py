@@ -219,9 +219,9 @@ def fd_jacobian(model: SequenceModel, x, s: int, t: int) -> np.ndarray:
         step = FD_STEP * max(1.0, abs(xs[t - 1, j]))
         orig = xs[t - 1, j]
         xs[t - 1, j] = orig + step
-        y_plus = model.forward(xs).outputs[s - 1]
+        y_plus = model.outputs(xs[None])[0, s - 1]
         xs[t - 1, j] = orig - step
-        y_minus = model.forward(xs).outputs[s - 1]
+        y_minus = model.outputs(xs[None])[0, s - 1]
         xs[t - 1, j] = orig
         out[:, j] = (y_plus - y_minus) / (2.0 * step)
     return out

@@ -76,10 +76,13 @@ class Rng:
     same seed and call order produce the same values on every platform.
     ``split`` derives statistically independent child streams that do not
     overlap with the parent's continuation, which keeps fan-out work (e.g.
-    per-rollout generation) reproducible regardless of scheduling.
+    per-rollout generation) reproducible regardless of scheduling.  A
+    negative seed is a ``SpecError``.
     """
 
     def __init__(self, seed: int = 0, _seq: np.random.SeedSequence | None = None):
+        if _seq is None and seed < 0:
+            raise SpecError(f"seed must be >= 0, got {seed}")
         self._seq = np.random.SeedSequence(seed) if _seq is None else _seq
         self._gen = np.random.Generator(np.random.Philox(self._seq))
 

@@ -39,7 +39,6 @@ __all__ = [
     "TemporalRangeReport",
     "analyze",
     "artifact_json",
-    "canonical_json",
     "check_input_scaling",
     "check_output_scaling",
     "config_fingerprint",
@@ -84,11 +83,6 @@ class TRConfig:
         return config_fingerprint(self.as_dict())
 
 
-def canonical_json(obj) -> str:
-    """Stable serialization: sorted keys, no incidental whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def artifact_json(doc) -> str:
     """The text of a JSON artifact: sorted keys, two-space indent, one
     trailing newline."""
@@ -96,7 +90,10 @@ def artifact_json(doc) -> str:
 
 
 def config_fingerprint(obj) -> str:
-    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()[:16]
+    """The first 16 hex digits of the SHA-256 of ``obj``'s JSON with sorted
+    keys and no incidental whitespace."""
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 class RangeValues(typing.NamedTuple):

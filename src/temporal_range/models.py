@@ -26,7 +26,6 @@ from .linalg import Rng
 __all__ = [
     "CellKind",
     "CellSpec",
-    "OutputSequence",
     "SequenceModel",
     "Trace",
     "build_shift_copy_model",
@@ -71,14 +70,6 @@ class CellSpec:
         """The cell's constant arguments of ``step``, also kept in each
         step's cache: LEM's ``dt``."""
         return {"dt": self.lem_dt} if self.kind is CellKind.LEM else {}
-
-
-@dataclasses.dataclass
-class OutputSequence:
-    """Per-step outputs ``(T, c)`` and the state trajectory ``(T+1, S)``."""
-
-    outputs: np.ndarray
-    states: np.ndarray
 
 
 @dataclasses.dataclass
@@ -152,12 +143,6 @@ class SequenceModel:
         """Decoder readout from states ``(..., S)`` to outputs ``(..., c)``."""
         p = self.cell.hidden_dim
         return states[..., :p] @ self.params["dec_W"].T + self.params["dec_b"]
-
-    def forward(self, x) -> OutputSequence:
-        """Run the model over one observation sequence ``(T, d)``."""
-        x = self._check_sequence(x)
-        ys, states, _ = self.forward_batch(x[None])
-        return OutputSequence(outputs=ys[0], states=states[0])
 
     def forward_batch(self, X):
         """Run a batch ``(B, T, d)``; returns outputs, states and the trace.
@@ -235,16 +220,6 @@ class SequenceModel:
             raise ShapeMismatch(
                 f"expected batch of shape (B, T, {self.cell.input_dim}), got {X.shape}")
         return X
-
-    def _check_sequence(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.cell.input_dim:
-            raise ShapeMismatch(
-                f"expected observation sequence of shape (T, {self.cell.input_dim}), "
-                f"got {x.shape}")
-        if x.shape[0] < 1:
-            raise ShapeMismatch("observation sequence must have at least one step")
-        return x
 
 
 def _glorot(rng: Rng, shape) -> np.ndarray:

@@ -58,10 +58,6 @@ class LinearTemporalMap:
         if self.blocks.ndim != 3:
             raise SpecError(f"blocks must be (T, c, d), got {self.blocks.shape}")
 
-    @property
-    def T(self) -> int:
-        return self.blocks.shape[0]
-
 
 def linear_map_range(L: LinearTemporalMap, norm: NormKind = NormKind.FROBENIUS) -> RangeValues:
     """Closed-form ranges of a linear temporal map, whose block norms are its
@@ -170,9 +166,6 @@ class AxiomReport:
 
     def max_residual(self) -> float:
         return max(self.residuals.values())
-
-    def passed(self, tol: float = 1e-9) -> bool:
-        return self.max_residual() < tol
 
     def to_json(self) -> str:
         doc = {

@@ -209,32 +209,22 @@ class ObsKind(enum.Enum):
 class ObsVariant:
     """Observation channel: full state, positions only, or noisy positions.
 
-    The stateless variants hide the velocities and expose ``(x, theta)``;
-    set ``hide_positions`` to hide ``(x, theta)`` instead and expose the
-    velocities.
+    The stateless variants hide the velocities and expose ``(x, theta)``.
     """
 
     kind: ObsKind = ObsKind.FULL
     sigma: float = 0.1
-    hide_positions: bool = False
 
     def __post_init__(self):
         if self.kind is ObsKind.NOISY_STATELESS and not self.sigma > 0:
             raise SpecError(f"noise sigma must be > 0, got {self.sigma}")
-
-    @property
-    def dim(self) -> int:
-        return 4 if self.kind is ObsKind.FULL else 2
 
 
 def observe(state: CartPoleState, variant: ObsVariant, rng: Rng | None = None) -> np.ndarray:
     """Project a state onto the observation channel, adding noise if asked."""
     if variant.kind is ObsKind.FULL:
         return state.as_array()
-    if variant.hide_positions:
-        obs = np.array([state.x_dot, state.theta_dot])
-    else:
-        obs = np.array([state.x, state.theta])
+    obs = np.array([state.x, state.theta])
     if variant.kind is ObsKind.NOISY_STATELESS:
         if rng is None:
             raise SpecError("noisy observations require an rng")

@@ -6,7 +6,7 @@ import pytest
 from temporal_range.ablation import (AblationCurve, _windowed_outputs, ablation_sweep,
                                      curve_csv, deployment_check, knee,
                                      windowed_forward)
-from temporal_range.errors import SpecError
+from temporal_range.errors import ShapeMismatch, SpecError
 from temporal_range.gradients import JacobianMode
 from temporal_range.linalg import Rng
 from temporal_range.metric import TRConfig, analyze
@@ -18,10 +18,10 @@ def test_windowed_forward_with_full_window_is_bitwise_identical():
     model = init_model(CellSpec(kind=CellKind.LEM, input_dim=3, hidden_dim=4),
                        2, Rng(0), encoder_dim=3)
     x = np.asarray(Rng(1).gaussian(size=(9, 3)))
-    full = model.forward(x)
+    full = model.outputs(x[None])[0]
     for m in (9, 12, 100):
         win = windowed_forward(model, x, m)
-        assert np.array_equal(win.outputs, full.outputs)
+        assert np.array_equal(win, full)
 
 
 @pytest.mark.parametrize("kind", list(CellKind))
@@ -47,7 +47,7 @@ def test_windowed_forward_on_memoryless_model_matches_full():
     model = build_shift_copy_model(0, 2)
     x = np.asarray(Rng(2).gaussian(size=(7, 2)))
     win = windowed_forward(model, x, 1)
-    assert np.max(np.abs(win.outputs - model.forward(x).outputs)) < 1e-15
+    assert np.max(np.abs(win - model.outputs(x[None])[0])) < 1e-15
 
 
 def test_windowed_forward_truncation_empties_the_delay_line():
@@ -58,13 +58,13 @@ def test_windowed_forward_truncation_empties_the_delay_line():
     model = build_shift_copy_model(k, d)
     x = np.asarray(rng.gaussian(size=(T, d)))
     win = windowed_forward(model, x, k)
-    full = model.forward(x)
+    full = model.outputs(x[None])[0]
     for s in range(1, T + 1):
         if s > k:
-            assert np.max(np.abs(win.outputs[s - 1])) == 0.0
-            assert np.max(np.abs(full.outputs[s - 1])) > 0.0
+            assert np.max(np.abs(win[s - 1])) == 0.0
+            assert np.max(np.abs(full[s - 1])) > 0.0
         else:
-            assert np.array_equal(win.outputs[s - 1], full.outputs[s - 1])
+            assert np.array_equal(win[s - 1], full[s - 1])
 
 
 def test_windowed_forward_ignores_observations_outside_the_window():
@@ -77,13 +77,17 @@ def test_windowed_forward_ignores_observations_outside_the_window():
     perturbed = x.copy()
     perturbed[:s - m] += 7.0  # everything older than the window at step s
     out = windowed_forward(model, perturbed, m)
-    assert np.array_equal(out.outputs[s - 1], base.outputs[s - 1])
+    assert np.array_equal(out[s - 1], base[s - 1])
 
 
 def test_windowed_forward_rejects_bad_window():
     model = build_shift_copy_model(1, 2)
     with pytest.raises(SpecError):
         windowed_forward(model, np.zeros((4, 2)), 0)
+    # A sequence is (T, d): neither one step's row nor a batch is one.
+    for x in (np.zeros(2), np.zeros((1, 4, 2))):
+        with pytest.raises(ShapeMismatch):
+            windowed_forward(model, x, 2)
 
 
 def test_knee_on_hand_curve():

@@ -3,6 +3,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from temporal_range import cells
@@ -12,7 +13,7 @@ from temporal_range.linalg import Rng
 from temporal_range.metric import TRConfig, analyze, report_json
 from temporal_range.models import (CellKind, CellSpec, build_shift_copy_model,
                                    init_model, save_model)
-from temporal_range.tasks import load_dataset
+from temporal_range.tasks import gen_repeatfirst, load_dataset
 
 
 def _strip_svg_comment(text: str) -> str:
@@ -402,6 +403,46 @@ def test_train_rejects_a_count_or_width_below_its_range(tmp_path, capsys, flag, 
                  "--out-prefix", str(tmp_path / "m")]) == 2
     assert _error_line(capsys) == f"error: {flag} must be >= {least}, got {value}"
     assert not list(tmp_path.iterdir())
+
+
+def test_gen_data_writes_the_repeat_first_task(tmp_path):
+    data = tmp_path / "d.json"
+    assert main(["gen-data", "--task", "repeatfirst", "--T", "6", "--V", "3",
+                 "--n", "3", "--seed", "4", "--out", str(data)]) == 0
+    sequences, header = load_dataset(data)
+    assert header["task"] == "repeatfirst"
+    want = gen_repeatfirst(6, 3, 3, Rng(4))
+    assert len(sequences) == len(want)
+    for got, ref in zip(sequences, want):
+        assert np.array_equal(got.x, ref.x)
+        assert np.array_equal(got.targets, ref.targets)
+        assert np.array_equal(got.mask, ref.mask)
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("gen-data", "--seed"), ("train", "--seed"), ("train", "--data-seed"),
+    ("analyze", "--seed"), ("ablate", "--seed"), ("oracle", "--seed"),
+    ("axioms", "--seed")])
+def test_negative_seed_is_an_input_error(tmp_path, capsys, command, flag):
+    # NumPy's seed sequences reject a negative seed with a bare ValueError, so
+    # Rng checks the seed itself and every command reports it as an input error.
+    ckpt = tmp_path / "m.json"
+    save_model(build_shift_copy_model(1, 4), ckpt)
+    task = ["--task", "copy", "--k", "1", "--T", "8", "--n", "4"]
+    args = {
+        "gen-data": [*task, "--out", str(tmp_path / "d.json")],
+        "train": [*task, "--hidden", "4", "--steps", "1",
+                  "--out-prefix", str(tmp_path / "r")],
+        "analyze": ["--model", str(ckpt), "--task", "copy", "--k", "1", "--T", "8",
+                    "--n-rollouts", "2", "--out-prefix", str(tmp_path / "r")],
+        "ablate": ["--model", str(ckpt), *task, "--out-prefix", str(tmp_path / "r")],
+        "oracle": ["--trials", "2"],
+        "axioms": ["--trials", "2"],
+    }[command]
+    capsys.readouterr()
+    assert main([command, *args, flag, "-1"]) == 2
+    assert _error_line(capsys) == "error: seed must be >= 0, got -1"
+    assert not list(tmp_path.glob("[dr].*"))
 
 
 def test_oracle_with_no_trials_is_an_input_error(tmp_path, capsys):

@@ -123,7 +123,7 @@ def test_param_gradients_zero_residual_mse_is_zero():
     model = init_model(CellSpec(kind=CellKind.GRU, input_dim=2, hidden_dim=3),
                        2, Rng(63))
     x = np.asarray(Rng(64).gaussian(size=(5, 2)))
-    targets = model.forward(x).outputs
+    targets = model.outputs(x[None])[0]
     grads = param_gradients(model, x, targets, LossKind.MSE, range(1, 6))
     for g in grads.values():
         assert np.max(np.abs(g)) == 0.0

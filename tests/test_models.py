@@ -37,8 +37,8 @@ def test_linear_rec_zero_parameters_give_zero_outputs():
     model = init_model(_spec(CellKind.LINEAR_REC, 2, 3), 2, Rng(2))
     for name in model.params:
         model.params[name][:] = 0.0
-    out = model.forward(np.asarray(Rng(3).gaussian(size=(6, 2))))
-    assert np.array_equal(out.outputs, np.zeros((6, 2)))
+    out = model.outputs(np.asarray(Rng(3).gaussian(size=(6, 2)))[None])[0]
+    assert np.array_equal(out, np.zeros((6, 2)))
 
 
 def test_linear_rec_scalar_impulse_response():
@@ -48,8 +48,8 @@ def test_linear_rec_scalar_impulse_response():
               "dec_W": np.array([[1.0]]), "dec_b": np.zeros(1)}
     model = SequenceModel(cell=_spec(CellKind.LINEAR_REC, 1, 1), output_dim=1,
                           encoder_dim=None, params=params)
-    out = model.forward(np.array([[1.0], [0.0], [0.0], [0.0]]))
-    assert out.outputs[-1, 0] == pytest.approx(0.125, abs=1e-15)
+    out = model.outputs(np.array([[1.0], [0.0], [0.0], [0.0]])[None])[0]
+    assert out[-1, 0] == pytest.approx(0.125, abs=1e-15)
 
 
 def test_linear_rec_forward_matches_unrolled_sum():
@@ -57,30 +57,30 @@ def test_linear_rec_forward_matches_unrolled_sum():
     p, d, c, T = 4, 2, 3, 7
     model = init_model(_spec(CellKind.LINEAR_REC, d, p), c, Rng(5))
     x = np.asarray(rng.gaussian(size=(T, d)))
-    out = model.forward(x)
+    out = model.outputs(x[None])[0]
     A, C = model.params["A"], model.params["C"]
     Q, b = model.params["dec_W"], model.params["dec_b"]
     for s in range(1, T + 1):
         h = sum(np.linalg.matrix_power(A, s - t) @ C @ x[t - 1] for t in range(1, s + 1))
         expected = Q @ h + b
-        assert np.max(np.abs(out.outputs[s - 1] - expected)) < 1e-10 * max(
+        assert np.max(np.abs(out[s - 1] - expected)) < 1e-10 * max(
             1.0, np.max(np.abs(expected)))
 
 
 def test_gru_zero_input_zero_bias_state_stays_zero():
     model = init_model(_spec(CellKind.GRU, 2, 4), 2, Rng(6))
-    out = model.forward(np.zeros((5, 2)))
-    assert np.array_equal(out.states, np.zeros((6, 4)))
+    _, states, _ = model.forward_batch(np.zeros((5, 2))[None])
+    assert np.array_equal(states[0], np.zeros((6, 4)))
 
 
 def test_forward_prefix_property():
     for kind in CellKind:
         model = init_model(_spec(kind, 3, 4), 2, Rng(7), encoder_dim=3)
         x = np.asarray(Rng(8).gaussian(size=(9, 3)))
-        full = model.forward(x)
+        full = model.outputs(x[None])[0]
         for s in (1, 4, 9):
-            prefix = model.forward(x[:s])
-            assert np.array_equal(prefix.outputs[-1], full.outputs[s - 1])
+            prefix = model.outputs(x[None, :s])[0]
+            assert np.array_equal(prefix[-1], full[s - 1])
 
 
 @pytest.mark.parametrize("kind", list(CellKind))
@@ -156,21 +156,21 @@ def test_sigmoid_matches_the_logistic_function():
 def test_causality_future_perturbations_do_not_change_past_outputs():
     model = init_model(_spec(CellKind.LSTM, 2, 3), 2, Rng(9))
     x = np.asarray(Rng(10).gaussian(size=(8, 2)))
-    base = model.forward(x)
+    base = model.outputs(x[None])[0]
     t = 5
     bumped = x.copy()
     bumped[t - 1] += 10.0
-    out = model.forward(bumped)
-    assert np.array_equal(out.outputs[:t - 1], base.outputs[:t - 1])
+    out = model.outputs(bumped[None])[0]
+    assert np.array_equal(out[:t - 1], base[:t - 1])
 
 
 @pytest.mark.parametrize("kind", [CellKind.GRU, CellKind.LSTM, CellKind.LEM])
 def test_gated_cells_stay_finite_for_long_bounded_sequences(kind):
     model = init_model(_spec(kind, 3, 6), 2, Rng(11))
     x = np.asarray(Rng(12).uniform(size=(1000, 3), low=-1.0, high=1.0))
-    out = model.forward(x)
-    assert np.all(np.isfinite(out.states))
-    assert np.all(np.isfinite(out.outputs))
+    ys, states, _ = model.forward_batch(x[None])
+    assert np.all(np.isfinite(states[0]))
+    assert np.all(np.isfinite(ys[0]))
 
 
 def test_shift_copy_reproduces_delayed_readout():
@@ -179,11 +179,11 @@ def test_shift_copy_reproduces_delayed_readout():
     U = np.asarray(rng.gaussian(size=(2, d)))
     model = build_shift_copy_model(k, d, U)
     x = np.asarray(rng.gaussian(size=(T, d)))
-    out = model.forward(x)
+    out = model.outputs(x[None])[0]
     # Independent oracle: simulate the delay line directly.
     for s in range(1, T + 1):
         expected = U @ x[s - k - 1] if s > k else np.zeros(2)
-        assert np.max(np.abs(out.outputs[s - 1] - expected)) < 1e-12
+        assert np.max(np.abs(out[s - 1] - expected)) < 1e-12
 
 
 def test_shift_copy_k7_reads_step_four():
@@ -191,24 +191,24 @@ def test_shift_copy_k7_reads_step_four():
     U = np.asarray(rng.gaussian(size=(2, 2)))
     model = build_shift_copy_model(3, 2, U)
     x = np.asarray(rng.gaussian(size=(7, 2)))
-    out = model.forward(x)
-    assert out.outputs[6] == pytest.approx(U @ x[3], abs=1e-12)
+    out = model.outputs(x[None])[0]
+    assert out[6] == pytest.approx(U @ x[3], abs=1e-12)
 
 
 def test_shift_copy_zero_offset_is_identity_readout():
     model = build_shift_copy_model(0, 3)
     x = np.asarray(Rng(15).gaussian(size=(5, 3)))
-    out = model.forward(x)
-    assert np.max(np.abs(out.outputs - x)) < 1e-15
+    out = model.outputs(x[None])[0]
+    assert np.max(np.abs(out - x)) < 1e-15
 
 
 def test_shift_copy_full_window_offset_repeats_first_step():
     T = 6
     model = build_shift_copy_model(T - 1, 2)
     x = np.asarray(Rng(16).gaussian(size=(T, 2)))
-    out = model.forward(x)
-    assert out.outputs[-1] == pytest.approx(x[0], abs=1e-15)
-    assert np.max(np.abs(out.outputs[:-1])) == 0.0
+    out = model.outputs(x[None])[0]
+    assert out[-1] == pytest.approx(x[0], abs=1e-15)
+    assert np.max(np.abs(out[:-1])) == 0.0
 
 
 def test_checkpoint_round_trip_is_bitwise(tmp_path):
@@ -222,7 +222,7 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
         for name in model.params:
             assert np.array_equal(loaded.params[name], model.params[name])
         x = np.asarray(Rng(18).gaussian(size=(6, 3)))
-        assert np.array_equal(loaded.forward(x).outputs, model.forward(x).outputs)
+        assert np.array_equal(loaded.outputs(x[None]), model.outputs(x[None]))
 
 
 @pytest.mark.parametrize("kind", list(CellKind))
@@ -291,4 +291,4 @@ def test_cell_spec_validation():
 def test_forward_rejects_dim_mismatch():
     model = init_model(_spec(CellKind.GRU, 3, 4), 2, Rng(22))
     with pytest.raises(ShapeMismatch):
-        model.forward(np.zeros((5, 2)))
+        model.outputs(np.zeros((5, 2))[None])

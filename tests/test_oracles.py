@@ -127,7 +127,6 @@ def test_axiom_suite_residuals_vanish(norm):
     report = axiom_suite(Rng(3), trials=100, norm=norm)
     assert report.max_residual() < 1e-9
     assert all(type(v) is float for v in report.residuals.values())
-    assert report.passed()
     assert set(report.residuals) == {
         "single_step_magnitude", "single_step_normalized",
         "additivity_disjoint", "absolute_homogeneity",
@@ -168,9 +167,9 @@ def test_axiom_suite_fails_when_the_range_drops_the_oldest_lag(monkeypatch):
         w[..., 0] = 0.0
         return range_values(w)
 
-    assert axiom_suite(Rng(3), trials=20).passed()
+    assert axiom_suite(Rng(3), trials=20).max_residual() < 1e-9
     monkeypatch.setattr(oracles, "range_values", drop_oldest)
-    assert not axiom_suite(Rng(3), trials=20).passed()
+    assert not axiom_suite(Rng(3), trials=20).max_residual() < 1e-9
 
 
 def test_axiom_report_json_is_deterministic():
@@ -222,7 +221,7 @@ def test_linear_map_model_encoding_matches_closed_form():
     x = np.asarray(rng.gaussian(size=(T, d)))
     # The final output must equal the map itself.
     expected = sum(L.blocks[t] @ x[t] for t in range(T))
-    assert np.max(np.abs(model.forward(x).outputs[-1] - expected)) < 1e-12
+    assert np.max(np.abs(model.outputs(x[None])[0, -1] - expected)) < 1e-12
     cfg = TRConfig(mode=JacobianMode.FINAL_OUTPUT, T=T)
     rv = temporal_range(influence_weights(input_jacobians(model, x, cfg.mode), cfg))
     closed = linear_map_range(L)

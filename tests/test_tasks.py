@@ -123,8 +123,6 @@ def test_observation_variants_dimensions():
     obs = observe(s, ObsVariant(kind=ObsKind.STATELESS))
     assert obs.shape == (2,)
     assert obs == pytest.approx([0.1, 0.03])
-    hidden_pos = observe(s, ObsVariant(kind=ObsKind.STATELESS, hide_positions=True))
-    assert hidden_pos == pytest.approx([-0.2, 0.4])
 
 
 def test_noisy_observation_std_matches_sigma():
