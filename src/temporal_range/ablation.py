@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 
 import numpy as np
 
@@ -45,27 +46,13 @@ __all__ = [
 DEFAULT_WINDOWS = (1, 2, 4, 8, 16, 32)
 
 
-def _cold_restarts(model: SequenceModel, X, windows):
-    """Yield ``(s, ms, state)`` over a batch ``X`` (B, T, d): ``state``
-    (B, S) is a cold restart's state at step ``s`` and ``ms`` lists the
-    windows among ``windows`` whose step-``s`` state it is.
-
-    The full pass yields steps ``1..T`` for every window ``m >= s`` (``ms``
-    may be empty).  The pass that starts after position ``a`` runs to the
-    largest window below ``T`` that fits and yields its ``k``-th step as
-    window ``k``'s state of step ``a + k`` only where ``k`` is a window.  By
-    the prefix property of ``SequenceModel.unroll`` every state is
-    bit-identical to that of a pass over exactly the window's steps.
-    """
-    T = X.shape[1]
-    for s, state in enumerate(model.unroll(X), 1):
-        yield s, [m for m in windows if m >= s], state
-    short = sorted({m for m in windows if m < T})
-    for a in range(1, T - short[0] + 1) if short else ():
-        fits = [m for m in short if m <= T - a]
-        for k, state in enumerate(model.unroll(X[:, a:a + fits[-1]]), 1):
-            if k in fits:
-                yield a + k, [k], state
+def _sorted_windows(windows) -> list[int]:
+    """The distinct ``windows`` in increasing order; none at all, or one
+    that is not an integer >= 1, is a ``SpecError``."""
+    windows = list(windows)
+    if not windows or not all(isinstance(m, numbers.Integral) and m >= 1 for m in windows):
+        raise SpecError(f"windows must be integers >= 1, got {windows}")
+    return sorted(set(map(int, windows)))
 
 
 def windowed_forward(model: SequenceModel, x, m: int) -> np.ndarray:
@@ -75,8 +62,7 @@ def windowed_forward(model: SequenceModel, x, m: int) -> np.ndarray:
     state over ``x[s-m+1 .. s]``; with ``m >= T`` this reproduces the
     ordinary forward pass exactly.
     """
-    if m < 1:
-        raise SpecError(f"window must be >= 1, got {m}")
+    m, = _sorted_windows([m])
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeMismatch(f"expected observation sequence of shape (T, d), got {x.shape}")
@@ -85,18 +71,19 @@ def windowed_forward(model: SequenceModel, x, m: int) -> np.ndarray:
 
 def _windowed_outputs(model: SequenceModel, X, windows) -> dict[int, np.ndarray]:
     """Windowed outputs (B, T, c) of a batch ``X`` (B, T, d) for each
-    window, and the full-context outputs (``model.outputs(X)``) under the
-    key ``T``, from the shared passes of ``_cold_restarts``.  Each yielded
-    state is decoded once."""
-    B, T, _ = X.shape
-    ys = {m: np.empty((B, T, model.output_dim)) for m in windows if m < T}
-    # model.outputs' time-major layout, so that scores sum in the same order.
-    ys[T] = np.empty((T, B, model.output_dim)).swapaxes(0, 1)
-    for s, ms, state in _cold_restarts(model, X, ys):
-        y = model.decode(state)
-        for m in ms:
-            ys[m][:, s - 1] = y
-    return {m: ys[min(m, T)] for m in (*windows, T)}
+    window, and the full-context outputs under the key ``T``, from the
+    shared passes of the module docstring, each one ``model.outputs``."""
+    T = X.shape[1]
+    full = model.outputs(X)
+    # Steps 1..m of window m are the full pass's; the restarts fill the rest.
+    ys = {m: full.copy() for m in windows if m < T}
+    short = sorted(ys)
+    for a in range(1, T - short[0] + 1) if short else ():
+        fits = [m for m in short if m <= T - a]
+        part = model.outputs(X[:, a:a + fits[-1]])
+        for m in fits:
+            ys[m][:, a + m - 1] = part[:, m - 1]
+    return {m: ys.get(m, full) for m in (*windows, T)}
 
 
 @dataclasses.dataclass
@@ -119,9 +106,7 @@ def ablation_sweep(model: SequenceModel, data: list[LabeledSequence],
     passes (see the module docstring)."""
     if not data:
         raise SpecError("ablation requires evaluation data")
-    windows = sorted(set(int(m) for m in windows))
-    if not windows or windows[0] < 1:
-        raise SpecError(f"windows must be distinct integers >= 1, got {windows}")
+    windows = _sorted_windows(windows)
     X, targets, masks = stack_sequences(data)
     ys = _windowed_outputs(model, X, windows)
     baseline = score(ys[X.shape[1]], targets, masks)[0]
@@ -189,7 +174,7 @@ def sweep_with_deployment(model: SequenceModel, data: list[LabeledSequence], win
     window, half = deployment_windows(report)
     sweep = ablation_sweep(model, data, (*windows, window, half))
     at = {m: i for i, m in enumerate(sweep.windows)}
-    keep = [at[m] for m in sorted(set(int(m) for m in windows))]
+    keep = [at[m] for m in sorted(set(windows))]
     curve = dataclasses.replace(sweep, **{
         field: [getattr(sweep, field)[i] for i in keep]
         for field in ("windows", "mean", "std", "normalized")})

@@ -18,11 +18,10 @@ Each cell kind provides:
 * ``step(rec, state, proj, out)``: one batched transition ``(B, S) -> (B, S)``
   from the stacked recurrent weights ``rec`` and the step's input parts
   ``proj`` (B, G*p).  It writes the new state and each field into the
-  targets ``out = (new, *fields)`` and returns them; without targets it
-  allocates them.  The LEM step also takes its base step ``dt`` by
-  keyword, from ``CellSpec.lem_dt``.  A forward pass hands each step its
-  slice of one time-major buffer per field and of the state trajectory,
-  so nothing is copied after the step.
+  targets ``out = (new, *fields)``, none of which may overlap ``state``,
+  and returns them.  The LEM step also takes its base step ``dt`` by
+  keyword, from ``CellSpec.lem_dt``.  The forward pass supplies the
+  targets (``SequenceModel._unroll``), so nothing is copied after a step.
 * ``views(prev, fields)``: the named arrays a step's cache holds (``h``,
   ``z``, ``r``, ... as views of the previous state and the fields), for
   any leading axes: one step, or all steps of a trace at once.
@@ -92,13 +91,6 @@ def _diagonal(a):
     return np.einsum("...ii->...i", a)
 
 
-def _targets(impl, state) -> tuple:
-    """Fresh targets of one step of ``impl``: the new state, then each field."""
-    B, S = state.shape
-    p = S // impl.state_mult
-    return (np.empty((B, S)), *[np.empty((B, w * p)) for w in impl.fields.values()])
-
-
 def stacked(params, names) -> np.ndarray:
     """The weights ``names`` stacked along their output axis, in order."""
     return np.concatenate([params[name] for name in names])
@@ -124,8 +116,8 @@ class _LinearRec:
         return {"A": (p, p), "C": (p, d_in)}
 
     @staticmethod
-    def step(rec, state, proj, out=None):
-        new, = out or _targets(_LinearRec, state)
+    def step(rec, state, proj, out):
+        new, = out
         np.matmul(state, rec[0], out=new)
         new += proj
         return (new,)
@@ -168,8 +160,8 @@ class _GRU:
         }
 
     @staticmethod
-    def step(rec, state, proj, out=None):
-        new, zr, n, rh = out or _targets(_GRU, state)
+    def step(rec, state, proj, out):
+        new, zr, n, rh = out
         h = state
         p = h.shape[-1]
         np.matmul(h, rec[0], out=zr)
@@ -255,8 +247,8 @@ class _LSTM:
         }
 
     @staticmethod
-    def step(rec, state, proj, out=None):
-        new, ifo, g, hc = out or _targets(_LSTM, state)
+    def step(rec, state, proj, out):
+        new, ifo, g, hc = out
         p = state.shape[-1] // 2
         h, c = state[:, :p], state[:, p:]
         a = h @ rec[0]
@@ -343,8 +335,8 @@ class _LEM:
         }
 
     @staticmethod
-    def step(rec, state, proj, out=None, *, dt):
-        new, g, tz, ty = out or _targets(_LEM, state)
+    def step(rec, state, proj, out, *, dt):
+        new, g, tz, ty = out
         p = state.shape[-1] // 2
         y, z = state[:, :p], state[:, p:]
         a = y @ rec[0]

@@ -82,9 +82,9 @@ def _write_manifest(prefix: Path, command: str, config: dict, seed,
     _write(_out(prefix, ".manifest.json"), artifact_json(doc))
 
 
-def _add_task_flags(p: argparse.ArgumentParser) -> None:
+def _add_task_flags(p: argparse.ArgumentParser, task_required: bool = False) -> None:
     p.add_argument("--task", choices=["copy", "repeatfirst", "cartpole"],
-                   help="generate sequences from this task")
+                   required=task_required, help="generate sequences from this task")
     p.add_argument("--k", type=int, default=3, help="copy offset")
     p.add_argument("--T", type=int, help=f"sequence length of a generated task "
                    f"(default {DEFAULT_T}); with --data, the dataset's T")
@@ -105,12 +105,10 @@ def _gen_task_sequences(args, n: int, seed: int):
     if args.task == "repeatfirst":
         return (gen_repeatfirst(T, args.V, n, rng),
                 {"task": "repeatfirst", "T": T, "V": args.V})
-    if args.task == "cartpole":
-        variant = ObsVariant(kind=_VARIANTS[args.variant], sigma=args.sigma)
-        return (gen_imitation(variant, n, T, rng),
-                {"task": "cartpole", "variant": args.variant,
-                 "sigma": args.sigma, "T": T})
-    raise TemporalRangeError(f"unknown task {args.task!r}")
+    variant = ObsVariant(kind=_VARIANTS[args.variant], sigma=args.sigma)
+    return (gen_imitation(variant, n, T, rng),
+            {"task": "cartpole", "variant": args.variant,
+             "sigma": args.sigma, "T": T})
 
 
 def _load_sequences(args, n: int, seed: int):
@@ -304,11 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a dataset container")
-    _add_task_flags(p)
+    _add_task_flags(p, task_required=True)
     p.add_argument("--n", type=int, default=512, help="number of sequences")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output dataset path")
-    p.set_defaults(func=_cmd_gen_data, task_required=True)
+    p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train", help="train a model on a task or dataset")
     _add_task_flags(p)

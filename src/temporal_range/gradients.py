@@ -206,6 +206,8 @@ def fd_jacobian(model: SequenceModel, x, s: int, t: int) -> np.ndarray:
     validated against.
     """
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ShapeMismatch(f"expected observation sequence of shape (T, d), got {x.shape}")
     T = x.shape[0]
     if not (1 <= s <= T and 1 <= t <= T):
         raise SpecError(f"step indices must lie in 1..{T}, got s={s}, t={t}")

@@ -171,27 +171,22 @@ class SequenceModel:
     def outputs(self, X):
         """``forward_batch(X)[0]`` bit for bit, keeping neither the trace
         nor the states, so memory beyond the outputs does not grow with
-        ``T``."""
+        ``T``: each state is decoded as soon as its step yields it."""
         X = self._check_batch(X)
         ys = np.empty((X.shape[1], X.shape[0], self.output_dim))
         for t, state in enumerate(self._unroll(X)):
             ys[t] = self.decode(state)
         return np.swapaxes(ys, 0, 1)
 
-    def unroll(self, X):
-        """Yield each step's new state ``(B, S)`` over a batch ``(B, T, d)``,
-        keeping nothing else.  By the prefix property (``forward_batch``)
-        the state after ``k`` steps is bit-identical to the last state of a
-        pass over ``X[:, :k]``."""
-        return self._unroll(self._check_batch(X))
-
     def _unroll(self, X, trace: Trace | None = None):
         """Yield each step's new state over a checked batch ``X``.  Cell
         inputs and every gate's input part are computed
         ``UNROLL_CHUNK_STEPS`` steps at a time, as stacked products over the
         time-major observations.  With a ``trace``, the cell inputs, each
-        new state and each field are written into its buffers; without
-        one, every step allocates its own."""
+        new state and each field are written into its buffers.  Without
+        one, the steps take turns writing into two target sets allocated
+        once, so a yielded state stays valid until the step after next;
+        the sets share their fields, which nothing reads after the step."""
         impl = cell_impl(self.cell.kind)
         rec = recurrent_stacks(impl, self.params)
         W = stacked(self.params, impl.input_names).T
@@ -199,7 +194,10 @@ class SequenceModel:
         kwargs = self.cell.step_kwargs
         X_tm = np.swapaxes(X, 0, 1)
         if trace is None:
-            state, targets = np.zeros((X.shape[0], self.state_dim)), itertools.repeat(None)
+            B, p = X.shape[0], self.cell.hidden_dim
+            state = np.zeros((B, self.state_dim))
+            fields = [np.empty((B, w * p)) for w in impl.fields.values()]
+            targets = itertools.cycle([(new, *fields) for new in np.empty((2, B, self.state_dim))])
         else:
             state, targets = trace.states[0], zip(trace.states[1:], *trace.fields.values())
         for t0 in range(0, X_tm.shape[0], UNROLL_CHUNK_STEPS):

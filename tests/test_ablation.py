@@ -82,8 +82,9 @@ def test_windowed_forward_ignores_observations_outside_the_window():
 
 def test_windowed_forward_rejects_bad_window():
     model = build_shift_copy_model(1, 2)
-    with pytest.raises(SpecError):
-        windowed_forward(model, np.zeros((4, 2)), 0)
+    for m in (0, 2.5, 2.0):
+        with pytest.raises(SpecError):
+            windowed_forward(model, np.zeros((4, 2)), m)
     # A sequence is (T, d): neither one step's row nor a batch is one.
     for x in (np.zeros(2), np.zeros((1, 4, 2))):
         with pytest.raises(ShapeMismatch):
@@ -159,8 +160,10 @@ def test_ablation_rejects_empty_inputs():
     with pytest.raises(SpecError):
         ablation_sweep(model, [], windows=(1, 2))
     data = gen_copyk(CopyTaskSpec(k=1, T=4, V=2), 3, Rng(9))
-    with pytest.raises(SpecError):
-        ablation_sweep(model, data, windows=(0, 2))
+    # Truncating 2.5 and 1.9 would run windows 1 and 2 instead.
+    for windows in ((), (0, 2), (2.5, 1.9), (2, np.float64(3.0))):
+        with pytest.raises(SpecError):
+            ablation_sweep(model, data, windows=windows)
 
 
 def test_deployment_check_on_the_exact_delay_line():

@@ -153,6 +153,14 @@ def test_unknown_task_is_a_usage_error():
     assert exc.value.code == 2
 
 
+def test_gen_data_without_a_task_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-data", "--out", "x.json"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "--task" in err
+
+
 def test_deploy_without_report_is_an_input_error(tmp_path):
     ckpt = tmp_path / "m.json"
     save_model(build_shift_copy_model(1, 2), ckpt)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from temporal_range.errors import NumericalError, SpecError
+from temporal_range.errors import NumericalError, ShapeMismatch, SpecError
 from temporal_range.gradients import (JacobianMode, LossKind,
                                       batch_param_gradients, fd_jacobian,
                                       input_jacobians, param_gradients,
@@ -69,6 +69,13 @@ def test_fd_jacobian_zero_above_diagonal():
                        2, Rng(54))
     x = np.asarray(Rng(55).gaussian(size=(5, 2)))
     assert np.array_equal(fd_jacobian(model, x, 2, 4), np.zeros((2, 2)))
+
+
+def test_fd_jacobian_rejects_a_sequence_that_is_not_2d():
+    model = build_shift_copy_model(1, 2)
+    for x in (np.zeros(3), np.zeros((1, 3, 2))):
+        with pytest.raises(ShapeMismatch):
+            fd_jacobian(model, x, 1, 1)
 
 
 def test_block_modes_cover_the_declared_index_sets():

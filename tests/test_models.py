@@ -95,9 +95,9 @@ def test_outputs_reproduce_forward_batch_bit_for_bit(kind, encoder_dim):
 @pytest.mark.parametrize("kind", list(CellKind))
 @pytest.mark.parametrize("encoder_dim", [None, 4])
 def test_trace_buffers_equal_a_step_by_step_recomputation(kind, encoder_dim):
-    # Each step taken on its own, without targets, from the trace's previous
-    # state must give the new state and fields the forward pass wrote in
-    # place.  T spans two full chunks and a short one.
+    # Each step taken on its own, into fresh targets, from the trace's
+    # previous state must give the new state and fields the forward pass
+    # wrote in place.  T spans two full chunks and a short one.
     model = init_model(_spec(kind, 3, 5), 2, Rng(25), encoder_dim=encoder_dim)
     X = np.asarray(Rng(26).gaussian(size=(4, 2 * UNROLL_CHUNK_STEPS + 5, 3)))
     _, states, trace = model.forward_batch(X)
@@ -113,8 +113,9 @@ def test_trace_buffers_equal_a_step_by_step_recomputation(kind, encoder_dim):
         proj = u @ W
         if impl.bias_names:
             proj += stacked(model.params, impl.bias_names)
-        got = impl.step(rec, trace.states[t], proj, **model.cell.step_kwargs)
         want = (trace.states[t + 1], *(f[t] for f in trace.fields.values()))
+        got = impl.step(rec, trace.states[t], proj, tuple(map(np.empty_like, want)),
+                        **model.cell.step_kwargs)
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), t
