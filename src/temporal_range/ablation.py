@@ -171,6 +171,7 @@ def sweep_with_deployment(model: SequenceModel, data: list[LabeledSequence], win
     """``ablation_sweep`` over ``windows`` and ``deployment_check`` from one
     sweep over their union with the deployment windows: one baseline and
     one set of cold-restart passes."""
+    windows = tuple(windows)
     window, half = deployment_windows(report)
     sweep = ablation_sweep(model, data, (*windows, window, half))
     at = {m: i for i, m in enumerate(sweep.windows)}

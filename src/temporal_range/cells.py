@@ -28,15 +28,23 @@ Each cell kind provides:
 * ``operands(states, fields)``: the left operands of the recurrent
   products over all steps, as views of the state trajectory
   ``(T+1, B, S)`` and the fields, one per entry of ``recurrent_names``.
-* ``step_jacobians(params, cache, w_x)``: exact Jacobians of every
+* ``step_jacobians(params, cache, w_x, out)``: exact Jacobians of every
   sequence's new state with respect to its previous state ``(B, S, S)`` and
   an input ``x`` of width ``d`` ``(B, S, d)``, evaluated from a batched
   cache.  ``w_x`` is ``d (stacked input parts) / d x``: the stacked input
   weights ``(G*p, d_in)`` for the cell input itself, or, for the model's
   observation behind an encoder, those weights times the encoder's
-  derivative, ``(B, G*p, d)``.  Each gate's input block is read from it, so
-  the input factor is built in the observation's width.  Only forward-mode
-  sensitivities (multi-output Jacobians) use these factors.
+  derivative, ``(B, G*p, d)``.  Each gate's input block is a slice of it, so
+  the input factor is built in the observation's width.  The factors are
+  written into ``out = (j_state, j_input)``, which the caller allocates
+  once per pass, ``j_state`` zero-filled: every step rewrites all entries
+  but the LSTM's and LEM's structural zeros, so a step's factors stay
+  valid until the next step.  A row block that sums row-scaled gate
+  weights (LSTM ``dc``: gates f, i, g; LEM ``dz/dy``: gates 1, z) is one
+  contraction over a stacked gate axis (``_gate_sum``).  The linear
+  recurrence returns broadcast views of its weights and leaves ``out``
+  alone.  Only forward-mode sensitivities (multi-output Jacobians) use
+  these factors.
 * ``backward(rec, cache, d_new, d_pre, d_prev)``: the recurrent part of the
   reverse-mode rule; writes the gradient of every gate pre-activation into
   ``d_pre`` (..., B, G*p) and the gradient with respect to the previous
@@ -91,6 +99,17 @@ def _diagonal(a):
     return np.einsum("...ii->...i", a)
 
 
+def _gate_sum(coefs, weights, out) -> None:
+    """``sum_g coefs[g][..., None] * weights[g]`` into ``out``, for the
+    stacked coefficient columns ``coefs`` (G, B, p) and G weight blocks, as
+    one contraction over a stacked gate axis.  Each product is rounded and
+    the sum is taken in gate order, so it equals the chained sum bit for bit
+    (but for the sign of a sum of zeros: the contraction starts from +0).
+    The contraction writes a fresh contiguous array, which is faster than
+    writing a strided ``out`` directly."""
+    out[...] = np.einsum("g...i,g...ij->...ij", coefs, np.array(weights))
+
+
 def stacked(params, names) -> np.ndarray:
     """The weights ``names`` stacked along their output axis, in order."""
     return np.concatenate([params[name] for name in names])
@@ -131,7 +150,7 @@ class _LinearRec:
         return (states[:-1],)
 
     @staticmethod
-    def step_jacobians(params, cache, w_x):
+    def step_jacobians(params, cache, w_x, out):
         B = cache["h"].shape[0]
         return (np.broadcast_to(params["A"], (B,) + params["A"].shape),
                 np.broadcast_to(w_x, (B,) + w_x.shape[-2:]))
@@ -189,25 +208,34 @@ class _GRU:
         return states[:-1], fields["rh"]
 
     @staticmethod
-    def step_jacobians(params, cache, w_x):
-        # Per-sequence row scalings carry a trailing axis: (B, p, 1).
-        h, z, r, n = (cache[k][..., None] for k in ("h", "z", "r", "n"))
+    def step_jacobians(params, cache, w_x, out):
+        j_state, j_input = out
+        h, z, r, n = (cache[k] for k in ("h", "z", "r", "n"))
+        p = h.shape[-1]
         Uz, Ur, Un = params["Uz"], params["Ur"], params["Un"]
-        Wz, Wr, Wn = np.split(w_x, 3, axis=-2)
-        dz = z * (1.0 - z)
-        dr = r * (1.0 - r)
-        dn = 1.0 - n * n
-        # d(r * h)/dh and /dx.  Each diagonal is added before any further
-        # sum, so it rounds exactly as ``diag(v) + ...`` does.
-        m_rh_h = (h * dr) * Ur
-        _diagonal(m_rh_h)[...] += r[..., 0]
-        m_rh_u = (h * dr) * Wr
-        dn_dh = dn * (Un @ m_rh_h)
-        dn_du = dn * (Wn + Un @ m_rh_u)
-        j_state = ((h - n) * dz) * Uz
-        _diagonal(j_state)[...] += z[..., 0]
-        j_state += (1.0 - z) * dn_dh
-        j_input = ((h - n) * dz) * Wz + (1.0 - z) * dn_du
+        Wz, Wr, Wn = (w_x[..., k * p:(k + 1) * p, :] for k in range(3))
+        # Per-sequence row scalings (B, p) carry a trailing axis: (B, p, 1).
+        hdr = (h * (r * (1.0 - r)))[..., None]
+        # d(r * h)/dh and /dx, held in the factors until the gate-z terms.
+        # The diagonal is added before any further sum, so it rounds exactly
+        # as ``diag(r) + ...`` does.
+        np.multiply(hdr, Ur, out=j_state)
+        _diagonal(j_state)[...] += r
+        np.multiply(hdr, Wr, out=j_input)
+        # (1 - z) * dn/dh and (1 - z) * dn/dx.
+        dn_dh = Un @ j_state
+        dn_du = Un @ j_input
+        dn_du += Wn
+        dn, zc = (1.0 - n * n)[..., None], (1.0 - z)[..., None]
+        for term in (dn_dh, dn_du):
+            term *= dn
+            term *= zc
+        a = ((h - n) * (z * (1.0 - z)))[..., None]
+        np.multiply(a, Uz, out=j_state)
+        _diagonal(j_state)[...] += z
+        j_state += dn_dh
+        np.multiply(a, Wz, out=j_input)
+        j_input += dn_du
         return j_state, j_input
 
     @staticmethod
@@ -276,27 +304,25 @@ class _LSTM:
         return (states[:-1, :, :states.shape[-1] // 2],)
 
     @staticmethod
-    def step_jacobians(params, cache, w_x):
-        h, c, i, f, o, g, hc = (
-            cache[k][..., None] for k in ("h", "c", "i", "f", "o", "g", "hc"))
-        di, df, do = i * (1 - i), f * (1 - f), o * (1 - o)
-        dg = 1.0 - g * g
-        k = o * (1.0 - hc * hc)
-        B, p = h.shape[:2]
-        # Each factor is filled in place: rows [dh; dc], columns [h, c] or x.
-        j_state = np.zeros((B, 2 * p, 2 * p))
-        j_input = np.empty((B, 2 * p, w_x.shape[-1]))
-        for j, (wi, wf, wo, wg) in (
-                (j_state[..., :p], [params[u] for u in ("Ui", "Uf", "Uo", "Ug")]),
-                (j_input, np.split(w_x, 4, axis=-2))):
+    def step_jacobians(params, cache, w_x, out):
+        j_state, j_input = out
+        c, i, f, o, g, hc = (cache[k] for k in ("c", "i", "f", "o", "g", "hc"))
+        p = c.shape[-1]
+        # Rows [dh; dc], columns [h, c] or x.  dc sums the gates f, i, g.
+        dc_coefs = np.array((c * (f * (1 - f)), g * (i * (1 - i)), i * (1.0 - g * g)))
+        do = (hc * (o * (1 - o)))[..., None]
+        k = (o * (1.0 - hc * hc))[..., None]
+        wi, wf, wo, wg = (w_x[..., n * p:(n + 1) * p, :] for n in range(4))
+        for j, gates, w_o in (
+                (j_state[..., :p], [params[u] for u in ("Uf", "Ui", "Ug")], params["Uo"]),
+                (j_input, (wf, wi, wg), wo)):
             dh, dc = j[:, :p], j[:, p:]
-            np.multiply(c * df, wf, out=dc)
-            dc += (g * di) * wi
-            dc += (i * dg) * wg
-            np.multiply(hc * do, wo, out=dh)
+            _gate_sum(dc_coefs, gates, dc)
+            np.multiply(do, w_o, out=dh)
             dh += k * dc
-        _diagonal(j_state[:, :p, p:])[...] = (k * f)[..., 0]
-        _diagonal(j_state[:, p:, p:])[...] = f[..., 0]
+        # The other entries of the [h, c] columns are zero from the start.
+        _diagonal(j_state[:, :p, p:])[...] = k[..., 0] * f
+        _diagonal(j_state[:, p:, p:])[...] = f
         return j_state, j_input
 
     @staticmethod
@@ -370,32 +396,28 @@ class _LEM:
         return states[:-1, :, :p], states[1:, :, p:]
 
     @staticmethod
-    def step_jacobians(params, cache, w_x):
-        y, z, g1, g2, tz, ty = (
-            cache[k][..., None] for k in ("y", "z", "g1", "g2", "tz", "ty"))
+    def step_jacobians(params, cache, w_x, out):
+        j_state, j_input = out
+        y, z, g1, g2, tz, ty = (cache[k] for k in ("y", "z", "g1", "g2", "tz", "ty"))
         dt = cache["dt"]
+        p = y.shape[-1]
         dt1, dt2 = dt * g1, dt * g2
-        dg1 = dt * g1 * (1.0 - g1)
-        dg2 = dt * g2 * (1.0 - g2)
-        ktz = dt1 * (1.0 - tz * tz)
-        kty = dt2 * (1.0 - ty * ty)
+        # Rows [dy; dz], columns [y, z] or x.  dz sums the gates 1 and z.
+        dz_coefs = np.array(((tz - z) * (dt1 * (1.0 - g1)), dt1 * (1.0 - tz * tz)))
+        a = ((ty - y) * (dt2 * (1.0 - g2)))[..., None]
+        kty = (dt2 * (1.0 - ty * ty))[..., None]
         wy = params["Wy"]
-        v1, v2, vz, vy = np.split(w_x, 4, axis=-2)
-        B, p = y.shape[:2]
-        # Each factor is filled in place: rows [dy; dz], columns [y, z] or x.
-        j_state = np.zeros((B, 2 * p, 2 * p))
-        j_input = np.empty((B, 2 * p, w_x.shape[-1]))
-        for dz, w1, wz in ((j_state[:, p:, :p], params["W1"], params["Wz"]),
-                           (j_input[:, p:], v1, vz)):
-            np.multiply((tz - z) * dg1, w1, out=dz)
-            dz += ktz * wz
-        _diagonal(j_state[:, p:, p:])[...] = (1.0 - dt1)[..., 0]
+        v1, v2, vz, vy = (w_x[..., n * p:(n + 1) * p, :] for n in range(4))
+        _gate_sum(dz_coefs, (params["W1"], params["Wz"]), j_state[:, p:, :p])
+        _gate_sum(dz_coefs, (v1, vz), j_input[:, p:])
+        # The other entries of dz/dz are zero from the start.
+        _diagonal(j_state[:, p:, p:])[...] = 1.0 - dt1
         dy_dy = j_state[:, :p, :p]
-        _diagonal(dy_dy)[...] = (1.0 - dt2)[..., 0]
-        dy_dy += ((ty - y) * dg2) * params["W2"]
+        np.multiply(a, params["W2"], out=dy_dy)
+        _diagonal(dy_dy)[...] += 1.0 - dt2
         dy_dy += kty * (wy @ j_state[:, p:, :p])
-        np.multiply(kty, wy * np.swapaxes(1.0 - dt1, -1, -2), out=j_state[:, :p, p:])
-        np.multiply((ty - y) * dg2, v2, out=j_input[:, :p])
+        np.multiply(kty, wy * (1.0 - dt1)[..., None, :], out=j_state[:, :p, p:])
+        np.multiply(a, v2, out=j_input[:, :p])
         j_input[:, :p] += kty * (vy + wy @ j_input[:, p:])
         return j_state, j_input
 

@@ -84,19 +84,25 @@ def _decoder_rows(model: SequenceModel) -> np.ndarray:
 
 def _step_factors(model: SequenceModel, X):
     """One forward pass over ``X`` (R, T, d), then each step's factors
-    ``d state_t / d state_{t-1}`` (R, S, S) and ``d state_t / d x_t`` (R, S, d).
-    Behind an encoder, the stacked input weights are first mapped through
-    the step's encoder derivative (R, G*p, d), so the input factor is built
-    ``d`` columns wide and no (R, S, d_in) factor is formed."""
+    ``d state_t / d state_{t-1}`` (R, S, S) and ``d state_t / d x_t`` (R, S, d),
+    written into two buffers allocated once per pass: a step's factors stay
+    valid until the next step.  The state buffer starts at zero, so the
+    blocks a cell never writes (the LSTM's and LEM's off-diagonal zeros)
+    stay zero.  Behind an encoder, the stacked input weights are first
+    mapped through the step's encoder derivative (R, G*p, d), so the input
+    factor is built ``d`` columns wide and no (R, S, d_in) factor is formed."""
     impl = cell_impl(model.cell.kind)
     w_in = stacked(model.params, impl.input_names)
     _, _, trace = model.forward_batch(X)
+    R, _, d = np.shape(X)
+    out = (np.zeros((R, model.state_dim, model.state_dim)),
+           np.empty((R, model.state_dim, d)))
     for t, cache in enumerate(trace.steps):
         w_x = w_in
         if model.encoder_dim is not None:
             u = trace.inputs[t]
             w_x = w_in @ ((1.0 - u * u)[..., None] * model.params["enc_W"])
-        yield impl.step_jacobians(model.params, cache, w_x)
+        yield impl.step_jacobians(model.params, cache, w_x, out)
 
 
 def per_step_jacobians(model: SequenceModel, x):
@@ -109,8 +115,10 @@ def per_step_jacobians(model: SequenceModel, x):
     ``J[s, t]`` is the product dec_rows @ j_state[s-1] @ .. @ j_state[t]
     @ j_input_x[t-1].
     """
-    factors = list(_step_factors(model, np.asarray(x, dtype=np.float64)[None]))
-    return ([js[0] for js, _ in factors], [ji[0] for _, ji in factors],
+    # A step's factors stay valid until the next step, so each is copied.
+    factors = [(js[0].copy(), ji[0].copy())
+               for js, ji in _step_factors(model, np.asarray(x, dtype=np.float64)[None])]
+    return ([js for js, _ in factors], [ji for _, ji in factors],
             _decoder_rows(model))
 
 
@@ -121,10 +129,16 @@ def multi_output_blocks(model: SequenceModel, X):
     Two sensitivity buffers are allocated once; each step's product is
     written into the spare one, and the two are then swapped.
 
+    Each step checks only what it adds: its blocks and its new input factor.
+    A non-finite sensitivity reaches every block of its origin at the same
+    step, since ``0 * inf`` is NaN, so the whole buffer is never rescanned.
+
     Raises:
+        ShapeMismatch: when ``X`` is not a (R, T, d) batch of the model's width.
         NumericalError: naming the step where a sensitivity is not finite.
     """
-    R, T, d = np.shape(X)
+    X = model._check_batch(X)
+    R, T, d = X.shape
     dec_rows = _decoder_rows(model)
     # Columns (t-1)*d .. t*d hold d state_s / d x_t for each origin t <= s.
     sens = np.empty((R, model.state_dim, T * d))
@@ -134,13 +148,13 @@ def multi_output_blocks(model: SequenceModel, X):
         # Overflow here is caught by the finiteness check below.
         with np.errstate(over="ignore", invalid="ignore"):
             np.matmul(j_state, sens[..., :m], out=spare[..., :m])
+            blocks = dec_rows @ spare[..., :m]
         sens, spare = spare, sens
         sens[..., m:m + d] = j_input
-        if not np.all(np.isfinite(sens[..., :m + d])):
+        if not (np.all(np.isfinite(blocks)) and np.all(np.isfinite(j_input))):
             raise NumericalError(f"non-finite sensitivity at step s={s}")
         if s > 1:
-            blocks = (dec_rows @ sens[..., :m]).reshape(R, -1, s - 1, d)
-            yield s, blocks.transpose(0, 2, 1, 3)
+            yield s, blocks.reshape(R, -1, s - 1, d).transpose(0, 2, 1, 3)
 
 
 def final_output_blocks(model: SequenceModel, X) -> np.ndarray:
@@ -152,9 +166,11 @@ def final_output_blocks(model: SequenceModel, X) -> np.ndarray:
     the stacked input weights (and the encoder's derivative) give ``J[T, t]``.
 
     Raises:
+        ShapeMismatch: when ``X`` is not a (R, T, d) batch of the model's width.
         NumericalError: naming the step where the adjoint or a block is not finite.
     """
-    R, T, d = np.shape(X)
+    X = model._check_batch(X)
+    R, T, d = X.shape
     c = model.output_dim
     impl = cell_impl(model.cell.kind)
     params = model.params

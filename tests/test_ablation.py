@@ -5,7 +5,7 @@ import pytest
 
 from temporal_range.ablation import (AblationCurve, _windowed_outputs, ablation_sweep,
                                      curve_csv, deployment_check, knee,
-                                     windowed_forward)
+                                     sweep_with_deployment, windowed_forward)
 from temporal_range.errors import ShapeMismatch, SpecError
 from temporal_range.gradients import JacobianMode
 from temporal_range.linalg import Rng
@@ -203,6 +203,18 @@ def test_deployment_check_with_equal_windows_reports_both():
     assert check.window == check.half_window == 1
     assert check.retention_window == 1.0
     assert check.retention_half == 1.0
+
+
+def test_sweep_with_deployment_reads_a_generator_of_windows_once():
+    k, T = 3, 16
+    data = gen_copyk(CopyTaskSpec(k=k, T=T, V=4), 20, Rng(10))
+    model = build_shift_copy_model(k, 4)
+    report = analyze(model, [s.x for s in data[:2]],
+                     TRConfig(mode=JacobianMode.FINAL_OUTPUT, T=T))
+    listed = sweep_with_deployment(model, data, (1, 2, 8), report)
+    generated = sweep_with_deployment(model, data, (m for m in (1, 2, 8)), report)
+    assert generated[0].windows == [1, 2, 8]
+    assert generated == listed
 
 
 def test_deployment_check_rejects_degenerate_reports():

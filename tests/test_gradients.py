@@ -266,9 +266,12 @@ def test_in_place_factors_equal_the_block_assembly_bit_for_bit(kind, encoder_dim
                        encoder_dim=encoder_dim)
     X = 3.0 * np.asarray(Rng(71).gaussian(size=(5, 6, 2)))
     impl = cell_impl(kind)
+    # One pair of buffers for every step, as the engine passes them.
+    out = (np.zeros((5, model.state_dim, model.state_dim)),
+           np.empty((5, model.state_dim, model.cell_input_dim)))
     for cache in model.forward_batch(X)[2].steps:
         got = impl.step_jacobians(model.params, cache,
-                                  stacked(model.params, impl.input_names))
+                                  stacked(model.params, impl.input_names), out)
         for a, b in zip(got, _block_assembled_factors(kind, model.params, cache)):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -286,10 +289,13 @@ def test_step_factors_build_the_input_factor_in_observation_space(kind, encoder_
     impl = cell_impl(kind)
     w_in = stacked(model.params, impl.input_names)
     trace = model.forward_batch(X)[2]
-    factors = list(_step_factors(model, X))
+    # A step's factors stay valid until the next step, so each is copied.
+    factors = [(j_state.copy(), j_x.copy()) for j_state, j_x in _step_factors(model, X)]
     assert len(factors) == 6
+    ref_out = (np.zeros((5, model.state_dim, model.state_dim)),
+               np.empty((5, model.state_dim, model.cell_input_dim)))
     for t, (cache, (j_state, j_x)) in enumerate(zip(trace.steps, factors)):
-        ref_state, ref_input = impl.step_jacobians(model.params, cache, w_in)
+        ref_state, ref_input = impl.step_jacobians(model.params, cache, w_in, ref_out)
         assert j_state.tobytes() == ref_state.tobytes()
         if encoder_dim is None:
             assert j_x.shape == ref_input.shape and j_x.tobytes() == ref_input.tobytes()
@@ -298,6 +304,32 @@ def test_step_factors_build_the_input_factor_in_observation_space(kind, encoder_
         ref = ref_input @ ((1.0 - u * u)[..., None] * model.params["enc_W"])
         assert j_x.shape == ref.shape == (5, model.state_dim, 2)
         assert np.max(np.abs(j_x - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (4,), (1, 4, 2, 1)])
+def test_the_engine_rejects_a_batch_of_the_wrong_rank(shape):
+    from temporal_range.gradients import final_output_blocks, multi_output_blocks
+    model = build_shift_copy_model(1, 2)
+    with pytest.raises(ShapeMismatch, match="expected batch of shape"):
+        next(multi_output_blocks(model, np.zeros(shape)))
+    with pytest.raises(ShapeMismatch, match="expected batch of shape"):
+        final_output_blocks(model, np.zeros(shape))
+
+
+def test_an_overflow_in_a_coordinate_the_decoder_never_reads_names_its_step():
+    # h' = diag(1e200, 1) h + C u: sensitivities of coordinate 0 reach 1e400
+    # at step s = 3, and the decoder reads only coordinate 1.  The overflow
+    # still reaches that step's blocks, as 0 * inf is NaN.
+    p, T = 2, 5
+    params = {"A": np.diag([1e200, 1.0]), "C": np.ones((p, 1)),
+              "dec_W": np.array([[0.0, 1.0]]), "dec_b": np.zeros(1)}
+    model = SequenceModel(cell=CellSpec(kind=CellKind.LINEAR_REC, input_dim=1, hidden_dim=p),
+                          output_dim=1, encoder_dim=None, params=params)
+    from temporal_range.gradients import multi_output_blocks
+    steps = multi_output_blocks(model, np.zeros((2, T, 1)))
+    assert next(steps)[0] == 2
+    with pytest.raises(NumericalError, match="non-finite sensitivity at step s=3$"):
+        next(steps)
 
 
 def test_an_overflowing_adjoint_names_its_step():
