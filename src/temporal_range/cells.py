@@ -15,9 +15,10 @@ Each cell kind provides:
   and the weight gradients read beyond the states, as name -> width in
   units of ``p``, in order (GRU ``zr``, ``n``, ``rh``; LSTM ``ifo``, ``g``,
   ``hc``; LEM ``g``, ``tz``, ``ty``; none for the linear recurrence).
-* ``step(rec, state, proj, out)``: one batched transition ``(B, S) -> (B, S)``
-  from the stacked recurrent weights ``rec`` and the step's input parts
-  ``proj`` (B, G*p).  It writes the new state and each field into the
+* ``step(rec, state, proj, out)``: one batched transition ``(..., B, S) ->
+  (..., B, S)`` from the stacked recurrent weights ``rec`` and the step's
+  input parts ``proj`` (..., B, G*p).  It indexes trailing axes only, so a
+  stack of models (weights ``(..., ., .)``) steps as one.  It writes the new state and each field into the
   targets ``out = (new, *fields)``, none of which may overlap ``state``,
   and returns them.  The LEM step also takes its base step ``dt`` by
   keyword, from ``CellSpec.lem_dt``.  The forward pass supplies the
@@ -111,14 +112,16 @@ def _gate_sum(coefs, weights, out) -> None:
 
 
 def stacked(params, names) -> np.ndarray:
-    """The weights ``names`` stacked along their output axis, in order."""
-    return np.concatenate([params[name] for name in names])
+    """The weights ``names`` stacked along their output axis (-2), in order;
+    leading axes of a stack of models carry through."""
+    return np.concatenate([params[name] for name in names], axis=-2)
 
 
 def recurrent_stacks(impl, params) -> tuple:
     """Right operands of a cell's recurrent products, one per entry of
     ``impl.recurrent_names``: the group's weights stacked, transposed."""
-    return tuple(stacked(params, group).T for group in impl.recurrent_names)
+    return tuple(np.swapaxes(stacked(params, group), -1, -2)
+                 for group in impl.recurrent_names)
 
 
 class _LinearRec:
@@ -184,15 +187,15 @@ class _GRU:
         h = state
         p = h.shape[-1]
         np.matmul(h, rec[0], out=zr)
-        zr += proj[:, :2 * p]
+        zr += proj[..., :2 * p]
         _sigmoid(zr, out=zr)
-        np.multiply(zr[:, p:], h, out=rh)
+        np.multiply(zr[..., p:], h, out=rh)
         np.matmul(rh, rec[1], out=n)
-        n += proj[:, 2 * p:]
+        n += proj[..., 2 * p:]
         np.tanh(n, out=n)
         # n + z * (h - n)
         np.subtract(h, n, out=new)
-        new *= zr[:, :p]
+        new *= zr[..., :p]
         new += n
         return new, zr, n, rh
 
@@ -278,17 +281,17 @@ class _LSTM:
     def step(rec, state, proj, out):
         new, ifo, g, hc = out
         p = state.shape[-1] // 2
-        h, c = state[:, :p], state[:, p:]
+        h, c = state[..., :p], state[..., p:]
         a = h @ rec[0]
         a += proj
-        _sigmoid(a[:, :3 * p], out=ifo)
-        np.tanh(a[:, 3 * p:], out=g)
+        _sigmoid(a[..., :3 * p], out=ifo)
+        np.tanh(a[..., 3 * p:], out=g)
         # c' = f * c + i * g, h' = o * tanh(c')
-        c_new = new[:, p:]
-        np.multiply(ifo[:, p:2 * p], c, out=c_new)
-        c_new += ifo[:, :p] * g
+        c_new = new[..., p:]
+        np.multiply(ifo[..., p:2 * p], c, out=c_new)
+        c_new += ifo[..., :p] * g
         np.tanh(c_new, out=hc)
-        np.multiply(ifo[:, 2 * p:], hc, out=new[:, :p])
+        np.multiply(ifo[..., 2 * p:], hc, out=new[..., :p])
         return new, ifo, g, hc
 
     @staticmethod
@@ -364,20 +367,20 @@ class _LEM:
     def step(rec, state, proj, out, *, dt):
         new, g, tz, ty = out
         p = state.shape[-1] // 2
-        y, z = state[:, :p], state[:, p:]
+        y, z = state[..., :p], state[..., p:]
         a = y @ rec[0]
-        a += proj[:, :3 * p]
-        _sigmoid(a[:, :2 * p], out=g)
-        np.tanh(a[:, 2 * p:], out=tz)
-        dt1 = dt * g[:, :p]
-        z_new = new[:, p:]
+        a += proj[..., :3 * p]
+        _sigmoid(a[..., :2 * p], out=g)
+        np.tanh(a[..., 2 * p:], out=tz)
+        dt1 = dt * g[..., :p]
+        z_new = new[..., p:]
         np.multiply(1.0 - dt1, z, out=z_new)
         z_new += dt1 * tz
         np.matmul(z_new, rec[1], out=ty)
-        ty += proj[:, 3 * p:]
+        ty += proj[..., 3 * p:]
         np.tanh(ty, out=ty)
-        dt2 = dt * g[:, p:]
-        y_new = new[:, :p]
+        dt2 = dt * g[..., p:]
+        y_new = new[..., :p]
         np.multiply(1.0 - dt2, y, out=y_new)
         y_new += dt2 * ty
         return new, g, tz, ty

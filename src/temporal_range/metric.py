@@ -20,6 +20,7 @@ import dataclasses
 import enum
 import hashlib
 import json
+import math
 import typing
 
 import numpy as np
@@ -143,11 +144,14 @@ def influence_weights(blocks: JacobianBlocks, cfg: TRConfig) -> np.ndarray:
 
 def range_values(weights) -> tuple[np.ndarray, np.ndarray]:
     """``rho`` and ``rho_hat`` of every profile in a stack of weights
-    ``(..., T)``; ``rho_hat`` is NaN where a profile's total weight is <= 0."""
+    ``(..., T)``; ``rho_hat`` is NaN where a profile's total weight is <= 0.
+    A profile with all its weight at the oldest lag can round ``rho_hat``
+    an ulp past ``T-1``; it is held at ``T-1``."""
     w = np.asarray(weights, dtype=np.float64)
     rho = w @ np.arange(w.shape[-1] - 1, -1, -1, dtype=np.float64)
     total = w.sum(axis=-1)
-    return rho, np.divide(rho, total, out=np.full_like(rho, np.nan), where=total > 0)
+    rho_hat = np.divide(rho, total, out=np.full_like(rho, np.nan), where=total > 0)
+    return rho, np.minimum(rho_hat, w.shape[-1] - 1)
 
 
 def temporal_range(weights) -> RangeValues:
@@ -328,11 +332,13 @@ def report_from_json(text: str) -> TemporalRangeReport:
     """Rebuild a report from its JSON serialization.
 
     Raises:
-        FormatError: on malformed content.
+        FormatError: on malformed content, including a non-finite number
+            and a headline, pooled or per-rollout ``rho_hat`` outside
+            ``[0, T-1]``.
         VersionError: on a schema mismatch.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
         if doc["schema"] != REPORT_SCHEMA_VERSION:
             raise VersionError(
                 f"unsupported report schema {doc['schema']!r} "
@@ -342,7 +348,7 @@ def report_from_json(text: str) -> TemporalRangeReport:
                        aggregation=Aggregation(cfg_doc["aggregation"]),
                        mode=JacobianMode(cfg_doc["mode"]),
                        T=int(cfg_doc["T"]))
-        return TemporalRangeReport(
+        report = TemporalRangeReport(
             config=cfg,
             n_rollouts=int(doc["n_rollouts"]),
             rho=float(doc["rho"]),
@@ -358,8 +364,23 @@ def report_from_json(text: str) -> TemporalRangeReport:
             degenerate=bool(doc["degenerate"]),
             n_degenerate=int(doc["n_degenerate_rollouts"]),
         )
-    except (KeyError, TypeError, ValueError, SpecError) as exc:
+        for name, value in (("rho_hat", report.rho_hat),
+                            ("pooled_rho_hat", report.pooled_rho_hat),
+                            *(("per-rollout rho_hat", v) for v in report.per_rollout_rho_hat)):
+            if value is not None and not 0.0 <= value <= cfg.T - 1:
+                raise ValueError(f"{name} {value!r} is outside [0, T-1] = [0, {cfg.T - 1}]")
+        return report
+    except (KeyError, TypeError, ValueError, OverflowError, SpecError) as exc:
         raise FormatError(f"malformed range report: {exc}") from exc
+
+
+def _finite_float(text: str) -> float:
+    """A JSON number or constant (``NaN``, ``Infinity``, ``-Infinity``) as
+    a float; ``ValueError`` unless it is finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
 
 
 def profile_csv(report: TemporalRangeReport) -> str:

@@ -110,6 +110,9 @@ class SequenceModel:
     ``params`` is a flat name -> float64 array mapping.  Encoder parameters
     (present only when ``encoder_dim`` is set) are ``enc_W``/``enc_b``; the
     decoder is ``dec_W``/``dec_b``; remaining names belong to the cell.
+
+    A stack of models of one spec gives every parameter the same leading
+    axes ``stack_shape``; only ``outputs`` runs such a stack.
     """
 
     cell: CellSpec
@@ -125,6 +128,10 @@ class SequenceModel:
     def cell_input_dim(self) -> int:
         return self.encoder_dim if self.encoder_dim is not None else self.cell.input_dim
 
+    @property
+    def stack_shape(self) -> tuple[int, ...]:
+        return self.params["dec_b"].shape[:-1]
+
     def copy(self) -> "SequenceModel":
         return SequenceModel(
             cell=self.cell,
@@ -134,15 +141,19 @@ class SequenceModel:
         )
 
     def encode(self, X):
-        """Encoder output for step inputs ``(..., d)``."""
+        """Encoder output for rows of step inputs ``(..., B, d)``; a stack's
+        rows carry its leading axes ahead of ``B``."""
         if self.encoder_dim is None:
             return X
-        return np.tanh(X @ self.params["enc_W"].T + self.params["enc_b"])
+        return np.tanh(X @ np.swapaxes(self.params["enc_W"], -1, -2)
+                       + self.params["enc_b"][..., None, :])
 
     def decode(self, states):
-        """Decoder readout from states ``(..., S)`` to outputs ``(..., c)``."""
+        """Decoder readout from rows of states ``(..., B, S)`` to outputs
+        ``(..., B, c)``."""
         p = self.cell.hidden_dim
-        return states[..., :p] @ self.params["dec_W"].T + self.params["dec_b"]
+        return (states[..., :p] @ np.swapaxes(self.params["dec_W"], -1, -2)
+                + self.params["dec_b"][..., None, :])
 
     def forward_batch(self, X):
         """Run a batch ``(B, T, d)``; returns outputs, states and the trace.
@@ -171,12 +182,17 @@ class SequenceModel:
     def outputs(self, X):
         """``forward_batch(X)[0]`` bit for bit, keeping neither the trace
         nor the states, so memory beyond the outputs does not grow with
-        ``T``: each state is decoded as soon as its step yields it."""
+        ``T``: each state is decoded as soon as its step yields it.
+
+        A stack of models runs as one pass over the same ``X``, with
+        outputs ``(*stack_shape, B, T, c)``.  Its products keep a single
+        model's operands per slice, so each slice equals that model's own
+        outputs bit for bit."""
         X = self._check_batch(X)
-        ys = np.empty((X.shape[1], X.shape[0], self.output_dim))
+        ys = np.empty((X.shape[1], *self.stack_shape, X.shape[0], self.output_dim))
         for t, state in enumerate(self._unroll(X)):
             ys[t] = self.decode(state)
-        return np.swapaxes(ys, 0, 1)
+        return np.moveaxis(ys, 0, -2)
 
     def _unroll(self, X, trace: Trace | None = None):
         """Yield each step's new state over a checked batch ``X``.  Cell
@@ -186,18 +202,23 @@ class SequenceModel:
         new state and each field are written into its buffers.  Without
         one, the steps take turns writing into two target sets allocated
         once, so a yielded state stays valid until the step after next;
-        the sets share their fields, which nothing reads after the step."""
+        the sets share their fields, which nothing reads after the step.
+        A stack's states are ``(*stack_shape, B, S)``; its observations gain
+        unit axes in place of ``stack_shape``, so every model reads them."""
         impl = cell_impl(self.cell.kind)
+        lead = self.stack_shape
         rec = recurrent_stacks(impl, self.params)
-        W = stacked(self.params, impl.input_names).T
-        bias = stacked(self.params, impl.bias_names) if impl.bias_names else None
+        W = np.swapaxes(stacked(self.params, impl.input_names), -1, -2)
+        bias = (np.concatenate([self.params[n] for n in impl.bias_names], axis=-1)[..., None, :]
+                if impl.bias_names else None)
         kwargs = self.cell.step_kwargs
-        X_tm = np.swapaxes(X, 0, 1)
+        X_tm = np.expand_dims(np.swapaxes(X, 0, 1), tuple(range(1, 1 + len(lead))))
         if trace is None:
             B, p = X.shape[0], self.cell.hidden_dim
-            state = np.zeros((B, self.state_dim))
-            fields = [np.empty((B, w * p)) for w in impl.fields.values()]
-            targets = itertools.cycle([(new, *fields) for new in np.empty((2, B, self.state_dim))])
+            state = np.zeros((*lead, B, self.state_dim))
+            fields = [np.empty((*lead, B, w * p)) for w in impl.fields.values()]
+            targets = itertools.cycle([(new, *fields)
+                                       for new in np.empty((2, *lead, B, self.state_dim))])
         else:
             state, targets = trace.states[0], zip(trace.states[1:], *trace.fields.values())
         for t0 in range(0, X_tm.shape[0], UNROLL_CHUNK_STEPS):

@@ -68,8 +68,9 @@ class LabeledSequence:
     where a target is defined.
 
     Raises:
-        SpecError: naming the first target that is not a non-negative
-            integer or mask entry that is not 0 or 1, or a shape mismatch.
+        SpecError: naming the first observation row with a non-finite
+            entry, target that is not a non-negative integer or mask entry
+            that is not 0 or 1, or a shape mismatch.
     """
 
     x: np.ndarray
@@ -78,6 +79,9 @@ class LabeledSequence:
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
+        if not np.isfinite(self.x).all():
+            bad = _first_entry(self.x, lambda row: np.isfinite(row).all())
+            raise SpecError(f"observation {bad} is not finite")
         targets, mask = np.asarray(self.targets), np.asarray(self.mask)
         T = self.x.shape[0]
         if targets.shape != (T,) or mask.shape != (T,):
@@ -165,7 +169,33 @@ class CartPoleState:
 
     @property
     def done(self) -> bool:
-        return abs(self.x) > X_LIMIT or abs(self.theta) > THETA_LIMIT
+        return bool(_terminal(self.x, self.theta))
+
+
+# The dynamics below take the state's fields as floats (one state) or as
+# arrays of one shape (a batch).  Every operation is elementwise, in the
+# order of the reference formulas, so a state steps to the same bits alone
+# or in a batch.
+
+def _terminal(x, theta):
+    """Termination flags of cart positions and pole angles."""
+    return (abs(x) > X_LIMIT) | (abs(theta) > THETA_LIMIT)
+
+
+def _euler_step(x, x_dot, theta, theta_dot, action) -> tuple:
+    """One Euler step of the standard cart-pole dynamics under ``action``
+    (0 pushes left, 1 right); returns the successor's fields."""
+    force = FORCE_MAG * (2 * action - 1)
+    total_mass = CART_MASS + POLE_MASS
+    polemass_length = POLE_MASS * POLE_HALF_LENGTH
+    cos_t = np.cos(theta)
+    sin_t = np.sin(theta)
+    temp = (force + polemass_length * theta_dot ** 2 * sin_t) / total_mass
+    theta_acc = (GRAVITY * sin_t - cos_t * temp) / (
+        POLE_HALF_LENGTH * (4.0 / 3.0 - POLE_MASS * cos_t ** 2 / total_mass))
+    x_acc = temp - polemass_length * theta_acc * cos_t / total_mass
+    return (x + TAU * x_dot, x_dot + TAU * x_acc,
+            theta + TAU * theta_dot, theta_dot + TAU * theta_acc)
 
 
 def cartpole_step(state: CartPoleState, action: int) -> tuple[CartPoleState, bool]:
@@ -181,21 +211,8 @@ def cartpole_step(state: CartPoleState, action: int) -> tuple[CartPoleState, boo
         raise EpisodeFinished("cartpole_step called on a terminated episode")
     if action not in (0, 1):
         raise SpecError(f"action must be 0 or 1, got {action}")
-    force = FORCE_MAG if action == 1 else -FORCE_MAG
-    total_mass = CART_MASS + POLE_MASS
-    polemass_length = POLE_MASS * POLE_HALF_LENGTH
-    cos_t = math.cos(state.theta)
-    sin_t = math.sin(state.theta)
-    temp = (force + polemass_length * state.theta_dot ** 2 * sin_t) / total_mass
-    theta_acc = (GRAVITY * sin_t - cos_t * temp) / (
-        POLE_HALF_LENGTH * (4.0 / 3.0 - POLE_MASS * cos_t ** 2 / total_mass))
-    x_acc = temp - polemass_length * theta_acc * cos_t / total_mass
-    new = CartPoleState(
-        x=state.x + TAU * state.x_dot,
-        x_dot=state.x_dot + TAU * x_acc,
-        theta=state.theta + TAU * state.theta_dot,
-        theta_dot=state.theta_dot + TAU * theta_acc,
-    )
+    new = CartPoleState(*map(float, _euler_step(
+        state.x, state.x_dot, state.theta, state.theta_dot, action)))
     return new, new.done
 
 
@@ -210,14 +227,17 @@ class ObsVariant:
     """Observation channel: full state, positions only, or noisy positions.
 
     The stateless variants hide the velocities and expose ``(x, theta)``.
+    ``sigma`` must be finite for every kind (dataset headers record it) and
+    positive for the noisy one.
     """
 
     kind: ObsKind = ObsKind.FULL
     sigma: float = 0.1
 
     def __post_init__(self):
-        if self.kind is ObsKind.NOISY_STATELESS and not self.sigma > 0:
-            raise SpecError(f"noise sigma must be > 0, got {self.sigma}")
+        if not math.isfinite(self.sigma) or (
+                self.kind is ObsKind.NOISY_STATELESS and not self.sigma > 0):
+            raise SpecError(f"noise sigma must be finite and > 0, got {self.sigma}")
 
 
 def observe(state: CartPoleState, variant: ObsVariant, rng: Rng | None = None) -> np.ndarray:
@@ -232,17 +252,41 @@ def observe(state: CartPoleState, variant: ObsVariant, rng: Rng | None = None) -
     return obs
 
 
+def _expert_actions(x, x_dot, theta, theta_dot):
+    """Full-state linear feedback: 1 (push right) where the gain score is
+    >= 0, else 0."""
+    w = EXPERT_GAINS
+    return (w[0] * x + w[1] * x_dot + w[2] * theta + w[3] * theta_dot >= 0) * 1
+
+
 def expert_action(state: CartPoleState) -> int:
     """Full-state linear feedback: push right iff the gain score is >= 0."""
-    w = EXPERT_GAINS
-    score = (w[0] * state.x + w[1] * state.x_dot
-             + w[2] * state.theta + w[3] * state.theta_dot)
-    return 1 if score >= 0 else 0
+    return int(_expert_actions(state.x, state.x_dot, state.theta, state.theta_dot))
 
 
-def _random_start(rng: Rng) -> CartPoleState:
-    vals = rng.uniform(size=4, low=-0.05, high=0.05)
-    return CartPoleState(*vals.tolist())
+def _random_starts(rng: Rng, k: int) -> np.ndarray:
+    """``k`` small random start states ``(k, 4)``: one draw, the same
+    stream as ``k`` draws of one state each."""
+    return rng.uniform(size=(k, 4), low=-0.05, high=0.05)
+
+
+def _expert_rollouts(starts, T: int):
+    """Roll the expert from every start ``(k, 4)`` at once for ``T``
+    actions: the states ``(T, k, 4)`` the actions ``(T, k)`` were taken in,
+    and whether each episode terminated before its ``T``-th action.  A
+    terminated episode stays in its last state."""
+    states = np.empty((T, *starts.shape))
+    actions = np.empty(states.shape[:-1], dtype=np.int64)
+    ended = np.zeros(starts.shape[0], dtype=bool)
+    states[0] = starts
+    for t in range(T):
+        fields = states[t].T
+        actions[t] = _expert_actions(*fields)
+        if t + 1 < T:
+            new = np.stack(_euler_step(*fields, actions[t]), axis=-1)
+            states[t + 1] = np.where(ended[:, None], states[t], new)
+            ended |= _terminal(states[t + 1, :, 0], states[t + 1, :, 2])
+    return states, actions, ended
 
 
 def run_expert_episode(rng: Rng, max_steps: int = EPISODE_CAP):
@@ -251,7 +295,7 @@ def run_expert_episode(rng: Rng, max_steps: int = EPISODE_CAP):
     ``states[i]`` is the state in which ``actions[i]`` was taken; the run
     stops at termination or after ``max_steps`` actions.
     """
-    state = _random_start(rng)
+    state = CartPoleState(*_random_starts(rng, 1)[0].tolist())
     states = []
     actions = []
     for _ in range(max_steps):
@@ -270,20 +314,42 @@ def gen_imitation(variant: ObsVariant, n: int, T: int, rng: Rng) -> list[Labeled
     Each sequence is a fresh ``T``-step expert rollout; rollouts that
     terminate early (the expert practically never does) are resampled.
     Targets are the expert's actions and every step is masked in.
+
+    The episodes still needed are rolled together, and the draws follow the
+    order of one ``run_expert_episode`` and ``observe`` at a time: a start,
+    then (noisy variant) its ``T`` noise pairs, which only a full-length
+    episode draws.  So when a noisy episode ends early, the stream returns
+    to just after its start and the episodes drawn after it are redrawn.
     """
     if T < 2:
         raise SpecError(f"need T >= 2, got {T}")
+    noisy = variant.kind is ObsKind.NOISY_STATELESS
     sequences = []
     while len(sequences) < n:
-        states, actions = run_expert_episode(rng, max_steps=T)
-        if len(states) < T:
-            continue
-        obs = np.stack([observe(s, variant, rng) for s in states])
-        sequences.append(LabeledSequence(
-            x=obs,
-            targets=np.asarray(actions, dtype=np.int64),
-            mask=np.ones(T, dtype=bool),
-        ))
+        k = n - len(sequences)
+        if noisy:
+            starts, after_start, noise = [], [], []
+            for _ in range(k):
+                starts.append(_random_starts(rng, 1)[0])
+                after_start.append(rng.save_state())
+                noise.append(rng.gaussian(size=(T, 2), std=variant.sigma))
+            starts = np.array(starts)
+        else:
+            starts = _random_starts(rng, k)
+        states, actions, ended = _expert_rollouts(starts, T)
+        keep = np.flatnonzero(~ended)
+        if noisy and ended.any():
+            first = int(np.argmax(ended))
+            rng.restore_state(after_start[first])
+            keep = keep[keep < first]
+        obs = states if variant.kind is ObsKind.FULL else states[..., [0, 2]]
+        obs = np.ascontiguousarray(np.swapaxes(obs, 0, 1))
+        for j in keep:
+            sequences.append(LabeledSequence(
+                x=obs[j] + noise[j] if noisy else obs[j],
+                targets=actions[:, j],
+                mask=np.ones(T, dtype=bool),
+            ))
     return sequences
 
 

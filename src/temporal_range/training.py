@@ -159,26 +159,28 @@ def _batch_loss_and_grads(model: SequenceModel, X, targets, masks, forward):
 
 
 def _fd_spot_check(model: SequenceModel, X, targets, masks, rng: Rng) -> None:
-    """Compare a few gradient coordinates against central differences."""
+    """Compare a few gradient coordinates against central differences.
+
+    The probes, ``+h`` and ``-h`` at each drawn coordinate, run as one
+    stack of models through a single ``outputs`` pass."""
     _, grads = _batch_loss_and_grads(model, X, targets, masks, model.forward_batch(X))
     scale = 1.0 / int(masks.sum())
-
-    def loss_only(m):
-        return masked_loss(m.outputs(X), targets, masks, LossKind.CROSS_ENTROPY)[0] * scale
-
     names = sorted(model.params)
-    for _ in range(FD_CHECK_COORDS):
+    coords = []
+    probes = {name: np.repeat(p.reshape(1, -1), 2 * FD_CHECK_COORDS, axis=0)
+              for name, p in model.params.items()}
+    for k in range(FD_CHECK_COORDS):
         name = names[int(rng.integers(0, len(names)))]
         flat_index = int(rng.integers(0, model.params[name].size))
-        probe = model.copy()
-        arr = probe.params[name].ravel()
-        orig = arr[flat_index]
-        arr[flat_index] = orig + FD_CHECK_STEP
-        f_plus = loss_only(probe)
-        arr[flat_index] = orig - FD_CHECK_STEP
-        f_minus = loss_only(probe)
-        arr[flat_index] = orig
-        fd = (f_plus - f_minus) / (2.0 * FD_CHECK_STEP)
+        coords.append((name, flat_index))
+        probes[name][2 * k, flat_index] += FD_CHECK_STEP
+        probes[name][2 * k + 1, flat_index] -= FD_CHECK_STEP
+    stack = dataclasses.replace(model, params={
+        name: a.reshape(a.shape[:1] + model.params[name].shape) for name, a in probes.items()})
+    losses = [masked_loss(ys, targets, masks, LossKind.CROSS_ENTROPY)[0] * scale
+              for ys in stack.outputs(X)]
+    for k, (name, flat_index) in enumerate(coords):
+        fd = (losses[2 * k] - losses[2 * k + 1]) / (2.0 * FD_CHECK_STEP)
         an = float(grads[name].ravel()[flat_index])
         rel = abs(fd - an) / max(1.0, abs(fd), abs(an))
         if rel > FD_CHECK_TOL:

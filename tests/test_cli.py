@@ -363,6 +363,61 @@ def test_dataset_entry_that_is_no_class_index_or_mask_bit_is_an_input_error(
     assert _error_line(capsys) == f"error: dataset {tmp_path / 'd.json'}: {message}"
 
 
+def test_gen_data_rejects_a_non_finite_noise_sigma(tmp_path, capsys):
+    data = tmp_path / "d.json"
+    assert main(["gen-data", "--task", "cartpole", "--variant", "noisy", "--sigma", "inf",
+                 "--T", "8", "--n", "2", "--seed", "0", "--out", str(data)]) == 2
+    assert _error_line(capsys) == "error: noise sigma must be finite and > 0, got inf"
+    assert not data.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "analyze", "ablate"])
+def test_dataset_non_finite_observation_is_an_input_error(tmp_path, capsys, command):
+    data = tmp_path / "d.json"
+    assert main(["gen-data", "--task", "cartpole", "--variant", "noisy", "--T", "8",
+                 "--n", "4", "--seed", "0", "--out", str(data)]) == 0
+    doc = json.loads(data.read_text())
+    doc["sequences"][2]["x"][5][1] = "-inf"
+    data.write_text(json.dumps(doc))
+    ckpt = tmp_path / "m.json"
+    save_model(init_model(CellSpec(kind=CellKind.LSTM, input_dim=2, hidden_dim=4), 2,
+                          Rng(0)), ckpt)
+    argv = {"train": ["train", "--data", str(data), "--model", "lstm", "--hidden", "4",
+                      "--steps", "1"],
+            "analyze": ["analyze", "--model", str(ckpt), "--data", str(data)],
+            "ablate": ["ablate", "--model", str(ckpt), "--data", str(data)]}[command]
+    assert main(argv + ["--out-prefix", str(tmp_path / "out")]) == 2
+    line = _error_line(capsys)
+    assert line.startswith(f"error: dataset {data}: sequence 2: observation [")
+    assert line.endswith(", -inf] at step 5 is not finite")
+    assert not list(tmp_path.glob("out.*"))
+
+
+@pytest.mark.parametrize("value, message", [
+    ("Infinity", "non-finite number Infinity"),
+    ("NaN", "non-finite number NaN"),
+    ("-5", "rho_hat -5.0 is outside [0, T-1] = [0, 31]"),
+    ("1e300", "rho_hat 1e+300 is outside [0, T-1] = [0, 31]"),
+])
+def test_deploy_report_with_a_non_finite_or_out_of_range_rho_hat_is_an_input_error(
+        tmp_path, capsys, value, message):
+    data = tmp_path / "d.json"
+    assert main(["gen-data", "--task", "cartpole", "--T", "32", "--n", "4",
+                 "--seed", "0", "--out", str(data)]) == 0
+    model = init_model(CellSpec(kind=CellKind.LSTM, input_dim=2, hidden_dim=4), 2, Rng(0))
+    save_model(model, tmp_path / "m.json")
+    sequences, _ = load_dataset(data)
+    report = analyze(model, [s.x for s in sequences[:2]],
+                     TRConfig(mode=JacobianMode.FINAL_OUTPUT, T=32))
+    text = report_json(dataclasses.replace(report, rho_hat=3.5))
+    (tmp_path / "r.json").write_text(text.replace('"rho_hat": 3.5,', f'"rho_hat": {value},'))
+    assert main(["ablate", "--model", str(tmp_path / "m.json"), "--data", str(data),
+                 "--report", str(tmp_path / "r.json"), "--deploy",
+                 "--out-prefix", str(tmp_path / "a")]) == 2
+    assert _error_line(capsys) == f"error: malformed range report: {message}"
+    assert not list(tmp_path.glob("a.*"))
+
+
 def test_analyze_takes_its_window_from_the_dataset(tmp_path, capsys):
     data = tmp_path / "d.json"
     assert main(["gen-data", "--task", "copy", "--k", "2", "--T", "12", "--n", "4",

@@ -242,6 +242,40 @@ def test_malformed_report_is_a_format_error():
         assert not isinstance(exc.value, VersionError)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("rho_hat", "Infinity", "non-finite number Infinity"),
+    ("rho", "NaN", "non-finite number NaN"),
+    ("rho_hat_std", "-Infinity", "non-finite number -Infinity"),
+    ("rho", "1e999", "non-finite number 1e999"),
+    ("rho_hat", "-5", r"rho_hat -5.0 is outside \[0, T-1\] = \[0, 5\]"),
+    ("rho_hat", "1e300", r"rho_hat 1e\+300 is outside"),
+    ("rho_hat", "5.000000000000001", "rho_hat 5.000000000000001 is outside"),
+    ("pooled_rho_hat", "-0.5", "pooled_rho_hat -0.5 is outside"),
+    ("per_rollout_rho_hat", "[2.0, 7.5]", "per-rollout rho_hat 7.5 is outside"),
+])
+def test_report_with_a_non_finite_or_out_of_range_value_is_a_format_error(key, value,
+                                                                          message):
+    doc = _report_doc()
+    doc["per_rollout_rho_hat"] = [doc["rho_hat"]] * 2
+    text = json.dumps(doc)
+    report_from_json(text)
+    bad = text.replace(f'"{key}": {json.dumps(doc[key])}', f'"{key}": {value}')
+    assert bad != text
+    with pytest.raises(FormatError, match=message):
+        report_from_json(bad)
+
+
+def test_rho_hat_with_all_weight_at_the_oldest_lag_stays_within_T_minus_1():
+    # fl(fl(31 w) / w) rounds past 31 for about one w in eight.
+    ws = np.asarray(Rng(31).uniform(size=64, low=0.5, high=1.0))
+    past = ws * 31.0 / ws > 31.0
+    assert past.any()
+    W = np.zeros((64, 32))
+    W[:, 0] = ws
+    rho_hat = range_values(W)[1]
+    assert np.all(rho_hat <= 31.0) and np.all(rho_hat[past] == 31.0)
+
+
 def test_range_values_match_temporal_range_row_by_row():
     W = np.abs(np.asarray(Rng(30).gaussian(size=(3, 5, 9))))
     W[0, 2] = 0.0

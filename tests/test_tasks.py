@@ -6,6 +6,7 @@ import pytest
 
 from temporal_range.errors import (EpisodeFinished, FormatError, SpecError,
                                    VersionError)
+from temporal_range import tasks
 from temporal_range.linalg import Rng
 from temporal_range.tasks import (EXPERT_GAINS, CartPoleState, CopyTaskSpec,
                                   LabeledSequence, ObsKind, ObsVariant,
@@ -154,6 +155,56 @@ def test_noisy_variant_requires_positive_sigma_and_rng():
                 ObsVariant(kind=ObsKind.NOISY_STATELESS, sigma=0.1))
 
 
+@pytest.mark.parametrize("sigma", [math.inf, -math.inf, math.nan, 0.0, -0.1])
+def test_noisy_variant_rejects_a_non_finite_or_non_positive_sigma(sigma):
+    with pytest.raises(SpecError, match="noise sigma must be finite and > 0"):
+        ObsVariant(kind=ObsKind.NOISY_STATELESS, sigma=sigma)
+    # The other variants ignore sigma but a dataset header still records it.
+    for kind in (ObsKind.FULL, ObsKind.STATELESS):
+        if math.isfinite(sigma):
+            ObsVariant(kind=kind, sigma=sigma)
+        else:
+            with pytest.raises(SpecError, match="noise sigma must be finite"):
+                ObsVariant(kind=kind, sigma=sigma)
+
+
+def _scalar_imitation(variant, n, T, rng):
+    """Observations, actions and early-ended episode count of one expert
+    episode at a time: the reference for the batched rollout."""
+    sequences, ended = [], 0
+    while len(sequences) < n:
+        states, actions = run_expert_episode(rng, max_steps=T)
+        if len(states) < T:
+            ended += 1
+            continue
+        obs = np.stack([observe(s, variant, rng) for s in states])
+        sequences.append((obs, np.asarray(actions, dtype=np.int64)))
+    return sequences, ended
+
+
+@pytest.mark.parametrize("kind", list(ObsKind))
+@pytest.mark.parametrize("seed", [0, 3, 4])
+@pytest.mark.parametrize("theta_limit", [None, 0.05])
+def test_batched_imitation_equals_the_scalar_episode_loop(monkeypatch, kind, seed,
+                                                          theta_limit):
+    # A pole limit of 0.05 rad ends a few episodes early from starts within
+    # it, so the noisy variant must rewind its stream.
+    if theta_limit is not None:
+        monkeypatch.setattr(tasks, "THETA_LIMIT", theta_limit)
+    variant = ObsVariant(kind=kind, sigma=0.3)
+    n, T = 300, 20
+    want, ended = _scalar_imitation(variant, n, T, ref_rng := Rng(seed))
+    assert (ended > 0) == (theta_limit is not None)
+    got = gen_imitation(variant, n, T, rng := Rng(seed))
+    assert len(got) == n
+    for seq, (x, actions) in zip(got, want):
+        assert seq.x.tobytes() == x.tobytes()
+        assert seq.targets.tobytes() == actions.tobytes()
+        assert seq.mask.all()
+    # Both left the stream at the same place.
+    assert rng.uniform() == ref_rng.uniform()
+
+
 def test_expert_survives_full_episodes_from_random_starts():
     rng = Rng(9)
     for _ in range(100):
@@ -273,6 +324,14 @@ def test_save_dataset_writes_the_json_encoders_bytes(tmp_path, case):
     loaded, _ = load_dataset(path)
     for sa, sb in zip(sequences, loaded):
         assert sa.x.tobytes() == sb.x.tobytes()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_labeled_sequence_rejects_a_non_finite_observation(value):
+    x = np.zeros((5, 2))
+    x[3, 1] = value
+    with pytest.raises(SpecError, match=rf"observation \[0.0, {value!r}\] at step 3 is not finite"):
+        LabeledSequence(x=x, targets=np.zeros(5, dtype=int), mask=np.ones(5, dtype=bool))
 
 
 def test_labeled_sequence_shape_validation():

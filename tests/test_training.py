@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from temporal_range import cells
 from temporal_range.errors import DivergenceError, NumericalError, SpecError
 from temporal_range.gradients import LossKind, param_gradients, sequence_loss
 from temporal_range.linalg import Rng
@@ -190,9 +191,28 @@ def test_train_runs_one_forward_pass_per_adam_step(monkeypatch):
     cfg = OptConfig(lr=1e-3, batch_size=8, steps=7, seed=2)
     train(model, _tiny_copy_data(n=20), cfg)
     # The spot check's analytic gradient is the one extra forward pass; its
-    # 20 coordinates' central differences (2 each) and the train and
-    # validation evaluations read outputs only.
-    assert calls == {"forward_batch": cfg.steps + 1, "outputs": 2 * 20 + 2}
+    # 20 coordinates' central differences (2 each) run as one stacked
+    # outputs pass, and the train and validation evaluations read outputs
+    # only.
+    assert calls == {"forward_batch": cfg.steps + 1, "outputs": 1 + 2}
+
+
+def test_train_rejects_a_wrong_analytic_gradient(monkeypatch):
+    # A GRU whose backward rule overstates every gate gradient by half: the
+    # spot check must stop training at the first drawn cell coordinate.
+    backward = cells._GRU.backward
+
+    def corrupted(rec, cache, d_new, d_pre, d_prev):
+        backward(rec, cache, d_new, d_pre, d_prev)
+        d_pre *= 1.5
+
+    model = init_model(CellSpec(kind=CellKind.GRU, input_dim=4, hidden_dim=6),
+                       4, Rng(11))
+    cfg = OptConfig(lr=1e-3, batch_size=8, steps=2, seed=2)
+    train(model, _tiny_copy_data(n=20), cfg)
+    monkeypatch.setattr(cells._GRU, "backward", staticmethod(corrupted))
+    with pytest.raises(NumericalError, match=r"finite differences for Wz\[12\]: "):
+        train(model, _tiny_copy_data(n=20), cfg)
 
 
 @pytest.mark.parametrize("kind", list(CellKind))
