@@ -126,7 +126,13 @@ def _load_sequences(args, n: int, seed: int):
     return sequences, desc
 
 
+def _check_count(args) -> None:
+    if args.n < 1:
+        raise SpecError(f"--n must be >= 1, got {args.n}")
+
+
 def _cmd_gen_data(args) -> int:
+    _check_count(args)
     sequences, desc = _gen_task_sequences(args, args.n, args.seed)
     save_dataset(sequences, args.out, task=desc.pop("task"), spec=desc,
                  seed=args.seed)
@@ -135,8 +141,9 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    if args.n < 1:
-        raise SpecError(f"--n must be >= 1, got {args.n}")
+    _check_count(args)
+    if args.data_seed < 0:  # also when --data leaves it unused
+        raise SpecError(f"seed must be >= 0, got {args.data_seed}")
     if args.encoder_dim < 0:
         raise SpecError(f"--encoder-dim must be >= 0, got {args.encoder_dim}")
     cell_kind = _CELLS[args.model]
@@ -248,6 +255,7 @@ def _cmd_axioms(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    _check_count(args)
     if args.deploy and not args.report:
         raise TemporalRangeError("--deploy requires --report")
     try:

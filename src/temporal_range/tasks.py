@@ -127,17 +127,32 @@ def _one_hot(symbols: np.ndarray, V: int) -> np.ndarray:
     return out
 
 
+def _symbol_draw(rng: Rng, V: int, n: int, T: int) -> np.ndarray:
+    """The symbols ``(n, T)`` of ``n`` sequences from one draw: the values,
+    and the stream's next position, of ``n`` draws of ``T`` symbols each."""
+    if n < 0:
+        raise SpecError(f"need n >= 0 sequences, got {n}")
+    return rng.integers(0, V, size=(n, T))
+
+
+def _symbol_sequences(symbols: np.ndarray, V: int, targets: np.ndarray,
+                      first: int) -> list[LabeledSequence]:
+    """One sequence per row of ``symbols`` and ``targets`` ``(n, T)``: the
+    one-hot symbols, with targets masked in from step ``first`` on.  No two
+    sequences share an element."""
+    x = _one_hot(symbols, V)
+    mask = np.zeros(symbols.shape, dtype=bool)
+    mask[:, first:] = True
+    return [LabeledSequence(x=x[i], targets=targets[i], mask=mask[i])
+            for i in range(len(x))]
+
+
 def gen_copyk(spec: CopyTaskSpec, n: int, rng: Rng) -> list[LabeledSequence]:
     """I.i.d. uniform symbols; target at step s is the symbol at s - k."""
-    sequences = []
-    for _ in range(n):
-        symbols = np.asarray(rng.integers(0, spec.V, size=spec.T))
-        targets = np.zeros(spec.T, dtype=np.int64)
-        targets[spec.k:] = symbols[:spec.T - spec.k]
-        mask = np.arange(spec.T) >= spec.k
-        sequences.append(LabeledSequence(x=_one_hot(symbols, spec.V),
-                                         targets=targets, mask=mask))
-    return sequences
+    symbols = _symbol_draw(rng, spec.V, n, spec.T)
+    targets = np.zeros_like(symbols)
+    targets[:, spec.k:] = symbols[:, :spec.T - spec.k]
+    return _symbol_sequences(symbols, spec.V, targets, spec.k)
 
 
 def gen_repeatfirst(T: int, V: int, n: int, rng: Rng) -> list[LabeledSequence]:
@@ -146,15 +161,10 @@ def gen_repeatfirst(T: int, V: int, n: int, rng: Rng) -> list[LabeledSequence]:
         raise SpecError(f"need T >= 2, got {T}")
     if V < 2:
         raise SpecError(f"vocabulary size must be >= 2, got {V}")
-    sequences = []
-    for _ in range(n):
-        symbols = np.asarray(rng.integers(0, V, size=T))
-        targets = np.full(T, symbols[0], dtype=np.int64)
-        targets[0] = 0
-        mask = np.arange(T) >= 1
-        sequences.append(LabeledSequence(x=_one_hot(symbols, V),
-                                         targets=targets, mask=mask))
-    return sequences
+    symbols = _symbol_draw(rng, V, n, T)
+    targets = np.repeat(symbols[:, :1], T, axis=1)
+    targets[:, 0] = 0
+    return _symbol_sequences(symbols, V, targets, 1)
 
 
 @dataclasses.dataclass(frozen=True)

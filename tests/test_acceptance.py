@@ -3,12 +3,16 @@ PASS/FAIL line.  Run with ``pytest tests/test_acceptance.py -v -s``.
 
 The trained-model criteria share one module-scoped fixture that trains
 nine GRU classifiers (offsets 1, 3, 5 x three seeds) plus three small
-proxy models used by the deployment-window protocol.
+proxy models used by the deployment-window protocol; both fixtures train
+their models in parallel worker processes.
 """
 
 import dataclasses
 import math
+import multiprocessing
+import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -44,23 +48,51 @@ def verdict(capsys):
     return _emit
 
 
+def _train_job(job):
+    """Train one ``((task, n, cell, encoder_dim), data seed, OptConfig)``
+    job: ``n`` copy-task sequences drawn from ``Rng(data seed)``, a model
+    initialised from ``Rng(cfg.seed)``; returns ``train``'s (model, log)."""
+    (task, n, cell, encoder_dim), data_seed, cfg = job
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # as pytest's own filter
+        data = gen_copyk(task, n, Rng(data_seed))
+        model = init_model(cell, task.V, Rng(cfg.seed), encoder_dim=encoder_dim)
+        return train(model, data, cfg)
+
+
+def _train_all(jobs):
+    """``_train_job`` of every job, in job order, on one ``spawn`` worker per
+    core (at most one per job), each with one BLAS thread.  A trained model is
+    bit-identical under any BLAS thread count."""
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    saved = {name: os.environ.get(name) for name in blas}
+    os.environ.update(dict.fromkeys(blas, "1"))  # spawned workers read it at start
+    try:
+        workers = min(os.cpu_count() or 1, len(jobs))
+        with multiprocessing.get_context("spawn").Pool(workers) as pool:
+            # A worker that dies leaves map waiting; criterion 07 allows 600 s.
+            return pool.map_async(_train_job, jobs, chunksize=1).get(timeout=600)
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 @pytest.fixture(scope="module")
 def trained_models():
     """Nine GRU-32 classifiers on the copy task, k in {1, 3, 5} x 3 seeds."""
     t0 = time.perf_counter()
-    models = {}
-    vals = {}
-    for k in (1, 3, 5):
-        data = gen_copyk(CopyTaskSpec(k=k, T=32, V=4), 1500, Rng(100 + k))
-        for seed in (1, 2, 3):
-            cell = CellSpec(kind=CellKind.GRU, input_dim=4, hidden_dim=32)
-            model = init_model(cell, 4, Rng(seed), encoder_dim=32)
-            trained, log = train(
-                model, data,
-                OptConfig(lr=1e-3, batch_size=32, steps=1500, seed=seed))
-            models[(k, seed)] = trained
-            vals[(k, seed)] = log.final_val_metric
-    return {"models": models, "val_accuracy": vals,
+    cell = CellSpec(kind=CellKind.GRU, input_dim=4, hidden_dim=32)
+    keys = [(k, seed) for k in (1, 3, 5) for seed in (1, 2, 3)]
+    results = _train_all([
+        ((CopyTaskSpec(k=k, T=32, V=4), 1500, cell, 32), 100 + k,
+         OptConfig(lr=1e-3, batch_size=32, steps=1500, seed=seed))
+        for k, seed in keys])
+    return {"models": {key: model for key, (model, _) in zip(keys, results)},
+            "val_accuracy": {key: log.final_val_metric
+                             for key, (_, log) in zip(keys, results)},
             "train_seconds": time.perf_counter() - t0}
 
 
@@ -72,16 +104,14 @@ def proxy_window_report():
     deployed width) are trained on the same task and their final-output
     normalized ranges are averaged into the window-sizing estimate.
     """
-    data = gen_copyk(CopyTaskSpec(k=3, T=32, V=4), 1500, Rng(103))
     rollouts = [s.x for s in gen_copyk(CopyTaskSpec(k=3, T=32, V=4), 16, Rng(7031))]
     cfg = TRConfig(mode=JacobianMode.FINAL_OUTPUT, T=32)
-    reports = []
-    for seed in (11, 12, 13):
-        cell = CellSpec(kind=CellKind.GRU, input_dim=4, hidden_dim=8)
-        proxy = init_model(cell, 4, Rng(seed))
-        trained, _ = train(proxy, data,
-                           OptConfig(lr=1e-3, batch_size=32, steps=1500, seed=seed))
-        reports.append(analyze(trained, rollouts, cfg))
+    cell = CellSpec(kind=CellKind.GRU, input_dim=4, hidden_dim=8)
+    results = _train_all([
+        ((CopyTaskSpec(k=3, T=32, V=4), 1500, cell, None), 103,
+         OptConfig(lr=1e-3, batch_size=32, steps=1500, seed=seed))
+        for seed in (11, 12, 13)])
+    reports = [analyze(trained, rollouts, cfg) for trained, _ in results]
     estimate = float(np.mean([r.rho_hat for r in reports]))
     return dataclasses.replace(reports[0], rho_hat=estimate)
 

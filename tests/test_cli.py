@@ -468,6 +468,44 @@ def test_train_rejects_a_count_or_width_below_its_range(tmp_path, capsys, flag, 
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["gen-data", "ablate"])
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_gen_data_and_ablate_reject_a_count_below_one_up_front(tmp_path, capsys,
+                                                               command, n):
+    # These used to end in "refusing to save an empty dataset" and "ablation
+    # requires evaluation data"; the missing checkpoint shows no file is read.
+    args = {"gen-data": ["--out", str(tmp_path / "d.json")],
+            "ablate": ["--model", str(tmp_path / "missing.json"),
+                       "--out-prefix", str(tmp_path / "r")]}[command]
+    assert main([command, "--task", "copy", "--k", "1", "--T", "8", "--n", n,
+                 *args]) == 2
+    assert _error_line(capsys) == f"error: --n must be >= 1, got {n}"
+    assert not list(tmp_path.iterdir())
+
+
+def test_train_rejects_a_negative_data_seed_that_data_leaves_unused(tmp_path, capsys):
+    # With --data the seed draws nothing, yet a negative one used to be
+    # written into the manifest.
+    data = tmp_path / "d.json"
+    assert main(["gen-data", "--task", "copy", "--k", "1", "--T", "8", "--n", "4",
+                 "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--data-seed", "-1", "--hidden", "4",
+                 "--steps", "1", "--out-prefix", str(tmp_path / "r")]) == 2
+    assert _error_line(capsys) == "error: seed must be >= 0, got -1"
+    assert not list(tmp_path.glob("r.*"))
+
+
+@pytest.mark.parametrize("lr", ["inf", "nan"])
+def test_train_rejects_a_learning_rate_that_is_not_finite(tmp_path, capsys, lr):
+    # An infinite rate used to end in "non-finite adjoint", blaming the engine.
+    assert main(["train", "--task", "copy", "--k", "1", "--T", "8", "--n", "4",
+                 "--hidden", "4", "--steps", "10", "--lr", lr,
+                 "--out-prefix", str(tmp_path / "r")]) == 2
+    assert _error_line(capsys) == f"error: lr must be finite and > 0, got {lr}"
+    assert not list(tmp_path.iterdir())
+
+
 def test_gen_data_writes_the_repeat_first_task(tmp_path):
     data = tmp_path / "d.json"
     assert main(["gen-data", "--task", "repeatfirst", "--T", "6", "--V", "3",

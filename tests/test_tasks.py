@@ -80,6 +80,84 @@ def test_repeatfirst_equals_copy_with_growing_offset():
         assert seq.targets[s] == symbols[s - (s - 1) - 1]
 
 
+def _one_at_a_time(rng, V, n, T, targets_of, first):
+    """``x``, targets and masks ``(n, T, .)`` of ``n`` sequences drawn one at
+    a time: the reference for the generators' single draw."""
+    xs, targets, masks = [], [], []
+    for _ in range(n):
+        symbols = np.asarray(rng.integers(0, V, size=T))
+        xs.append(np.eye(V)[symbols])
+        targets.append(targets_of(symbols))
+        masks.append(np.arange(T) >= first)
+    return [np.array(a) for a in (xs, targets, masks)]
+
+
+def _copy_targets(k, T):
+    def targets_of(symbols):
+        targets = np.zeros(T, dtype=np.int64)
+        targets[k:] = symbols[:T - k]
+        return targets
+    return targets_of
+
+
+def _repeatfirst_targets(symbols):
+    targets = np.full(len(symbols), symbols[0], dtype=np.int64)
+    targets[0] = 0
+    return targets
+
+
+def _symbol_cases():
+    """``(T, V, n, k)`` of every case; ``k`` is None for repeat-first."""
+    for T in (2, 6, 32):
+        for V in (2, 3, 4, 7):
+            for n in (0, 1, 40) + ((2000,) if T == 32 else ()):
+                # Every offset, except on the largest sets, which take the
+                # extreme ones.
+                offsets = range(1, T) if n < 2000 else (1, T - 1)
+                yield from ((T, V, n, k) for k in offsets)
+                yield T, V, n, None
+
+
+def test_symbol_generators_equal_one_draw_per_sequence():
+    for seed, (T, V, n, k) in enumerate(_symbol_cases()):
+        name = f"T={T} V={V} n={n} k={k}"
+        if k is None:
+            got = gen_repeatfirst(T, V, n, rng := Rng(seed))
+            want = _one_at_a_time(ref_rng := Rng(seed), V, n, T, _repeatfirst_targets, 1)
+        else:
+            got = gen_copyk(CopyTaskSpec(k=k, T=T, V=V), n, rng := Rng(seed))
+            want = _one_at_a_time(ref_rng := Rng(seed), V, n, T, _copy_targets(k, T), k)
+        assert len(got) == n, name
+        # Both leave the stream at the same place.
+        assert rng.integers(0, 2 ** 62) == ref_rng.integers(0, 2 ** 62), name
+        if n == 0:
+            continue
+        fields = [[seq.x for seq in got], [seq.targets for seq in got],
+                  [seq.mask for seq in got]]
+        for arrays, ref in zip(fields, want):
+            assert {(a.dtype, a.shape) for a in arrays} == {(ref.dtype, ref.shape[1:])}, name
+            assert b"".join(a.tobytes() for a in arrays) == ref.tobytes(), name
+        # No two sequences share an element.
+        seq = got[0]
+        seq.x[:] = -1.0
+        seq.targets[:] = V
+        seq.mask[:] = ~seq.mask
+        for arrays, ref in zip(fields, want):
+            assert b"".join(a.tobytes() for a in arrays[1:]) == ref[1:].tobytes(), name
+
+
+@pytest.mark.parametrize("generate", [
+    lambda n, rng: gen_copyk(CopyTaskSpec(k=1, T=4), n, rng),
+    lambda n, rng: gen_repeatfirst(4, 3, n, rng)], ids=["copy", "repeatfirst"])
+def test_symbol_generators_reject_a_negative_count(generate):
+    # One batched draw of a negative count would be a bare ValueError.
+    rng, ref = Rng(2), Rng(2)
+    with pytest.raises(SpecError, match="need n >= 0 sequences, got -1"):
+        generate(-1, rng)
+    assert generate(0, rng) == []
+    assert rng.uniform() == ref.uniform()
+
+
 def test_cartpole_step_against_hand_evaluated_dynamics():
     # One Euler step from the origin with a rightward push, evaluated
     # independently from the standard constants.

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -174,6 +175,14 @@ def test_opt_config_validation():
         with pytest.raises(SpecError, match=field):
             OptConfig(**{field: value})
     OptConfig(batch_size=1, steps=1)
+
+
+@pytest.mark.parametrize("lr", [math.inf, math.nan, -math.inf])
+def test_opt_config_rejects_a_learning_rate_that_is_not_finite(lr):
+    # An infinite rate used to train until the engine found a non-finite
+    # adjoint, which blamed the engine for a bad setting.
+    with pytest.raises(SpecError, match=f"lr must be finite and > 0, got {lr!r}"):
+        OptConfig(lr=lr)
 
 
 def test_train_runs_one_forward_pass_per_adam_step(monkeypatch):
