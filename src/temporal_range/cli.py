@@ -170,7 +170,7 @@ def _cmd_train(args) -> int:
     }
     _write(_out(prefix, ".metrics.json"), artifact_json(metrics))
     config = {"data": desc, "model": args.model, "hidden": args.hidden,
-              "encoder_dim": args.encoder_dim, "lr": args.lr,
+              "encoder_dim": args.encoder_dim, "lem_dt": args.lem_dt, "lr": args.lr,
               "batch": args.batch, "steps": args.steps, "clip": args.clip,
               "seed": args.seed, "data_seed": args.data_seed}
     _write_manifest(prefix, "train", config, args.seed,

@@ -9,8 +9,8 @@ Three complementary tools:
   Jacobian products of ``c`` adjoint rows, ``c S^2 T`` work, not
   ``d S^2 T^2 / 2``, and no ``(S, S)`` factor is built);
   ``input_jacobians`` keys one rollout's by ``(s, t)``.
-* ``fd_jacobian``: a central finite-difference oracle for any single block,
-  independent of the analytic path.
+* ``fd_jacobian``: a complex-step oracle for any single block, exact to
+  rounding and independent of the analytic path.
 * ``batch_param_gradients``: reverse accumulation through the unroll (BPTT)
   for the gradient of a per-step loss (``masked_loss``, the one masked
   cross-entropy/MSE) with respect to every parameter, reusing the
@@ -46,7 +46,9 @@ __all__ = [
     "sequence_loss",
 ]
 
-FD_STEP = 1e-5
+# The step h of complex-step derivatives ``Im f(x + ih) / h``: nothing is
+# subtracted, so nothing cancels (Squire & Trapp, SIAM Rev. 40(1), 1998).
+COMPLEX_STEP = 1e-30
 
 
 class JacobianMode(enum.Enum):
@@ -117,7 +119,7 @@ def per_step_jacobians(model: SequenceModel, x):
     """
     # A step's factors stay valid until the next step, so each is copied.
     factors = [(js[0].copy(), ji[0].copy())
-               for js, ji in _step_factors(model, np.asarray(x, dtype=np.float64)[None])]
+               for js, ji in _step_factors(model, np.asarray(x)[None])]
     return ([js for js, _ in factors], [ji for _, ji in factors],
             _decoder_rows(model))
 
@@ -199,8 +201,8 @@ def final_output_blocks(model: SequenceModel, X) -> np.ndarray:
 def input_jacobians(model: SequenceModel, x,
                     mode: JacobianMode = JacobianMode.MULTI_OUTPUT) -> JacobianBlocks:
     """One rollout's engine blocks keyed by ``(s, t)``, for tests and for
-    comparison with finite differences; raises ``NumericalError`` like them."""
-    X = np.asarray(x, dtype=np.float64)[None]
+    comparison with ``fd_jacobian``; raises ``NumericalError`` like them."""
+    X = np.asarray(x)[None]
     if X.ndim != 3 or X.shape[1] < 2:
         raise ShapeMismatch(f"need a (T, d) rollout with T >= 2 for lag analysis, "
                             f"got shape {X.shape[1:]}")
@@ -215,11 +217,11 @@ def input_jacobians(model: SequenceModel, x,
 
 
 def fd_jacobian(model: SequenceModel, x, s: int, t: int) -> np.ndarray:
-    """Central-difference estimate of ``d y_s / d x_t``; zero when ``t > s``.
+    """Complex-step derivative ``d y_s / d x_t``; zero when ``t > s``.
 
-    Each input coordinate ``x[t, j]`` is perturbed by ``FD_STEP * max(1, |x[t, j]|)``
-    in both directions.  This is the independent oracle the analytic path is
-    validated against.
+    One ``outputs`` pass runs ``d`` complex copies of ``x[:s]``; copy ``j``
+    carries ``x[t, j] + ih``, and ``Im y_s / h`` is column ``j``.  This is
+    the independent oracle the analytic path is validated against.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -227,27 +229,18 @@ def fd_jacobian(model: SequenceModel, x, s: int, t: int) -> np.ndarray:
     T = x.shape[0]
     if not (1 <= s <= T and 1 <= t <= T):
         raise SpecError(f"step indices must lie in 1..{T}, got s={s}, t={t}")
-    c, d = model.output_dim, model.cell.input_dim
+    d = model.cell.input_dim
     if t > s:
-        return np.zeros((c, d))
-    out = np.empty((c, d))
+        return np.zeros((model.output_dim, d))
     # Outputs at step s do not depend on later inputs; truncate the unroll.
-    xs = x[:s].copy()
-    for j in range(d):
-        step = FD_STEP * max(1.0, abs(xs[t - 1, j]))
-        orig = xs[t - 1, j]
-        xs[t - 1, j] = orig + step
-        y_plus = model.outputs(xs[None])[0, s - 1]
-        xs[t - 1, j] = orig - step
-        y_minus = model.outputs(xs[None])[0, s - 1]
-        xs[t - 1, j] = orig
-        out[:, j] = (y_plus - y_minus) / (2.0 * step)
-    return out
+    xs = np.repeat(x[None, :s], d, axis=0).astype(np.complex128)
+    xs[:, t - 1] += 1j * COMPLEX_STEP * np.eye(d)
+    return model.outputs(xs)[:, s - 1].imag.T / COMPLEX_STEP
 
 
-def masked_loss(ys, targets, masks, loss: LossKind) -> tuple[float, np.ndarray]:
-    """Summed loss over the masked steps of outputs ``ys`` (..., T, c) and
-    its gradient with respect to ``ys`` (zero at unmasked steps).
+def masked_loss(ys, targets, masks, loss: LossKind):
+    """Summed loss (a NumPy scalar) over the masked steps of outputs ``ys``
+    (..., T, c) and its gradient with respect to ``ys`` (zero where unmasked).
 
     ``targets`` holds class indices (..., T) for cross-entropy or vectors
     (..., T, c) for MSE; ``masks`` (..., T) selects the steps.
@@ -255,14 +248,14 @@ def masked_loss(ys, targets, masks, loss: LossKind) -> tuple[float, np.ndarray]:
     m = masks[..., None]
     if loss is LossKind.CROSS_ENTROPY:
         onehot = targets[..., None] == np.arange(ys.shape[-1])
-        shifted = ys - ys.max(axis=-1, keepdims=True)
+        shifted = ys - ys.real.max(axis=-1, keepdims=True)
         logz = np.log(np.sum(np.exp(shifted), axis=-1))
         picked = np.sum(shifted * onehot, axis=-1)
         probs = np.exp(shifted - logz[..., None])
-        return float(np.sum((logz - picked) * masks)), (probs - onehot) * m
+        return np.sum((logz - picked) * masks), (probs - onehot) * m
     if loss is LossKind.MSE:
         diff = ys - targets
-        return 0.5 * float(np.sum(diff * diff * m)), diff * m
+        return 0.5 * np.sum(diff * diff * m), diff * m
     raise SpecError(f"unknown loss kind: {loss!r}")
 
 
@@ -285,7 +278,7 @@ def sequence_loss(model: SequenceModel, x, target, loss: LossKind, loss_steps) -
     """Summed per-step loss over ``loss_steps`` (1-based) for one rollout."""
     x = np.asarray(x, dtype=np.float64)
     targets, mask = _masked_targets(target, loss, loss_steps, x.shape[0])
-    return masked_loss(model.outputs(x[None])[0], targets, mask, loss)[0]
+    return float(masked_loss(model.outputs(x[None])[0], targets, mask, loss)[0])
 
 
 def batch_param_gradients(model: SequenceModel, X, step_grads,

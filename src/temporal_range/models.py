@@ -62,8 +62,8 @@ class CellSpec:
             raise SpecError(
                 f"cell dims must be >= 1, got input_dim={self.input_dim}, "
                 f"hidden_dim={self.hidden_dim}")
-        if self.kind is CellKind.LEM and not self.lem_dt > 0:
-            raise SpecError(f"lem_dt must be > 0, got {self.lem_dt}")
+        if self.kind is CellKind.LEM and not 0 < self.lem_dt < math.inf:
+            raise SpecError(f"lem_dt must be finite and > 0, got {self.lem_dt}")
 
     @property
     def step_kwargs(self) -> dict:
@@ -156,7 +156,8 @@ class SequenceModel:
                 + self.params["dec_b"][..., None, :])
 
     def forward_batch(self, X):
-        """Run a batch ``(B, T, d)``; returns outputs, states and the trace.
+        """Run a real batch ``(B, T, d)``; returns outputs, states and the
+        trace.  A complex batch is a ``SpecError``.
 
         The encoder and every gate's input part are computed ahead of the
         recurrence (``_unroll``) and the decoder runs once after it, each
@@ -168,13 +169,15 @@ class SequenceModel:
         new state and fields into its slice of them.
         """
         X = self._check_batch(X)
+        if np.iscomplexobj(X):
+            raise SpecError("forward_batch is real-valued; complex passes run in outputs")
         B, T, _ = X.shape
         p = self.cell.hidden_dim
         fields = cell_impl(self.cell.kind).fields
         trace = Trace(cell=self.cell, inputs=np.empty((T, B, self.cell_input_dim)),
                       states=np.zeros((T + 1, B, self.state_dim)),
                       fields={k: np.empty((T, B, w * p)) for k, w in fields.items()})
-        for _ in self._unroll(X, trace):
+        for _ in self._unroll(X, trace=trace):
             pass
         ys = self.decode(trace.states[1:])
         return np.swapaxes(ys, 0, 1), np.swapaxes(trace.states, 0, 1), trace
@@ -187,21 +190,23 @@ class SequenceModel:
         A stack of models runs as one pass over the same ``X``, with
         outputs ``(*stack_shape, B, T, c)``.  Its products keep a single
         model's operands per slice, so each slice equals that model's own
-        outputs bit for bit."""
+        outputs bit for bit.  Complex observations or parameters (the
+        complex-step probes of ``gradients``) give a complex pass."""
         X = self._check_batch(X)
-        ys = np.empty((X.shape[1], *self.stack_shape, X.shape[0], self.output_dim))
-        for t, state in enumerate(self._unroll(X)):
+        dtype = np.result_type(X, *self.params.values())
+        ys = np.empty((X.shape[1], *self.stack_shape, X.shape[0], self.output_dim), dtype)
+        for t, state in enumerate(self._unroll(X, dtype)):
             ys[t] = self.decode(state)
         return np.moveaxis(ys, 0, -2)
 
-    def _unroll(self, X, trace: Trace | None = None):
+    def _unroll(self, X, dtype=np.float64, trace: Trace | None = None):
         """Yield each step's new state over a checked batch ``X``.  Cell
         inputs and every gate's input part are computed
         ``UNROLL_CHUNK_STEPS`` steps at a time, as stacked products over the
         time-major observations.  With a ``trace``, the cell inputs, each
         new state and each field are written into its buffers.  Without
-        one, the steps take turns writing into two target sets allocated
-        once, so a yielded state stays valid until the step after next;
+        one, the steps take turns writing into two target sets of ``dtype``
+        allocated once, so a yielded state stays valid until the step after next;
         the sets share their fields, which nothing reads after the step.
         A stack's states are ``(*stack_shape, B, S)``; its observations gain
         unit axes in place of ``stack_shape``, so every model reads them."""
@@ -215,17 +220,17 @@ class SequenceModel:
         X_tm = np.expand_dims(np.swapaxes(X, 0, 1), tuple(range(1, 1 + len(lead))))
         if trace is None:
             B, p = X.shape[0], self.cell.hidden_dim
-            state = np.zeros((*lead, B, self.state_dim))
-            fields = [np.empty((*lead, B, w * p)) for w in impl.fields.values()]
-            targets = itertools.cycle([(new, *fields)
-                                       for new in np.empty((2, *lead, B, self.state_dim))])
+            state = np.zeros((*lead, B, self.state_dim), dtype=dtype)
+            fields = [np.empty((*lead, B, w * p), dtype=dtype) for w in impl.fields.values()]
+            targets = itertools.cycle([(new, *fields) for new
+                                       in np.empty((2, *lead, B, self.state_dim), dtype=dtype)])
         else:
             state, targets = trace.states[0], zip(trace.states[1:], *trace.fields.values())
         for t0 in range(0, X_tm.shape[0], UNROLL_CHUNK_STEPS):
             U = self.encode(X_tm[t0:t0 + UNROLL_CHUNK_STEPS])
             if trace is not None:
                 trace.inputs[t0:t0 + len(U)] = U
-            P = U @ W
+            P = (U @ W).astype(dtype, copy=False)
             if bias is not None:
                 P += bias
             # zip stops at the chunk's end without drawing another target.
@@ -234,7 +239,7 @@ class SequenceModel:
                 yield state
 
     def _check_batch(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
+        X = np.asarray(X, dtype=np.complex128 if np.iscomplexobj(X) else np.float64)
         if X.ndim != 3 or X.shape[2] != self.cell.input_dim:
             raise ShapeMismatch(
                 f"expected batch of shape (B, T, {self.cell.input_dim}), got {X.shape}")

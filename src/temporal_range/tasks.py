@@ -130,9 +130,13 @@ def _one_hot(symbols: np.ndarray, V: int) -> np.ndarray:
 def _symbol_draw(rng: Rng, V: int, n: int, T: int) -> np.ndarray:
     """The symbols ``(n, T)`` of ``n`` sequences from one draw: the values,
     and the stream's next position, of ``n`` draws of ``T`` symbols each."""
+    _check_count(n)
+    return rng.integers(0, V, size=(n, T))
+
+
+def _check_count(n: int) -> None:
     if n < 0:
         raise SpecError(f"need n >= 0 sequences, got {n}")
-    return rng.integers(0, V, size=(n, T))
 
 
 def _symbol_sequences(symbols: np.ndarray, V: int, targets: np.ndarray,
@@ -333,6 +337,7 @@ def gen_imitation(variant: ObsVariant, n: int, T: int, rng: Rng) -> list[Labeled
     """
     if T < 2:
         raise SpecError(f"need T >= 2, got {T}")
+    _check_count(n)
     noisy = variant.kind is ObsKind.NOISY_STATELESS
     sequences = []
     while len(sequences) < n:

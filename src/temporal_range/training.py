@@ -4,7 +4,7 @@ Gradients come from exact reverse accumulation through the whole unroll
 (no truncation; windows are short enough that the bias of truncated
 backprop is not worth trading for speed), are clipped by global norm, and
 feed a standard Adam update.  Each call spot-checks its analytic gradients
-against central finite differences on one minibatch before the loop starts,
+against complex-step derivatives on one minibatch before the loop starts,
 so a broken backward rule fails fast instead of training quietly wrong.
 """
 
@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from .errors import DivergenceError, NumericalError, SpecError
-from .gradients import LossKind, batch_param_gradients, masked_loss
+from .gradients import COMPLEX_STEP, LossKind, batch_param_gradients, masked_loss
 from .linalg import Rng
 from .models import SequenceModel
 from .tasks import LabeledSequence
@@ -39,11 +39,10 @@ ADAM_EPS = 1e-8
 # Share of the data ``train`` holds out for validation (none of a single
 # sequence).
 VAL_FRACTION = 0.1
-# The spot check before training: gradient coordinates it probes, their
-# central-difference step, and the largest relative residual it accepts.
+# The spot check before training: gradient coordinates it probes and the
+# largest relative residual it accepts.
 FD_CHECK_COORDS = 20
-FD_CHECK_STEP = 1e-5
-FD_CHECK_TOL = 1e-4
+FD_CHECK_TOL = 1e-10
 
 
 @dataclasses.dataclass(frozen=True)
@@ -155,32 +154,30 @@ def _batch_loss_and_grads(model: SequenceModel, X, targets, masks, forward):
         raise SpecError("no masked steps in batch")
     scale = 1.0 / n_masked
     total, d_ys = masked_loss(forward[0], targets, masks, LossKind.CROSS_ENTROPY)
-    return total * scale, batch_param_gradients(model, X, d_ys * scale, forward)
+    return float(total) * scale, batch_param_gradients(model, X, d_ys * scale, forward)
 
 
 def _fd_spot_check(model: SequenceModel, X, targets, masks, rng: Rng) -> None:
-    """Compare a few gradient coordinates against central differences.
+    """Compare a few gradient coordinates against complex-step derivatives.
 
-    The probes, ``+h`` and ``-h`` at each drawn coordinate, run as one
-    stack of models through a single ``outputs`` pass."""
+    The probes, ``ih`` added at each drawn coordinate, run as one stack of
+    models through a single complex ``outputs`` pass."""
     _, grads = _batch_loss_and_grads(model, X, targets, masks, model.forward_batch(X))
     scale = 1.0 / int(masks.sum())
     names = sorted(model.params)
     coords = []
-    probes = {name: np.repeat(p.reshape(1, -1), 2 * FD_CHECK_COORDS, axis=0)
+    probes = {name: np.repeat(p.reshape(1, -1), FD_CHECK_COORDS, axis=0).astype(np.complex128)
               for name, p in model.params.items()}
     for k in range(FD_CHECK_COORDS):
         name = names[int(rng.integers(0, len(names)))]
         flat_index = int(rng.integers(0, model.params[name].size))
         coords.append((name, flat_index))
-        probes[name][2 * k, flat_index] += FD_CHECK_STEP
-        probes[name][2 * k + 1, flat_index] -= FD_CHECK_STEP
+        probes[name][k, flat_index] += 1j * COMPLEX_STEP
     stack = dataclasses.replace(model, params={
         name: a.reshape(a.shape[:1] + model.params[name].shape) for name, a in probes.items()})
-    losses = [masked_loss(ys, targets, masks, LossKind.CROSS_ENTROPY)[0] * scale
-              for ys in stack.outputs(X)]
-    for k, (name, flat_index) in enumerate(coords):
-        fd = (losses[2 * k] - losses[2 * k + 1]) / (2.0 * FD_CHECK_STEP)
+    for ys, (name, flat_index) in zip(stack.outputs(X), coords):
+        loss = masked_loss(ys, targets, masks, LossKind.CROSS_ENTROPY)[0] * scale
+        fd = float(loss.imag) / COMPLEX_STEP
         an = float(grads[name].ravel()[flat_index])
         rel = abs(fd - an) / max(1.0, abs(fd), abs(an))
         if rel > FD_CHECK_TOL:

@@ -506,6 +506,28 @@ def test_train_rejects_a_learning_rate_that_is_not_finite(tmp_path, capsys, lr):
     assert not list(tmp_path.iterdir())
 
 
+def test_train_rejects_a_lem_dt_that_is_not_finite(tmp_path, capsys):
+    # An infinite LEM step used to end in "non-finite adjoint", blaming the
+    # engine.
+    assert main(["train", "--task", "copy", "--k", "1", "--T", "8", "--n", "4",
+                 "--model", "lem", "--hidden", "4", "--steps", "10",
+                 "--lem-dt", "inf", "--out-prefix", str(tmp_path / "r")]) == 2
+    assert _error_line(capsys) == "error: lem_dt must be finite and > 0, got inf"
+    assert not list(tmp_path.iterdir())
+
+
+def test_train_lem_dt_changes_the_fingerprint(tmp_path):
+    fps = {}
+    for dt in ("0.3", "0.7"):
+        prefix = tmp_path / f"dt{dt}"
+        assert main(["train", "--task", "copy", "--k", "1", "--T", "8", "--n", "8",
+                     "--model", "lem", "--hidden", "4", "--steps", "2",
+                     "--lem-dt", dt, "--out-prefix", str(prefix)]) == 0
+        fps[dt] = json.loads((tmp_path / f"dt{dt}.manifest.json").read_text())[
+            "config_fingerprint"]
+    assert fps["0.3"] != fps["0.7"]
+
+
 def test_gen_data_writes_the_repeat_first_task(tmp_path):
     data = tmp_path / "d.json"
     assert main(["gen-data", "--task", "repeatfirst", "--T", "6", "--V", "3",

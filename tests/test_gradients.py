@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from temporal_range.errors import NumericalError, ShapeMismatch, SpecError
-from temporal_range.gradients import (JacobianMode, LossKind,
+from temporal_range.gradients import (COMPLEX_STEP, JacobianMode, LossKind,
                                       batch_param_gradients, fd_jacobian,
-                                      input_jacobians, param_gradients,
-                                      per_step_jacobians, sequence_loss)
+                                      final_output_blocks, input_jacobians,
+                                      masked_loss, multi_output_blocks,
+                                      param_gradients, per_step_jacobians)
 from temporal_range.linalg import Rng
 from temporal_range.models import (CellKind, CellSpec, SequenceModel,
                                    build_shift_copy_model, init_model)
@@ -19,14 +22,17 @@ def _rel(a, b):
 @pytest.mark.parametrize("kind", list(CellKind))
 @pytest.mark.parametrize("encoder_dim", [None, 4])
 def test_input_jacobians_match_finite_differences(kind, encoder_dim):
+    # Complex-step derivatives subtract nothing, so the engine must match
+    # them to rounding in both modes.
     spec = CellSpec(kind=kind, input_dim=3, hidden_dim=4)
     seed = 100 * (1 + list(CellKind).index(kind)) + (encoder_dim or 0)
     model = init_model(spec, 2, Rng(seed), encoder_dim=encoder_dim)
     x = np.asarray(Rng(50).gaussian(size=(7, 3)))
-    blocks = input_jacobians(model, x, JacobianMode.MULTI_OUTPUT)
-    worst = max(_rel(J, fd_jacobian(model, x, s, t))
-                for (s, t), J in blocks.blocks.items())
-    assert worst < 1e-4
+    for mode in JacobianMode:
+        blocks = input_jacobians(model, x, mode)
+        worst = max(_rel(J, fd_jacobian(model, x, s, t))
+                    for (s, t), J in blocks.blocks.items())
+        assert worst < 1e-12, mode
 
 
 def test_shift_copy_blocks_are_the_readout_or_zero():
@@ -152,15 +158,12 @@ def test_param_gradients_scalar_linear_single_step_closed_form():
     assert grads["dec_b"][0] == pytest.approx(residual, abs=1e-12)
 
 
-@pytest.mark.parametrize("kind,loss", [
-    (CellKind.LEM, LossKind.MSE),
-    (CellKind.GRU, LossKind.CROSS_ENTROPY),
-    (CellKind.LSTM, LossKind.CROSS_ENTROPY),
-    (CellKind.LINEAR_REC, LossKind.MSE),
-])
-def test_param_gradients_match_finite_differences(kind, loss):
+@pytest.mark.parametrize("kind", list(CellKind))
+@pytest.mark.parametrize("loss", list(LossKind))
+@pytest.mark.parametrize("encoder_dim", [None, 3])
+def test_param_gradients_match_complex_step_derivatives(kind, loss, encoder_dim):
     model = init_model(CellSpec(kind=kind, input_dim=2, hidden_dim=3), 3,
-                       Rng(65), encoder_dim=3)
+                       Rng(65), encoder_dim=encoder_dim)
     rng = Rng(66)
     x = np.asarray(rng.gaussian(size=(6, 2)))
     if loss is LossKind.CROSS_ENTROPY:
@@ -168,22 +171,34 @@ def test_param_gradients_match_finite_differences(kind, loss):
     else:
         target = np.asarray(rng.gaussian(size=(6, 3)))
     steps = [2, 4, 6]
+    mask = np.isin(np.arange(1, 7), steps)
     grads = param_gradients(model, x, target, loss, steps)
-    h = 1e-5
+    complex_params = {name: p.astype(complex) for name, p in model.params.items()}
     worst = 0.0
     for name, g in grads.items():
-        flat = model.params[name].ravel()
-        for idx in range(flat.size):
-            probe = model.copy()
-            arr = probe.params[name].ravel()
-            arr[idx] = flat[idx] + h
-            f_plus = sequence_loss(probe, x, target, loss, steps)
-            arr[idx] = flat[idx] - h
-            f_minus = sequence_loss(probe, x, target, loss, steps)
-            fd = (f_plus - f_minus) / (2 * h)
+        for idx in range(g.size):
+            probe = dataclasses.replace(model, params=dict(complex_params))
+            probe.params[name] = complex_params[name].copy()
+            probe.params[name].ravel()[idx] += 1j * COMPLEX_STEP
+            value = masked_loss(probe.outputs(x[None])[0], target, mask, loss)[0]
+            cs = value.imag / COMPLEX_STEP
             an = g.ravel()[idx]
-            worst = max(worst, abs(fd - an) / max(1.0, abs(fd), abs(an)))
-    assert worst < 1e-4
+            worst = max(worst, abs(cs - an) / max(1.0, abs(cs), abs(an)))
+    assert worst < 1e-12
+
+
+def test_trace_path_rejects_a_complex_batch():
+    # Only outputs runs complex passes; the trace path used to drop a
+    # complex batch's imaginary part with only a ComplexWarning.
+    model = init_model(CellSpec(kind=CellKind.GRU, input_dim=2, hidden_dim=3),
+                       2, Rng(74))
+    X = np.zeros((2, 4, 2)) + 1j * COMPLEX_STEP
+    for run in (model.forward_batch, lambda X: list(multi_output_blocks(model, X)),
+                lambda X: final_output_blocks(model, X),
+                lambda X: per_step_jacobians(model, X[0]),
+                lambda X: input_jacobians(model, X[0], JacobianMode.FINAL_OUTPUT)):
+        with pytest.raises(SpecError, match="forward_batch is real-valued"):
+            run(X)
 
 
 def test_param_gradients_rejects_empty_loss_steps():

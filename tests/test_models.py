@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -307,6 +308,20 @@ def test_cell_spec_validation():
         CellSpec(kind=CellKind.GRU, input_dim=0, hidden_dim=4)
     with pytest.raises(SpecError):
         CellSpec(kind=CellKind.LEM, input_dim=2, hidden_dim=4, lem_dt=0.0)
+
+
+@pytest.mark.parametrize("dt", [math.inf, math.nan])
+def test_cell_spec_rejects_a_lem_dt_that_is_not_finite(tmp_path, dt):
+    with pytest.raises(SpecError, match=f"lem_dt must be finite and > 0, got {dt}"):
+        CellSpec(kind=CellKind.LEM, input_dim=2, hidden_dim=4, lem_dt=dt)
+    # A checkpoint that holds one fails to load the same way.
+    path = tmp_path / "model.json"
+    save_model(init_model(_spec(CellKind.LEM, 2, 3), 2, Rng(24)), path)
+    doc = json.loads(path.read_text())
+    doc["lem_dt"] = dt.hex()
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SpecError, match=f"lem_dt must be finite and > 0, got {dt}"):
+        load_model(path)
 
 
 def test_forward_rejects_dim_mismatch():

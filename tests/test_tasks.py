@@ -148,7 +148,9 @@ def test_symbol_generators_equal_one_draw_per_sequence():
 
 @pytest.mark.parametrize("generate", [
     lambda n, rng: gen_copyk(CopyTaskSpec(k=1, T=4), n, rng),
-    lambda n, rng: gen_repeatfirst(4, 3, n, rng)], ids=["copy", "repeatfirst"])
+    lambda n, rng: gen_repeatfirst(4, 3, n, rng),
+    lambda n, rng: gen_imitation(ObsVariant(), n, 8, rng)],
+    ids=["copy", "repeatfirst", "imitation"])
 def test_symbol_generators_reject_a_negative_count(generate):
     # One batched draw of a negative count would be a bare ValueError.
     rng, ref = Rng(2), Rng(2)

@@ -200,9 +200,8 @@ def test_train_runs_one_forward_pass_per_adam_step(monkeypatch):
     cfg = OptConfig(lr=1e-3, batch_size=8, steps=7, seed=2)
     train(model, _tiny_copy_data(n=20), cfg)
     # The spot check's analytic gradient is the one extra forward pass; its
-    # 20 coordinates' central differences (2 each) run as one stacked
-    # outputs pass, and the train and validation evaluations read outputs
-    # only.
+    # 20 coordinates' complex-step probes run as one stacked outputs pass,
+    # and the train and validation evaluations read outputs only.
     assert calls == {"forward_batch": cfg.steps + 1, "outputs": 1 + 2}
 
 
