@@ -48,6 +48,12 @@ _CELLS = {"linear": CellKind.LINEAR_REC, "gru": CellKind.GRU,
           "lstm": CellKind.LSTM, "lem": CellKind.LEM}
 _VARIANTS = {"full": ObsKind.FULL, "stateless": ObsKind.STATELESS,
              "noisy": ObsKind.NOISY_STATELESS}
+# The least value of every count, width and seed flag.  main checks each
+# flag the command has before dispatching, so a value below its floor is an
+# input error even where the run leaves the flag unused, and no file is
+# read first.  Seeds share the message of Rng's own check.
+FLAG_FLOORS = {"--n": 1, "--n-rollouts": 1, "--data-seed": 0,
+               "--encoder-dim": 0, "--seed": 0}
 
 
 def _timestamp() -> str:
@@ -66,20 +72,23 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def _write_manifest(prefix: Path, command: str, config: dict, seed,
-                    inputs: list[str], outputs: list[str]) -> None:
-    doc = {
-        "command": command,
-        "argv": sys.argv[1:],
-        "config": config,
-        "config_fingerprint": config_fingerprint(config),
-        "seed": seed,
-        "inputs": sorted(inputs),
-        "outputs": sorted(outputs),
-        "tool_version": __version__,
-        "timestamp": _timestamp(),
-    }
-    _write(_out(prefix, ".manifest.json"), artifact_json(doc))
+def _publish(args, config: dict, inputs, artifacts: dict) -> None:
+    """Write each artifact at ``--out-prefix`` plus its extension, then the
+    run manifest listing exactly those paths.  An artifact is text or a
+    function that writes the path it is given (``save_model``); inputs that
+    are ``None`` are left out."""
+    prefix = Path(args.out_prefix)
+    doc = {"command": args.command, "argv": args.argv, "config": config,
+           "config_fingerprint": config_fingerprint(config), "seed": args.seed,
+           "inputs": sorted(p for p in inputs if p),
+           "outputs": sorted(str(_out(prefix, ext)) for ext in artifacts),
+           "tool_version": __version__, "timestamp": _timestamp()}
+    prefix.parent.mkdir(parents=True, exist_ok=True)
+    for ext, content in {**artifacts, ".manifest.json": artifact_json(doc)}.items():
+        if callable(content):
+            content(_out(prefix, ext))
+        else:
+            _out(prefix, ext).write_text(content, encoding="utf-8")
 
 
 def _add_task_flags(p: argparse.ArgumentParser, task_required: bool = False) -> None:
@@ -95,45 +104,40 @@ def _add_task_flags(p: argparse.ArgumentParser, task_required: bool = False) -> 
                    help="observation noise std for the noisy variant")
 
 
-def _gen_task_sequences(args, n: int, seed: int):
-    rng = Rng(seed)
-    T = DEFAULT_T if args.T is None else args.T
-    if args.task == "copy":
-        spec = CopyTaskSpec(k=args.k, T=T, V=args.V)
-        return gen_copyk(spec, n, rng), {"task": "copy", "k": args.k,
-                                         "T": T, "V": args.V}
-    if args.task == "repeatfirst":
-        return (gen_repeatfirst(T, args.V, n, rng),
-                {"task": "repeatfirst", "T": T, "V": args.V})
-    variant = ObsVariant(kind=_VARIANTS[args.variant], sigma=args.sigma)
-    return (gen_imitation(variant, n, T, rng),
-            {"task": "cartpole", "variant": args.variant,
-             "sigma": args.sigma, "T": T})
-
-
 def _load_sequences(args, n: int, seed: int):
-    """Sequences from --data if given, else generated from --task flags.
-    An explicit --T must match the dataset's T."""
+    """Sequences and their description: from --data if the command has it
+    and it is given, else ``n`` generated from the --task flags.  An
+    explicit --T must match the dataset's T."""
     if getattr(args, "data", None):
         sequences, header = load_dataset(args.data)
         if args.T is not None and args.T != header["T"]:
             raise SpecError(f"--T {args.T} does not match the T={header['T']!r} "
                             f"of dataset {args.data}")
         return sequences, {"source": args.data, **{k: header[k] for k in ("task", "spec")}}
-    if not getattr(args, "task", None):
+    if not args.task:
         raise TemporalRangeError("either --data or --task is required")
-    sequences, desc = _gen_task_sequences(args, n, seed)
-    return sequences, desc
+    rng, T = Rng(seed), DEFAULT_T if args.T is None else args.T
+    if args.task == "copy":
+        return (gen_copyk(CopyTaskSpec(k=args.k, T=T, V=args.V), n, rng),
+                {"task": "copy", "k": args.k, "T": T, "V": args.V})
+    if args.task == "repeatfirst":
+        return (gen_repeatfirst(T, args.V, n, rng),
+                {"task": "repeatfirst", "T": T, "V": args.V})
+    variant = ObsVariant(kind=_VARIANTS[args.variant], sigma=args.sigma)
+    return (gen_imitation(variant, n, T, rng),
+            {"task": "cartpole", "variant": args.variant, "sigma": args.sigma, "T": T})
 
 
-def _check_count(args) -> None:
-    if args.n < 1:
-        raise SpecError(f"--n must be >= 1, got {args.n}")
+def _check_floors(args) -> None:
+    for flag, least in FLAG_FLOORS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), least)
+        if value < least:
+            name = "seed" if flag.endswith("seed") else flag
+            raise SpecError(f"{name} must be >= {least}, got {value}")
 
 
 def _cmd_gen_data(args) -> int:
-    _check_count(args)
-    sequences, desc = _gen_task_sequences(args, args.n, args.seed)
+    sequences, desc = _load_sequences(args, args.n, args.seed)
     save_dataset(sequences, args.out, task=desc.pop("task"), spec=desc,
                  seed=args.seed)
     print(f"wrote {len(sequences)} sequences to {args.out}")
@@ -141,11 +145,6 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    _check_count(args)
-    if args.data_seed < 0:  # also when --data leaves it unused
-        raise SpecError(f"seed must be >= 0, got {args.data_seed}")
-    if args.encoder_dim < 0:
-        raise SpecError(f"--encoder-dim must be >= 0, got {args.encoder_dim}")
     cell_kind = _CELLS[args.model]
     sequences, desc = _load_sequences(args, args.n, args.data_seed)
     d = sequences[0].x.shape[1]
@@ -157,36 +156,27 @@ def _cmd_train(args) -> int:
     cfg = OptConfig(lr=args.lr, batch_size=args.batch, steps=args.steps,
                     seed=args.seed, grad_clip=args.clip)
     trained, log = train(model, sequences, cfg)
-    prefix = Path(args.out_prefix)
-    ckpt = _out(prefix, ".model.json")
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    save_model(trained, ckpt)
-    _write(_out(prefix, ".loss.csv"), log.to_csv())
     metrics = {
         "final_train_accuracy": log.final_train_metric,
         "final_val_accuracy": log.final_val_metric,
         "steps": len(log.losses),
         "final_loss": log.losses[-1] if log.losses else None,
     }
-    _write(_out(prefix, ".metrics.json"), artifact_json(metrics))
     config = {"data": desc, "model": args.model, "hidden": args.hidden,
               "encoder_dim": args.encoder_dim, "lem_dt": args.lem_dt, "lr": args.lr,
               "batch": args.batch, "steps": args.steps, "clip": args.clip,
               "seed": args.seed, "data_seed": args.data_seed}
-    _write_manifest(prefix, "train", config, args.seed,
-                    inputs=[args.data] if args.data else [],
-                    outputs=[str(ckpt), str(_out(prefix, ".loss.csv")),
-                             str(_out(prefix, ".metrics.json"))])
+    _publish(args, config, [args.data],
+             {".model.json": lambda path: save_model(trained, path),
+              ".loss.csv": log.to_csv(), ".metrics.json": artifact_json(metrics)})
     print(f"train accuracy {log.final_train_metric:.4f}  "
           f"val accuracy {log.final_val_metric:.4f}  "
           f"wall time {log.wall_time_s:.1f}s")
-    print(f"checkpoint: {ckpt}")
+    print(f"checkpoint: {_out(Path(args.out_prefix), '.model.json')}")
     return 0
 
 
 def _cmd_analyze(args) -> int:
-    if args.n_rollouts < 1:
-        raise SpecError(f"--n-rollouts must be >= 1, got {args.n_rollouts}")
     model = load_model(args.model)
     sequences, desc = _load_sequences(args, args.n_rollouts, args.seed)
     rollouts = [seq.x for seq in sequences[:args.n_rollouts]]
@@ -194,30 +184,22 @@ def _cmd_analyze(args) -> int:
     cfg = TRConfig(norm=_NORMS[args.norm], aggregation=_AGGS[args.agg],
                    mode=_MODES[args.mode], T=len(rollouts[0]) if rollouts else DEFAULT_T)
     report = analyze(model, rollouts, cfg)
-    prefix = Path(args.out_prefix)
-    _write(_out(prefix, ".report.json"), report_json(report))
-    _write(_out(prefix, ".profile.csv"), profile_csv(report))
-    lags = list(range(report.config.T))
-    weights_by_lag = [float(report.weights_mean[report.config.T - 1 - lag])
-                      for lag in lags]
-    svg = bar_chart(lags, weights_by_lag, marker_x=report.rho_hat,
-                    title="Temporal influence profile",
+    svg = bar_chart(range(report.config.T), report.weights_mean[::-1],
+                    marker_x=report.rho_hat, title="Temporal influence profile",
                     xlabel="lag (steps back)", ylabel="mean weight",
                     comment=f"generated {_timestamp()}")
-    _write(_out(prefix, ".profile.svg"), svg)
     config = {"tr": cfg.as_dict(), "model": args.model, "rollouts": desc,
               "n_rollouts": len(rollouts), "seed": args.seed}
-    _write_manifest(prefix, "analyze", config, args.seed,
-                    inputs=[args.model] + ([args.data] if args.data else []),
-                    outputs=[str(_out(prefix, s))
-                             for s in (".report.json", ".profile.csv", ".profile.svg")])
+    _publish(args, config, [args.model, args.data],
+             {".report.json": report_json(report), ".profile.csv": profile_csv(report),
+              ".profile.svg": svg})
     if report.degenerate:
         print("degenerate influence profile: all weights are zero on every "
               "rollout; normalized range undefined")
     else:
         print(f"rho_hat {report.rho_hat:.6g}  (std {report.rho_hat_std:.3g}, "
               f"pooled {report.pooled_rho_hat:.6g})  rho {report.rho:.6g}")
-    print(f"report: {_out(prefix, '.report.json')}")
+    print(f"report: {_out(Path(args.out_prefix), '.report.json')}")
     return 0
 
 
@@ -255,7 +237,6 @@ def _cmd_axioms(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    _check_count(args)
     if args.deploy and not args.report:
         raise TemporalRangeError("--deploy requires --report")
     try:
@@ -273,29 +254,22 @@ def _cmd_ablate(args) -> int:
         curve, check = sweep_with_deployment(model, sequences, windows, report)
     else:
         curve = ablation_sweep(model, sequences, windows)
-    prefix = Path(args.out_prefix)
-    _write(_out(prefix, ".curve.csv"), curve_csv(curve))
     svg = line_chart(curve.windows, curve.normalized,
                      marker_x=None if report is None else report.rho_hat,
                      title="Window ablation",
                      xlabel="window m", ylabel="normalized performance",
                      comment=f"generated {_timestamp()}")
-    _write(_out(prefix, ".curve.svg"), svg)
-    outputs = [str(_out(prefix, ".curve.csv")),
-               str(_out(prefix, ".curve.svg"))]
+    artifacts = {".curve.csv": curve_csv(curve), ".curve.svg": svg}
     if args.deploy:
         doc = {**dataclasses.asdict(check), "metric": "accuracy"}
-        _write(_out(prefix, ".deployment.json"), artifact_json(doc))
-        outputs.append(str(_out(prefix, ".deployment.json")))
+        artifacts[".deployment.json"] = artifact_json(doc)
         print(f"deployment: window {check.window} retention "
               f"{check.retention_window:.3f}, half window {check.half_window} "
               f"retention {check.retention_half:.3f}")
     config = {"model": args.model, "data": desc, "windows": windows,
               "metric": "accuracy", "seed": args.seed,
               "report": args.report, "deploy": bool(args.deploy)}
-    _write_manifest(prefix, "ablate", config, args.seed,
-                    inputs=[p for p in (args.model, args.data, args.report) if p],
-                    outputs=outputs)
+    _publish(args, config, [args.model, args.data, args.report], artifacts)
     for m, norm in zip(curve.windows, curve.normalized):
         print(f"m={m:>3}  normalized {norm:.4f}")
     return 0
@@ -380,14 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv
     try:
+        _check_floors(args)
         return args.func(args)
-    except TemporalRangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (TemporalRangeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

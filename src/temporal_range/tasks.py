@@ -392,14 +392,17 @@ def save_dataset(sequences: list[LabeledSequence], path, task: str,
 
 
 def load_dataset(path) -> tuple[list[LabeledSequence], dict]:
-    """Read a dataset container; returns (sequences, header).  Sequences
-    whose count, ``x`` shape, targets or mask disagree with the header's n,
-    T and d, and targets or mask entries that ``LabeledSequence`` rejects,
-    raise ``FormatError`` naming the first bad sequence."""
+    """Read a dataset container; returns (sequences, header).  A header
+    declaring no sequences, sequences whose count, ``x`` shape, targets or
+    mask disagree with the header's n, T and d, and targets or mask entries
+    that ``LabeledSequence`` rejects raise ``FormatError`` (naming the first
+    bad sequence)."""
     doc = _read_versioned_json(path, "dataset", DATASET_FORMAT, DATASET_VERSION,
                                "container")
     try:
         header = {k: doc[k] for k in ("task", "spec", "seed", "n", "T", "d")}
+        if header["n"] == 0:
+            raise FormatError(f"dataset {path} is empty: its header declares n=0")
         if len(doc["sequences"]) != header["n"]:
             raise FormatError(f"dataset {path} holds {len(doc['sequences'])} "
                               f"sequences, its header declares n={header['n']!r}")

@@ -19,9 +19,9 @@ import pytest
 
 from temporal_range.ablation import ablation_sweep, deployment_check
 from temporal_range.cli import main as cli_main
-from temporal_range.gradients import (JacobianMode, LossKind, fd_jacobian,
-                                      input_jacobians, param_gradients,
-                                      sequence_loss)
+from temporal_range.gradients import (COMPLEX_STEP, JacobianMode, LossKind,
+                                      fd_jacobian, input_jacobians, masked_loss,
+                                      param_gradients)
 from temporal_range.linalg import NormKind, Rng
 from temporal_range.metric import (Aggregation, TRConfig, analyze,
                                    check_input_scaling, check_output_scaling,
@@ -208,22 +208,19 @@ def test_criterion_03_gradient_correctness(verdict):
                 for _ in range(25):
                     n = names[int(rng.integers(0, len(names)))]
                     coords.append((n, int(rng.integers(0, model.params[n].size))))
-            h = 1e-5
+            mask = np.ones(T, dtype=bool)
             for name, idx in coords:
                 probe = model.copy()
-                arr = probe.params[name].ravel()
-                orig = arr[idx]
-                arr[idx] = orig + h
-                f_plus = sequence_loss(probe, x, target, loss, steps)
-                arr[idx] = orig - h
-                f_minus = sequence_loss(probe, x, target, loss, steps)
-                fd = (f_plus - f_minus) / (2 * h)
+                probe.params[name] = probe.params[name].astype(np.complex128)
+                probe.params[name].flat[idx] += 1j * COMPLEX_STEP
+                ys = probe.outputs(x[None])[0]
+                cs = float(masked_loss(ys, target, mask, loss)[0].imag) / COMPLEX_STEP
                 an = float(grads[name].ravel()[idx])
-                worst = max(worst, abs(fd - an) / max(1.0, abs(fd), abs(an)))
+                worst = max(worst, abs(cs - an) / max(1.0, abs(cs), abs(an)))
     elapsed = time.perf_counter() - start
-    verdict(3, worst < 1e-4 and elapsed < 60.0,
-            f"analytic vs finite-difference gradients over 4 cell kinds x 20 "
-            f"seeds, worst rel err {worst:.2e} (tol 1e-4), {elapsed:.1f}s (< 60s)")
+    verdict(3, worst < RESIDUAL_TOL and elapsed < 60.0,
+            f"analytic vs complex-step gradients over 4 cell kinds x 20 seeds, "
+            f"worst rel err {worst:.2e} (tol {RESIDUAL_TOL}), {elapsed:.1f}s (< 60s)")
 
 
 def test_criterion_04_axiom_suite(verdict):

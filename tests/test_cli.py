@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from temporal_range import cells
-from temporal_range.cli import main
+from temporal_range.cli import FLAG_FLOORS, build_parser, main
 from temporal_range.gradients import JacobianMode
 from temporal_range.linalg import Rng
 from temporal_range.metric import TRConfig, analyze, report_json
@@ -545,13 +545,15 @@ def test_gen_data_writes_the_repeat_first_task(tmp_path):
 @pytest.mark.parametrize("command, flag", [
     ("gen-data", "--seed"), ("train", "--seed"), ("train", "--data-seed"),
     ("analyze", "--seed"), ("ablate", "--seed"), ("oracle", "--seed"),
-    ("axioms", "--seed")])
+    ("axioms", "--seed"), ("analyze --data", "--seed"), ("ablate --data", "--seed")])
 def test_negative_seed_is_an_input_error(tmp_path, capsys, command, flag):
     # NumPy's seed sequences reject a negative seed with a bare ValueError, so
-    # Rng checks the seed itself and every command reports it as an input error.
+    # Rng checks the seed itself and every command reports it as an input error,
+    # also where --data leaves the seed unused.
     ckpt = tmp_path / "m.json"
     save_model(build_shift_copy_model(1, 4), ckpt)
     task = ["--task", "copy", "--k", "1", "--T", "8", "--n", "4"]
+    command, *data = command.split()
     args = {
         "gen-data": [*task, "--out", str(tmp_path / "d.json")],
         "train": [*task, "--hidden", "4", "--steps", "1",
@@ -562,10 +564,97 @@ def test_negative_seed_is_an_input_error(tmp_path, capsys, command, flag):
         "oracle": ["--trials", "2"],
         "axioms": ["--trials", "2"],
     }[command]
+    if data:
+        assert main(["gen-data", *task, "--out", str(tmp_path / "data.json")]) == 0
+        args = ["--model", str(ckpt), "--data", str(tmp_path / "data.json"),
+                "--out-prefix", str(tmp_path / "r")]
     capsys.readouterr()
     assert main([command, *args, flag, "-1"]) == 2
     assert _error_line(capsys) == "error: seed must be >= 0, got -1"
     assert not list(tmp_path.glob("[dr].*"))
+
+
+def _subcommands() -> dict:
+    """Each command's sub-parser, by command name."""
+    action = next(a for a in build_parser()._actions if a.dest == "command")
+    return action.choices
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, sub in _subcommands().items()
+    for flag in FLAG_FLOORS if flag in sub._option_string_actions])
+def test_every_flag_floor_is_checked_before_any_file_is_read(tmp_path, capsys,
+                                                            command, flag):
+    # Every path given, --data included where the command takes it, is
+    # missing, so the floor's message shows that no file was read first.
+    sub = _subcommands()[command]
+    args = []
+    for action in sub._actions:
+        option = action.option_strings[:1]
+        if option == ["--task"]:
+            args += ["--task", "copy"]
+        elif option and (action.required or option == ["--data"]):
+            args += [option[0], str(tmp_path / f"missing{option[0]}")]
+    least = FLAG_FLOORS[flag]
+    assert main([command, *args, flag, str(least - 1)]) == 2
+    name = "seed" if flag.endswith("seed") else flag
+    assert _error_line(capsys) == f"error: {name} must be >= {least}, got {least - 1}"
+    assert not list(tmp_path.iterdir())
+
+
+def _chain_inputs(tmp_path) -> dict:
+    """A copy-1 dataset (T = 8, V = 4), a shift-copy checkpoint and its
+    final-mode range report, in a directory of their own."""
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    paths = {"data": inputs / "d.json", "model": inputs / "m.json"}
+    assert main(["gen-data", "--task", "copy", "--k", "1", "--T", "8", "--n", "8",
+                 "--out", str(paths["data"])]) == 0
+    save_model(build_shift_copy_model(1, 4), paths["model"])
+    assert main(["analyze", "--model", str(paths["model"]), "--data", str(paths["data"]),
+                 "--mode", "final", "--out-prefix", str(inputs / "r")]) == 0
+    return {**paths, "report": inputs / "r.report.json"}
+
+
+@pytest.mark.parametrize("command", ["train", "analyze", "ablate", "ablate --deploy"])
+def test_manifest_records_the_argv_given_to_main_and_exactly_its_outputs(tmp_path,
+                                                                         command):
+    paths = _chain_inputs(tmp_path)
+    data, model = str(paths["data"]), str(paths["model"])
+    prefix = tmp_path / "out" / "run"
+    argv = {
+        "train": ["train", "--data", data, "--hidden", "4", "--steps", "1"],
+        "analyze": ["analyze", "--model", model, "--data", data],
+        "ablate": ["ablate", "--model", model, "--data", data, "--windows", "1,2,8"],
+        "ablate --deploy": ["ablate", "--model", model, "--data", data,
+                            "--report", str(paths["report"]), "--deploy"],
+    }[command] + ["--out-prefix", str(prefix)]
+    before = set(tmp_path.rglob("*"))
+    assert main(argv) == 0
+    created = {str(p) for p in set(tmp_path.rglob("*")) - before if p.is_file()}
+    manifest = json.loads((tmp_path / "out" / "run.manifest.json").read_text())
+    assert manifest["argv"] == argv
+    assert set(manifest["outputs"]) == created - {str(tmp_path / "out" / "run.manifest.json")}
+
+
+@pytest.mark.parametrize("command", ["train", "analyze", "ablate"])
+def test_dataset_whose_header_declares_no_sequences_is_an_input_error(tmp_path, capsys,
+                                                                      command):
+    # train used to end in an IndexError traceback and exit 1; analyze and
+    # ablate reached an error only later, from the engine.
+    paths = _chain_inputs(tmp_path)
+    doc = json.loads(paths["data"].read_text())
+    doc.update(n=0, sequences=[])
+    paths["data"].write_text(json.dumps(doc))
+    data, model = str(paths["data"]), str(paths["model"])
+    argv = {"train": ["train", "--data", data, "--hidden", "4", "--steps", "1"],
+            "analyze": ["analyze", "--model", model, "--data", data],
+            "ablate": ["ablate", "--model", model, "--data", data]}[command]
+    capsys.readouterr()
+    assert main(argv + ["--out-prefix", str(tmp_path / "out")]) == 2
+    assert _error_line(capsys) == (f"error: dataset {data} is empty: "
+                                   "its header declares n=0")
+    assert not list(tmp_path.glob("out*"))
 
 
 def test_oracle_with_no_trials_is_an_input_error(tmp_path, capsys):
