@@ -14,10 +14,9 @@ __version__ = "0.1.0"
 from .ablation import (AblationCurve, DeploymentCheck, ablation_sweep,
                        deployment_check, knee, windowed_forward)
 from .cells import CellKind
-from .errors import (ConfigError, DivergenceError, EpisodeFinished,
-                     FormatError, InvalidMatrix, NumericalError,
-                     ShapeMismatch, SpecError, TemporalRangeError,
-                     VersionError)
+from .errors import (ConfigError, DivergenceError, FormatError,
+                     InvalidMatrix, NumericalError, ShapeMismatch, SpecError,
+                     TemporalRangeError, VersionError)
 from .gradients import (JacobianBlocks, JacobianMode, LossKind, fd_jacobian,
                         input_jacobians, param_gradients, per_step_jacobians,
                         sequence_loss)
@@ -32,9 +31,8 @@ from .oracles import (AxiomReport, LinearTemporalMap, RecurrenceSpec,
                       axiom_suite, copyk_oracle, linear_map_as_model,
                       linear_map_range, pipeline_cross_checks,
                       recurrence_as_model, recurrence_profile)
-from .tasks import (CartPoleState, CopyTaskSpec, LabeledSequence, ObsKind,
-                    ObsVariant, cartpole_step, expert_action, gen_copyk,
-                    gen_imitation, gen_repeatfirst, load_dataset, observe,
-                    run_expert_episode, save_dataset)
+from .tasks import (CopyTaskSpec, Dataset, LabeledSequence, ObsKind,
+                    ObsVariant, gen_copyk, gen_imitation, gen_repeatfirst,
+                    load_dataset, save_dataset)
 from .training import (AdamState, OptConfig, TrainLog, adam_step,
                        clip_by_global_norm, evaluate, train)

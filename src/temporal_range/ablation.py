@@ -28,8 +28,8 @@ import numpy as np
 from .errors import ShapeMismatch, SpecError
 from .metric import TemporalRangeReport
 from .models import SequenceModel
-from .tasks import LabeledSequence
-from .training import score, stack_sequences
+from .tasks import Dataset
+from .training import _require_labels, score
 
 __all__ = [
     "AblationCurve",
@@ -98,23 +98,21 @@ class AblationCurve:
     baseline: float
 
 
-def ablation_sweep(model: SequenceModel, data: list[LabeledSequence],
+def ablation_sweep(model: SequenceModel, data: Dataset,
                    windows=DEFAULT_WINDOWS) -> AblationCurve:
     """Evaluate the model under each window and normalize to full context.
 
     Every window and the baseline come from one set of shared cold-restart
     passes (see the module docstring)."""
-    if not data:
-        raise SpecError("ablation requires evaluation data")
+    _require_labels(data)
     windows = _sorted_windows(windows)
-    X, targets, masks = stack_sequences(data)
-    ys = _windowed_outputs(model, X, windows)
-    baseline = score(ys[X.shape[1]], targets, masks)[0]
+    ys = _windowed_outputs(model, data.x, windows)
+    baseline = score(ys[data.x.shape[1]], data.targets, data.mask)[0]
     if baseline == 0:
         raise SpecError("cannot normalize against a zero baseline")
     means, stds, normalized = [], [], []
     for m in windows:
-        pooled, per_seq = score(ys[m], targets, masks)
+        pooled, per_seq = score(ys[m], data.targets, data.mask)
         means.append(pooled)
         stds.append(float(np.std(per_seq)))
         normalized.append(pooled / baseline)
@@ -155,7 +153,7 @@ def deployment_windows(report: TemporalRangeReport) -> tuple[int, int]:
     return math.ceil(report.rho_hat + 1.0), math.ceil((report.rho_hat + 1.0) / 2.0)
 
 
-def deployment_check(model: SequenceModel, data: list[LabeledSequence],
+def deployment_check(model: SequenceModel, data: Dataset,
                      report: TemporalRangeReport) -> DeploymentCheck:
     """Evaluate at window ``ceil(rho_hat + 1)`` and at half that window.
 
@@ -165,7 +163,7 @@ def deployment_check(model: SequenceModel, data: list[LabeledSequence],
     return sweep_with_deployment(model, data, (), report)[1]
 
 
-def sweep_with_deployment(model: SequenceModel, data: list[LabeledSequence], windows,
+def sweep_with_deployment(model: SequenceModel, data: Dataset, windows,
                           report: TemporalRangeReport
                           ) -> tuple[AblationCurve, DeploymentCheck]:
     """``ablation_sweep`` over ``windows`` and ``deployment_check`` from one

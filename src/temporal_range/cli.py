@@ -105,15 +105,15 @@ def _add_task_flags(p: argparse.ArgumentParser, task_required: bool = False) -> 
 
 
 def _load_sequences(args, n: int, seed: int):
-    """Sequences and their description: from --data if the command has it
-    and it is given, else ``n`` generated from the --task flags.  An
-    explicit --T must match the dataset's T."""
+    """A ``Dataset`` and its description: from --data if the command has it
+    and it is given, else ``n`` sequences generated from the --task flags.
+    An explicit --T must match the dataset's T."""
     if getattr(args, "data", None):
-        sequences, header = load_dataset(args.data)
+        data, header = load_dataset(args.data)
         if args.T is not None and args.T != header["T"]:
             raise SpecError(f"--T {args.T} does not match the T={header['T']!r} "
                             f"of dataset {args.data}")
-        return sequences, {"source": args.data, **{k: header[k] for k in ("task", "spec")}}
+        return data, {"source": args.data, **{k: header[k] for k in ("task", "spec")}}
     if not args.task:
         raise TemporalRangeError("either --data or --task is required")
     rng, T = Rng(seed), DEFAULT_T if args.T is None else args.T
@@ -137,25 +137,24 @@ def _check_floors(args) -> None:
 
 
 def _cmd_gen_data(args) -> int:
-    sequences, desc = _load_sequences(args, args.n, args.seed)
-    save_dataset(sequences, args.out, task=desc.pop("task"), spec=desc,
-                 seed=args.seed)
-    print(f"wrote {len(sequences)} sequences to {args.out}")
+    data, desc = _load_sequences(args, args.n, args.seed)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    save_dataset(data, args.out, task=desc.pop("task"), spec=desc, seed=args.seed)
+    print(f"wrote {len(data)} sequences to {args.out}")
     return 0
 
 
 def _cmd_train(args) -> int:
     cell_kind = _CELLS[args.model]
-    sequences, desc = _load_sequences(args, args.n, args.data_seed)
-    d = sequences[0].x.shape[1]
-    n_classes = int(max(int(s.targets.max()) for s in sequences)) + 1
-    spec = CellSpec(kind=cell_kind, input_dim=d, hidden_dim=args.hidden,
+    data, desc = _load_sequences(args, args.n, args.data_seed)
+    n_classes = int(data.targets.max()) + 1
+    spec = CellSpec(kind=cell_kind, input_dim=data.x.shape[2], hidden_dim=args.hidden,
                     lem_dt=args.lem_dt)
     encoder_dim = args.encoder_dim or None
     model = init_model(spec, n_classes, Rng(args.seed), encoder_dim=encoder_dim)
     cfg = OptConfig(lr=args.lr, batch_size=args.batch, steps=args.steps,
                     seed=args.seed, grad_clip=args.clip)
-    trained, log = train(model, sequences, cfg)
+    trained, log = train(model, data, cfg)
     metrics = {
         "final_train_accuracy": log.final_train_metric,
         "final_val_accuracy": log.final_val_metric,
@@ -178,11 +177,10 @@ def _cmd_train(args) -> int:
 
 def _cmd_analyze(args) -> int:
     model = load_model(args.model)
-    sequences, desc = _load_sequences(args, args.n_rollouts, args.seed)
-    rollouts = [seq.x for seq in sequences[:args.n_rollouts]]
-    # The window is the rollouts' length; without rollouts analyze rejects the call.
+    data, desc = _load_sequences(args, args.n_rollouts, args.seed)
+    rollouts = data.x[:args.n_rollouts]
     cfg = TRConfig(norm=_NORMS[args.norm], aggregation=_AGGS[args.agg],
-                   mode=_MODES[args.mode], T=len(rollouts[0]) if rollouts else DEFAULT_T)
+                   mode=_MODES[args.mode], T=rollouts.shape[1])
     report = analyze(model, rollouts, cfg)
     svg = bar_chart(range(report.config.T), report.weights_mean[::-1],
                     marker_x=report.rho_hat, title="Temporal influence profile",
@@ -249,11 +247,11 @@ def _cmd_ablate(args) -> int:
         if args.deploy:
             deployment_windows(report)  # rejects a degenerate report before the sweep
     model = load_model(args.model)
-    sequences, desc = _load_sequences(args, args.n, args.seed)
+    data, desc = _load_sequences(args, args.n, args.seed)
     if args.deploy:
-        curve, check = sweep_with_deployment(model, sequences, windows, report)
+        curve, check = sweep_with_deployment(model, data, windows, report)
     else:
-        curve = ablation_sweep(model, sequences, windows)
+        curve = ablation_sweep(model, data, windows)
     svg = line_chart(curve.windows, curve.normalized,
                      marker_x=None if report is None else report.rho_hat,
                      title="Window ablation",

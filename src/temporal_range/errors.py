@@ -33,9 +33,5 @@ class VersionError(FormatError):
     """A serialized artifact declares an unsupported version."""
 
 
-class EpisodeFinished(TemporalRangeError):
-    """An environment step was requested on a terminated episode."""
-
-
 class DivergenceError(TemporalRangeError):
     """Training loss diverged beyond the configured guard."""

@@ -1,10 +1,11 @@
 """Desk-scale tasks: symbol-recall datasets and a cart-pole simulator.
 
-Symbol tasks emit one-hot observation sequences with per-step class
-targets and a validity mask; the cart-pole side provides the standard
-benchmark dynamics, partial-observation variants, a hand-tuned balancing
-expert, and imitation datasets of (observation sequence, expert action)
-pairs for behavior cloning.
+A ``Dataset`` holds sequences of one length as three arrays: observations,
+per-step class targets and a validity mask.  Symbol tasks emit one-hot
+observation sequences; the cart-pole side provides the standard benchmark
+dynamics, partial-observation variants, a hand-tuned balancing expert, and
+imitation datasets of (observation sequence, expert action) pairs for
+behavior cloning.
 
 Datasets are stored in a versioned JSON container whose header records
 the generating task, its parameters, and the seed.
@@ -16,27 +17,25 @@ import dataclasses
 import enum
 import itertools
 import math
+import numbers
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EpisodeFinished, FormatError, SpecError
+from .errors import FormatError, SpecError
 from .linalg import Rng
 from .models import _array_json, _object_json, _read_versioned_json, _write_json
 
 __all__ = [
-    "CartPoleState",
     "CopyTaskSpec",
+    "Dataset",
     "LabeledSequence",
     "ObsKind",
     "ObsVariant",
-    "cartpole_step",
-    "expert_action",
     "gen_copyk",
     "gen_imitation",
     "gen_repeatfirst",
     "load_dataset",
-    "observe",
-    "run_expert_episode",
     "save_dataset",
 ]
 
@@ -52,25 +51,36 @@ FORCE_MAG = 10.0
 TAU = 0.02
 X_LIMIT = 2.4
 THETA_LIMIT = 12.0 * math.pi / 180.0
-EPISODE_CAP = 500
 
 # Full-state linear feedback gains for the balancing expert, ordered as
 # (x, x_dot, theta, theta_dot).  Chosen so episodes from small random
-# initial states survive past the episode cap.
+# initial states survive at least 500 steps.
 EXPERT_GAINS = (1.0, 2.0, 18.0, 4.0)
 
 
-@dataclasses.dataclass
-class LabeledSequence:
-    """One training sequence: observations, per-step targets, loss mask.
+class LabeledSequence(NamedTuple):
+    """One sequence of a ``Dataset``: views of its observations ``(T, d)``,
+    class-index targets ``(T,)`` and loss mask ``(T,)``."""
 
-    Targets are class indices ``(T,)``; the mask ``(T,)`` marks the steps
+    x: np.ndarray
+    targets: np.ndarray
+    mask: np.ndarray
+
+
+@dataclasses.dataclass
+class Dataset:
+    """Sequences of one length: observations ``x`` ``(n, T, d)``, class-index
+    ``targets`` ``(n, T)`` and a loss ``mask`` ``(n, T)`` marking the steps
     where a target is defined.
 
+    An integer index or iteration yields ``LabeledSequence`` rows; any other
+    index (a slice or an index array) yields a ``Dataset``.
+
     Raises:
-        SpecError: naming the first observation row with a non-finite
-            entry, target that is not a non-negative integer or mask entry
-            that is not 0 or 1, or a shape mismatch.
+        SpecError: on a shape mismatch, or naming the first sequence with an
+            observation row that has a non-finite entry, else the first with
+            a target that is not a non-negative integer, else the first with
+            a mask entry that is not 0 or 1.
     """
 
     x: np.ndarray
@@ -79,31 +89,46 @@ class LabeledSequence:
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
-        if not np.isfinite(self.x).all():
-            bad = _first_entry(self.x, lambda row: np.isfinite(row).all())
-            raise SpecError(f"observation {bad} is not finite")
         targets, mask = np.asarray(self.targets), np.asarray(self.mask)
-        T = self.x.shape[0]
-        if targets.shape != (T,) or mask.shape != (T,):
+        if self.x.ndim != 3 or not targets.shape == self.x.shape[:2] == mask.shape:
             raise SpecError(f"{targets.shape} targets and {mask.shape} mask entries "
-                            f"for {T} steps")
+                            f"for {self.x.shape} observations")
+        if not np.isfinite(self.x).all():
+            i, bad = _first_entry(self.x, lambda row: np.isfinite(row).all())
+            raise SpecError(f"sequence {i}: observation {bad} is not finite")
         # Unsigned values of 2**63 and more turn negative here and fail too.
-        ints = targets.astype(np.int64) if targets.dtype.kind in "biu" else None
+        ints = targets.astype(np.int64, copy=False) if targets.dtype.kind in "biu" else None
         if ints is None or ints.min(initial=0) < 0:
-            bad = _first_entry(self.targets, lambda v: isinstance(v, int) and 0 <= v < 2 ** 63)
-            raise SpecError(f"target {bad} is not a class index (a non-negative integer)")
+            i, bad = _first_entry(self.targets,
+                                  lambda v: isinstance(v, int) and 0 <= v < 2 ** 63)
+            raise SpecError(f"sequence {i}: target {bad} is not a class index "
+                            f"(a non-negative integer)")
         if mask.dtype != bool and not ((mask == 0) | (mask == 1)).all():
-            bad = _first_entry(self.mask, lambda v: v in (0, 1))
-            raise SpecError(f"mask entry {bad} is not 0 or 1")
+            i, bad = _first_entry(self.mask, lambda v: v in (0, 1))
+            raise SpecError(f"sequence {i}: mask entry {bad} is not 0 or 1")
         self.targets, self.mask = ints, mask.astype(bool, copy=False)
 
+    def __len__(self) -> int:
+        return len(self.x)
 
-def _first_entry(values, ok) -> str:
-    """``"<value> at step <s>"`` for the first entry of ``values`` (a list or
-    an array, as given) that ``ok`` rejects; step 0 if it accepts them all."""
-    values = values.tolist() if isinstance(values, np.ndarray) else list(values)
-    step = next((s for s, v in enumerate(values) if not ok(v)), 0)
-    return f"{values[step]!r} at step {step}"
+    def __getitem__(self, index):
+        parts = self.x[index], self.targets[index], self.mask[index]
+        if isinstance(index, numbers.Integral):
+            return LabeledSequence(*parts)
+        return Dataset(*parts)
+
+    def __iter__(self):
+        return map(LabeledSequence, self.x, self.targets, self.mask)
+
+
+def _first_entry(values, ok) -> tuple[int, str]:
+    """The sequence ``i`` and ``"<value> at step <s>"`` of the first entry
+    of ``values`` (rows of nested lists or an array, as given) that ``ok``
+    rejects; the first entry if it accepts them all."""
+    rows = values.tolist() if isinstance(values, np.ndarray) else values
+    entries = [(i, s, v) for i, row in enumerate(rows) for s, v in enumerate(row)]
+    i, step, value = next((e for e in entries if not ok(e[2])), entries[0])
+    return i, f"{value!r} at step {step}"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -139,27 +164,24 @@ def _check_count(n: int) -> None:
         raise SpecError(f"need n >= 0 sequences, got {n}")
 
 
-def _symbol_sequences(symbols: np.ndarray, V: int, targets: np.ndarray,
-                      first: int) -> list[LabeledSequence]:
-    """One sequence per row of ``symbols`` and ``targets`` ``(n, T)``: the
-    one-hot symbols, with targets masked in from step ``first`` on.  No two
-    sequences share an element."""
-    x = _one_hot(symbols, V)
+def _symbol_dataset(symbols: np.ndarray, V: int, targets: np.ndarray,
+                    first: int) -> Dataset:
+    """The one-hot ``symbols`` ``(n, T)`` with their ``targets``, masked in
+    from step ``first`` on."""
     mask = np.zeros(symbols.shape, dtype=bool)
     mask[:, first:] = True
-    return [LabeledSequence(x=x[i], targets=targets[i], mask=mask[i])
-            for i in range(len(x))]
+    return Dataset(x=_one_hot(symbols, V), targets=targets, mask=mask)
 
 
-def gen_copyk(spec: CopyTaskSpec, n: int, rng: Rng) -> list[LabeledSequence]:
+def gen_copyk(spec: CopyTaskSpec, n: int, rng: Rng) -> Dataset:
     """I.i.d. uniform symbols; target at step s is the symbol at s - k."""
     symbols = _symbol_draw(rng, spec.V, n, spec.T)
     targets = np.zeros_like(symbols)
     targets[:, spec.k:] = symbols[:, :spec.T - spec.k]
-    return _symbol_sequences(symbols, spec.V, targets, spec.k)
+    return _symbol_dataset(symbols, spec.V, targets, spec.k)
 
 
-def gen_repeatfirst(T: int, V: int, n: int, rng: Rng) -> list[LabeledSequence]:
+def gen_repeatfirst(T: int, V: int, n: int, rng: Rng) -> Dataset:
     """Every step from the second onward must recall the first symbol."""
     if T < 2:
         raise SpecError(f"need T >= 2, got {T}")
@@ -168,22 +190,7 @@ def gen_repeatfirst(T: int, V: int, n: int, rng: Rng) -> list[LabeledSequence]:
     symbols = _symbol_draw(rng, V, n, T)
     targets = np.repeat(symbols[:, :1], T, axis=1)
     targets[:, 0] = 0
-    return _symbol_sequences(symbols, V, targets, 1)
-
-
-@dataclasses.dataclass(frozen=True)
-class CartPoleState:
-    x: float
-    x_dot: float
-    theta: float
-    theta_dot: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.x_dot, self.theta, self.theta_dot])
-
-    @property
-    def done(self) -> bool:
-        return bool(_terminal(self.x, self.theta))
+    return _symbol_dataset(symbols, V, targets, 1)
 
 
 # The dynamics below take the state's fields as floats (one state) or as
@@ -212,24 +219,6 @@ def _euler_step(x, x_dot, theta, theta_dot, action) -> tuple:
             theta + TAU * theta_dot, theta_dot + TAU * theta_acc)
 
 
-def cartpole_step(state: CartPoleState, action: int) -> tuple[CartPoleState, bool]:
-    """One Euler step of the standard cart-pole dynamics.
-
-    ``action`` is 0 (push left) or 1 (push right).  Returns the successor
-    state and its termination flag.
-
-    Raises:
-        EpisodeFinished: if ``state`` is already terminal.
-    """
-    if state.done:
-        raise EpisodeFinished("cartpole_step called on a terminated episode")
-    if action not in (0, 1):
-        raise SpecError(f"action must be 0 or 1, got {action}")
-    new = CartPoleState(*map(float, _euler_step(
-        state.x, state.x_dot, state.theta, state.theta_dot, action)))
-    return new, new.done
-
-
 class ObsKind(enum.Enum):
     FULL = "full"
     STATELESS = "stateless"
@@ -254,28 +243,11 @@ class ObsVariant:
             raise SpecError(f"noise sigma must be finite and > 0, got {self.sigma}")
 
 
-def observe(state: CartPoleState, variant: ObsVariant, rng: Rng | None = None) -> np.ndarray:
-    """Project a state onto the observation channel, adding noise if asked."""
-    if variant.kind is ObsKind.FULL:
-        return state.as_array()
-    obs = np.array([state.x, state.theta])
-    if variant.kind is ObsKind.NOISY_STATELESS:
-        if rng is None:
-            raise SpecError("noisy observations require an rng")
-        obs = obs + rng.gaussian(size=2, std=variant.sigma)
-    return obs
-
-
 def _expert_actions(x, x_dot, theta, theta_dot):
     """Full-state linear feedback: 1 (push right) where the gain score is
     >= 0, else 0."""
     w = EXPERT_GAINS
     return (w[0] * x + w[1] * x_dot + w[2] * theta + w[3] * theta_dot >= 0) * 1
-
-
-def expert_action(state: CartPoleState) -> int:
-    """Full-state linear feedback: push right iff the gain score is >= 0."""
-    return int(_expert_actions(state.x, state.x_dot, state.theta, state.theta_dot))
 
 
 def _random_starts(rng: Rng, k: int) -> np.ndarray:
@@ -303,26 +275,7 @@ def _expert_rollouts(starts, T: int):
     return states, actions, ended
 
 
-def run_expert_episode(rng: Rng, max_steps: int = EPISODE_CAP):
-    """Roll the expert from a random small start; returns (states, actions).
-
-    ``states[i]`` is the state in which ``actions[i]`` was taken; the run
-    stops at termination or after ``max_steps`` actions.
-    """
-    state = CartPoleState(*_random_starts(rng, 1)[0].tolist())
-    states = []
-    actions = []
-    for _ in range(max_steps):
-        a = expert_action(state)
-        states.append(state)
-        actions.append(a)
-        state, done = cartpole_step(state, a)
-        if done:
-            break
-    return states, actions
-
-
-def gen_imitation(variant: ObsVariant, n: int, T: int, rng: Rng) -> list[LabeledSequence]:
+def gen_imitation(variant: ObsVariant, n: int, T: int, rng: Rng) -> Dataset:
     """Behavior-cloning sequences: partial observations, expert actions.
 
     Each sequence is a fresh ``T``-step expert rollout; rollouts that
@@ -330,18 +283,19 @@ def gen_imitation(variant: ObsVariant, n: int, T: int, rng: Rng) -> list[Labeled
     Targets are the expert's actions and every step is masked in.
 
     The episodes still needed are rolled together, and the draws follow the
-    order of one ``run_expert_episode`` and ``observe`` at a time: a start,
-    then (noisy variant) its ``T`` noise pairs, which only a full-length
-    episode draws.  So when a noisy episode ends early, the stream returns
-    to just after its start and the episodes drawn after it are redrawn.
+    order of rolling one episode at a time: a start, then (noisy variant)
+    its ``T`` noise pairs, which only a full-length episode draws.  So when
+    a noisy episode ends early, the stream returns to just after its start
+    and the episodes drawn after it are redrawn.
     """
     if T < 2:
         raise SpecError(f"need T >= 2, got {T}")
     _check_count(n)
     noisy = variant.kind is ObsKind.NOISY_STATELESS
-    sequences = []
-    while len(sequences) < n:
-        k = n - len(sequences)
+    columns = [0, 1, 2, 3] if variant.kind is ObsKind.FULL else [0, 2]
+    x, targets = np.empty((0, T, len(columns))), np.empty((0, T), dtype=np.int64)
+    while len(x) < n:
+        k = n - len(x)
         if noisy:
             starts, after_start, noise = [], [], []
             for _ in range(k):
@@ -357,30 +311,26 @@ def gen_imitation(variant: ObsVariant, n: int, T: int, rng: Rng) -> list[Labeled
             first = int(np.argmax(ended))
             rng.restore_state(after_start[first])
             keep = keep[keep < first]
-        obs = states if variant.kind is ObsKind.FULL else states[..., [0, 2]]
-        obs = np.ascontiguousarray(np.swapaxes(obs, 0, 1))
-        for j in keep:
-            sequences.append(LabeledSequence(
-                x=obs[j] + noise[j] if noisy else obs[j],
-                targets=actions[:, j],
-                mask=np.ones(T, dtype=bool),
-            ))
-    return sequences
+        obs = np.swapaxes(states[..., columns], 0, 1)[keep]
+        if noisy:
+            obs = obs + np.array(noise)[keep]
+        x = np.concatenate([x, obs])
+        targets = np.concatenate([targets, actions.T[keep]])
+    return Dataset(x=x, targets=targets, mask=np.ones((n, T), dtype=bool))
 
 
-def save_dataset(sequences: list[LabeledSequence], path, task: str,
-                 spec: dict, seed: int) -> None:
+def save_dataset(data: Dataset, path, task: str, spec: dict, seed: int) -> None:
     """Write sequences with a self-describing header to a JSON container."""
-    if not sequences:
+    if not data:
         raise SpecError("refusing to save an empty dataset")
-    T, d = sequences[0].x.shape
+    n, T, d = data.x.shape
     doc = {
         "format": DATASET_FORMAT,
         "version": DATASET_VERSION,
         "task": task,
         "spec": spec,
         "seed": seed,
-        "n": len(sequences),
+        "n": n,
         "T": T,
         "d": d,
         "sequences": [],
@@ -388,15 +338,15 @@ def save_dataset(sequences: list[LabeledSequence], path, task: str,
     _write_json(path, doc, "sequences", (
         _object_json({"x": _array_json(seq.x, 3), "targets": _array_json(seq.targets, 3),
                       "mask": _array_json(seq.mask, 3)}, 2)
-        for seq in sequences))
+        for seq in data))
 
 
-def load_dataset(path) -> tuple[list[LabeledSequence], dict]:
-    """Read a dataset container; returns (sequences, header).  A header
+def load_dataset(path) -> tuple[Dataset, dict]:
+    """Read a dataset container; returns (dataset, header).  A header
     declaring no sequences, sequences whose count, ``x`` shape, targets or
-    mask disagree with the header's n, T and d, and targets or mask entries
-    that ``LabeledSequence`` rejects raise ``FormatError`` (naming the first
-    bad sequence)."""
+    mask lengths disagree with the header's n, T and d, and values that
+    ``Dataset`` rejects raise ``FormatError`` (naming the first bad
+    sequence)."""
     doc = _read_versioned_json(path, "dataset", DATASET_FORMAT, DATASET_VERSION,
                                "container")
     try:
@@ -406,7 +356,7 @@ def load_dataset(path) -> tuple[list[LabeledSequence], dict]:
         if len(doc["sequences"]) != header["n"]:
             raise FormatError(f"dataset {path} holds {len(doc['sequences'])} "
                               f"sequences, its header declares n={header['n']!r}")
-        sequences = []
+        xs = []
         for i, entry in enumerate(doc["sequences"]):
             rows = entry["x"]
             values = np.fromiter(map(float.fromhex, itertools.chain.from_iterable(rows)),
@@ -419,12 +369,18 @@ def load_dataset(path) -> tuple[list[LabeledSequence], dict]:
             if shape != (header["T"], header["d"]):
                 raise FormatError(f"dataset {path}: sequence {i} has shape {shape}, its "
                                   f"header declares T={header['T']!r}, d={header['d']!r}")
-            try:
-                sequences.append(LabeledSequence(x=values.reshape(shape),
-                                                 targets=entry["targets"],
-                                                 mask=entry["mask"]))
-            except SpecError as exc:
-                raise FormatError(f"dataset {path}: sequence {i}: {exc}") from None
+            lengths = len(entry["targets"]), len(entry["mask"])
+            if lengths != (header["T"],) * 2:
+                raise FormatError(f"dataset {path}: sequence {i} has {lengths[0]} targets "
+                                  f"and {lengths[1]} mask entries, its header declares "
+                                  f"T={header['T']!r}")
+            xs.append(values.reshape(shape))
+        try:
+            data = Dataset(x=np.stack(xs),
+                           targets=[entry["targets"] for entry in doc["sequences"]],
+                           mask=[entry["mask"] for entry in doc["sequences"]])
+        except SpecError as exc:
+            raise FormatError(f"dataset {path}: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed dataset {path}: {exc}") from exc
-    return sequences, header
+    return data, header

@@ -19,7 +19,7 @@ from .errors import DivergenceError, NumericalError, SpecError
 from .gradients import COMPLEX_STEP, LossKind, batch_param_gradients, masked_loss
 from .linalg import Rng
 from .models import SequenceModel
-from .tasks import LabeledSequence
+from .tasks import Dataset
 
 __all__ = [
     "AdamState",
@@ -130,20 +130,12 @@ class TrainLog:
         return "\n".join(lines) + "\n"
 
 
-def stack_sequences(data: list[LabeledSequence]):
-    """Observations, targets and masks of ``data`` as batch arrays.
-
-    Raises:
-        SpecError: if ``data`` is empty or has no masked step.
-    """
+def _require_labels(data: Dataset) -> None:
+    """Raises ``SpecError`` if ``data`` is empty or has no masked step."""
     if not data:
         raise SpecError("data must not be empty")
-    X = np.stack([s.x for s in data])
-    targets = np.stack([s.targets for s in data])
-    masks = np.stack([s.mask for s in data])
-    if not masks.any():
+    if not data.mask.any():
         raise SpecError("no masked steps in data")
-    return X, targets, masks
 
 
 def _batch_loss_and_grads(model: SequenceModel, X, targets, masks, forward):
@@ -186,7 +178,7 @@ def _fd_spot_check(model: SequenceModel, X, targets, masks, rng: Rng) -> None:
                 f"{name}[{flat_index}]: analytic={an!r}, fd={fd!r}, rel={rel:.3e}")
 
 
-def train(model: SequenceModel, data: list[LabeledSequence],
+def train(model: SequenceModel, data: Dataset,
           cfg: OptConfig) -> tuple[SequenceModel, TrainLog]:
     """Train a copy of ``model`` on ``data`` by masked cross-entropy; the
     input model is unchanged.  The log's metrics are masked accuracies.
@@ -199,36 +191,36 @@ def train(model: SequenceModel, data: list[LabeledSequence],
     """
     t0 = time.perf_counter()
     rng = Rng(cfg.seed)
-    X, targets, masks = stack_sequences(data)
-    n = X.shape[0]
+    _require_labels(data)
+    n = len(data)
     n_val = min(int(round(n * VAL_FRACTION)), n - 1) if n > 1 else 0
     order = np.asarray(rng.permutation(n))
-    val_idx, train_idx = order[:n_val], order[n_val:]
-    Xt, Tt, Mt = X[train_idx], targets[train_idx], masks[train_idx]
+    val, fit = data[order[:n_val]], data[order[n_val:]]
     model = model.copy()
     state = AdamState.init(model.params)
 
-    check_n = min(4, Xt.shape[0])
-    _fd_spot_check(model, Xt[:check_n], Tt[:check_n], Mt[:check_n], rng)
+    check = fit[:4]
+    _fd_spot_check(model, check.x, check.targets, check.mask, rng)
 
     losses: list[float] = []
     initial_loss = None
     bad_streak = 0
-    perm = np.asarray(rng.permutation(Xt.shape[0]))
+    perm = np.asarray(rng.permutation(len(fit)))
     cursor = 0
     for step in range(cfg.steps):
         if cursor + cfg.batch_size > perm.size:
-            perm = np.asarray(rng.permutation(Xt.shape[0]))
+            perm = np.asarray(rng.permutation(len(fit)))
             cursor = 0
         take = min(cfg.batch_size, perm.size)
         idx = perm[cursor:cursor + take]
         cursor += take
-        X_step = Xt[idx]
+        X_step = fit.x[idx]
         # The last step's pass is released only once this one is built, so
         # the allocator reuses its buffers instead of returning them to the
         # system and faulting them in again.
         forward = model.forward_batch(X_step)
-        value, grads = _batch_loss_and_grads(model, X_step, Tt[idx], Mt[idx], forward)
+        value, grads = _batch_loss_and_grads(model, X_step, fit.targets[idx], fit.mask[idx],
+                                             forward)
         if not np.isfinite(value):
             raise DivergenceError(f"non-finite loss at step {step}")
         grads = clip_by_global_norm(grads, cfg.grad_clip)
@@ -242,20 +234,17 @@ def train(model: SequenceModel, data: list[LabeledSequence],
                 f"loss exceeded 10x the initial value for 100 consecutive "
                 f"steps (step {step})")
     del forward
-    train_metric = evaluate(model, [data[i] for i in train_idx])
-    if val_idx.size:
-        val_metric = evaluate(model, [data[i] for i in val_idx])
-    else:
-        val_metric = train_metric
+    train_metric = evaluate(model, fit)
+    val_metric = evaluate(model, val) if val else train_metric
     log = TrainLog(losses=losses, final_train_metric=train_metric,
                    final_val_metric=val_metric, wall_time_s=time.perf_counter() - t0)
     return model, log
 
 
-def evaluate(model: SequenceModel, data: list[LabeledSequence]) -> float:
+def evaluate(model: SequenceModel, data: Dataset) -> float:
     """Masked accuracy over all valid steps in ``data``."""
-    X, targets, masks = stack_sequences(data)
-    return score(model.outputs(X), targets, masks)[0]
+    _require_labels(data)
+    return score(model.outputs(data.x), data.targets, data.mask)[0]
 
 
 def score(ys, targets, masks) -> tuple[float, np.ndarray]:

@@ -528,6 +528,14 @@ def test_train_lem_dt_changes_the_fingerprint(tmp_path):
     assert fps["0.3"] != fps["0.7"]
 
 
+def test_gen_data_creates_its_output_directory(tmp_path):
+    data = tmp_path / "new" / "sub" / "d.json"
+    assert main(["gen-data", "--task", "copy", "--k", "1", "--T", "6", "--n", "4",
+                 "--out", str(data)]) == 0
+    loaded, header = load_dataset(data)
+    assert len(loaded) == header["n"] == 4
+
+
 def test_gen_data_writes_the_repeat_first_task(tmp_path):
     data = tmp_path / "d.json"
     assert main(["gen-data", "--task", "repeatfirst", "--T", "6", "--V", "3",

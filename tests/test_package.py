@@ -1,12 +1,16 @@
 import ast
 import importlib
+import importlib.util
 import pkgutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import temporal_range
+from temporal_range.linalg import Rng
+from temporal_range.tasks import CopyTaskSpec, ObsVariant, gen_copyk, gen_imitation
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(temporal_range.__path__))
 
@@ -31,3 +35,36 @@ def test_the_package_imports_only_the_standard_library_and_numpy(path):
             imported.add(node.module)
     allowed = set(sys.stdlib_module_names) | {"numpy"}
     assert {m for m in imported if m.split(".")[0] not in allowed} == set()
+
+
+def _bench_tracer():
+    """``bench/tracer.py``, loaded by path: the names the benchmark wraps."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_name_the_benchmark_traces_resolves():
+    # The benchmark is pinned: it patches these names in place, so deleting
+    # or renaming one breaks its runs.
+    tracer = _bench_tracer()
+    missing = [f"{module}.{name}" for module, name, _ in tracer.FUNCTIONS
+               if not callable(getattr(importlib.import_module(f"temporal_range.{module}"),
+                                       name, None))]
+    cells = importlib.import_module("temporal_range.cells")
+    missing += [f"cells.{tracer.CELL_CLASSES[kind]}.{method}"
+                for kind, method in tracer.CELL_METHODS
+                if method not in vars(getattr(cells, tracer.CELL_CLASSES[kind], object))]
+    assert missing == []
+
+
+@pytest.mark.parametrize("data", [
+    gen_copyk(CopyTaskSpec(k=1, T=4), 2, Rng(0)),
+    gen_imitation(ObsVariant(), 2, 4, Rng(0))], ids=["gen_copyk", "gen_imitation"])
+def test_generated_sequences_expose_the_fields_the_benchmark_reads(data):
+    # The benchmark iterates generated data and reads these fields.
+    for seq in data:
+        assert all(isinstance(getattr(seq, field), np.ndarray)
+                   for field in ("x", "targets", "mask"))

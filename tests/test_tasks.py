@@ -1,19 +1,19 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from temporal_range.errors import (EpisodeFinished, FormatError, SpecError,
-                                   VersionError)
+from temporal_range.errors import FormatError, SpecError, VersionError
 from temporal_range import tasks
 from temporal_range.linalg import Rng
-from temporal_range.tasks import (EXPERT_GAINS, CartPoleState, CopyTaskSpec,
-                                  LabeledSequence, ObsKind, ObsVariant,
-                                  cartpole_step, expert_action, gen_copyk,
-                                  gen_imitation, gen_repeatfirst,
-                                  load_dataset, observe, run_expert_episode,
-                                  save_dataset)
+from temporal_range.tasks import (EXPERT_GAINS, CopyTaskSpec, Dataset, ObsKind,
+                                  ObsVariant, _euler_step, _expert_actions,
+                                  _expert_rollouts, _random_starts, _terminal,
+                                  gen_copyk, gen_imitation, gen_repeatfirst,
+                                  load_dataset, save_dataset)
 
 
 def test_copy_targets_are_shifted_symbols():
@@ -156,7 +156,7 @@ def test_symbol_generators_reject_a_negative_count(generate):
     rng, ref = Rng(2), Rng(2)
     with pytest.raises(SpecError, match="need n >= 0 sequences, got -1"):
         generate(-1, rng)
-    assert generate(0, rng) == []
+    assert len(generate(0, rng)) == 0
     assert rng.uniform() == ref.uniform()
 
 
@@ -169,70 +169,55 @@ def test_cartpole_step_against_hand_evaluated_dynamics():
     temp = force / total
     theta_acc = (g * 0.0 - 1.0 * temp) / (half_len * (4.0 / 3.0 - mass_pole / total))
     x_acc = temp - mass_pole * half_len * theta_acc / total
-    state, done = cartpole_step(CartPoleState(0.0, 0.0, 0.0, 0.0), 1)
-    assert not done
-    assert state.theta_dot == pytest.approx(tau * theta_acc, abs=1e-15)
-    assert state.x_dot == pytest.approx(tau * x_acc, abs=1e-15)
-    assert state.theta_dot == pytest.approx(-0.2927, abs=5e-5)
-    assert state.x_dot == pytest.approx(0.1951, abs=5e-5)
-    assert state.x == 0.0 and state.theta == 0.0
+    x, x_dot, theta, theta_dot = _euler_step(0.0, 0.0, 0.0, 0.0, 1)
+    assert not _terminal(x, theta)
+    assert theta_dot == pytest.approx(tau * theta_acc, abs=1e-15)
+    assert x_dot == pytest.approx(tau * x_acc, abs=1e-15)
+    assert theta_dot == pytest.approx(-0.2927, abs=5e-5)
+    assert x_dot == pytest.approx(0.1951, abs=5e-5)
+    assert x == 0.0 and theta == 0.0
 
 
 def test_cartpole_mirror_symmetry():
-    s = CartPoleState(0.31, -0.2, 0.05, 0.4)
-    mirrored = CartPoleState(-0.31, 0.2, -0.05, -0.4)
-    a, _ = cartpole_step(s, 1)
-    b, _ = cartpole_step(mirrored, 0)
-    assert b.x == pytest.approx(-a.x, abs=1e-15)
-    assert b.x_dot == pytest.approx(-a.x_dot, abs=1e-15)
-    assert b.theta == pytest.approx(-a.theta, abs=1e-15)
-    assert b.theta_dot == pytest.approx(-a.theta_dot, abs=1e-15)
+    a = _euler_step(0.31, -0.2, 0.05, 0.4, 1)
+    b = _euler_step(-0.31, 0.2, -0.05, -0.4, 0)
+    for field, (va, vb) in zip(("x", "x_dot", "theta", "theta_dot"), zip(a, b)):
+        assert vb == pytest.approx(-va, abs=1e-15), field
 
 
 def test_cartpole_angle_threshold_terminates():
-    s = CartPoleState(0.0, 0.0, 0.205, 3.0)
-    s2, done = cartpole_step(s, 1)
-    assert done
-    assert abs(s2.theta) > 12.0 * math.pi / 180.0
-    with pytest.raises(EpisodeFinished):
-        cartpole_step(s2, 1)
+    x, _, theta, _ = _euler_step(0.0, 0.0, 0.205, 3.0, 1)
+    assert _terminal(x, theta)
+    assert abs(theta) > 12.0 * math.pi / 180.0
 
 
 def test_observation_variants_dimensions():
-    s = CartPoleState(0.1, -0.2, 0.03, 0.4)
-    assert observe(s, ObsVariant(kind=ObsKind.FULL)).shape == (4,)
-    obs = observe(s, ObsVariant(kind=ObsKind.STATELESS))
-    assert obs.shape == (2,)
-    assert obs == pytest.approx([0.1, 0.03])
+    full = gen_imitation(ObsVariant(kind=ObsKind.FULL), 2, 8, Rng(6))
+    stateless = gen_imitation(ObsVariant(kind=ObsKind.STATELESS), 2, 8, Rng(6))
+    assert full.x.shape == (2, 8, 4)
+    assert stateless.x.shape == (2, 8, 2)
+    # The stateless variant sees (x, theta).
+    assert np.array_equal(stateless.x, full.x[..., [0, 2]])
 
 
 def test_noisy_observation_std_matches_sigma():
-    s = CartPoleState(0.0, 0.0, 0.0, 0.0)
-    rng = Rng(6)
     variant = ObsVariant(kind=ObsKind.NOISY_STATELESS, sigma=0.1)
-    noise = np.stack([observe(s, variant, rng) for _ in range(50_000)])
+    data = gen_imitation(variant, 125, 200, Rng(6))
+    episodes, _ = _scalar_episodes(variant, 125, 200, Rng(6))
+    noise = data.x - np.array([states[:, [0, 2]] for states, _, _ in episodes])
+    assert noise.size == 50_000
     assert 0.095 <= float(noise.std()) <= 0.105
 
 
 def test_noise_never_touches_the_state_trajectory():
-    # Actions come from true states, so the state path with noisy
-    # observations equals the path with clean ones.
-    rng = Rng(7)
-    states, actions = run_expert_episode(rng, max_steps=50)
-    clean = [observe(s, ObsVariant(kind=ObsKind.STATELESS)) for s in states]
-    noisy_rng = Rng(8)
-    noisy = [observe(s, ObsVariant(kind=ObsKind.NOISY_STATELESS, sigma=0.1), noisy_rng)
-             for s in states]
-    assert [expert_action(s) for s in states] == actions
-    assert not np.array_equal(np.stack(clean), np.stack(noisy))
-
-
-def test_noisy_variant_requires_positive_sigma_and_rng():
-    with pytest.raises(SpecError):
-        ObsVariant(kind=ObsKind.NOISY_STATELESS, sigma=0.0)
-    with pytest.raises(SpecError):
-        observe(CartPoleState(0, 0, 0, 0),
-                ObsVariant(kind=ObsKind.NOISY_STATELESS, sigma=0.1))
+    # Actions come from true states, so the noisy dataset's targets are the
+    # expert's actions in the states of the clean trajectory.
+    variant = ObsVariant(kind=ObsKind.NOISY_STATELESS, sigma=0.1)
+    data = gen_imitation(variant, 4, 50, Rng(7))
+    episodes, _ = _scalar_episodes(variant, 4, 50, Rng(7))
+    states = np.array([states for states, _, _ in episodes])
+    assert np.array_equal(data.targets, _expert_actions(*np.moveaxis(states, -1, 0)))
+    assert not np.array_equal(data.x, states[..., [0, 2]])
 
 
 @pytest.mark.parametrize("sigma", [math.inf, -math.inf, math.nan, 0.0, -0.1])
@@ -248,18 +233,31 @@ def test_noisy_variant_rejects_a_non_finite_or_non_positive_sigma(sigma):
                 ObsVariant(kind=kind, sigma=sigma)
 
 
-def _scalar_imitation(variant, n, T, rng):
-    """Observations, actions and early-ended episode count of one expert
-    episode at a time: the reference for the batched rollout."""
-    sequences, ended = [], 0
-    while len(sequences) < n:
-        states, actions = run_expert_episode(rng, max_steps=T)
+def _scalar_episodes(variant, n, T, rng):
+    """States, observations and actions of ``n`` full-length expert
+    episodes stepped one at a time over floats, and the count of episodes
+    that ended early: the reference for the batched rollout.  An episode
+    draws its start, then (noisy variant, full-length episodes only) one
+    noise pair per step."""
+    episodes, ended = [], 0
+    while len(episodes) < n:
+        state = tuple(rng.uniform(size=4, low=-0.05, high=0.05).tolist())
+        states, actions = [], []
+        for _ in range(T):
+            states.append(state)
+            actions.append(int(_expert_actions(*state)))
+            state = _euler_step(*state, actions[-1])
+            if _terminal(state[0], state[2]):
+                break
         if len(states) < T:
             ended += 1
             continue
-        obs = np.stack([observe(s, variant, rng) for s in states])
-        sequences.append((obs, np.asarray(actions, dtype=np.int64)))
-    return sequences, ended
+        states = np.array(states)
+        obs = states if variant.kind is ObsKind.FULL else states[:, [0, 2]]
+        if variant.kind is ObsKind.NOISY_STATELESS:
+            obs = obs + np.array([rng.gaussian(size=2, std=variant.sigma) for _ in range(T)])
+        episodes.append((states, obs, np.array(actions, dtype=np.int64)))
+    return episodes, ended
 
 
 @pytest.mark.parametrize("kind", list(ObsKind))
@@ -273,11 +271,11 @@ def test_batched_imitation_equals_the_scalar_episode_loop(monkeypatch, kind, see
         monkeypatch.setattr(tasks, "THETA_LIMIT", theta_limit)
     variant = ObsVariant(kind=kind, sigma=0.3)
     n, T = 300, 20
-    want, ended = _scalar_imitation(variant, n, T, ref_rng := Rng(seed))
+    want, ended = _scalar_episodes(variant, n, T, ref_rng := Rng(seed))
     assert (ended > 0) == (theta_limit is not None)
     got = gen_imitation(variant, n, T, rng := Rng(seed))
     assert len(got) == n
-    for seq, (x, actions) in zip(got, want):
+    for seq, (_, x, actions) in zip(got, want):
         assert seq.x.tobytes() == x.tobytes()
         assert seq.targets.tobytes() == actions.tobytes()
         assert seq.mask.all()
@@ -286,20 +284,17 @@ def test_batched_imitation_equals_the_scalar_episode_loop(monkeypatch, kind, see
 
 
 def test_expert_survives_full_episodes_from_random_starts():
-    rng = Rng(9)
-    for _ in range(100):
-        states, actions = run_expert_episode(rng, max_steps=500)
-        assert len(actions) == 500
+    _, actions, ended = _expert_rollouts(_random_starts(Rng(9), 100), 500)
+    assert actions.shape == (500, 100)
+    assert not ended.any()
 
 
 def test_expert_tie_break_pushes_right():
-    assert expert_action(CartPoleState(0.0, 0.0, 0.0, 0.0)) == 1
+    assert _expert_actions(0.0, 0.0, 0.0, 0.0) == 1
 
 
 def test_expert_is_odd_in_the_state():
-    s = CartPoleState(0.3, -0.1, 0.04, 0.2)
-    m = CartPoleState(-0.3, 0.1, -0.04, -0.2)
-    assert expert_action(s) + expert_action(m) == 1
+    assert _expert_actions(0.3, -0.1, 0.04, 0.2) + _expert_actions(-0.3, 0.1, -0.04, -0.2) == 1
 
 
 def test_imitation_full_variant_targets_follow_from_current_observation():
@@ -387,9 +382,9 @@ WRITER_CASES = {
     "cartpole-noisy": lambda: gen_imitation(
         ObsVariant(kind=ObsKind.NOISY_STATELESS, sigma=0.1), 3, 10, Rng(44)),
     "one-sequence": lambda: gen_copyk(CopyTaskSpec(k=1, T=6, V=3), 1, Rng(45)),
-    "d=1": lambda: [LabeledSequence(x=np.asarray(Rng(46 + i).gaussian(size=(5, 1))),
-                                    targets=np.arange(5) % 2, mask=np.arange(5) > 0)
-                    for i in range(3)],
+    "d=1": lambda: Dataset(x=np.stack([Rng(46 + i).gaussian(size=(5, 1)) for i in range(3)]),
+                           targets=np.tile(np.arange(5) % 2, (3, 1)),
+                           mask=np.tile(np.arange(5) > 0, (3, 1))),
     "T=2": lambda: gen_copyk(CopyTaskSpec(k=1, T=2, V=2), 4, Rng(47)),
 }
 
@@ -406,32 +401,66 @@ def test_save_dataset_writes_the_json_encoders_bytes(tmp_path, case):
         assert sa.x.tobytes() == sb.x.tobytes()
 
 
+# Two v1 containers written by `gen-data` before `Dataset` existed, with the
+# sha256 of the arrays they load to: (3, 8, 2) noisy cart-pole observations
+# and (4, 6, 4) one-hot copy-2 symbols.
+GOLDEN_DATASETS = {
+    "cartpole_noisy_T8_n3.json": (
+        (3, 8, 2),
+        {"x": "0d2ba79d0769aac857a1037a74d8476020b95f9b19dde615bb290f676c2ee65a",
+         "targets": "d80d98c905d657ac3d62b55f3a7930ec5ecda826afb10bb960d607bf00390be0",
+         "mask": "5b8b4d29020ea5b1bc427c40a0cab2bf944be057ec482110f1d12b68008cd286"}),
+    "copy2_T6_n4.json": (
+        (4, 6, 4),
+        {"x": "da037cd95d88c746fb19270f2e12802cad82bc265c6740467dcae1b8cb615f26",
+         "targets": "df4e4ac69faef3d6fe109b61606502254f6823d2dd2c0cf5ba68d0189b86ea50",
+         "mask": "710a67232d5393cfd2473c829dd6d2001d103898daad747aaad9c95b8dcd25a2"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DATASETS))
+def test_golden_v1_dataset_loads_to_pinned_arrays_and_saves_to_the_same_bytes(tmp_path, name):
+    golden = Path(__file__).parent / "data" / name
+    shape, digests = GOLDEN_DATASETS[name]
+    data, header = load_dataset(golden)
+    assert data.x.shape == shape
+    assert (data.x.dtype, data.targets.dtype, data.mask.dtype) == (np.float64, np.int64, bool)
+    assert {field: hashlib.sha256(getattr(data, field).tobytes()).hexdigest()
+            for field in digests} == digests
+    path = tmp_path / name
+    save_dataset(data, path, task=header["task"], spec=header["spec"], seed=header["seed"])
+    assert path.read_bytes() == golden.read_bytes()
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-def test_labeled_sequence_rejects_a_non_finite_observation(value):
-    x = np.zeros((5, 2))
-    x[3, 1] = value
-    with pytest.raises(SpecError, match=rf"observation \[0.0, {value!r}\] at step 3 is not finite"):
-        LabeledSequence(x=x, targets=np.zeros(5, dtype=int), mask=np.ones(5, dtype=bool))
+def test_dataset_rejects_a_non_finite_observation(value):
+    x = np.zeros((1, 5, 2))
+    x[0, 3, 1] = value
+    with pytest.raises(SpecError, match=rf"sequence 0: observation \[0.0, {value!r}\] "
+                                        rf"at step 3 is not finite"):
+        Dataset(x=x, targets=np.zeros((1, 5), dtype=int), mask=np.ones((1, 5), dtype=bool))
 
 
-def test_labeled_sequence_shape_validation():
+def test_dataset_shape_validation():
     with pytest.raises(SpecError):
-        LabeledSequence(x=np.zeros((4, 2)), targets=np.zeros(3, dtype=int),
-                        mask=np.ones(4, dtype=bool))
+        Dataset(x=np.zeros((1, 4, 2)), targets=np.zeros((1, 3), dtype=int),
+                mask=np.ones((1, 4), dtype=bool))
 
 
 @pytest.mark.parametrize("targets, mask, message", [
-    ([0, 1, 2.7, 1], [1, 1, 1, 1], "target 2.7 at step 2 is not a class index"),
-    (np.array([0.0, 1.0, 2.0, 1.0]), [1, 1, 1, 1], "target 0.0 at step 0 is not"),
-    ([0, 1, -1, 1], [1, 1, 1, 1], "target -1 at step 2 is not"),
-    (np.array([0, 2 ** 63, 1, 1], dtype=np.uint64), [1, 1, 1, 1],
-     "target 9223372036854775808 at step 1 is not"),
-    ([0, 1, 2, 1], [0, 5, 1, 1], "mask entry 5 at step 1 is not 0 or 1"),
-    ([0, 1, 2, 1], [0, 1, 0.5, 1], "mask entry 0.5 at step 2 is not 0 or 1"),
+    ([[0, 1, 2.7, 1]], [[1, 1, 1, 1]], "sequence 0: target 2.7 at step 2 is not a class index"),
+    (np.array([[0.0, 1.0, 2.0, 1.0]]), [[1, 1, 1, 1]], "sequence 0: target 0.0 at step 0 is not"),
+    ([[0, 1, -1, 1]], [[1, 1, 1, 1]], "sequence 0: target -1 at step 2 is not"),
+    (np.array([[0, 2 ** 63, 1, 1]], dtype=np.uint64), [[1, 1, 1, 1]],
+     "sequence 0: target 9223372036854775808 at step 1 is not"),
+    ([[0, 1, 2, 1]], [[0, 5, 1, 1]], "sequence 0: mask entry 5 at step 1 is not 0 or 1"),
+    ([[0, 1, 2, 1]], [[0, 1, 0.5, 1]], "sequence 0: mask entry 0.5 at step 2 is not 0 or 1"),
+    ([[0, 1, 2, 1], [1, 1, 1, 1], [0, 1, 3, -2]], [[1, 1, 1, 1]] * 3,
+     "sequence 2: target -2 at step 3 is not"),
 ])
-def test_labeled_sequence_takes_class_indices_and_a_zero_one_mask(targets, mask, message):
+def test_dataset_takes_class_indices_and_a_zero_one_mask(targets, mask, message):
     with pytest.raises(SpecError, match=message):
-        LabeledSequence(x=np.zeros((4, 2)), targets=targets, mask=mask)
-    seq = LabeledSequence(x=np.zeros((4, 2)), targets=[0, 1, 2, 1], mask=[0, 1, 1, 1])
-    assert seq.targets.dtype == np.int64 and seq.mask.dtype == bool
-    assert seq.mask.tolist() == [False, True, True, True]
+        Dataset(x=np.zeros((len(targets), 4, 2)), targets=targets, mask=mask)
+    data = Dataset(x=np.zeros((1, 4, 2)), targets=[[0, 1, 2, 1]], mask=[[0, 1, 1, 1]])
+    assert data.targets.dtype == np.int64 and data.mask.dtype == bool
+    assert data.mask.tolist() == [[False, True, True, True]]

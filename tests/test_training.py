@@ -10,12 +10,12 @@ from temporal_range.gradients import LossKind, param_gradients, sequence_loss
 from temporal_range.linalg import Rng
 from temporal_range.models import (CellKind, CellSpec, SequenceModel,
                                    build_shift_copy_model, init_model)
-from temporal_range.tasks import CopyTaskSpec, LabeledSequence, gen_copyk
+from temporal_range.tasks import CopyTaskSpec, Dataset, gen_copyk
 from temporal_range.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
                                      AdamState, OptConfig,
                                      _batch_loss_and_grads, adam_step,
                                      clip_by_global_norm, evaluate,
-                                     global_norm, stack_sequences, train)
+                                     global_norm, train)
 
 
 def test_adam_zero_gradient_leaves_parameters_unchanged():
@@ -161,11 +161,11 @@ def test_evaluate_constant_predictor_scores_near_chance():
 
 
 def test_evaluate_rejects_empty_mask():
-    seq = LabeledSequence(x=np.zeros((4, 2)), targets=np.zeros(4, dtype=int),
-                          mask=np.zeros(4, dtype=bool))
+    data = Dataset(x=np.zeros((1, 4, 2)), targets=np.zeros((1, 4), dtype=int),
+                   mask=np.zeros((1, 4), dtype=bool))
     model = build_shift_copy_model(0, 2)
     with pytest.raises(SpecError):
-        evaluate(model, [seq])
+        evaluate(model, data)
 
 
 def test_opt_config_validation():
@@ -226,7 +226,8 @@ def test_train_rejects_a_wrong_analytic_gradient(monkeypatch):
 @pytest.mark.parametrize("kind", list(CellKind))
 @pytest.mark.parametrize("encoder_dim", [None, 5])
 def test_batch_gradients_are_the_scaled_sum_of_per_sequence_gradients(kind, encoder_dim):
-    X, targets, masks = stack_sequences(_tiny_copy_data(k=2, T=9, n=5, seed=12))
+    data = _tiny_copy_data(k=2, T=9, n=5, seed=12)
+    X, targets, masks = data.x, data.targets, data.mask
     model = init_model(CellSpec(kind=kind, input_dim=4, hidden_dim=6), 4,
                        Rng(13), encoder_dim=encoder_dim)
     loss = LossKind.CROSS_ENTROPY
