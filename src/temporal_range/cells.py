@@ -15,14 +15,14 @@ Each cell kind provides:
   and the weight gradients read beyond the states, as name -> width in
   units of ``p``, in order (GRU ``zr``, ``n``, ``rh``; LSTM ``ifo``, ``g``,
   ``hc``; LEM ``g``, ``tz``, ``ty``; none for the linear recurrence).
-* ``step(rec, state, proj, out)``: one batched transition ``(..., B, S) ->
-  (..., B, S)`` from the stacked recurrent weights ``rec`` and the step's
-  input parts ``proj`` (..., B, G*p).  It indexes trailing axes only, so a
-  stack of models (weights ``(..., ., .)``) steps as one.  It writes the new state and each field into the
-  targets ``out = (new, *fields)``, none of which may overlap ``state``,
-  and returns them.  The LEM step also takes its base step ``dt`` by
-  keyword, from ``CellSpec.lem_dt``.  The forward pass supplies the
-  targets (``SequenceModel._unroll``), so nothing is copied after a step.
+* ``step(rec, state, proj, out)``: one batched transition ``(B, S) ->
+  (B, S)`` from the stacked recurrent weights ``rec`` and the step's input
+  parts ``proj`` (B, G*p).  It writes the new state and each field into
+  the targets ``out = (new, *fields)``, none of which may overlap
+  ``state``, and returns them.  The LEM step also takes its base step
+  ``dt`` by keyword, from ``CellSpec.lem_dt``.  The forward pass supplies
+  the targets (``SequenceModel._unroll``), so nothing is copied after a
+  step.
 * ``views(prev, fields)``: the named arrays a step's cache holds (``h``,
   ``z``, ``r``, ... as views of the previous state and the fields), for
   any leading axes: one step, or all steps of a trace at once.
@@ -112,16 +112,14 @@ def _gate_sum(coefs, weights, out) -> None:
 
 
 def stacked(params, names) -> np.ndarray:
-    """The weights ``names`` stacked along their output axis (-2), in order;
-    leading axes of a stack of models carry through."""
-    return np.concatenate([params[name] for name in names], axis=-2)
+    """The weights ``names`` stacked along their output axis (0), in order."""
+    return np.concatenate([params[name] for name in names])
 
 
 def recurrent_stacks(impl, params) -> tuple:
     """Right operands of a cell's recurrent products, one per entry of
     ``impl.recurrent_names``: the group's weights stacked, transposed."""
-    return tuple(np.swapaxes(stacked(params, group), -1, -2)
-                 for group in impl.recurrent_names)
+    return tuple(stacked(params, group).T for group in impl.recurrent_names)
 
 
 class _LinearRec:

@@ -160,6 +160,7 @@ def _cmd_train(args) -> int:
         "final_val_accuracy": log.final_val_metric,
         "steps": len(log.losses),
         "final_loss": log.losses[-1] if log.losses else None,
+        "grad_check_residual": log.grad_check_residual,
     }
     config = {"data": desc, "model": args.model, "hidden": args.hidden,
               "encoder_dim": args.encoder_dim, "lem_dt": args.lem_dt, "lr": args.lr,

@@ -110,9 +110,6 @@ class SequenceModel:
     ``params`` is a flat name -> float64 array mapping.  Encoder parameters
     (present only when ``encoder_dim`` is set) are ``enc_W``/``enc_b``; the
     decoder is ``dec_W``/``dec_b``; remaining names belong to the cell.
-
-    A stack of models of one spec gives every parameter the same leading
-    axes ``stack_shape``; only ``outputs`` runs such a stack.
     """
 
     cell: CellSpec
@@ -128,10 +125,6 @@ class SequenceModel:
     def cell_input_dim(self) -> int:
         return self.encoder_dim if self.encoder_dim is not None else self.cell.input_dim
 
-    @property
-    def stack_shape(self) -> tuple[int, ...]:
-        return self.params["dec_b"].shape[:-1]
-
     def copy(self) -> "SequenceModel":
         return SequenceModel(
             cell=self.cell,
@@ -141,19 +134,16 @@ class SequenceModel:
         )
 
     def encode(self, X):
-        """Encoder output for rows of step inputs ``(..., B, d)``; a stack's
-        rows carry its leading axes ahead of ``B``."""
+        """Encoder output for rows of step inputs ``(..., d)``."""
         if self.encoder_dim is None:
             return X
-        return np.tanh(X @ np.swapaxes(self.params["enc_W"], -1, -2)
-                       + self.params["enc_b"][..., None, :])
+        return np.tanh(X @ self.params["enc_W"].T + self.params["enc_b"])
 
     def decode(self, states):
-        """Decoder readout from rows of states ``(..., B, S)`` to outputs
-        ``(..., B, c)``."""
+        """Decoder readout from rows of states ``(..., S)`` to outputs
+        ``(..., c)``."""
         p = self.cell.hidden_dim
-        return (states[..., :p] @ np.swapaxes(self.params["dec_W"], -1, -2)
-                + self.params["dec_b"][..., None, :])
+        return states[..., :p] @ self.params["dec_W"].T + self.params["dec_b"]
 
     def forward_batch(self, X):
         """Run a real batch ``(B, T, d)``; returns outputs, states and the
@@ -186,18 +176,14 @@ class SequenceModel:
         """``forward_batch(X)[0]`` bit for bit, keeping neither the trace
         nor the states, so memory beyond the outputs does not grow with
         ``T``: each state is decoded as soon as its step yields it.
-
-        A stack of models runs as one pass over the same ``X``, with
-        outputs ``(*stack_shape, B, T, c)``.  Its products keep a single
-        model's operands per slice, so each slice equals that model's own
-        outputs bit for bit.  Complex observations or parameters (the
-        complex-step probes of ``gradients``) give a complex pass."""
+        Complex observations or parameters (the complex-step probes of
+        ``gradients`` and of training's spot check) give a complex pass."""
         X = self._check_batch(X)
         dtype = np.result_type(X, *self.params.values())
-        ys = np.empty((X.shape[1], *self.stack_shape, X.shape[0], self.output_dim), dtype)
+        ys = np.empty((X.shape[1], X.shape[0], self.output_dim), dtype)
         for t, state in enumerate(self._unroll(X, dtype)):
             ys[t] = self.decode(state)
-        return np.moveaxis(ys, 0, -2)
+        return np.swapaxes(ys, 0, 1)
 
     def _unroll(self, X, dtype=np.float64, trace: Trace | None = None):
         """Yield each step's new state over a checked batch ``X``.  Cell
@@ -207,23 +193,20 @@ class SequenceModel:
         new state and each field are written into its buffers.  Without
         one, the steps take turns writing into two target sets of ``dtype``
         allocated once, so a yielded state stays valid until the step after next;
-        the sets share their fields, which nothing reads after the step.
-        A stack's states are ``(*stack_shape, B, S)``; its observations gain
-        unit axes in place of ``stack_shape``, so every model reads them."""
+        the sets share their fields, which nothing reads after the step."""
         impl = cell_impl(self.cell.kind)
-        lead = self.stack_shape
         rec = recurrent_stacks(impl, self.params)
-        W = np.swapaxes(stacked(self.params, impl.input_names), -1, -2)
-        bias = (np.concatenate([self.params[n] for n in impl.bias_names], axis=-1)[..., None, :]
+        W = stacked(self.params, impl.input_names).T
+        bias = (np.concatenate([self.params[n] for n in impl.bias_names])
                 if impl.bias_names else None)
         kwargs = self.cell.step_kwargs
-        X_tm = np.expand_dims(np.swapaxes(X, 0, 1), tuple(range(1, 1 + len(lead))))
+        X_tm = np.swapaxes(X, 0, 1)
         if trace is None:
             B, p = X.shape[0], self.cell.hidden_dim
-            state = np.zeros((*lead, B, self.state_dim), dtype=dtype)
-            fields = [np.empty((*lead, B, w * p), dtype=dtype) for w in impl.fields.values()]
+            state = np.zeros((B, self.state_dim), dtype=dtype)
+            fields = [np.empty((B, w * p), dtype=dtype) for w in impl.fields.values()]
             targets = itertools.cycle([(new, *fields) for new
-                                       in np.empty((2, *lead, B, self.state_dim), dtype=dtype)])
+                                       in np.empty((2, B, self.state_dim), dtype=dtype)])
         else:
             state, targets = trace.states[0], zip(trace.states[1:], *trace.fields.values())
         for t0 in range(0, X_tm.shape[0], UNROLL_CHUNK_STEPS):

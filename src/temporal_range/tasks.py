@@ -77,10 +77,10 @@ class Dataset:
     index (a slice or an index array) yields a ``Dataset``.
 
     Raises:
-        SpecError: on a shape mismatch, or naming the first sequence with an
-            observation row that has a non-finite entry, else the first with
-            a target that is not a non-negative integer, else the first with
-            a mask entry that is not 0 or 1.
+        SpecError: on a shape mismatch, or naming the first sequence that
+            has an observation row with a non-finite entry, a target that is
+            not a non-negative integer or a mask entry that is not 0 or 1
+            (checked in that order within the sequence).
     """
 
     x: np.ndarray
@@ -93,19 +93,24 @@ class Dataset:
         if self.x.ndim != 3 or not targets.shape == self.x.shape[:2] == mask.shape:
             raise SpecError(f"{targets.shape} targets and {mask.shape} mask entries "
                             f"for {self.x.shape} observations")
+        # (sequence, message) of each check's first failure, in check order.
+        problems = []
         if not np.isfinite(self.x).all():
             i, bad = _first_entry(self.x, lambda row: np.isfinite(row).all())
-            raise SpecError(f"sequence {i}: observation {bad} is not finite")
+            problems.append((i, f"observation {bad} is not finite"))
         # Unsigned values of 2**63 and more turn negative here and fail too.
         ints = targets.astype(np.int64, copy=False) if targets.dtype.kind in "biu" else None
         if ints is None or ints.min(initial=0) < 0:
             i, bad = _first_entry(self.targets,
                                   lambda v: isinstance(v, int) and 0 <= v < 2 ** 63)
-            raise SpecError(f"sequence {i}: target {bad} is not a class index "
-                            f"(a non-negative integer)")
+            problems.append((i, f"target {bad} is not a class index (a non-negative integer)"))
         if mask.dtype != bool and not ((mask == 0) | (mask == 1)).all():
             i, bad = _first_entry(self.mask, lambda v: v in (0, 1))
-            raise SpecError(f"sequence {i}: mask entry {bad} is not 0 or 1")
+            problems.append((i, f"mask entry {bad} is not 0 or 1"))
+        if problems:
+            # min keeps the first of equal sequences: check order breaks ties.
+            i, message = min(problems, key=lambda problem: problem[0])
+            raise SpecError(f"sequence {i}: {message}")
         self.targets, self.mask = ints, mask.astype(bool, copy=False)
 
     def __len__(self) -> int:

@@ -42,6 +42,7 @@ def test_gen_data_then_train_then_analyze_then_ablate(tmp_path):
     assert (tmp_path / "run.loss.csv").exists()
     metrics = json.loads((tmp_path / "run.metrics.json").read_text())
     assert 0.0 <= metrics["final_val_accuracy"] <= 1.0
+    assert 0.0 <= metrics["grad_check_residual"] <= 1e-10
     assert "wall" not in json.dumps(metrics)
 
     rep_prefix = tmp_path / "rep"

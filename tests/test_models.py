@@ -95,26 +95,6 @@ def test_outputs_reproduce_forward_batch_bit_for_bit(kind, encoder_dim):
 
 @pytest.mark.parametrize("kind", list(CellKind))
 @pytest.mark.parametrize("encoder_dim", [None, 4])
-@pytest.mark.parametrize("lead", [(3,), (2, 3)])
-def test_stacked_outputs_equal_each_models_own_outputs(kind, encoder_dim, lead):
-    # One pass over a stack of models of one spec; T spans two full chunks
-    # and a short one.
-    models = [init_model(_spec(kind, 3, 5), 2, Rng(40 + i), encoder_dim=encoder_dim)
-              for i in range(int(np.prod(lead)))]
-    stack = SequenceModel(cell=models[0].cell, output_dim=2, encoder_dim=encoder_dim,
-                          params={name: np.stack([m.params[name] for m in models])
-                                  .reshape(lead + p.shape)
-                                  for name, p in models[0].params.items()})
-    assert stack.stack_shape == lead
-    X = np.asarray(Rng(50).gaussian(size=(4, 2 * UNROLL_CHUNK_STEPS + 5, 3)))
-    ys = stack.outputs(X)
-    assert ys.shape == lead + (4, 2 * UNROLL_CHUNK_STEPS + 5, 2)
-    for m, y in zip(models, ys.reshape((-1,) + ys.shape[-3:])):
-        assert y.tobytes() == m.outputs(X).tobytes()
-
-
-@pytest.mark.parametrize("kind", list(CellKind))
-@pytest.mark.parametrize("encoder_dim", [None, 4])
 def test_trace_buffers_equal_a_step_by_step_recomputation(kind, encoder_dim):
     # Each step taken on its own, into fresh targets, from the trace's
     # previous state must give the new state and fields the forward pass

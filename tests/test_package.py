@@ -60,6 +60,31 @@ def test_every_name_the_benchmark_traces_resolves():
     assert missing == []
 
 
+def _package_lookups(tree) -> set[tuple[str, str]]:
+    """Every ``(module, name)`` read as ``tr.<module>.<name>`` or
+    ``self.tr.<module>.<name>`` in ``tree``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute):
+            root = node.value.value
+            if (isinstance(root, ast.Name) and root.id == "tr"
+                    or isinstance(root, ast.Attribute) and root.attr == "tr"
+                    and isinstance(root.value, ast.Name) and root.value.id == "self"):
+                found.add((node.value.attr, node.attr))
+    return found
+
+
+def test_every_name_the_benchmark_workloads_read_resolves():
+    # The workloads reach the package through ``tr``, so a deleted or renamed
+    # name surfaces only when a benchmark run reaches it.
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    lookups = _package_lookups(ast.parse(path.read_text(encoding="utf-8")))
+    assert ("training", "train") in lookups and ("oracles", "RecurrenceSpec") in lookups
+    missing = sorted(f"{module}.{name}" for module, name in lookups
+                     if not hasattr(importlib.import_module(f"temporal_range.{module}"), name))
+    assert missing == []
+
+
 @pytest.mark.parametrize("data", [
     gen_copyk(CopyTaskSpec(k=1, T=4), 2, Rng(0)),
     gen_imitation(ObsVariant(), 2, 4, Rng(0))], ids=["gen_copyk", "gen_imitation"])

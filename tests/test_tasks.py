@@ -441,6 +441,21 @@ def test_dataset_rejects_a_non_finite_observation(value):
         Dataset(x=x, targets=np.zeros((1, 5), dtype=int), mask=np.ones((1, 5), dtype=bool))
 
 
+def test_dataset_names_the_first_bad_sequence_whichever_check_it_fails():
+    x = np.zeros((3, 5, 2))
+    x[2, 4, 1] = math.inf
+    mask = np.ones((3, 5), dtype=int)
+    mask[0, 1] = 7
+    targets = np.zeros((3, 5), dtype=int)
+    with pytest.raises(SpecError, match=r"^sequence 0: mask entry 7 at step 1 is not 0 or 1$"):
+        Dataset(x=x, targets=targets, mask=mask)
+    # Within one sequence, observations come before targets and the mask.
+    x[0, 3, 0] = math.nan
+    targets[0, 2] = -1
+    with pytest.raises(SpecError, match=r"^sequence 0: observation \[nan, 0.0\] at step 3"):
+        Dataset(x=x, targets=targets, mask=mask)
+
+
 def test_dataset_shape_validation():
     with pytest.raises(SpecError):
         Dataset(x=np.zeros((1, 4, 2)), targets=np.zeros((1, 3), dtype=int),

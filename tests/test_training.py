@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from temporal_range import cells
+from temporal_range import cells, training
 from temporal_range.errors import DivergenceError, NumericalError, SpecError
 from temporal_range.gradients import LossKind, param_gradients, sequence_loss
 from temporal_range.linalg import Rng
@@ -200,27 +200,89 @@ def test_train_runs_one_forward_pass_per_adam_step(monkeypatch):
     cfg = OptConfig(lr=1e-3, batch_size=8, steps=7, seed=2)
     train(model, _tiny_copy_data(n=20), cfg)
     # The spot check's analytic gradient is the one extra forward pass; its
-    # 20 coordinates' complex-step probes run as one stacked outputs pass,
-    # and the train and validation evaluations read outputs only.
+    # complex-step probe along one direction is one outputs pass, and the
+    # train and validation evaluations read outputs only.
     assert calls == {"forward_batch": cfg.steps + 1, "outputs": 1 + 2}
+
+
+def _tiny_run(kind=CellKind.GRU, encoder_dim=None):
+    model = init_model(CellSpec(kind=kind, input_dim=4, hidden_dim=6), 4, Rng(11),
+                       encoder_dim=encoder_dim)
+    return model, _tiny_copy_data(n=20), OptConfig(lr=1e-3, batch_size=8, steps=2, seed=2)
+
+
+def _count_adam_steps(monkeypatch) -> list:
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return adam_step(*args)
+
+    monkeypatch.setattr(training, "adam_step", counted)
+    return calls
 
 
 def test_train_rejects_a_wrong_analytic_gradient(monkeypatch):
     # A GRU whose backward rule overstates every gate gradient by half: the
-    # spot check must stop training at the first drawn cell coordinate.
+    # spot check must stop training before the first Adam step.
     backward = cells._GRU.backward
 
     def corrupted(rec, cache, d_new, d_pre, d_prev):
         backward(rec, cache, d_new, d_pre, d_prev)
         d_pre *= 1.5
 
-    model = init_model(CellSpec(kind=CellKind.GRU, input_dim=4, hidden_dim=6),
-                       4, Rng(11))
-    cfg = OptConfig(lr=1e-3, batch_size=8, steps=2, seed=2)
-    train(model, _tiny_copy_data(n=20), cfg)
+    model, data, cfg = _tiny_run()
+    train(model, data, cfg)
     monkeypatch.setattr(cells._GRU, "backward", staticmethod(corrupted))
-    with pytest.raises(NumericalError, match=r"finite differences for Wz\[12\]: "):
-        train(model, _tiny_copy_data(n=20), cfg)
+    adam_calls = _count_adam_steps(monkeypatch)
+    with pytest.raises(NumericalError, match=r"disagrees with the complex-step derivative "
+                                             r"along a random direction: analytic="):
+        train(model, data, cfg)
+    assert adam_calls == []
+
+
+@pytest.mark.parametrize("kind", list(CellKind))
+@pytest.mark.parametrize("encoder_dim", [None, 5])
+def test_the_spot_check_catches_one_coordinate_off_by_a_millionth(monkeypatch, kind,
+                                                                  encoder_dim):
+    # One coordinate of the parameter farthest from the loss (the encoder's,
+    # else the cell's first) off by a millionth: the direction probe covers
+    # every coordinate, so training stops before the first Adam step.
+    model, data, cfg = _tiny_run(kind, encoder_dim)
+    first = next(iter(model.params))
+
+    def skewed(*args):
+        value, grads = _batch_loss_and_grads(*args)
+        grads[first].ravel()[5] += 1e-6
+        return value, grads
+
+    monkeypatch.setattr(training, "_batch_loss_and_grads", skewed)
+    adam_calls = _count_adam_steps(monkeypatch)
+    with pytest.raises(NumericalError, match="complex-step derivative"):
+        train(model, data, cfg)
+    assert adam_calls == []
+
+
+@pytest.mark.parametrize("kind", list(CellKind))
+@pytest.mark.parametrize("encoder_dim", [None, 5])
+def test_the_spot_check_residual_is_rounding_error_for_every_cell(kind, encoder_dim):
+    # Complex step has no truncation error, so on a correct gradient the
+    # residual is the rounding of two sums of a few hundred terms: four
+    # orders of magnitude under FD_CHECK_TOL.
+    _, log = train(*_tiny_run(kind, encoder_dim))
+    assert 0.0 <= log.grad_check_residual <= 1e-14
+
+
+def test_the_spot_check_leaves_the_training_stream_alone(monkeypatch):
+    # The direction comes from a child stream, so training without the
+    # check gives the same parameters bit for bit.
+    model, data, cfg = _tiny_run()
+    checked, log = train(model, data, cfg)
+    monkeypatch.setattr(training, "_fd_spot_check", lambda *args: None)
+    unchecked, _ = train(model, data, cfg)
+    assert {k: v.tobytes() for k, v in checked.params.items()} == \
+        {k: v.tobytes() for k, v in unchecked.params.items()}
+    assert 0.0 <= log.grad_check_residual <= 1e-15
 
 
 @pytest.mark.parametrize("kind", list(CellKind))
