@@ -244,7 +244,7 @@ def _cmd_ablate(args) -> int:
         raise SpecError(f"--windows: {exc}") from None
     report = None
     if args.report:
-        report = report_from_json(Path(args.report).read_text(encoding="utf-8"))
+        report = report_from_json(Path(args.report).read_bytes())
         if args.deploy:
             deployment_windows(report)  # rejects a degenerate report before the sweep
     model = load_model(args.model)

@@ -111,14 +111,6 @@ class Rng:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def save_state(self) -> dict:
-        """This stream's position, for ``restore_state``."""
-        return self._gen.bit_generator.state
-
-    def restore_state(self, state: dict) -> None:
-        """Return to a position that ``save_state`` gave."""
-        self._gen.bit_generator.state = state
-
     def split(self, n: int = 2) -> list["Rng"]:
         """Derive ``n`` independent child streams without disturbing this one."""
         return [Rng(_seq=seq) for seq in self._seq.spawn(n)]

@@ -328,16 +328,18 @@ def report_json(report: TemporalRangeReport) -> str:
     return artifact_json(doc)
 
 
-def report_from_json(text: str) -> TemporalRangeReport:
-    """Rebuild a report from its JSON serialization.
+def report_from_json(text: str | bytes) -> TemporalRangeReport:
+    """Rebuild a report from its JSON serialization, given as text or as
+    UTF-8 bytes.
 
     Raises:
-        FormatError: on malformed content, including a non-finite number
-            and a headline, pooled or per-rollout ``rho_hat`` outside
-            ``[0, T-1]``.
+        FormatError: on malformed content, including bytes that are not
+            UTF-8, a non-finite number and a headline, pooled or per-rollout
+            ``rho_hat`` outside ``[0, T-1]``.
         VersionError: on a schema mismatch.
     """
     try:
+        text = text.decode("utf-8") if isinstance(text, bytes) else text
         doc = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
         if doc["schema"] != REPORT_SCHEMA_VERSION:
             raise VersionError(

@@ -7,7 +7,8 @@ state, and the decoder reads the first ``hidden_dim`` entries of the state
 at every step, so output ``y_s`` depends only on ``x_1..x_s``.
 
 Checkpoints are self-describing JSON with hex-float parameter payloads,
-which round-trips every float64 value bit-exactly.
+written by ``json.dumps``, which round-trips every float64 value
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -300,83 +301,43 @@ def save_model(model: SequenceModel, path) -> None:
         "lem_dt": model.cell.lem_dt.hex(),
         "output_dim": model.output_dim,
         "encoder_dim": model.encoder_dim,
-        "params": {},
+        "params": {name: {"data": [v.hex() for v in arr.ravel().tolist()],
+                          "shape": list(arr.shape)}
+                   for name, arr in model.params.items()},
     }
-    _write_json(path, doc, "params", (
-        f"{json.dumps(name)}: " + _object_json({
-            "data": _array_json(arr.ravel(), 3),
-            "shape": _array_json(np.array(arr.shape, dtype=np.int64), 3)}, 2)
-        for name, arr in sorted(model.params.items())))
-
-
-def _nested_lists(shape, level: int, leaf: str) -> str:
-    """A ``%`` template of the nested lists that ``json.dumps(...,
-    indent=1)`` writes at indent level ``level`` for an array of ``shape``,
-    with one ``leaf`` per entry in row-major order."""
-    if not shape:
-        return leaf
-    if shape[0] == 0:
-        return "[]"
-    pad = "\n" + " " * (level + 1)
-    inner = _nested_lists(shape[1:], level + 1, leaf)
-    return "[" + pad + ("," + pad).join([inner] * shape[0]) + "\n" + " " * level + "]"
-
-
-def _array_json(a: np.ndarray, level: int) -> str:
-    """``a`` as ``json.dumps(..., indent=1)`` writes its nested lists at
-    indent level ``level``: floats as hex strings, integers and booleans as
-    integers."""
-    if a.dtype.kind == "f":
-        leaf, values = '"%s"', map(float.hex, a.ravel().tolist())
-    else:
-        leaf, values = "%d", a.ravel().tolist()
-    return _nested_lists(a.shape, level, leaf) % tuple(values)
-
-
-def _object_json(members: dict, level: int) -> str:
-    """A JSON object at indent level ``level`` whose ``members`` map each key
-    to its value's text at level ``level + 1``, keys in sorted order."""
-    pad = "\n" + " " * (level + 1)
-    items = (f"{json.dumps(k)}: {v}" for k, v in sorted(members.items()))
-    return "{" + pad + ("," + pad).join(items) + "\n" + " " * level + "}"
-
-
-def _write_json(path, doc: dict, key: str, members) -> None:
-    """Write ``json.dumps(doc, sort_keys=True, indent=1)`` and a newline to
-    ``path``, where ``doc[key]`` is an empty list or object whose members
-    ``members`` yields one at a time, each as that encoder writes it at
-    indent level 2 (an object's as ``"name": value``, in sorted order).
-    Only ``doc`` and one member are ever held as text."""
-    empty = json.dumps(doc[key])
-    # A line that starts with exactly one space holds a top-level key.
-    marker = f"\n {json.dumps(key)}: "
-    head, tail = json.dumps(doc, sort_keys=True, indent=1).split(marker + empty)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head + marker)
-        opened = False
-        for text in members:
-            fh.write((",\n  " if opened else empty[0] + "\n  ") + text)
-            opened = True
-        fh.write(("\n " + empty[1] if opened else empty) + tail + "\n")
+        fh.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
-def _read_versioned_json(path, noun: str, fmt: str, version: int, kind: str) -> dict:
+def _read_versioned_json(path, noun: str, fmt: str, versions: tuple, kind: str,
+                         counts: dict, nullable: tuple = ()) -> dict:
     """The JSON object in ``path``.  Raises ``FormatError`` (with the byte
-    offset of a parse failure) unless it parses and is tagged ``fmt``, and
-    ``VersionError`` unless its version is ``version``; messages call the
-    file a ``noun`` and a ``fmt`` ``kind``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    offset of a parse failure) unless it is UTF-8 text that parses and is
+    tagged ``fmt``, ``VersionError`` unless its version is one of
+    ``versions``, and ``FormatError`` unless each key of ``counts`` holds a
+    JSON integer (not a boolean) of at least its value, or ``null`` if the
+    key is ``nullable``; messages call the file a ``noun`` and a ``fmt``
+    ``kind``."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        doc = json.loads(text)
+        doc = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"corrupt {noun} {path}: not UTF-8 text, {exc.reason} "
+                          f"at byte offset {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(
             f"corrupt {noun} {path}: {exc.msg} at byte offset {exc.pos}") from exc
     if not isinstance(doc, dict) or doc.get("format") != fmt:
         raise FormatError(f"{path} is not a {fmt} {kind}")
-    if doc.get("version") != version:
-        raise VersionError(
-            f"unsupported {noun} version {doc.get('version')!r} (expected {version})")
+    if doc.get("version") not in versions:
+        raise VersionError(f"unsupported {noun} version {doc.get('version')!r} "
+                           f"(expected {' or '.join(map(str, versions))})")
+    for key, least in counts.items():
+        value = doc.get(key)
+        if not (type(value) is int and value >= least or value is None and key in nullable):
+            raise FormatError(f"malformed {noun} {path}: {key} must be an integer "
+                              f">= {least}, got {json.dumps(value)}")
     return doc
 
 
@@ -388,15 +349,16 @@ def load_model(path) -> SequenceModel:
             carries the byte offset for parse failures).
         VersionError: parseable checkpoint with an unsupported version.
     """
-    doc = _read_versioned_json(path, "checkpoint", CHECKPOINT_FORMAT,
-                               CHECKPOINT_VERSION, "checkpoint")
+    doc = _read_versioned_json(
+        path, "checkpoint", CHECKPOINT_FORMAT, (CHECKPOINT_VERSION,), "checkpoint",
+        dict.fromkeys(("input_dim", "hidden_dim", "output_dim", "encoder_dim"), 1),
+        nullable=("encoder_dim",))
     try:
         kind = CellKind(doc["cell_kind"])
-        spec = CellSpec(kind=kind, input_dim=int(doc["input_dim"]),
-                        hidden_dim=int(doc["hidden_dim"]),
+        spec = CellSpec(kind=kind, input_dim=doc["input_dim"], hidden_dim=doc["hidden_dim"],
                         lem_dt=float.fromhex(doc["lem_dt"]))
         encoder_dim = doc["encoder_dim"]
-        output_dim = int(doc["output_dim"])
+        output_dim = doc["output_dim"]
         params = {}
         for name, entry in doc["params"].items():
             shape = tuple(int(s) for s in entry["shape"])

@@ -8,7 +8,8 @@ imitation datasets of (observation sequence, expert action) pairs for
 behavior cloning.
 
 Datasets are stored in a versioned JSON container whose header records
-the generating task, its parameters, and the seed.
+the generating task, its parameters, and the seed; version 2 stores each
+array as one hex string of its bytes, and version 1 files still load.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import itertools
+import json
 import math
 import numbers
 from typing import NamedTuple
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import FormatError, SpecError
 from .linalg import Rng
-from .models import _array_json, _object_json, _read_versioned_json, _write_json
+from .models import _read_versioned_json
 
 __all__ = [
     "CopyTaskSpec",
@@ -40,7 +42,9 @@ __all__ = [
 ]
 
 DATASET_FORMAT = "temporal-range/dataset"
-DATASET_VERSION = 1
+DATASET_VERSION = 2
+# The little-endian byte layout of each array of a version 2 container.
+DATASET_ARRAYS = {"x": "<f8", "targets": "<i8", "mask": "u1"}
 
 # Community-standard cart-pole constants (Euler integration).
 GRAVITY = 9.8
@@ -287,40 +291,23 @@ def gen_imitation(variant: ObsVariant, n: int, T: int, rng: Rng) -> Dataset:
     terminate early (the expert practically never does) are resampled.
     Targets are the expert's actions and every step is masked in.
 
-    The episodes still needed are rolled together, and the draws follow the
-    order of rolling one episode at a time: a start, then (noisy variant)
-    its ``T`` noise pairs, which only a full-length episode draws.  So when
-    a noisy episode ends early, the stream returns to just after its start
-    and the episodes drawn after it are redrawn.
+    Each round rolls the ``k`` episodes still needed together: it draws
+    their starts ``(k, 4)`` and then (noisy variant) their noise
+    ``(k, T, 2)``, and keeps the full-length episodes in order.
     """
     if T < 2:
         raise SpecError(f"need T >= 2, got {T}")
     _check_count(n)
-    noisy = variant.kind is ObsKind.NOISY_STATELESS
     columns = [0, 1, 2, 3] if variant.kind is ObsKind.FULL else [0, 2]
     x, targets = np.empty((0, T, len(columns))), np.empty((0, T), dtype=np.int64)
     while len(x) < n:
         k = n - len(x)
-        if noisy:
-            starts, after_start, noise = [], [], []
-            for _ in range(k):
-                starts.append(_random_starts(rng, 1)[0])
-                after_start.append(rng.save_state())
-                noise.append(rng.gaussian(size=(T, 2), std=variant.sigma))
-            starts = np.array(starts)
-        else:
-            starts = _random_starts(rng, k)
-        states, actions, ended = _expert_rollouts(starts, T)
-        keep = np.flatnonzero(~ended)
-        if noisy and ended.any():
-            first = int(np.argmax(ended))
-            rng.restore_state(after_start[first])
-            keep = keep[keep < first]
-        obs = np.swapaxes(states[..., columns], 0, 1)[keep]
-        if noisy:
-            obs = obs + np.array(noise)[keep]
-        x = np.concatenate([x, obs])
-        targets = np.concatenate([targets, actions.T[keep]])
+        states, actions, ended = _expert_rollouts(_random_starts(rng, k), T)
+        obs = np.swapaxes(states[..., columns], 0, 1)
+        if variant.kind is ObsKind.NOISY_STATELESS:
+            obs = obs + rng.gaussian(size=(k, T, 2), std=variant.sigma)
+        x = np.concatenate([x, obs[~ended]])
+        targets = np.concatenate([targets, actions.T[~ended]])
     return Dataset(x=x, targets=targets, mask=np.ones((n, T), dtype=bool))
 
 
@@ -338,54 +325,70 @@ def save_dataset(data: Dataset, path, task: str, spec: dict, seed: int) -> None:
         "n": n,
         "T": T,
         "d": d,
-        "sequences": [],
+        **{key: getattr(data, key).astype(layout, copy=False).tobytes().hex()
+           for key, layout in DATASET_ARRAYS.items()},
     }
-    _write_json(path, doc, "sequences", (
-        _object_json({"x": _array_json(seq.x, 3), "targets": _array_json(seq.targets, 3),
-                      "mask": _array_json(seq.mask, 3)}, 2)
-        for seq in data))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
 def load_dataset(path) -> tuple[Dataset, dict]:
-    """Read a dataset container; returns (dataset, header).  A header
-    declaring no sequences, sequences whose count, ``x`` shape, targets or
-    mask lengths disagree with the header's n, T and d, and values that
-    ``Dataset`` rejects raise ``FormatError`` (naming the first bad
-    sequence)."""
-    doc = _read_versioned_json(path, "dataset", DATASET_FORMAT, DATASET_VERSION,
-                               "container")
+    """Read a dataset container of version 2, or of version 1 (written
+    before version 2 existed); returns (dataset, header).  A header whose
+    n, T and d are not integers (n = 0 declares no sequences), arrays whose
+    sizes disagree with them, and values that ``Dataset`` rejects raise
+    ``FormatError`` (naming the first bad sequence)."""
+    doc = _read_versioned_json(path, "dataset", DATASET_FORMAT, (1, DATASET_VERSION),
+                               "container", {"n": 0, "T": 1, "d": 1})
     try:
         header = {k: doc[k] for k in ("task", "spec", "seed", "n", "T", "d")}
-        if header["n"] == 0:
+        n, T, d = header["n"], header["T"], header["d"]
+        if n == 0:
             raise FormatError(f"dataset {path} is empty: its header declares n=0")
-        if len(doc["sequences"]) != header["n"]:
-            raise FormatError(f"dataset {path} holds {len(doc['sequences'])} "
-                              f"sequences, its header declares n={header['n']!r}")
-        xs = []
-        for i, entry in enumerate(doc["sequences"]):
-            rows = entry["x"]
-            values = np.fromiter(map(float.fromhex, itertools.chain.from_iterable(rows)),
-                                 dtype=np.float64)
-            widths = sorted(set(map(len, rows)))
-            if len(widths) > 1:
-                raise FormatError(f"dataset {path}: sequence {i} has rows of {widths} "
-                                  f"values, its header declares d={header['d']!r}")
-            shape = (len(rows), *widths)
-            if shape != (header["T"], header["d"]):
-                raise FormatError(f"dataset {path}: sequence {i} has shape {shape}, its "
-                                  f"header declares T={header['T']!r}, d={header['d']!r}")
-            lengths = len(entry["targets"]), len(entry["mask"])
-            if lengths != (header["T"],) * 2:
-                raise FormatError(f"dataset {path}: sequence {i} has {lengths[0]} targets "
-                                  f"and {lengths[1]} mask entries, its header declares "
-                                  f"T={header['T']!r}")
-            xs.append(values.reshape(shape))
+        if doc["version"] == 1:
+            arrays = _v1_arrays(doc, path, n, T, d)
+        else:
+            arrays = []
+            for key, shape in (("x", (n, T, d)), ("targets", (n, T)), ("mask", (n, T))):
+                raw, layout = bytes.fromhex(doc[key]), np.dtype(DATASET_ARRAYS[key])
+                if len(raw) != (size := math.prod(shape) * layout.itemsize):
+                    raise FormatError(f"dataset {path}: {key} holds {len(raw)} bytes, not the "
+                                      f"{size} of shape {shape} that its header declares")
+                arrays.append(np.frombuffer(raw, layout).astype(layout.newbyteorder("="))
+                              .reshape(shape))
         try:
-            data = Dataset(x=np.stack(xs),
-                           targets=[entry["targets"] for entry in doc["sequences"]],
-                           mask=[entry["mask"] for entry in doc["sequences"]])
+            data = Dataset(*arrays)
         except SpecError as exc:
             raise FormatError(f"dataset {path}: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed dataset {path}: {exc}") from exc
     return data, header
+
+
+def _v1_arrays(doc: dict, path, n: int, T: int, d: int) -> tuple:
+    """``x``, ``targets`` and ``mask`` of a version 1 container, which holds
+    one entry of hex-float rows and 0/1 lists per sequence; each entry's
+    shape is checked against the header in file order."""
+    if len(doc["sequences"]) != n:
+        raise FormatError(f"dataset {path} holds {len(doc['sequences'])} "
+                          f"sequences, its header declares n={n}")
+    xs = []
+    for i, entry in enumerate(doc["sequences"]):
+        rows = entry["x"]
+        values = np.fromiter(map(float.fromhex, itertools.chain.from_iterable(rows)),
+                             dtype=np.float64)
+        widths = sorted(set(map(len, rows)))
+        if len(widths) > 1:
+            raise FormatError(f"dataset {path}: sequence {i} has rows of {widths} "
+                              f"values, its header declares d={d}")
+        shape = (len(rows), *widths)
+        if shape != (T, d):
+            raise FormatError(f"dataset {path}: sequence {i} has shape {shape}, its "
+                              f"header declares T={T}, d={d}")
+        lengths = len(entry["targets"]), len(entry["mask"])
+        if lengths != (T, T):
+            raise FormatError(f"dataset {path}: sequence {i} has {lengths[0]} targets "
+                              f"and {lengths[1]} mask entries, its header declares T={T}")
+        xs.append(values.reshape(shape))
+    return (np.stack(xs), [entry["targets"] for entry in doc["sequences"]],
+            [entry["mask"] for entry in doc["sequences"]])

@@ -13,7 +13,10 @@ from temporal_range.linalg import Rng
 from temporal_range.metric import TRConfig, analyze, report_json
 from temporal_range.models import (CellKind, CellSpec, build_shift_copy_model,
                                    init_model, save_model)
-from temporal_range.tasks import gen_repeatfirst, load_dataset
+from temporal_range.tasks import (DATASET_ARRAYS, CopyTaskSpec, ObsKind, ObsVariant,
+                                  gen_copyk, gen_imitation, gen_repeatfirst,
+                                  load_dataset)
+from v1_dataset import v1_document
 
 
 def _strip_svg_comment(text: str) -> str:
@@ -268,10 +271,10 @@ def test_zero_batch_is_an_input_error(tmp_path, capsys):
 
 
 def _train_on_edited_dataset(tmp_path, edit):
+    """Train on a version 1 container of what `gen-data --task copy --k 1
+    --T 8 --n 4 --seed 0` generates, after ``edit`` changes its document."""
     data = tmp_path / "d.json"
-    assert main(["gen-data", "--task", "copy", "--k", "1", "--T", "8", "--n", "4",
-                 "--seed", "0", "--out", str(data)]) == 0
-    doc = json.loads(data.read_text())
+    doc = v1_document(gen_copyk(CopyTaskSpec(k=1, T=8), 4, Rng(0)))
     edit(doc)
     data.write_text(json.dumps(doc))
     return main(["train", "--data", str(data), "--model", "gru", "--hidden", "4",
@@ -375,9 +378,7 @@ def test_gen_data_rejects_a_non_finite_noise_sigma(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["train", "analyze", "ablate"])
 def test_dataset_non_finite_observation_is_an_input_error(tmp_path, capsys, command):
     data = tmp_path / "d.json"
-    assert main(["gen-data", "--task", "cartpole", "--variant", "noisy", "--T", "8",
-                 "--n", "4", "--seed", "0", "--out", str(data)]) == 0
-    doc = json.loads(data.read_text())
+    doc = v1_document(gen_imitation(ObsVariant(kind=ObsKind.NOISY_STATELESS), 4, 8, Rng(0)))
     doc["sequences"][2]["x"][5][1] = "-inf"
     data.write_text(json.dumps(doc))
     ckpt = tmp_path / "m.json"
@@ -653,7 +654,7 @@ def test_dataset_whose_header_declares_no_sequences_is_an_input_error(tmp_path, 
     # ablate reached an error only later, from the engine.
     paths = _chain_inputs(tmp_path)
     doc = json.loads(paths["data"].read_text())
-    doc.update(n=0, sequences=[])
+    doc["n"] = 0
     paths["data"].write_text(json.dumps(doc))
     data, model = str(paths["data"]), str(paths["model"])
     argv = {"train": ["train", "--data", data, "--hidden", "4", "--steps", "1"],
@@ -714,3 +715,110 @@ def test_bench_tracer_patches_and_restores_every_traced_name():
     assert len(patched) > len(tracer_module.FUNCTIONS)
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original
+
+
+def _set_entry(doc, key, index, value):
+    """Set entry ``index`` of array ``key`` of a version 2 dataset document
+    to ``value``; returns the edited sequence's row at that step."""
+    n, T, d = doc["n"], doc["T"], doc["d"]
+    array = np.frombuffer(bytes.fromhex(doc[key]), DATASET_ARRAYS[key]).copy()
+    array = array.reshape((n, T, d) if key == "x" else (n, T))
+    array[index] = value
+    doc[key] = array.tobytes().hex()
+    return array[index[:2]].tolist()
+
+
+# (edit, message after "error: ") of corruptions of a version 2 container of
+# 4 stateless cart-pole sequences (T = 8, d = 2); an edit that sets one
+# array entry returns the row that the message names as {row}.
+V2_CORRUPTIONS = {
+    "bad hex digit": (lambda doc: doc.update(targets="0g" + doc["targets"][2:]),
+                      "malformed dataset {path}: non-hexadecimal number found in "
+                      "fromhex() arg at position 1"),
+    "byte count": (lambda doc: doc.update(mask=doc["mask"][:-2]),
+                   "dataset {path}: mask holds 31 bytes, not the 32 of shape (4, 8) "
+                   "that its header declares"),
+    "n=-1": (lambda doc: doc.update(n=-1),
+             "malformed dataset {path}: n must be an integer >= 0, got -1"),
+    "n=2.5": (lambda doc: doc.update(n=2.5),
+              "malformed dataset {path}: n must be an integer >= 0, got 2.5"),
+    "n=true": (lambda doc: doc.update(n=True),
+               "malformed dataset {path}: n must be an integer >= 0, got true"),
+    "mask byte 2": (lambda doc: _set_entry(doc, "mask", (1, 3), 2),
+                    "dataset {path}: sequence 1: mask entry 2 at step 3 is not 0 or 1"),
+    "negative target": (lambda doc: _set_entry(doc, "targets", (2, 4), -1),
+                        "dataset {path}: sequence 2: target -1 at step 4 is not a class "
+                        "index (a non-negative integer)"),
+    "inf observation": (lambda doc: _set_entry(doc, "x", (3, 5, 1), np.inf),
+                        "dataset {path}: sequence 3: observation {row} at step 5 is not "
+                        "finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(V2_CORRUPTIONS))
+@pytest.mark.parametrize("command", ["train", "analyze", "ablate"])
+def test_corrupt_v2_dataset_is_an_input_error(tmp_path, capsys, command, case):
+    data = tmp_path / "d.json"
+    assert main(["gen-data", "--task", "cartpole", "--T", "8", "--n", "4",
+                 "--out", str(data)]) == 0
+    doc = json.loads(data.read_text())
+    edit, message = V2_CORRUPTIONS[case]
+    row = edit(doc)
+    data.write_text(json.dumps(doc))
+    ckpt = tmp_path / "m.json"
+    save_model(init_model(CellSpec(kind=CellKind.LSTM, input_dim=2, hidden_dim=4), 2,
+                          Rng(0)), ckpt)
+    argv = {"train": ["train", "--data", str(data), "--model", "lstm", "--hidden", "4",
+                      "--steps", "1"],
+            "analyze": ["analyze", "--model", str(ckpt), "--data", str(data)],
+            "ablate": ["ablate", "--model", str(ckpt), "--data", str(data)]}[command]
+    capsys.readouterr()
+    assert main(argv + ["--out-prefix", str(tmp_path / "out")]) == 2
+    assert _error_line(capsys) == "error: " + message.format(path=data, row=row)
+    assert not list(tmp_path.glob("out.*"))
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "dataset", "report"])
+def test_input_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys, kind):
+    # Each used to end in a UnicodeDecodeError traceback and exit 1.
+    paths = _chain_inputs(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    argv = {"checkpoint": ["analyze", "--model", str(bad), "--data", str(paths["data"])],
+            "dataset": ["train", "--data", str(bad), "--hidden", "4", "--steps", "1"],
+            "report": ["ablate", "--model", str(paths["model"]), "--data",
+                       str(paths["data"]), "--report", str(bad), "--deploy"]}[kind]
+    capsys.readouterr()
+    assert main(argv + ["--out-prefix", str(tmp_path / "out")]) == 2
+    assert _error_line(capsys) == {
+        "checkpoint": f"error: corrupt checkpoint {bad}: not UTF-8 text, "
+                      "invalid start byte at byte offset 0",
+        "dataset": f"error: corrupt dataset {bad}: not UTF-8 text, "
+                   "invalid start byte at byte offset 0",
+        "report": "error: malformed range report: 'utf-8' codec can't decode byte 0xff "
+                  "in position 0: invalid start byte"}[kind]
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_every_json_file_the_cli_chain_writes_holds_only_finite_numbers(tmp_path):
+    # `json.dumps` writes NaN and Infinity tokens that strict JSON readers
+    # reject; no artifact or manifest of the chain may hold one.
+    paths = _chain_inputs(tmp_path)
+    data, out = str(paths["data"]), tmp_path / "out"
+    for argv in (["train", "--data", data, "--hidden", "4", "--steps", "2",
+                  "--out-prefix", str(out / "train")],
+                 ["analyze", "--model", str(out / "train.model.json"), "--data", data,
+                  "--out-prefix", str(out / "analyze")],
+                 ["ablate", "--model", str(paths["model"]), "--data", data, "--report",
+                  str(paths["report"]), "--deploy", "--out-prefix", str(out / "ablate")],
+                 ["oracle", "--trials", "2", "--out", str(out / "oracle.json")],
+                 ["axioms", "--trials", "2", "--out", str(out / "axioms.json")]):
+        assert main(argv) == 0
+
+    def reject(token):
+        raise ValueError(f"non-finite number {token}")
+
+    files = sorted(tmp_path.rglob("*.json"))
+    assert len(files) == 13
+    for path in files:
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)

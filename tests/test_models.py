@@ -1,6 +1,9 @@
+import hashlib
 import json
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,6 +244,64 @@ def test_save_model_writes_the_json_encoders_bytes(tmp_path, kind, encoder_dim):
                              "data": [v.hex() for v in arr.ravel().tolist()]}
                       for name, arr in model.params.items()}}
     assert path.read_text(encoding="utf-8") == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+# A LEM checkpoint (input 2, hidden 2, tanh encoder 3, output 3, lem_dt 0.25)
+# written by `save_model` before the writer became one `json.dumps` call,
+# with the sha256 of each parameter it loads to.
+GOLDEN_CHECKPOINT = "lem_enc3_h2.model.json"
+GOLDEN_PARAMS = {
+    "V1": "7cb43cf78a98a6f5935a45381868a2039da23b3ffe4fe1ab4569fa76c7f4ed7f",
+    "V2": "8a8d7a1224c53c25d15e54b37a18f7f62058b4b0692dd59f4b5a513bf800ea90",
+    "Vy": "094be340d1745bf26492ff6413da85e8550223aa513ebccf5f46fba0145c279e",
+    "Vz": "bff2aa661cadaa3d06266b330949159cd62cc3450d5d5577e0ec427befd7bc3b",
+    "W1": "cd56919d69e2c70af00c93c5ecae455e712e268212f3cafef0ffea17bbe112e4",
+    "W2": "64ec94af9a7b089e7242dd36bd5e375b30af9ad02a3ed3c14b3b71b8480cc43b",
+    "Wy": "9d34d615345903c2914fb123065f349ccac29e1732a476f5a59c183e3971612a",
+    "Wz": "ed3566e29f032e0e577bb6dd2bb14dad0c917513d4c342b7325b25138191b601",
+    **dict.fromkeys(["b1", "b2", "by", "bz"],
+                    "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb"),
+    "dec_W": "fb9730704f59d656a4fc8ab1aab4a8854d80d5582023a92aa84ec9056017fe0d",
+    **dict.fromkeys(["dec_b", "enc_b"],
+                    "9d908ecfb6b256def8b49a7c504e6c889c4b0e41fe6ce3e01863dd7b61a20aa0"),
+    "enc_W": "f7713a8a13f54505bf365809cc9f11bb3e397c6a79d6e1f2d82a2dd73bd05681",
+}
+
+
+def test_golden_checkpoint_loads_to_pinned_parameters_and_saves_to_the_same_bytes(tmp_path):
+    golden = Path(__file__).parent / "data" / GOLDEN_CHECKPOINT
+    model = load_model(golden)
+    assert model.cell == CellSpec(kind=CellKind.LEM, input_dim=2, hidden_dim=2, lem_dt=0.25)
+    assert (model.encoder_dim, model.output_dim) == (3, 3)
+    assert {name: hashlib.sha256(arr.tobytes()).hexdigest()
+            for name, arr in model.params.items()} == GOLDEN_PARAMS
+    path = tmp_path / GOLDEN_CHECKPOINT
+    save_model(model, path)
+    assert path.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("encoder_dim", True), ("encoder_dim", 1.0), ("encoder_dim", 0), ("output_dim", 2.7),
+    ("output_dim", "2"), ("output_dim", None), ("hidden_dim", 3.9), ("input_dim", False),
+    ("input_dim", -1)])
+def test_checkpoint_dims_must_be_json_integers_in_range(tmp_path, key, value):
+    # They were coerced: true or 1.0 loaded (and saved back as written),
+    # 2.7 and "2" were truncated to 2.
+    path = tmp_path / "model.json"
+    save_model(init_model(_spec(CellKind.GRU, 2, 3), 2, Rng(25), encoder_dim=2), path)
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=rf"^malformed checkpoint {path}: {key} must be "
+                                          rf"an integer >= 1, got {re.escape(json.dumps(value))}$"):
+        load_model(path)
+
+
+def test_checkpoint_that_is_not_utf8_is_a_format_error(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(FormatError, match="not UTF-8 text, invalid start byte at byte offset 0"):
+        load_model(path)
 
 
 def test_checkpoint_truncated_file_is_format_error(tmp_path):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from temporal_range.tasks import (EXPERT_GAINS, CopyTaskSpec, Dataset, ObsKind,
                                   _expert_rollouts, _random_starts, _terminal,
                                   gen_copyk, gen_imitation, gen_repeatfirst,
                                   load_dataset, save_dataset)
+from v1_dataset import v1_document, v1_text
 
 
 def test_copy_targets_are_shifted_symbols():
@@ -236,27 +238,32 @@ def test_noisy_variant_rejects_a_non_finite_or_non_positive_sigma(sigma):
 def _scalar_episodes(variant, n, T, rng):
     """States, observations and actions of ``n`` full-length expert
     episodes stepped one at a time over floats, and the count of episodes
-    that ended early: the reference for the batched rollout.  An episode
-    draws its start, then (noisy variant, full-length episodes only) one
-    noise pair per step."""
+    that ended early: the reference for the batched rollout.  Each round
+    draws the starts of the ``k`` episodes still needed, then (noisy
+    variant) their noise ``(k, T, 2)``, and keeps those that run ``T``
+    steps."""
     episodes, ended = [], 0
+    noisy = variant.kind is ObsKind.NOISY_STATELESS
     while len(episodes) < n:
-        state = tuple(rng.uniform(size=4, low=-0.05, high=0.05).tolist())
-        states, actions = [], []
-        for _ in range(T):
-            states.append(state)
-            actions.append(int(_expert_actions(*state)))
-            state = _euler_step(*state, actions[-1])
-            if _terminal(state[0], state[2]):
-                break
-        if len(states) < T:
-            ended += 1
-            continue
-        states = np.array(states)
-        obs = states if variant.kind is ObsKind.FULL else states[:, [0, 2]]
-        if variant.kind is ObsKind.NOISY_STATELESS:
-            obs = obs + np.array([rng.gaussian(size=2, std=variant.sigma) for _ in range(T)])
-        episodes.append((states, obs, np.array(actions, dtype=np.int64)))
+        k = n - len(episodes)
+        starts = rng.uniform(size=(k, 4), low=-0.05, high=0.05).tolist()
+        noise = rng.gaussian(size=(k, T, 2), std=variant.sigma) if noisy else [None] * k
+        for state, episode_noise in zip(map(tuple, starts), noise):
+            states, actions = [], []
+            for _ in range(T):
+                states.append(state)
+                actions.append(int(_expert_actions(*state)))
+                state = _euler_step(*state, actions[-1])
+                if _terminal(state[0], state[2]):
+                    break
+            if len(states) < T:
+                ended += 1
+                continue
+            states = np.array(states)
+            obs = states if variant.kind is ObsKind.FULL else states[:, [0, 2]]
+            if noisy:
+                obs = obs + episode_noise
+            episodes.append((states, obs, np.array(actions, dtype=np.int64)))
     return episodes, ended
 
 
@@ -266,7 +273,7 @@ def _scalar_episodes(variant, n, T, rng):
 def test_batched_imitation_equals_the_scalar_episode_loop(monkeypatch, kind, seed,
                                                           theta_limit):
     # A pole limit of 0.05 rad ends a few episodes early from starts within
-    # it, so the noisy variant must rewind its stream.
+    # it, so the generator must resample them in a later round.
     if theta_limit is not None:
         monkeypatch.setattr(tasks, "THETA_LIMIT", theta_limit)
     variant = ObsVariant(kind=kind, sigma=0.3)
@@ -360,16 +367,16 @@ def test_dataset_corrupt_and_version_errors(tmp_path):
         load_dataset(path)
 
 
-def _json_encoder_text(sequences, task, spec, seed):
-    """The container as ``json.dumps`` renders the whole document: the
-    reference the bulk writer must match byte for byte."""
-    T, d = sequences[0].x.shape
-    doc = {"format": "temporal-range/dataset", "version": 1, "task": task,
-           "spec": spec, "seed": seed, "n": len(sequences), "T": T, "d": d,
-           "sequences": [{"x": [[v.hex() for v in row] for row in seq.x.tolist()],
-                          "targets": seq.targets.tolist(),
-                          "mask": seq.mask.astype(int).tolist()}
-                         for seq in sequences]}
+def _json_encoder_text(data, task, spec, seed):
+    """The container as ``json.dumps`` renders the whole document, each
+    array one hex string of its little-endian bytes: the reference the
+    writer must match byte for byte."""
+    n, T, d = data.x.shape
+    doc = {"format": "temporal-range/dataset", "version": 2, "task": task,
+           "spec": spec, "seed": seed, "n": n, "T": T, "d": d,
+           "x": data.x.astype("<f8").tobytes().hex(),
+           "targets": data.targets.astype("<i8").tobytes().hex(),
+           "mask": data.mask.astype("u1").tobytes().hex()}
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
@@ -397,12 +404,26 @@ def test_save_dataset_writes_the_json_encoders_bytes(tmp_path, case):
     save_dataset(sequences, path, task="t", spec=spec, seed=48)
     assert path.read_text(encoding="utf-8") == _json_encoder_text(sequences, "t", spec, 48)
     loaded, _ = load_dataset(path)
-    for sa, sb in zip(sequences, loaded):
-        assert sa.x.tobytes() == sb.x.tobytes()
+    for field, dtype in (("x", np.float64), ("targets", np.int64), ("mask", bool)):
+        array = getattr(loaded, field)
+        assert array.dtype == dtype and array.flags.writeable and array.dtype.isnative
+        assert array.tobytes() == getattr(sequences, field).tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_v1_container_loads_to_the_arrays_it_holds(tmp_path, case):
+    data = WRITER_CASES[case]()
+    path = tmp_path / "dataset.json"
+    path.write_text(v1_text(v1_document(data, "t", {"case": case}, 48)))
+    loaded, header = load_dataset(path)
+    assert header == {"task": "t", "spec": {"case": case}, "seed": 48,
+                      "n": len(data), "T": data.x.shape[1], "d": data.x.shape[2]}
+    for field in ("x", "targets", "mask"):
+        assert getattr(loaded, field).tobytes() == getattr(data, field).tobytes()
 
 
 # Two v1 containers written by `gen-data` before `Dataset` existed, with the
-# sha256 of the arrays they load to: (3, 8, 2) noisy cart-pole observations
+# sha256 of the arrays they load to (and reload to from version 2): (3, 8, 2) noisy cart-pole observations
 # and (4, 6, 4) one-hot copy-2 symbols.
 GOLDEN_DATASETS = {
     "cartpole_noisy_T8_n3.json": (
@@ -419,17 +440,48 @@ GOLDEN_DATASETS = {
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_DATASETS))
-def test_golden_v1_dataset_loads_to_pinned_arrays_and_saves_to_the_same_bytes(tmp_path, name):
+def test_golden_v1_dataset_loads_to_pinned_arrays_and_reloads_from_version_2(tmp_path, name):
     golden = Path(__file__).parent / "data" / name
     shape, digests = GOLDEN_DATASETS[name]
     data, header = load_dataset(golden)
-    assert data.x.shape == shape
-    assert (data.x.dtype, data.targets.dtype, data.mask.dtype) == (np.float64, np.int64, bool)
-    assert {field: hashlib.sha256(getattr(data, field).tobytes()).hexdigest()
-            for field in digests} == digests
+    # The version 1 helper of the tests writes these files' bytes.
+    assert v1_text(v1_document(data, header["task"], header["spec"], header["seed"])) \
+        == golden.read_text(encoding="utf-8")
     path = tmp_path / name
     save_dataset(data, path, task=header["task"], spec=header["spec"], seed=header["seed"])
-    assert path.read_bytes() == golden.read_bytes()
+    assert json.loads(path.read_text(encoding="utf-8"))["version"] == 2
+    reloaded, reheader = load_dataset(path)
+    assert reheader == header
+    for loaded in (data, reloaded):
+        assert loaded.x.shape == shape
+        assert (loaded.x.dtype, loaded.targets.dtype, loaded.mask.dtype) \
+            == (np.float64, np.int64, bool)
+        assert {field: hashlib.sha256(getattr(loaded, field).tobytes()).hexdigest()
+                for field in digests} == digests
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("key, value, least", [
+    ("n", -1, 0), ("n", 2.5, 0), ("n", True, 0), ("n", "4", 0), ("T", 0, 1),
+    ("T", 6.0, 1), ("d", None, 1), ("d", False, 1)])
+def test_dataset_header_counts_must_be_json_integers_in_range(tmp_path, version, key,
+                                                              value, least):
+    data = gen_copyk(CopyTaskSpec(k=2, T=6), 4, Rng(15))
+    path = tmp_path / "dataset.json"
+    save_dataset(data, path, task="copy", spec={}, seed=15)
+    doc = json.loads(path.read_text()) if version == 2 else v1_document(data)
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=rf"^malformed dataset {path}: {key} must be an "
+                                          rf"integer >= {least}, got {re.escape(json.dumps(value))}$"):
+        load_dataset(path)
+
+
+def test_dataset_that_is_not_utf8_is_a_format_error(tmp_path):
+    path = tmp_path / "dataset.json"
+    path.write_bytes(b'{"format": "temporal-range/dataset", "task": "\xff"}')
+    with pytest.raises(FormatError, match="not UTF-8 text, invalid start byte at byte offset 46"):
+        load_dataset(path)
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
