@@ -166,10 +166,13 @@ def final_output_blocks(model: SequenceModel, X) -> np.ndarray:
     the trace's steps by the cell's ``backward`` rule, which broadcasts it
     against each step's ``(R, .)`` cache.  Each step's gate gradients times
     the stacked input weights (and the encoder's derivative) give ``J[T, t]``.
+    Every step's adjoint is kept in one buffer, which is checked once after
+    the pass, as ``batch_param_gradients`` does.
 
     Raises:
         ShapeMismatch: when ``X`` is not a (R, T, d) batch of the model's width.
-        NumericalError: naming the step where the adjoint or a block is not finite.
+        NumericalError: naming the latest step whose block, or the adjoint it
+            hands on, is not finite.
     """
     X = model._check_batch(X)
     R, T, d = X.shape
@@ -179,22 +182,26 @@ def final_output_blocks(model: SequenceModel, X) -> np.ndarray:
     rec = recurrent_stacks(impl, params)
     w_in = stacked(params, impl.input_names)
     _, _, trace = model.forward_batch(X)
-    adjoint = np.repeat(_decoder_rows(model)[:, None], R, axis=1)
-    spare = np.empty_like(adjoint)
+    # adjoints[t] is d y_T / d state_t; adjoints[T] holds the decoder rows.
+    adjoints = np.empty((T + 1, c, R, model.state_dim))
+    adjoints[T] = _decoder_rows(model)[:, None]
     d_pre = np.empty((c, R, w_in.shape[0]))
     blocks = np.empty((R, T, c, d))
-    for t, cache in zip(range(T, 0, -1), reversed(trace.steps)):
-        # Overflow here is caught by the finiteness check below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            impl.backward(rec, cache, adjoint, d_pre, spare)
-            adjoint, spare = spare, adjoint
+    # Overflow here is caught by the finiteness check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, cache in zip(range(T, 0, -1), reversed(trace.steps)):
+            impl.backward(rec, cache, adjoints[t], d_pre, adjoints[t - 1])
             block = d_pre @ w_in
             if model.encoder_dim is not None:
                 u = trace.inputs[t - 1]
                 block = (block * (1.0 - u * u)) @ params["enc_W"]
-        blocks[:, t - 1] = np.swapaxes(block, 0, 1)
-        if not (np.all(np.isfinite(block)) and (t == 1 or np.all(np.isfinite(adjoint)))):
-            raise NumericalError(f"non-finite adjoint at step t={t}")
+            blocks[:, t - 1] = np.swapaxes(block, 0, 1)
+    # Step t fails on its block or, for t > 1, on the adjoint it hands on.
+    bad = ~np.isfinite(blocks).all(axis=(0, 2, 3))
+    bad[1:] |= ~np.isfinite(adjoints[1:T]).all(axis=(1, 2, 3))
+    if bad.any():
+        # The loop reaches the latest such step first.
+        raise NumericalError(f"non-finite adjoint at step t={np.flatnonzero(bad)[-1] + 1}")
     return blocks
 
 

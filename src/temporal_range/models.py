@@ -361,7 +361,11 @@ def load_model(path) -> SequenceModel:
         output_dim = doc["output_dim"]
         params = {}
         for name, entry in doc["params"].items():
-            shape = tuple(int(s) for s in entry["shape"])
+            shape = entry["shape"]
+            if not (type(shape) is list and all(type(s) is int and s >= 0 for s in shape)):
+                raise FormatError(f"malformed checkpoint {path}: parameter {name!r} shape "
+                                  f"must be a list of integers >= 0, got {json.dumps(shape)}")
+            shape = tuple(shape)
             flat = np.fromiter(map(float.fromhex, entry["data"]), dtype=np.float64)
             if flat.size != int(np.prod(shape)):
                 raise FormatError(

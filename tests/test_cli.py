@@ -9,10 +9,11 @@ import pytest
 from temporal_range import cells
 from temporal_range.cli import FLAG_FLOORS, build_parser, main
 from temporal_range.gradients import JacobianMode
-from temporal_range.linalg import Rng
+from temporal_range.linalg import NormKind, Rng
 from temporal_range.metric import TRConfig, analyze, report_json
 from temporal_range.models import (CellKind, CellSpec, build_shift_copy_model,
                                    init_model, save_model)
+from temporal_range.oracles import axiom_suite
 from temporal_range.tasks import (DATASET_ARRAYS, CopyTaskSpec, ObsKind, ObsVariant,
                                   gen_copyk, gen_imitation, gen_repeatfirst,
                                   load_dataset)
@@ -685,6 +686,34 @@ def test_checkpoint_data_count_other_than_its_shape_is_an_input_error(tmp_path, 
                  "--T", "8", "--out-prefix", str(tmp_path / "r")])
     assert code == 2
     assert _error_line(capsys) == "error: parameter 'A': 15 values for shape (4, 4)"
+
+
+def test_checkpoint_shape_that_is_not_integral_is_an_input_error(tmp_path, capsys):
+    ckpt = tmp_path / "m.json"
+    save_model(build_shift_copy_model(1, 2), ckpt)
+    doc = json.loads(ckpt.read_text())
+    doc["params"]["A"]["shape"] = [4.9, 4]
+    ckpt.write_text(json.dumps(doc))
+    code = main(["analyze", "--model", str(ckpt), "--task", "copy", "--k", "1",
+                 "--T", "8", "--out-prefix", str(tmp_path / "r")])
+    assert code == 2
+    assert _error_line(capsys) == (f"error: malformed checkpoint {ckpt}: parameter 'A' "
+                                   "shape must be a list of integers >= 0, got [4.9, 4]")
+
+
+def test_commands_in_one_process_share_nothing_but_the_parser(tmp_path, capsys):
+    # The parser is built once per process; a usage error or a flag given
+    # to one command must not reach the next.
+    with pytest.raises(SystemExit) as exc:
+        main(["axioms", "--trials", "x"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: temporal-range axioms")
+    spectral, default = tmp_path / "spectral.json", tmp_path / "default.json"
+    assert main(["axioms", "--trials", "3", "--seed", "2", "--norm", "spectral",
+                 "--out", str(spectral)]) == 0
+    assert main(["axioms", "--out", str(default)]) == 0
+    assert spectral.read_text() == axiom_suite(Rng(2), 3, NormKind.SPECTRAL).to_json()
+    assert default.read_text() == axiom_suite(Rng(0), 100).to_json()
 
 
 def test_ablate_has_no_metric_flag(capsys):

@@ -363,3 +363,17 @@ def test_an_overflowing_adjoint_names_its_step():
     step_grads[:, -1] = 1.0
     with pytest.raises(NumericalError, match=f"non-finite adjoint at step s={T - 1}$"):
         batch_param_gradients(model, X, step_grads, model.forward_batch(X))
+
+
+def test_an_overflowing_final_output_adjoint_names_its_step():
+    # The same recurrence in final-output mode: the adjoint d y_T / d state_t
+    # starts at dec_W, reaches 1e200 * dec_W when step t = 5 hands it on, and
+    # overflows to 1e400 * dec_W when step t = 4 does.  Every block before
+    # that is finite.
+    p, T = 2, 5
+    params = {"A": 1e200 * np.eye(p), "C": np.ones((p, 1)),
+              "dec_W": np.ones((1, p)), "dec_b": np.zeros(1)}
+    model = SequenceModel(cell=CellSpec(kind=CellKind.LINEAR_REC, input_dim=1, hidden_dim=p),
+                          output_dim=1, encoder_dim=None, params=params)
+    with pytest.raises(NumericalError, match="non-finite adjoint at step t=4$"):
+        final_output_blocks(model, np.zeros((3, T, 1)))

@@ -297,6 +297,20 @@ def test_checkpoint_dims_must_be_json_integers_in_range(tmp_path, key, value):
         load_model(path)
 
 
+@pytest.mark.parametrize("shape", [[2.9, 2], [True, 2], [-1, 2], "22", 4])
+def test_checkpoint_shape_entries_must_be_json_integers(tmp_path, shape):
+    # int() truncated 2.9 to 2, so a (2.9, 2) shape loaded as (2, 2).
+    path = tmp_path / "model.json"
+    save_model(init_model(_spec(CellKind.GRU, 2, 3), 2, Rng(25), encoder_dim=2), path)
+    doc = json.loads(path.read_text())
+    doc["params"]["enc_W"]["shape"] = shape
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=rf"^malformed checkpoint {path}: parameter 'enc_W' "
+                                          rf"shape must be a list of integers >= 0, "
+                                          rf"got {re.escape(json.dumps(shape))}$"):
+        load_model(path)
+
+
 def test_checkpoint_that_is_not_utf8_is_a_format_error(tmp_path):
     path = tmp_path / "model.json"
     path.write_bytes(b"\xff\xfe{}")

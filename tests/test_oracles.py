@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,12 +7,12 @@ import pytest
 from temporal_range import oracles
 from temporal_range.errors import SpecError
 from temporal_range.gradients import JacobianMode, input_jacobians
-from temporal_range.linalg import NormKind, Rng, mat_norm
+from temporal_range.linalg import NormKind, Rng, mat_norm, mat_norms
 from temporal_range.metric import (Aggregation, TRConfig, analyze, influence_weights,
                                    range_values, temporal_range)
 from temporal_range.models import build_shift_copy_model
-from temporal_range.oracles import (LinearTemporalMap, RecurrenceSpec, _trial_maps,
-                                    axiom_suite, copyk_oracle,
+from temporal_range.oracles import (AxiomReport, LinearTemporalMap, RecurrenceSpec,
+                                    _trial_maps, axiom_suite, copyk_oracle,
                                     linear_map_as_model, linear_map_range,
                                     pipeline_cross_checks,
                                     recurrence_as_model, recurrence_profile)
@@ -159,6 +160,43 @@ def test_trial_maps_follow_the_per_block_draw_order():
             want[5, t] = rng.gaussian(size=(c, d))
             want[6 + t, t] = want[5, t]
         assert np.array_equal(maps, want)
+
+
+def _per_trial_axiom_suite(rng, trials, norm):
+    """The suite one trial at a time: each trial's maps go through
+    ``mat_norms`` and ``range_values`` as one stack."""
+    res = {}
+    for trial in range(trials):
+        maps, t_single, alpha, a, b = _trial_maps(rng, trial % 7 == 0)
+        T = maps.shape[1]
+        k = T - 1 - t_single
+        norms = mat_norms(maps, norm)
+        rho, rho_hat = range_values(norms)
+        U1, U2 = maps[1:3] / norms[1:3].sum(axis=-1)[:, None, None, None]
+        _, unit_hat = range_values(mat_norms(np.stack([U1, U2, a * U1 + b * U2]), norm))
+        want = (abs(a) * unit_hat[0] + abs(b) * unit_hat[1]) / (abs(a) + abs(b))
+        lag_mass = np.sum(norms[5] * np.arange(T - 1, -1, -1))
+        trial_res = {
+            "single_step_magnitude": abs(rho[0] - norms[0, t_single] * k),
+            "single_step_normalized": abs(rho_hat[0] - k),
+            "additivity_disjoint": abs(rho[3] - rho[1] - rho[2]),
+            "absolute_homogeneity": abs(rho[4] - abs(alpha) * rho[1]),
+            "weighted_average_disjoint": abs(unit_hat[2] - want),
+            "decomposition_rho": abs(rho[5] - np.sum(rho[6:])),
+            "decomposition_rho_hat": abs(rho_hat[5] - lag_mass / np.sum(norms[5])),
+        }
+        for key, value in trial_res.items():
+            res[key] = max(res.get(key, 0.0), math.inf if np.isnan(value) else float(value))
+    return AxiomReport(trials=trials, seed=rng.entropy, norm=norm, residuals=res,
+                       spawn_key=rng.spawn_key)
+
+
+@pytest.mark.parametrize("norm", [NormKind.FROBENIUS, NormKind.SPECTRAL])
+@pytest.mark.parametrize("trials", [1, 7, 300])
+def test_shape_stacked_axiom_suite_equals_the_per_trial_loop(norm, trials):
+    for seed in range(4):
+        assert (axiom_suite(Rng(seed), trials, norm).to_json()
+                == _per_trial_axiom_suite(Rng(seed), trials, norm).to_json())
 
 
 def test_axiom_suite_fails_when_the_range_drops_the_oldest_lag(monkeypatch):
