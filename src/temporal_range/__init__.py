@@ -18,13 +18,11 @@ from .errors import (ConfigError, DivergenceError, FormatError,
                      InvalidMatrix, NumericalError, ShapeMismatch, SpecError,
                      TemporalRangeError, VersionError)
 from .gradients import (JacobianBlocks, JacobianMode, LossKind, fd_jacobian,
-                        input_jacobians, param_gradients, per_step_jacobians,
-                        sequence_loss)
+                        input_jacobians, param_gradients, per_step_jacobians)
 from .linalg import NormKind, Rng, mat_norm, mat_norms
-from .metric import (Aggregation, InvarianceReport, RangeValues, TRConfig,
-                     TemporalRangeReport, analyze, check_input_scaling,
-                     check_output_scaling, influence_weights, profile_csv,
-                     report_from_json, report_json, temporal_range)
+from .metric import (Aggregation, RangeValues, TRConfig, TemporalRangeReport,
+                     analyze, influence_weights, profile_csv, report_from_json,
+                     report_json, temporal_range)
 from .models import (CellSpec, SequenceModel, build_shift_copy_model,
                      init_model, load_model, save_model)
 from .oracles import (AxiomReport, LinearTemporalMap, RecurrenceSpec,

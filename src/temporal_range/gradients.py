@@ -43,7 +43,6 @@ __all__ = [
     "multi_output_blocks",
     "param_gradients",
     "per_step_jacobians",
-    "sequence_loss",
 ]
 
 # The step h of complex-step derivatives ``Im f(x + ih) / h``: nothing is
@@ -279,13 +278,6 @@ def _masked_targets(target, loss: LossKind, loss_steps, T: int):
     if loss is LossKind.CROSS_ENTROPY:
         return np.where(mask, np.asarray(target), 0).astype(np.int64), mask
     return np.where(mask[:, None], np.asarray(target, dtype=np.float64), 0.0), mask
-
-
-def sequence_loss(model: SequenceModel, x, target, loss: LossKind, loss_steps) -> float:
-    """Summed per-step loss over ``loss_steps`` (1-based) for one rollout."""
-    x = np.asarray(x, dtype=np.float64)
-    targets, mask = _masked_targets(target, loss, loss_steps, x.shape[0])
-    return float(masked_loss(model.outputs(x[None])[0], targets, mask, loss)[0])
 
 
 def batch_param_gradients(model: SequenceModel, X, step_grads,

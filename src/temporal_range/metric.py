@@ -25,7 +25,6 @@ import typing
 
 import numpy as np
 
-from .cells import cell_impl
 from .errors import ConfigError, FormatError, SpecError, VersionError
 from .gradients import (JacobianBlocks, JacobianMode, final_output_blocks,
                         multi_output_blocks)
@@ -34,14 +33,11 @@ from .models import SequenceModel
 
 __all__ = [
     "Aggregation",
-    "InvarianceReport",
     "RangeValues",
     "TRConfig",
     "TemporalRangeReport",
     "analyze",
     "artifact_json",
-    "check_input_scaling",
-    "check_output_scaling",
     "config_fingerprint",
     "influence_weights",
     "profile_csv",
@@ -228,85 +224,6 @@ def analyze(model: SequenceModel, rollouts, cfg: TRConfig) -> TemporalRangeRepor
     )
 
 
-@dataclasses.dataclass
-class InvarianceReport:
-    """Residuals of a rescaling check; see the check functions for fields."""
-
-    kind: str
-    factor: float
-    rho_base: float
-    rho_scaled: float
-    rho_hat_base: float
-    rho_hat_scaled: float
-    expected_rho_ratio: float
-    rho_ratio: float
-    resid_rho_hat: float
-    resid_rho_ratio: float
-
-
-def _invariance_report(kind: str, factor: float, expected: float, cfg: TRConfig,
-                       model: SequenceModel, x, scaled_model: SequenceModel,
-                       scaled_x) -> InvarianceReport:
-    base = analyze(model, [x], cfg)
-    if base.degenerate:
-        raise SpecError(
-            f"{kind.replace('_', '-')} check needs a non-degenerate base profile")
-    scaled = analyze(scaled_model, [scaled_x], cfg)
-    ratio = scaled.rho / base.rho
-    return InvarianceReport(
-        kind=kind, factor=factor,
-        rho_base=base.rho, rho_scaled=scaled.rho,
-        rho_hat_base=base.rho_hat, rho_hat_scaled=scaled.rho_hat,
-        expected_rho_ratio=expected, rho_ratio=ratio,
-        resid_rho_hat=abs(scaled.rho_hat - base.rho_hat),
-        resid_rho_ratio=abs(ratio / expected - 1.0),
-    )
-
-
-def check_output_scaling(model: SequenceModel, x, alpha: float,
-                         cfg: TRConfig) -> InvarianceReport:
-    """Verify the effect of scaling all outputs by ``alpha``.
-
-    Scaling the decoder multiplies every Jacobian block by ``alpha``, so the
-    normalized range must not move while the unnormalized range picks up a
-    factor ``|alpha|``.  Residuals are |delta rho_hat| and the relative
-    error of the observed rho ratio against ``|alpha|``.
-    """
-    if alpha == 0:
-        raise SpecError("alpha must be nonzero")
-    scaled_model = model.copy()
-    scaled_model.params["dec_W"] *= alpha
-    scaled_model.params["dec_b"] *= alpha
-    return _invariance_report("output_scaling", alpha, abs(alpha), cfg,
-                              model, x, scaled_model, x)
-
-
-def check_input_scaling(model: SequenceModel, x, beta: float,
-                        cfg: TRConfig) -> InvarianceReport:
-    """Verify invariance under a change of input units ``x* = beta x``.
-
-    The compensated model divides the first layer that touches the inputs
-    (the encoder weight, or the cell input matrices when the encoder is the
-    identity) by ``beta``, so it computes the same function of ``x*`` that
-    the original computes of ``x``.  Its Jacobians with respect to ``x*``
-    shrink by ``1/|beta|``, leaving the normalized range unchanged.
-    """
-    if beta == 0:
-        raise SpecError("beta must be nonzero")
-    x = np.asarray(x, dtype=np.float64)
-    scaled_model = model.copy()
-    for name in _input_weight_names(model):
-        scaled_model.params[name] /= beta
-    return _invariance_report("input_scaling", beta, 1.0 / abs(beta), cfg,
-                              model, x, scaled_model, beta * x)
-
-
-def _input_weight_names(model: SequenceModel) -> tuple[str, ...]:
-    if model.encoder_dim is not None:
-        return ("enc_W",)
-    return cell_impl(model.cell.kind).input_names
-
-
 def report_json(report: TemporalRangeReport) -> str:
     """Serialize a report to deterministic, versioned JSON."""
     doc = {
@@ -334,7 +251,8 @@ def report_from_json(text: str | bytes) -> TemporalRangeReport:
 
     Raises:
         FormatError: on malformed content, including bytes that are not
-            UTF-8, a non-finite number and a headline, pooled or per-rollout
+            UTF-8, a value of the wrong JSON type or list length, a
+            non-finite number and a headline, pooled or per-rollout
             ``rho_hat`` outside ``[0, T-1]``.
         VersionError: on a schema mismatch.
     """
@@ -349,22 +267,27 @@ def report_from_json(text: str | bytes) -> TemporalRangeReport:
         cfg = TRConfig(norm=NormKind(cfg_doc["norm"]),
                        aggregation=Aggregation(cfg_doc["aggregation"]),
                        mode=JacobianMode(cfg_doc["mode"]),
-                       T=int(cfg_doc["T"]))
+                       T=_count("T", cfg_doc["T"], 2))
+        n = _count("n_rollouts", doc["n_rollouts"], 1)
+        if type(doc["degenerate"]) is not bool:
+            raise ValueError(
+                f"degenerate must be true or false, got {json.dumps(doc['degenerate'])}")
         report = TemporalRangeReport(
             config=cfg,
-            n_rollouts=int(doc["n_rollouts"]),
-            rho=float(doc["rho"]),
-            rho_hat=None if doc["rho_hat"] is None else float(doc["rho_hat"]),
-            per_rollout_rho=[float(v) for v in doc["per_rollout_rho"]],
-            per_rollout_rho_hat=[None if v is None else float(v)
-                                 for v in doc["per_rollout_rho_hat"]],
-            rho_hat_std=None if doc["rho_hat_std"] is None else float(doc["rho_hat_std"]),
-            pooled_rho_hat=(None if doc["pooled_rho_hat"] is None
-                            else float(doc["pooled_rho_hat"])),
-            weights_mean=np.asarray(doc["weights_mean_by_position"], dtype=np.float64),
-            weights_std=np.asarray(doc["weights_std_by_position"], dtype=np.float64),
-            degenerate=bool(doc["degenerate"]),
-            n_degenerate=int(doc["n_degenerate_rollouts"]),
+            n_rollouts=n,
+            rho=_number("rho", doc["rho"]),
+            rho_hat=_number("rho_hat", doc["rho_hat"], nullable=True),
+            per_rollout_rho=_numbers("per_rollout_rho", doc["per_rollout_rho"], n),
+            per_rollout_rho_hat=_numbers("per_rollout_rho_hat", doc["per_rollout_rho_hat"], n,
+                                         nullable=True),
+            rho_hat_std=_number("rho_hat_std", doc["rho_hat_std"], nullable=True),
+            pooled_rho_hat=_number("pooled_rho_hat", doc["pooled_rho_hat"], nullable=True),
+            weights_mean=np.array(_numbers("weights_mean_by_position",
+                                           doc["weights_mean_by_position"], cfg.T)),
+            weights_std=np.array(_numbers("weights_std_by_position",
+                                          doc["weights_std_by_position"], cfg.T)),
+            degenerate=doc["degenerate"],
+            n_degenerate=_count("n_degenerate_rollouts", doc["n_degenerate_rollouts"], 0, n),
         )
         for name, value in (("rho_hat", report.rho_hat),
                             ("pooled_rho_hat", report.pooled_rho_hat),
@@ -374,6 +297,29 @@ def report_from_json(text: str | bytes) -> TemporalRangeReport:
         return report
     except (KeyError, TypeError, ValueError, OverflowError, SpecError) as exc:
         raise FormatError(f"malformed range report: {exc}") from exc
+
+
+def _count(name: str, value, low: int, high: float = math.inf) -> int:
+    """``value`` if it is a JSON integer in ``[low, high]``."""
+    if type(value) is not int or not low <= value <= high:
+        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {json.dumps(value)}")
+    return value
+
+
+def _number(name: str, value, nullable: bool = False) -> float | None:
+    """``value`` as a float if it is a JSON number, or None if it is null
+    and ``nullable``."""
+    if type(value) in (int, float) or value is None and nullable:
+        return value if value is None else float(value)
+    raise ValueError(f"{name} must be a number{' or null' * nullable}, got {json.dumps(value)}")
+
+
+def _numbers(name: str, values, n: int, nullable: bool = False) -> list[float | None]:
+    """``_number`` of each entry of ``values`` if it is a JSON list of ``n``."""
+    if type(values) is not list or len(values) != n:
+        got = f"{len(values)} entries" if type(values) is list else json.dumps(values)
+        raise ValueError(f"{name} must be a list of {n} numbers, got {got}")
+    return [_number(f"{name}[{i}]", v, nullable) for i, v in enumerate(values)]
 
 
 def _finite_float(text: str) -> float:

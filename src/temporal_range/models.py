@@ -365,8 +365,12 @@ def load_model(path) -> SequenceModel:
             if not (type(shape) is list and all(type(s) is int and s >= 0 for s in shape)):
                 raise FormatError(f"malformed checkpoint {path}: parameter {name!r} shape "
                                   f"must be a list of integers >= 0, got {json.dumps(shape)}")
+            data = entry["data"]
+            if type(data) is not list:
+                raise FormatError(f"malformed checkpoint {path}: parameter {name!r} data must "
+                                  f"be a list of hex-float strings, got {json.dumps(data)}")
             shape = tuple(shape)
-            flat = np.fromiter(map(float.fromhex, entry["data"]), dtype=np.float64)
+            flat = np.fromiter(map(float.fromhex, data), dtype=np.float64)
             if flat.size != int(np.prod(shape)):
                 raise FormatError(
                     f"parameter {name!r}: {flat.size} values for shape {shape}")

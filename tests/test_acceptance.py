@@ -23,15 +23,16 @@ from temporal_range.gradients import (COMPLEX_STEP, JacobianMode, LossKind,
                                       fd_jacobian, input_jacobians, masked_loss,
                                       param_gradients)
 from temporal_range.linalg import NormKind, Rng
-from temporal_range.metric import (Aggregation, TRConfig, analyze,
-                                   check_input_scaling, check_output_scaling,
-                                   influence_weights, temporal_range)
+from temporal_range.metric import (Aggregation, TRConfig, analyze, influence_weights,
+                                   temporal_range)
 from temporal_range.models import (CellKind, CellSpec, build_shift_copy_model,
                                    init_model)
 from temporal_range.oracles import (RecurrenceSpec, axiom_suite, copyk_oracle,
                                     recurrence_as_model, recurrence_profile)
 from temporal_range.tasks import CopyTaskSpec, gen_copyk
 from temporal_range.training import OptConfig, train
+
+from rescaling import input_scaled, output_scaled, residuals
 
 RESIDUAL_TOL = 1e-9
 WINDOW_GRID = (1, 2, 4, 8, 16, 32)
@@ -248,11 +249,11 @@ def test_criterion_05_rescaling_invariances(verdict):
                         (copy3, JacobianMode.FINAL_OUTPUT)):
         cfg = TRConfig(mode=mode, T=12)
         for alpha in (0.1, 3.7, -2.0):
-            rep = check_output_scaling(model, x, alpha, cfg)
-            worst = max(worst, rep.resid_rho_hat, rep.resid_rho_ratio)
+            worst = max(worst, *residuals(model, x, output_scaled(model, alpha), x,
+                                          abs(alpha), cfg))
         for beta in (0.25, 8.0):
-            rep = check_input_scaling(model, x, beta, cfg)
-            worst = max(worst, rep.resid_rho_hat, rep.resid_rho_ratio)
+            worst = max(worst, *residuals(model, x, input_scaled(model, beta), beta * x,
+                                          1.0 / abs(beta), cfg))
     verdict(5, worst < RESIDUAL_TOL,
             f"output scaling (0.1, 3.7, -2) and compensated input rescaling "
             f"(0.25, 8) across three model families, worst residual "

@@ -401,6 +401,8 @@ def test_dataset_non_finite_observation_is_an_input_error(tmp_path, capsys, comm
     ("NaN", "non-finite number NaN"),
     ("-5", "rho_hat -5.0 is outside [0, T-1] = [0, 31]"),
     ("1e300", "rho_hat 1e+300 is outside [0, T-1] = [0, 31]"),
+    # Loaded as 1.0, which made the deployment window 2.
+    ("true", "rho_hat must be a number or null, got true"),
 ])
 def test_deploy_report_with_a_non_finite_or_out_of_range_rho_hat_is_an_input_error(
         tmp_path, capsys, value, message):
@@ -699,6 +701,19 @@ def test_checkpoint_shape_that_is_not_integral_is_an_input_error(tmp_path, capsy
     assert code == 2
     assert _error_line(capsys) == (f"error: malformed checkpoint {ckpt}: parameter 'A' "
                                    "shape must be a list of integers >= 0, got [4.9, 4]")
+
+
+def test_checkpoint_data_that_is_not_a_list_is_an_input_error(tmp_path, capsys):
+    ckpt = tmp_path / "m.json"
+    save_model(build_shift_copy_model(1, 2), ckpt)
+    doc = json.loads(ckpt.read_text())
+    doc["params"]["dec_b"]["data"] = "00"
+    ckpt.write_text(json.dumps(doc))
+    code = main(["analyze", "--model", str(ckpt), "--task", "copy", "--k", "1",
+                 "--T", "8", "--out-prefix", str(tmp_path / "r")])
+    assert code == 2
+    assert _error_line(capsys) == (f"error: malformed checkpoint {ckpt}: parameter 'dec_b' "
+                                   'data must be a list of hex-float strings, got "00"')
 
 
 def test_commands_in_one_process_share_nothing_but_the_parser(tmp_path, capsys):

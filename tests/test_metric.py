@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,12 +7,13 @@ import pytest
 from temporal_range.errors import ConfigError, FormatError, SpecError, VersionError
 from temporal_range.gradients import JacobianBlocks, JacobianMode
 from temporal_range.linalg import NormKind, Rng, mat_norm
-from temporal_range.metric import (Aggregation, TRConfig, analyze,
-                                   check_input_scaling, check_output_scaling,
-                                   influence_weights, profile_csv, range_values,
-                                   report_from_json, report_json, temporal_range)
+from temporal_range.metric import (Aggregation, TRConfig, analyze, influence_weights,
+                                   profile_csv, range_values, report_from_json,
+                                   report_json, temporal_range)
 from temporal_range.models import CellKind, CellSpec, build_shift_copy_model, init_model
 from temporal_range.oracles import RecurrenceSpec, recurrence_as_model
+
+from rescaling import input_scaled, output_scaled, residuals
 
 
 def _scalar_blocks(entries, T):
@@ -148,40 +150,38 @@ def test_output_scaling_identity_has_zero_residuals():
     model = init_model(CellSpec(kind=CellKind.GRU, input_dim=2, hidden_dim=4),
                        2, Rng(7), encoder_dim=3)
     x = np.asarray(Rng(8).gaussian(size=(6, 2)))
-    rep = check_output_scaling(model, x, 1.0, TRConfig(T=6))
-    assert rep.resid_rho_hat == 0.0
-    assert rep.resid_rho_ratio == 0.0
+    assert residuals(model, x, output_scaled(model, 1.0), x, 1.0, TRConfig(T=6)) == (0.0, 0.0)
 
 
 def test_output_scaling_general_factor():
     model = init_model(CellSpec(kind=CellKind.GRU, input_dim=2, hidden_dim=4),
                        2, Rng(9), encoder_dim=3)
     x = np.asarray(Rng(10).gaussian(size=(6, 2)))
-    rep = check_output_scaling(model, x, 3.7, TRConfig(T=6))
-    assert rep.resid_rho_hat < 1e-9
-    assert rep.resid_rho_ratio < 1e-9
+    resid_rho_hat, resid_rho_ratio = residuals(model, x, output_scaled(model, 3.7), x, 3.7,
+                                               TRConfig(T=6))
+    assert resid_rho_hat < 1e-9
+    assert resid_rho_ratio < 1e-9
 
 
 def test_output_scaling_negative_factor_uses_magnitude():
     model = init_model(CellSpec(kind=CellKind.LSTM, input_dim=2, hidden_dim=3),
                        2, Rng(11))
     x = np.asarray(Rng(12).gaussian(size=(5, 2)))
-    rep = check_output_scaling(model, x, -2.0, TRConfig(T=5))
-    assert rep.expected_rho_ratio == 2.0
-    assert rep.rho_ratio == pytest.approx(2.0, rel=1e-9)
-    assert rep.resid_rho_hat < 1e-9
+    resid_rho_hat, resid_rho_ratio = residuals(model, x, output_scaled(model, -2.0), x, 2.0,
+                                               TRConfig(T=5))
+    assert resid_rho_ratio < 1e-9
+    assert resid_rho_hat < 1e-9
 
 
 def test_input_scaling_identity_and_general_factor():
     model = init_model(CellSpec(kind=CellKind.LINEAR_REC, input_dim=2,
                                 hidden_dim=3), 2, Rng(13))
     x = np.asarray(Rng(14).gaussian(size=(6, 2)))
-    rep1 = check_input_scaling(model, x, 1.0, TRConfig(T=6))
-    assert rep1.resid_rho_hat == 0.0
-    rep = check_input_scaling(model, x, 0.25, TRConfig(T=6))
-    assert rep.expected_rho_ratio == 4.0
-    assert rep.resid_rho_hat < 1e-9
-    assert rep.resid_rho_ratio < 1e-9
+    assert residuals(model, x, input_scaled(model, 1.0), x, 1.0, TRConfig(T=6))[0] == 0.0
+    resid_rho_hat, resid_rho_ratio = residuals(model, x, input_scaled(model, 0.25), 0.25 * x,
+                                               4.0, TRConfig(T=6))
+    assert resid_rho_hat < 1e-9
+    assert resid_rho_ratio < 1e-9
 
 
 def test_input_scaling_on_shift_copy_keeps_offset():
@@ -189,18 +189,9 @@ def test_input_scaling_on_shift_copy_keeps_offset():
     model = build_shift_copy_model(3, 2)
     x = np.asarray(rng.gaussian(size=(8, 2)))
     cfg = TRConfig(mode=JacobianMode.FINAL_OUTPUT, T=8)
-    rep = check_input_scaling(model, x, 8.0, cfg)
-    assert rep.rho_hat_scaled == pytest.approx(3.0, abs=1e-9)
-    assert rep.resid_rho_hat < 1e-9
-
-
-def test_scaling_checks_reject_zero_factors():
-    model = build_shift_copy_model(1, 2)
-    x = np.zeros((4, 2))
-    with pytest.raises(SpecError):
-        check_output_scaling(model, x, 0.0, TRConfig(T=4))
-    with pytest.raises(SpecError):
-        check_input_scaling(model, x, 0.0, TRConfig(T=4))
+    scaled = input_scaled(model, 8.0)
+    assert analyze(scaled, [8.0 * x], cfg).rho_hat == pytest.approx(3.0, abs=1e-9)
+    assert residuals(model, x, scaled, 8.0 * x, 1.0 / 8.0, cfg)[0] < 1e-9
 
 
 def test_report_json_round_trip():
@@ -256,6 +247,8 @@ def test_malformed_report_is_a_format_error():
 def test_report_with_a_non_finite_or_out_of_range_value_is_a_format_error(key, value,
                                                                           message):
     doc = _report_doc()
+    doc["n_rollouts"] = 2
+    doc["per_rollout_rho"] = [doc["rho"]] * 2
     doc["per_rollout_rho_hat"] = [doc["rho_hat"]] * 2
     text = json.dumps(doc)
     report_from_json(text)
@@ -263,6 +256,34 @@ def test_report_with_a_non_finite_or_out_of_range_value_is_a_format_error(key, v
     assert bad != text
     with pytest.raises(FormatError, match=message):
         report_from_json(bad)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("T", 6.9, "T must be an integer in [2, inf], got 6.9"),
+    ("n_rollouts", 2.5, "n_rollouts must be an integer in [1, inf], got 2.5"),
+    ("n_rollouts", 0, "n_rollouts must be an integer in [1, inf], got 0"),
+    ("n_rollouts", 7, "per_rollout_rho must be a list of 7 numbers, got 1 entries"),
+    ("degenerate", "no", 'degenerate must be true or false, got "no"'),
+    ("degenerate", 0, "degenerate must be true or false, got 0"),
+    ("rho_hat", True, "rho_hat must be a number or null, got true"),
+    ("rho", "1.5", 'rho must be a number, got "1.5"'),
+    ("pooled_rho_hat", [2.0], "pooled_rho_hat must be a number or null, got [2.0]"),
+    ("per_rollout_rho", [None], "per_rollout_rho[0] must be a number, got null"),
+    ("per_rollout_rho_hat", "2", 'per_rollout_rho_hat must be a list of 1 numbers, got "2"'),
+    ("weights_mean_by_position", [[0.5]] * 6,
+     "weights_mean_by_position[0] must be a number, got [0.5]"),
+    ("weights_std_by_position", [0.0] * 5,
+     "weights_std_by_position must be a list of 6 numbers, got 5 entries"),
+    ("n_degenerate_rollouts", -3, "n_degenerate_rollouts must be an integer in [0, 1], got -3"),
+    ("n_degenerate_rollouts", 2, "n_degenerate_rollouts must be an integer in [0, 1], got 2"),
+])
+def test_report_value_of_the_wrong_json_type_or_length_is_a_format_error(key, value, message):
+    # Each loaded, coerced: T 6.9 as 6, "degenerate": "no" as True,
+    # "rho_hat": true as 1.0, "rho": "1.5" as 1.5, a 2-D weight list as is.
+    doc = _report_doc()
+    (doc["config"] if key == "T" else doc)[key] = value
+    with pytest.raises(FormatError, match=f"^malformed range report: {re.escape(message)}$"):
+        report_from_json(json.dumps(doc))
 
 
 def test_rho_hat_with_all_weight_at_the_oldest_lag_stays_within_T_minus_1():

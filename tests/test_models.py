@@ -311,6 +311,21 @@ def test_checkpoint_shape_entries_must_be_json_integers(tmp_path, shape):
         load_model(path)
 
 
+@pytest.mark.parametrize("data", ["00", {"0x1p+0": 0, "0x1p+1": 0}, 0.0])
+def test_checkpoint_data_must_be_a_json_list(tmp_path, data):
+    # float.fromhex was mapped over whatever data held: "00" on dec_b loaded
+    # as [0., 0.], and a dict loaded its keys.
+    path = tmp_path / "model.json"
+    save_model(init_model(_spec(CellKind.GRU, 2, 3), 2, Rng(25), encoder_dim=2), path)
+    doc = json.loads(path.read_text())
+    doc["params"]["dec_b"]["data"] = data
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=rf"^malformed checkpoint {path}: parameter 'dec_b' "
+                                          rf"data must be a list of hex-float strings, "
+                                          rf"got {re.escape(json.dumps(data))}$"):
+        load_model(path)
+
+
 def test_checkpoint_that_is_not_utf8_is_a_format_error(tmp_path):
     path = tmp_path / "model.json"
     path.write_bytes(b"\xff\xfe{}")

@@ -1,7 +1,10 @@
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -93,3 +96,16 @@ def test_generated_sequences_expose_the_fields_the_benchmark_reads(data):
     for seq in data:
         assert all(isinstance(getattr(seq, field), np.ndarray)
                    for field in ("x", "targets", "mask"))
+
+
+def test_the_readme_python_example_prints_its_stated_range():
+    # The README's example is the first code a user runs; a deleted or
+    # renamed name it imports fails here.
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert len(blocks) == 1
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", blocks[0]], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "5.0\n"

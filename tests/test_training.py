@@ -6,7 +6,7 @@ import pytest
 
 from temporal_range import cells, training
 from temporal_range.errors import DivergenceError, NumericalError, SpecError
-from temporal_range.gradients import LossKind, param_gradients, sequence_loss
+from temporal_range.gradients import LossKind, masked_loss, param_gradients
 from temporal_range.linalg import Rng
 from temporal_range.models import (CellKind, CellSpec, SequenceModel,
                                    build_shift_copy_model, init_model)
@@ -297,7 +297,7 @@ def test_batch_gradients_are_the_scaled_sum_of_per_sequence_gradients(kind, enco
                                          model.forward_batch(X))
     n_masked = int(masks.sum())
     per_seq = [(param_gradients(model, x, t, loss, np.flatnonzero(m) + 1),
-                sequence_loss(model, x, t, loss, np.flatnonzero(m) + 1))
+                float(masked_loss(model.outputs(x[None])[0], t, m, loss)[0]))
                for x, t, m in zip(X, targets, masks)]
     want_value = sum(v for _, v in per_seq) / n_masked
     assert abs(value - want_value) <= 1e-12 * abs(want_value)

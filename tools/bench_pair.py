@@ -16,8 +16,11 @@ times N alternating runs of the tier-1 suite on each side.
 The output holds, per workload and end-to-end metric, each side's median
 and quartiles, the relative change of the medians, the number of pairs the
 head side won and whether the medians lie further apart than the base
-side's quartiles; every run's figures and each side's ``env`` line are kept
-too.  Only the standard library is used.  Bytecode writing is off in the
+side's quartiles; per workload, each side's count of incorrect runs and its
+total of failed operations; every run's figures and each side's ``env``
+line are kept too.  The exit status is 1 if a run was incorrect, a tier-1
+run exited non-zero or the head side failed more operations than the base
+side, so figures of broken runs are not read as a result.  Only the standard library is used.  Bytecode writing is off in the
 runs, so nothing is written under ``bench/``; the temporary trees are
 removed on exit.
 """
@@ -155,27 +158,70 @@ def main() -> int:
                          lambda tree, i: bench(tree, workload, args.seeds[i], args.seconds))
             for side in ("base", "head"):
                 doc[side].setdefault("env", runs[side][0]["env"])
-            doc["workloads"][workload] = {
-                "metrics": {name: compare([r["metrics"][name] for r in runs["base"]],
-                                          [r["metrics"][name] for r in runs["head"]], how)
-                            for name, how in better.items()},
-                "runs": {side: [{k: v for k, v in r.items() if k != "env"}
-                                for r in runs[side]] for side in runs}}
+            doc["workloads"][workload] = workload_summary(runs, better)
         if args.tier1:
             print(f"tier-1: {args.tier1} pairs", file=sys.stderr, flush=True)
             runs = pairs(trees, args.tier1, lambda tree, i: tier1(tree))
-            doc["tier1"] = {"wall_s": compare([r["wall_s"] for r in runs["base"]],
-                                              [r["wall_s"] for r in runs["head"]], "lower"),
-                            "runs": runs}
+            doc["tier1"] = tier1_summary(runs)
     Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
                               encoding="utf-8")
+    lines, problems = summary(doc)
+    print("\n".join(lines))
+    for problem in problems:
+        print(f"broken: {problem}", file=sys.stderr)
+    return 1 if problems else 0
+
+
+def workload_summary(runs: dict, better: dict) -> dict:
+    """One workload's entry: ``compare`` of each end-to-end metric, each
+    side's count of incorrect runs and its total of failed operations, and
+    every run's figures without its ``env`` line."""
+    return {"metrics": {name: compare([r["metrics"][name] for r in runs["base"]],
+                                      [r["metrics"][name] for r in runs["head"]], how)
+                        for name, how in better.items()},
+            "incorrect": {side: sum(not r["correct"] for r in runs[side]) for side in runs},
+            "failed": {side: sum(r["failed"] for r in runs[side]) for side in runs},
+            "runs": {side: [{k: v for k, v in r.items() if k != "env"} for r in runs[side]]
+                     for side in runs}}
+
+
+def tier1_summary(runs: dict) -> dict:
+    """The tier-1 entry: ``compare`` of the wall times, each side's count of
+    runs that exited non-zero, and every run."""
+    return {"wall_s": compare([r["wall_s"] for r in runs["base"]],
+                              [r["wall_s"] for r in runs["head"]], "lower"),
+            "nonzero_exits": {side: sum(r["exit"] != 0 for r in runs[side]) for side in runs},
+            "runs": runs}
+
+
+def summary(doc: dict) -> tuple[list[str], list[str]]:
+    """The lines to print for ``doc``, and why its figures cannot be used:
+    a run that was not correct, a tier-1 run that exited non-zero, or more
+    failed operations on the head side than on the base side."""
+    lines, problems = [], []
     for workload, w in doc["workloads"].items():
         for name, m in w["metrics"].items():
             change = "n/a" if m["change"] is None else f"{m['change']:+.1%}"
-            print(f"{workload} {name}: {m['base']['median']:.4g} -> {m['head']['median']:.4g} "
-                  f"({change}), head better in {m['wins']}/{m['pairs']}, "
-                  f"beyond base quartiles: {m['beyond_base_quartiles']}")
-    return 0
+            lines.append(f"{workload} {name}: {m['base']['median']:.4g} -> "
+                         f"{m['head']['median']:.4g} ({change}), head better in "
+                         f"{m['wins']}/{m['pairs']}, beyond base quartiles: "
+                         f"{m['beyond_base_quartiles']}")
+        incorrect, failed = w["incorrect"], w["failed"]
+        lines.append(f"{workload} incorrect runs: {incorrect['base']} -> {incorrect['head']}, "
+                     f"failed operations: {failed['base']} -> {failed['head']}")
+        problems += [f"{workload}: {n} incorrect {side} run(s)"
+                     for side, n in incorrect.items() if n]
+        if failed["head"] > failed["base"]:
+            problems.append(f"{workload}: the head side failed {failed['head']} operations, "
+                            f"the base side {failed['base']}")
+    if "tier1" in doc:
+        t = doc["tier1"]
+        lines.append(f"tier-1 wall_s: {t['wall_s']['base']['median']:.4g} -> "
+                     f"{t['wall_s']['head']['median']:.4g}, non-zero exits: "
+                     f"{t['nonzero_exits']['base']} -> {t['nonzero_exits']['head']}")
+        problems += [f"tier-1: {n} {side} run(s) exited non-zero"
+                     for side, n in t["nonzero_exits"].items() if n]
+    return lines, problems
 
 
 if __name__ == "__main__":
