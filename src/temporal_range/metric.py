@@ -252,8 +252,11 @@ def report_from_json(text: str | bytes) -> TemporalRangeReport:
     Raises:
         FormatError: on malformed content, including bytes that are not
             UTF-8, a value of the wrong JSON type or list length, a
-            non-finite number and a headline, pooled or per-rollout
-            ``rho_hat`` outside ``[0, T-1]``.
+            non-finite number, a headline, pooled or per-rollout
+            ``rho_hat`` outside ``[0, T-1]``, and fields that disagree:
+            ``degenerate`` with a null ``rho_hat``, the count of
+            degenerate rollouts with the null per-rollout values, and the
+            config fingerprint with the config.
         VersionError: on a schema mismatch.
     """
     try:
@@ -294,6 +297,15 @@ def report_from_json(text: str | bytes) -> TemporalRangeReport:
                             *(("per-rollout rho_hat", v) for v in report.per_rollout_rho_hat)):
             if value is not None and not 0.0 <= value <= cfg.T - 1:
                 raise ValueError(f"{name} {value!r} is outside [0, T-1] = [0, {cfg.T - 1}]")
+        if report.degenerate != (report.rho_hat is None):
+            raise ValueError(f"degenerate is {json.dumps(report.degenerate)}, but rho_hat is "
+                             f"{json.dumps(report.rho_hat)}")
+        if report.n_degenerate != (nulls := report.per_rollout_rho_hat.count(None)):
+            raise ValueError(f"n_degenerate_rollouts is {report.n_degenerate}, but {nulls} "
+                             f"per-rollout rho_hat values are null")
+        if doc["config_fingerprint"] != (fingerprint := config_fingerprint(cfg_doc)):
+            raise ValueError(f"config_fingerprint {json.dumps(doc['config_fingerprint'])} is "
+                             f"not {fingerprint}, the fingerprint of its config")
         return report
     except (KeyError, TypeError, ValueError, OverflowError, SpecError) as exc:
         raise FormatError(f"malformed range report: {exc}") from exc

@@ -6,9 +6,10 @@ an optional tanh encoder, drive the recurrent cell from a zero initial
 state, and the decoder reads the first ``hidden_dim`` entries of the state
 at every step, so output ``y_s`` depends only on ``x_1..x_s``.
 
-Checkpoints are self-describing JSON with hex-float parameter payloads,
-written by ``json.dumps``, which round-trips every float64 value
-bit-exactly.
+Checkpoints are self-describing JSON, written by ``json.dumps``, that hold
+each parameter as one hex string of its little-endian float64 bytes
+(``encode_block``), so every value round-trips bit-exactly.  Version 1
+checkpoints, one hex-float string per value, still load.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = "temporal-range/model"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+PARAM_LAYOUT = "<f8"
 # Steps whose encoder outputs and gate input parts a forward pass computes
 # (and holds) at once.
 UNROLL_CHUNK_STEPS = 8
@@ -301,12 +303,27 @@ def save_model(model: SequenceModel, path) -> None:
         "lem_dt": model.cell.lem_dt.hex(),
         "output_dim": model.output_dim,
         "encoder_dim": model.encoder_dim,
-        "params": {name: {"data": [v.hex() for v in arr.ravel().tolist()],
-                          "shape": list(arr.shape)}
+        "params": {name: {"data": encode_block(arr, PARAM_LAYOUT), "shape": list(arr.shape)}
                    for name, arr in model.params.items()},
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+
+
+def encode_block(arr: np.ndarray, layout) -> str:
+    """An array stored as one hex string of its bytes in ``layout``."""
+    return arr.astype(layout, copy=False).tobytes().hex()
+
+
+def decode_block(raw: str, layout, shape: tuple, what: str) -> np.ndarray:
+    """The array of ``shape``, in native byte order, that ``encode_block``
+    stored as ``raw``.  ``FormatError`` naming ``what`` unless the byte
+    count fits ``shape``."""
+    layout, raw = np.dtype(layout), bytes.fromhex(raw)
+    if len(raw) != (size := math.prod(shape) * layout.itemsize):
+        raise FormatError(f"{what} holds {len(raw)} bytes, not the {size} of shape "
+                          f"{shape} that its header declares")
+    return np.frombuffer(raw, layout).astype(layout.newbyteorder("=")).reshape(shape)
 
 
 def _read_versioned_json(path, noun: str, fmt: str, versions: tuple, kind: str,
@@ -342,7 +359,7 @@ def _read_versioned_json(path, noun: str, fmt: str, versions: tuple, kind: str,
 
 
 def load_model(path) -> SequenceModel:
-    """Load a checkpoint written by ``save_model``.
+    """Load a checkpoint that ``save_model`` wrote, or one of version 1.
 
     Raises:
         FormatError: unparseable or structurally invalid file (the message
@@ -350,7 +367,7 @@ def load_model(path) -> SequenceModel:
         VersionError: parseable checkpoint with an unsupported version.
     """
     doc = _read_versioned_json(
-        path, "checkpoint", CHECKPOINT_FORMAT, (CHECKPOINT_VERSION,), "checkpoint",
+        path, "checkpoint", CHECKPOINT_FORMAT, (1, CHECKPOINT_VERSION), "checkpoint",
         dict.fromkeys(("input_dim", "hidden_dim", "output_dim", "encoder_dim"), 1),
         nullable=("encoder_dim",))
     try:
@@ -366,15 +383,14 @@ def load_model(path) -> SequenceModel:
                 raise FormatError(f"malformed checkpoint {path}: parameter {name!r} shape "
                                   f"must be a list of integers >= 0, got {json.dumps(shape)}")
             data = entry["data"]
-            if type(data) is not list:
-                raise FormatError(f"malformed checkpoint {path}: parameter {name!r} data must "
-                                  f"be a list of hex-float strings, got {json.dumps(data)}")
-            shape = tuple(shape)
-            flat = np.fromiter(map(float.fromhex, data), dtype=np.float64)
-            if flat.size != int(np.prod(shape)):
-                raise FormatError(
-                    f"parameter {name!r}: {flat.size} values for shape {shape}")
-            params[name] = flat.reshape(shape)
+            if doc["version"] == 1:
+                if type(data) is not list:
+                    raise FormatError(f"malformed checkpoint {path}: parameter {name!r} data "
+                                      f"must be a list of hex-float strings, "
+                                      f"got {json.dumps(data)}")
+                data = encode_block(np.fromiter(map(float.fromhex, data), float), PARAM_LAYOUT)
+            params[name] = decode_block(data, PARAM_LAYOUT, tuple(shape),
+                                        f"checkpoint {path}: parameter {name!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed checkpoint {path}: {exc}") from exc
     model = SequenceModel(cell=spec, output_dim=output_dim,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import FormatError, SpecError
 from .linalg import Rng
-from .models import _read_versioned_json
+from .models import _read_versioned_json, decode_block, encode_block
 
 __all__ = [
     "CopyTaskSpec",
@@ -325,7 +325,7 @@ def save_dataset(data: Dataset, path, task: str, spec: dict, seed: int) -> None:
         "n": n,
         "T": T,
         "d": d,
-        **{key: getattr(data, key).astype(layout, copy=False).tobytes().hex()
+        **{key: encode_block(getattr(data, key), layout)
            for key, layout in DATASET_ARRAYS.items()},
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -348,14 +348,8 @@ def load_dataset(path) -> tuple[Dataset, dict]:
         if doc["version"] == 1:
             arrays = _v1_arrays(doc, path, n, T, d)
         else:
-            arrays = []
-            for key, shape in (("x", (n, T, d)), ("targets", (n, T)), ("mask", (n, T))):
-                raw, layout = bytes.fromhex(doc[key]), np.dtype(DATASET_ARRAYS[key])
-                if len(raw) != (size := math.prod(shape) * layout.itemsize):
-                    raise FormatError(f"dataset {path}: {key} holds {len(raw)} bytes, not the "
-                                      f"{size} of shape {shape} that its header declares")
-                arrays.append(np.frombuffer(raw, layout).astype(layout.newbyteorder("="))
-                              .reshape(shape))
+            arrays = [decode_block(doc[key], DATASET_ARRAYS[key], shape, f"dataset {path}: {key}")
+                      for key, shape in (("x", (n, T, d)), ("targets", (n, T)), ("mask", (n, T)))]
         try:
             data = Dataset(*arrays)
         except SpecError as exc:

@@ -1,4 +1,6 @@
 import importlib.util
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -61,3 +63,43 @@ def test_fewer_failed_operations_on_the_head_side_are_no_problem():
     lines, problems = tool.summary(_doc(tool, [_run(1.0, failed=2)], [_run(1.0)]))
     assert problems == []
     assert lines[-1] == "w incorrect runs: 0 -> 0, failed operations: 2 -> 0"
+
+
+def _git(repo, *args) -> str:
+    return subprocess.run(["git", "-C", str(repo), *args], check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_default_head_is_a_snapshot_that_leaves_the_index_alone(tmp_path, monkeypatch):
+    # The head side used to run the working tree in place, reading its files
+    # live; it is now unpacked from a tree, as the base side is.
+    for key, value in {"GIT_CONFIG_GLOBAL": os.devnull, "GIT_CONFIG_NOSYSTEM": "1",
+                       "GIT_AUTHOR_NAME": "a", "GIT_AUTHOR_EMAIL": "a@example.com",
+                       "GIT_COMMITTER_NAME": "a", "GIT_COMMITTER_EMAIL": "a@example.com"}.items():
+        monkeypatch.setenv(key, value)
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    files = {".gitignore": "ignored.txt\n", "kept.txt": "kept\n", "edited.txt": "old\n",
+             "staged.txt": "old\n"}
+    for name, text in files.items():
+        (repo / name).write_text(text)
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "base")
+    (repo / "staged.txt").write_text("staged\n")
+    _git(repo, "add", "staged.txt")
+    (repo / "edited.txt").write_text("unstaged\n")
+    (repo / "untracked.txt").write_text("untracked\n")
+    (repo / "ignored.txt").write_text("ignored\n")
+    cached, status = _git(repo, "diff", "--cached"), _git(repo, "status", "--porcelain")
+    assert "staged.txt" in cached
+
+    tool = _bench_pair()
+    monkeypatch.setattr(tool, "ROOT", repo)
+    tree = tool.snapshot()
+    assert tool.export(tree, tmp_path / "head") == tree
+    assert {p.name: p.read_text() for p in (tmp_path / "head").iterdir()} == {
+        **files, "edited.txt": "unstaged\n", "staged.txt": "staged\n",
+        "untracked.txt": "untracked\n"}
+    assert _git(repo, "diff", "--cached") == cached
+    assert _git(repo, "status", "--porcelain") == status

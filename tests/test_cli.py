@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,15 +9,18 @@ import pytest
 
 from temporal_range import cells
 from temporal_range.cli import FLAG_FLOORS, build_parser, main
+from temporal_range.errors import FormatError
 from temporal_range.gradients import JacobianMode
 from temporal_range.linalg import NormKind, Rng
-from temporal_range.metric import TRConfig, analyze, report_json
+from temporal_range.metric import (TRConfig, analyze, config_fingerprint, report_from_json,
+                                   report_json)
 from temporal_range.models import (CellKind, CellSpec, build_shift_copy_model,
                                    init_model, save_model)
 from temporal_range.oracles import axiom_suite
 from temporal_range.tasks import (DATASET_ARRAYS, CopyTaskSpec, ObsKind, ObsVariant,
                                   gen_copyk, gen_imitation, gen_repeatfirst,
                                   load_dataset)
+import v1_checkpoint
 from v1_dataset import v1_document
 
 
@@ -423,6 +427,42 @@ def test_deploy_report_with_a_non_finite_or_out_of_range_rho_hat_is_an_input_err
     assert not list(tmp_path.glob("a.*"))
 
 
+# (edit, message after "malformed range report: ") of a final-mode report
+# whose fields disagree; each used to load.
+INCONSISTENT_REPORTS = {
+    "degenerate": (lambda doc: doc.update(degenerate=True),
+                   "degenerate is true, but rho_hat is {rho_hat}"),
+    "rho_hat null": (lambda doc: doc.update(rho_hat=None),
+                     "degenerate is false, but rho_hat is null"),
+    "n_degenerate_rollouts": (lambda doc: doc.update(n_degenerate_rollouts=2),
+                              "n_degenerate_rollouts is 2, but 0 per-rollout rho_hat "
+                              "values are null"),
+    "fingerprint": (lambda doc: doc.update(config_fingerprint="0" * 16),
+                    'config_fingerprint "0000000000000000" is not {fingerprint}, the '
+                    "fingerprint of its config"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INCONSISTENT_REPORTS))
+def test_report_whose_fields_disagree_is_an_input_error(tmp_path, capsys, case):
+    paths = _chain_inputs(tmp_path)
+    doc = json.loads(paths["report"].read_text())
+    assert doc["n_rollouts"] >= 2 and doc["rho_hat"] is not None
+    edit, message = INCONSISTENT_REPORTS[case]
+    message = message.format(rho_hat=json.dumps(doc["rho_hat"]),
+                             fingerprint=config_fingerprint(doc["config"]))
+    edit(doc)
+    bad = tmp_path / "bad.report.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=f"^malformed range report: {re.escape(message)}$"):
+        report_from_json(bad.read_bytes())
+    capsys.readouterr()
+    assert main(["ablate", "--model", str(paths["model"]), "--data", str(paths["data"]),
+                 "--report", str(bad), "--out-prefix", str(tmp_path / "a")]) == 2
+    assert _error_line(capsys) == f"error: malformed range report: {message}"
+    assert not list(tmp_path.glob("a.*"))
+
+
 def test_analyze_takes_its_window_from_the_dataset(tmp_path, capsys):
     data = tmp_path / "d.json"
     assert main(["gen-data", "--task", "copy", "--k", "2", "--T", "12", "--n", "4",
@@ -679,15 +719,17 @@ def test_oracle_with_no_trials_is_an_input_error(tmp_path, capsys):
 
 
 def test_checkpoint_data_count_other_than_its_shape_is_an_input_error(tmp_path, capsys):
+    # A version 1 checkpoint; the message used to leave out the path:
+    # "parameter 'A': 15 values for shape (4, 4)".
     ckpt = tmp_path / "m.json"
-    save_model(build_shift_copy_model(1, 2), ckpt)
-    doc = json.loads(ckpt.read_text())
+    doc = v1_checkpoint.v1_document(build_shift_copy_model(1, 2))
     doc["params"]["A"]["data"].pop()
-    ckpt.write_text(json.dumps(doc))
+    ckpt.write_text(v1_checkpoint.v1_text(doc))
     code = main(["analyze", "--model", str(ckpt), "--task", "copy", "--k", "1",
                  "--T", "8", "--out-prefix", str(tmp_path / "r")])
     assert code == 2
-    assert _error_line(capsys) == "error: parameter 'A': 15 values for shape (4, 4)"
+    assert _error_line(capsys) == (f"error: checkpoint {ckpt}: parameter 'A' holds 120 bytes, "
+                                   "not the 128 of shape (4, 4) that its header declares")
 
 
 def test_checkpoint_shape_that_is_not_integral_is_an_input_error(tmp_path, capsys):
@@ -704,16 +746,57 @@ def test_checkpoint_shape_that_is_not_integral_is_an_input_error(tmp_path, capsy
 
 
 def test_checkpoint_data_that_is_not_a_list_is_an_input_error(tmp_path, capsys):
+    # A version 1 checkpoint, whose data are lists of hex-float strings.
     ckpt = tmp_path / "m.json"
-    save_model(build_shift_copy_model(1, 2), ckpt)
-    doc = json.loads(ckpt.read_text())
+    doc = v1_checkpoint.v1_document(build_shift_copy_model(1, 2))
     doc["params"]["dec_b"]["data"] = "00"
-    ckpt.write_text(json.dumps(doc))
+    ckpt.write_text(v1_checkpoint.v1_text(doc))
     code = main(["analyze", "--model", str(ckpt), "--task", "copy", "--k", "1",
                  "--T", "8", "--out-prefix", str(tmp_path / "r")])
     assert code == 2
     assert _error_line(capsys) == (f"error: malformed checkpoint {ckpt}: parameter 'dec_b' "
                                    'data must be a list of hex-float strings, got "00"')
+
+
+def _edit_block(doc, name, edit):
+    doc["params"][name]["data"] = edit(doc["params"][name]["data"])
+
+
+# (edit, message after "error: ") of corruptions of the version 2 checkpoint
+# of `build_shift_copy_model(1, 2)`, whose transition A is (4, 4).
+V2_CHECKPOINT_CORRUPTIONS = {
+    "data not a string": (lambda doc: _edit_block(doc, "A", lambda data: [data]),
+                          "malformed checkpoint {path}: fromhex() argument must be str, "
+                          "not list"),
+    "bad hex digit": (lambda doc: _edit_block(doc, "A", lambda data: "0g" + data[2:]),
+                      "malformed checkpoint {path}: non-hexadecimal number found in "
+                      "fromhex() arg at position 1"),
+    "odd length": (lambda doc: _edit_block(doc, "A", lambda data: data[:-1]),
+                   "malformed checkpoint {path}: non-hexadecimal number found in "
+                   "fromhex() arg at position 255"),
+    "one value short": (lambda doc: _edit_block(doc, "A", lambda data: data[:-16]),
+                        "checkpoint {path}: parameter 'A' holds 120 bytes, not the 128 of "
+                        "shape (4, 4) that its header declares"),
+    "shape against bytes": (lambda doc: doc["params"]["A"].update(shape=[4, 3]),
+                            "checkpoint {path}: parameter 'A' holds 128 bytes, not the 96 of "
+                            "shape (4, 3) that its header declares"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(V2_CHECKPOINT_CORRUPTIONS))
+@pytest.mark.parametrize("command", ["analyze", "ablate"])
+def test_corrupt_v2_checkpoint_is_an_input_error(tmp_path, capsys, command, case):
+    ckpt = tmp_path / "m.json"
+    save_model(build_shift_copy_model(1, 2), ckpt)
+    doc = json.loads(ckpt.read_text())
+    assert doc["version"] == 2
+    edit, message = V2_CHECKPOINT_CORRUPTIONS[case]
+    edit(doc)
+    ckpt.write_text(json.dumps(doc))
+    assert main([command, "--model", str(ckpt), "--task", "copy", "--k", "1", "--T", "8",
+                 "--V", "2", "--out-prefix", str(tmp_path / "out")]) == 2
+    assert _error_line(capsys) == "error: " + message.format(path=ckpt)
+    assert not list(tmp_path.glob("out.*"))
 
 
 def test_commands_in_one_process_share_nothing_but_the_parser(tmp_path, capsys):

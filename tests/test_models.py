@@ -14,6 +14,7 @@ from temporal_range.linalg import Rng
 from temporal_range.models import (UNROLL_CHUNK_STEPS, CellKind, CellSpec,
                                    SequenceModel, build_shift_copy_model,
                                    init_model, load_model, save_model)
+from v1_checkpoint import v1_document, v1_text
 
 
 def _spec(kind, d=3, p=8):
@@ -236,20 +237,40 @@ def test_save_model_writes_the_json_encoders_bytes(tmp_path, kind, encoder_dim):
     model = init_model(_spec(kind, 3, 5), 2, Rng(23), encoder_dim=encoder_dim)
     path = tmp_path / "model.json"
     save_model(model, path)
-    doc = {"format": "temporal-range/model", "version": 1,
+    doc = {"format": "temporal-range/model", "version": 2,
            "cell_kind": kind.value, "input_dim": 3, "hidden_dim": 5,
            "lem_dt": model.cell.lem_dt.hex(), "output_dim": 2,
            "encoder_dim": encoder_dim,
            "params": {name: {"shape": list(arr.shape),
-                             "data": [v.hex() for v in arr.ravel().tolist()]}
+                             "data": arr.astype("<f8").tobytes().hex()}
                       for name, arr in model.params.items()}}
     assert path.read_text(encoding="utf-8") == json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
+@pytest.mark.parametrize("kind", list(CellKind))
+@pytest.mark.parametrize("encoder_dim", [None, 4])
+def test_v1_checkpoint_loads_and_saves_as_v2_bit_exactly(tmp_path, kind, encoder_dim):
+    model = init_model(_spec(kind, 3, 5), 2, Rng(26), encoder_dim=encoder_dim)
+    v1, v2 = tmp_path / "v1.model.json", tmp_path / "v2.model.json"
+    v1.write_text(v1_text(v1_document(model)))
+    loaded = load_model(v1)
+    save_model(loaded, v2)
+    assert json.loads(v2.read_text())["version"] == 2
+    for again in (loaded, load_model(v2)):
+        assert (again.cell, again.encoder_dim, again.output_dim) == (
+            model.cell, encoder_dim, 2)
+        assert again.params.keys() == model.params.keys()
+        for name, arr in model.params.items():
+            assert again.params[name].dtype == np.float64
+            assert again.params[name].tobytes() == arr.tobytes()
+
+
 # A LEM checkpoint (input 2, hidden 2, tanh encoder 3, output 3, lem_dt 0.25)
-# written by `save_model` before the writer became one `json.dumps` call,
-# with the sha256 of each parameter it loads to.
+# written by the version 1 writer of `save_model` before it became one
+# `json.dumps` call, with the sha256 of each parameter it loads to and of
+# the version 2 text it saves as.
 GOLDEN_CHECKPOINT = "lem_enc3_h2.model.json"
+GOLDEN_V2_SHA256 = "f1a7f2b930786f317aa32a3517f39f334a68e9852d35f500a495a16c98e7f8a4"
 GOLDEN_PARAMS = {
     "V1": "7cb43cf78a98a6f5935a45381868a2039da23b3ffe4fe1ab4569fa76c7f4ed7f",
     "V2": "8a8d7a1224c53c25d15e54b37a18f7f62058b4b0692dd59f4b5a513bf800ea90",
@@ -268,7 +289,7 @@ GOLDEN_PARAMS = {
 }
 
 
-def test_golden_checkpoint_loads_to_pinned_parameters_and_saves_to_the_same_bytes(tmp_path):
+def test_golden_checkpoint_loads_to_pinned_parameters_and_saves_to_pinned_v2_bytes(tmp_path):
     golden = Path(__file__).parent / "data" / GOLDEN_CHECKPOINT
     model = load_model(golden)
     assert model.cell == CellSpec(kind=CellKind.LEM, input_dim=2, hidden_dim=2, lem_dt=0.25)
@@ -277,7 +298,14 @@ def test_golden_checkpoint_loads_to_pinned_parameters_and_saves_to_the_same_byte
             for name, arr in model.params.items()} == GOLDEN_PARAMS
     path = tmp_path / GOLDEN_CHECKPOINT
     save_model(model, path)
-    assert path.read_bytes() == golden.read_bytes()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_V2_SHA256
+    assert {name: hashlib.sha256(arr.tobytes()).hexdigest()
+            for name, arr in load_model(path).params.items()} == GOLDEN_PARAMS
+
+
+def test_the_v1_test_writer_reproduces_the_golden_checkpoint():
+    golden = Path(__file__).parent / "data" / GOLDEN_CHECKPOINT
+    assert v1_text(v1_document(load_model(golden))) == golden.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("key, value", [
@@ -313,11 +341,10 @@ def test_checkpoint_shape_entries_must_be_json_integers(tmp_path, shape):
 
 @pytest.mark.parametrize("data", ["00", {"0x1p+0": 0, "0x1p+1": 0}, 0.0])
 def test_checkpoint_data_must_be_a_json_list(tmp_path, data):
-    # float.fromhex was mapped over whatever data held: "00" on dec_b loaded
-    # as [0., 0.], and a dict loaded its keys.
+    # float.fromhex was mapped over whatever a version 1 data held: "00" on
+    # dec_b loaded as [0., 0.], and a dict loaded its keys.
     path = tmp_path / "model.json"
-    save_model(init_model(_spec(CellKind.GRU, 2, 3), 2, Rng(25), encoder_dim=2), path)
-    doc = json.loads(path.read_text())
+    doc = v1_document(init_model(_spec(CellKind.GRU, 2, 3), 2, Rng(25), encoder_dim=2))
     doc["params"]["dec_b"]["data"] = data
     path.write_text(json.dumps(doc))
     with pytest.raises(FormatError, match=rf"^malformed checkpoint {path}: parameter 'dec_b' "

@@ -7,11 +7,14 @@ Usage (from the root of a checkout):
         --tier1 1 --out BENCH_24.json
 
 Each side is a fresh ``git archive`` of its revision in a temporary
-directory; ``--head`` defaults to the working tree of this checkout.  For
-every workload and seed, ``python3 bench/run.py --trace 0`` runs once on
-each side, and the side that runs first alternates from pair to pair, so
-drift in the machine's speed falls on both sides alike.  ``--tier1 N`` also
-times N alternating runs of the tier-1 suite on each side.
+directory.  ``--head`` defaults to a snapshot of this checkout's working
+tree: the tree that ``git add -A`` would stage, written through a
+temporary index, so the checkout's own index stays untouched and ignored
+files stay out.  For every workload and seed, ``python3 bench/run.py
+--trace 0`` runs once on each side, and the side that runs first
+alternates from pair to pair, so drift in the machine's speed falls on
+both sides alike.  ``--tier1 N`` also times N alternating runs of the
+tier-1 suite on each side.
 
 The output holds, per workload and end-to-end metric, each side's median
 and quartiles, the relative change of the medians, the number of pairs the
@@ -20,9 +23,9 @@ side's quartiles; per workload, each side's count of incorrect runs and its
 total of failed operations; every run's figures and each side's ``env``
 line are kept too.  The exit status is 1 if a run was incorrect, a tier-1
 run exited non-zero or the head side failed more operations than the base
-side, so figures of broken runs are not read as a result.  Only the standard library is used.  Bytecode writing is off in the
-runs, so nothing is written under ``bench/``; the temporary trees are
-removed on exit.
+side, so figures of broken runs are not read as a result.  Only the
+standard library is used.  Bytecode writing is off in the runs, so nothing
+is written under ``bench/``; the temporary trees are removed on exit.
 """
 
 from __future__ import annotations
@@ -43,14 +46,24 @@ ROOT = Path(__file__).resolve().parent.parent
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
 
-def git(*args: str) -> bytes:
+def git(*args: str, env: dict | None = None) -> bytes:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
-                          capture_output=True).stdout
+                          capture_output=True, env=env).stdout
+
+
+def snapshot() -> str:
+    """The hash of a tree of the working tree's files as ``git add -A``
+    would stage them on top of ``HEAD``, built in a temporary index."""
+    with tempfile.TemporaryDirectory(prefix="bench-pair-index-") as tmp:
+        env = dict(os.environ, GIT_INDEX_FILE=str(Path(tmp) / "index"))
+        for args in (("read-tree", "HEAD"), ("add", "-A")):
+            git(*args, env=env)
+        return git("write-tree", env=env).decode().strip()
 
 
 def export(rev: str, dest: Path) -> str:
-    """Unpack the files of ``rev``, a commit or a tree (``git write-tree``
-    gives one for the staged files), into ``dest``; its full hash."""
+    """Unpack the files of ``rev``, a commit or a tree (``snapshot`` gives
+    one for the working tree), into ``dest``; its full hash."""
     sha = git("rev-parse", "--verify", rev).decode().strip()
     with tarfile.open(fileobj=io.BytesIO(git("archive", sha)), mode="r:") as tar:
         tar.extractall(dest, filter="data")
@@ -130,7 +143,8 @@ def seed_list(text: str) -> list[int]:
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--base", default="HEAD", help="revision of the base side")
-    p.add_argument("--head", help="revision of the head side (default: the working tree)")
+    p.add_argument("--head", help="revision of the head side (default: a snapshot of the "
+                                  "working tree)")
     p.add_argument("--workloads", default="cli-pipeline",
                    help="comma-separated bench workloads")
     p.add_argument("--seeds", type=seed_list, default=seed_list("1-10"),
@@ -144,12 +158,9 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
         trees, revs = {}, {}
-        for side, rev in (("base", args.base), ("head", args.head)):
-            if rev is None:
-                trees[side], revs[side] = ROOT, "working tree"
-            else:
-                trees[side] = Path(tmp) / side
-                revs[side] = export(rev, trees[side])
+        for side, rev in (("base", args.base), ("head", args.head or snapshot())):
+            trees[side] = Path(tmp) / side
+            revs[side] = export(rev, trees[side])
         doc = {"base": {"rev": revs["base"]}, "head": {"rev": revs["head"]},
                "seconds": args.seconds, "seeds": args.seeds, "workloads": {}}
         for workload in args.workloads.split(","):
