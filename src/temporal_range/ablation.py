@@ -148,7 +148,7 @@ class DeploymentCheck:
 def deployment_windows(report: TemporalRangeReport) -> tuple[int, int]:
     """The window ``ceil(rho_hat + 1)`` and half of it,
     ``ceil((rho_hat + 1) / 2)``; a degenerate report is a ``SpecError``."""
-    if report.degenerate or report.rho_hat is None:
+    if report.degenerate:
         raise SpecError("deployment check requires a non-degenerate range report")
     return math.ceil(report.rho_hat + 1.0), math.ceil((report.rho_hat + 1.0) / 2.0)
 

@@ -165,7 +165,8 @@ class TemporalRangeReport:
     headline numbers); ``pooled_rho_hat`` instead averages the weight
     profiles across rollouts first and then takes the lag average.  A
     report is degenerate only when every rollout produced all-zero
-    weights, in which case the normalized fields are None.
+    weights, in which case the normalized fields are None; ``degenerate``
+    and ``n_degenerate`` are read off the per-rollout values.
     """
 
     config: TRConfig
@@ -178,8 +179,33 @@ class TemporalRangeReport:
     pooled_rho_hat: float | None
     weights_mean: np.ndarray
     weights_std: np.ndarray
-    degenerate: bool
-    n_degenerate: int
+
+    @property
+    def n_degenerate(self) -> int:
+        return self.per_rollout_rho_hat.count(None)
+
+    @property
+    def degenerate(self) -> bool:
+        return self.n_degenerate == len(self.per_rollout_rho_hat)
+
+
+def _summary(cfg: TRConfig, rho, rho_hat, weights_mean, weights_std) -> TemporalRangeReport:
+    """The report of per-rollout ``rho`` and ``rho_hat`` (NaN where
+    degenerate) and the weights' mean and std by position: every other
+    field is derived here, for ``analyze`` and ``report_from_json``."""
+    defined = rho_hat[~np.isnan(rho_hat)]
+    return TemporalRangeReport(
+        config=cfg,
+        n_rollouts=len(rho),
+        rho=float(rho.mean()),
+        rho_hat=float(defined.mean()) if defined.size else None,
+        per_rollout_rho=rho.tolist(),
+        per_rollout_rho_hat=[None if math.isnan(v) else v for v in rho_hat.tolist()],
+        rho_hat_std=float(defined.std()) if defined.size else None,
+        pooled_rho_hat=temporal_range(weights_mean).rho_hat,
+        weights_mean=weights_mean,
+        weights_std=weights_std,
+    )
 
 
 def analyze(model: SequenceModel, rollouts, cfg: TRConfig) -> TemporalRangeReport:
@@ -206,22 +232,7 @@ def analyze(model: SequenceModel, rollouts, cfg: TRConfig) -> TemporalRangeRepor
                                for _, blocks in multi_output_blocks(model, X)),
                               (len(rollouts), cfg.T), cfg.aggregation)
     rho, rho_hat = range_values(W)
-    defined = rho_hat[~np.isnan(rho_hat)]
-    weights_mean = W.mean(axis=0)
-    return TemporalRangeReport(
-        config=cfg,
-        n_rollouts=len(rollouts),
-        rho=float(rho.mean()),
-        rho_hat=float(defined.mean()) if defined.size else None,
-        per_rollout_rho=rho.tolist(),
-        per_rollout_rho_hat=[None if np.isnan(v) else v for v in rho_hat.tolist()],
-        rho_hat_std=float(defined.std()) if defined.size else None,
-        pooled_rho_hat=temporal_range(weights_mean).rho_hat,
-        weights_mean=weights_mean,
-        weights_std=W.std(axis=0),
-        degenerate=defined.size == 0,
-        n_degenerate=len(rollouts) - defined.size,
-    )
+    return _summary(cfg, rho, rho_hat, W.mean(axis=0), W.std(axis=0))
 
 
 def report_json(report: TemporalRangeReport) -> str:
@@ -249,19 +260,24 @@ def report_from_json(text: str | bytes) -> TemporalRangeReport:
     """Rebuild a report from its JSON serialization, given as text or as
     UTF-8 bytes.
 
+    Only the primary data is checked: the config, ``n_rollouts``, the
+    per-rollout values (``rho_hat`` null or in ``[0, T-1]``) and the
+    weights (>= 0).  The report is rebuilt from it as ``analyze`` builds
+    it, and each field ``report_json`` writes must equal the file's.
+
     Raises:
-        FormatError: on malformed content, including bytes that are not
-            UTF-8, a value of the wrong JSON type or list length, a
-            non-finite number, a headline, pooled or per-rollout
-            ``rho_hat`` outside ``[0, T-1]``, and fields that disagree:
-            ``degenerate`` with a null ``rho_hat``, the count of
-            degenerate rollouts with the null per-rollout values, and the
-            config fingerprint with the config.
+        FormatError: on bytes that are not UTF-8, JSON nested too deeply
+            to parse, a document that is not an object or lacks a field, a
+            primary value of the wrong JSON type, length or range, a
+            non-finite number, or a field that differs from what
+            ``analyze`` writes.
         VersionError: on a schema mismatch.
     """
     try:
         text = text.decode("utf-8") if isinstance(text, bytes) else text
         doc = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
+        if type(doc) is not dict:
+            raise ValueError("not a JSON object")
         if doc["schema"] != REPORT_SCHEMA_VERSION:
             raise VersionError(
                 f"unsupported report schema {doc['schema']!r} "
@@ -272,66 +288,47 @@ def report_from_json(text: str | bytes) -> TemporalRangeReport:
                        mode=JacobianMode(cfg_doc["mode"]),
                        T=_count("T", cfg_doc["T"], 2))
         n = _count("n_rollouts", doc["n_rollouts"], 1)
-        if type(doc["degenerate"]) is not bool:
-            raise ValueError(
-                f"degenerate must be true or false, got {json.dumps(doc['degenerate'])}")
-        report = TemporalRangeReport(
-            config=cfg,
-            n_rollouts=n,
-            rho=_number("rho", doc["rho"]),
-            rho_hat=_number("rho_hat", doc["rho_hat"], nullable=True),
-            per_rollout_rho=_numbers("per_rollout_rho", doc["per_rollout_rho"], n),
-            per_rollout_rho_hat=_numbers("per_rollout_rho_hat", doc["per_rollout_rho_hat"], n,
-                                         nullable=True),
-            rho_hat_std=_number("rho_hat_std", doc["rho_hat_std"], nullable=True),
-            pooled_rho_hat=_number("pooled_rho_hat", doc["pooled_rho_hat"], nullable=True),
-            weights_mean=np.array(_numbers("weights_mean_by_position",
-                                           doc["weights_mean_by_position"], cfg.T)),
-            weights_std=np.array(_numbers("weights_std_by_position",
-                                          doc["weights_std_by_position"], cfg.T)),
-            degenerate=doc["degenerate"],
-            n_degenerate=_count("n_degenerate_rollouts", doc["n_degenerate_rollouts"], 0, n),
-        )
-        for name, value in (("rho_hat", report.rho_hat),
-                            ("pooled_rho_hat", report.pooled_rho_hat),
-                            *(("per-rollout rho_hat", v) for v in report.per_rollout_rho_hat)):
+        rho = _numbers("per_rollout_rho", doc["per_rollout_rho"], n)
+        rho_hat = _numbers("per_rollout_rho_hat", doc["per_rollout_rho_hat"], n, nullable=True)
+        for value in rho_hat:
             if value is not None and not 0.0 <= value <= cfg.T - 1:
-                raise ValueError(f"{name} {value!r} is outside [0, T-1] = [0, {cfg.T - 1}]")
-        if report.degenerate != (report.rho_hat is None):
-            raise ValueError(f"degenerate is {json.dumps(report.degenerate)}, but rho_hat is "
-                             f"{json.dumps(report.rho_hat)}")
-        if report.n_degenerate != (nulls := report.per_rollout_rho_hat.count(None)):
-            raise ValueError(f"n_degenerate_rollouts is {report.n_degenerate}, but {nulls} "
-                             f"per-rollout rho_hat values are null")
-        if doc["config_fingerprint"] != (fingerprint := config_fingerprint(cfg_doc)):
-            raise ValueError(f"config_fingerprint {json.dumps(doc['config_fingerprint'])} is "
-                             f"not {fingerprint}, the fingerprint of its config")
+                raise ValueError(f"per-rollout rho_hat {value!r} is outside [0, T-1] = "
+                                 f"[0, {cfg.T - 1}]")
+        weights = [_numbers(name, doc[name], cfg.T)
+                   for name in ("weights_mean_by_position", "weights_std_by_position")]
+        if (least := min(map(min, weights))) < 0:
+            raise ValueError(f"weights must be >= 0, got {least!r}")
+        report = _summary(cfg, *(np.array(v, dtype=np.float64) for v in (rho, rho_hat, *weights)))
+        for key, value in json.loads(report_json(report)).items():
+            got, want = (json.dumps(v, sort_keys=True) for v in (doc[key], value))
+            if got != want:
+                raise ValueError(f"{key} is {got}, but analyze writes {want} for these values")
         return report
-    except (KeyError, TypeError, ValueError, OverflowError, SpecError) as exc:
+    except RecursionError:
+        raise FormatError("malformed range report: JSON nested too deeply to parse") from None
+    except KeyError as exc:
+        raise FormatError(f"malformed range report: missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed range report: {exc}") from exc
 
 
-def _count(name: str, value, low: int, high: float = math.inf) -> int:
-    """``value`` if it is a JSON integer in ``[low, high]``."""
-    if type(value) is not int or not low <= value <= high:
-        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {json.dumps(value)}")
+def _count(name: str, value, low: int) -> int:
+    """``value`` if it is a JSON integer of at least ``low``."""
+    if type(value) is not int or value < low:
+        raise ValueError(f"{name} must be an integer in [{low}, inf], got {json.dumps(value)}")
     return value
 
 
-def _number(name: str, value, nullable: bool = False) -> float | None:
-    """``value`` as a float if it is a JSON number, or None if it is null
-    and ``nullable``."""
-    if type(value) in (int, float) or value is None and nullable:
-        return value if value is None else float(value)
-    raise ValueError(f"{name} must be a number{' or null' * nullable}, got {json.dumps(value)}")
-
-
 def _numbers(name: str, values, n: int, nullable: bool = False) -> list[float | None]:
-    """``_number`` of each entry of ``values`` if it is a JSON list of ``n``."""
+    """``values`` as floats (a null as None if ``nullable``) if it is a JSON list of ``n``."""
     if type(values) is not list or len(values) != n:
         got = f"{len(values)} entries" if type(values) is list else json.dumps(values)
         raise ValueError(f"{name} must be a list of {n} numbers, got {got}")
-    return [_number(f"{name}[{i}]", v, nullable) for i, v in enumerate(values)]
+    for i, value in enumerate(values):
+        if not (type(value) in (int, float) or value is None and nullable):
+            raise ValueError(f"{name}[{i}] must be a number{' or null' * nullable}, "
+                             f"got {json.dumps(value)}")
+    return [value if value is None else float(value) for value in values]
 
 
 def _finite_float(text: str) -> float:

@@ -345,6 +345,8 @@ def _read_versioned_json(path, noun: str, fmt: str, versions: tuple, kind: str,
     except json.JSONDecodeError as exc:
         raise FormatError(
             f"corrupt {noun} {path}: {exc.msg} at byte offset {exc.pos}") from exc
+    except RecursionError:
+        raise FormatError(f"corrupt {noun} {path}: JSON nested too deeply to parse") from None
     if not isinstance(doc, dict) or doc.get("format") != fmt:
         raise FormatError(f"{path} is not a {fmt} {kind}")
     if doc.get("version") not in versions:
@@ -376,6 +378,9 @@ def load_model(path) -> SequenceModel:
                         lem_dt=float.fromhex(doc["lem_dt"]))
         encoder_dim = doc["encoder_dim"]
         output_dim = doc["output_dim"]
+        if type(doc["params"]) is not dict:
+            raise FormatError(f"malformed checkpoint {path}: params must be a JSON object, "
+                              f"got {json.dumps(doc['params'])}")
         params = {}
         for name, entry in doc["params"].items():
             shape = entry["shape"]
@@ -395,11 +400,11 @@ def load_model(path) -> SequenceModel:
         raise FormatError(f"malformed checkpoint {path}: {exc}") from exc
     model = SequenceModel(cell=spec, output_dim=output_dim,
                           encoder_dim=encoder_dim, params=params)
-    _check_param_shapes(model)
+    _check_param_shapes(model, path)
     return model
 
 
-def _check_param_shapes(model: SequenceModel) -> None:
+def _check_param_shapes(model: SequenceModel, path) -> None:
     expected = dict(cell_impl(model.cell.kind).param_shapes(
         model.cell_input_dim, model.cell.hidden_dim))
     if model.encoder_dim is not None:
@@ -410,7 +415,7 @@ def _check_param_shapes(model: SequenceModel) -> None:
     got = {k: v.shape for k, v in model.params.items()}
     want = {k: tuple(v) for k, v in expected.items()}
     if got != want:
-        raise FormatError(f"parameter shapes {got} do not match spec {want}")
+        raise FormatError(f"checkpoint {path}: parameter shapes {got} do not match spec {want}")
     for name, arr in model.params.items():
         if not np.all(np.isfinite(arr)):
-            raise FormatError(f"parameter {name!r} contains non-finite values")
+            raise FormatError(f"checkpoint {path}: parameter {name!r} contains non-finite values")

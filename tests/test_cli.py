@@ -211,7 +211,8 @@ def test_ablate_deploy_shares_cold_restart_passes(tmp_path, monkeypatch):
     save_model(model, tmp_path / "m.json")
     report = analyze(model, [s.x for s in sequences[:2]],
                      TRConfig(mode=JacobianMode.FINAL_OUTPUT, T=T))
-    (tmp_path / "r.json").write_text(report_json(dataclasses.replace(report, rho_hat=3.5)))
+    (tmp_path / "r.json").write_text(report_json(dataclasses.replace(
+        report, rho_hat=3.5, per_rollout_rho_hat=[3.5, 3.5], rho_hat_std=0.0)))
     step, calls = cells._LSTM.step, []
 
     def counted(*args, **kwargs):
@@ -403,10 +404,10 @@ def test_dataset_non_finite_observation_is_an_input_error(tmp_path, capsys, comm
 @pytest.mark.parametrize("value, message", [
     ("Infinity", "non-finite number Infinity"),
     ("NaN", "non-finite number NaN"),
-    ("-5", "rho_hat -5.0 is outside [0, T-1] = [0, 31]"),
-    ("1e300", "rho_hat 1e+300 is outside [0, T-1] = [0, 31]"),
+    ("-5", "rho_hat is -5, but analyze writes 3.5 for these values"),
+    ("1e300", "rho_hat is 1e+300, but analyze writes 3.5 for these values"),
     # Loaded as 1.0, which made the deployment window 2.
-    ("true", "rho_hat must be a number or null, got true"),
+    ("true", "rho_hat is true, but analyze writes 3.5 for these values"),
 ])
 def test_deploy_report_with_a_non_finite_or_out_of_range_rho_hat_is_an_input_error(
         tmp_path, capsys, value, message):
@@ -418,7 +419,8 @@ def test_deploy_report_with_a_non_finite_or_out_of_range_rho_hat_is_an_input_err
     sequences, _ = load_dataset(data)
     report = analyze(model, [s.x for s in sequences[:2]],
                      TRConfig(mode=JacobianMode.FINAL_OUTPUT, T=32))
-    text = report_json(dataclasses.replace(report, rho_hat=3.5))
+    text = report_json(dataclasses.replace(report, rho_hat=3.5, per_rollout_rho_hat=[3.5, 3.5],
+                                           rho_hat_std=0.0))
     (tmp_path / "r.json").write_text(text.replace('"rho_hat": 3.5,', f'"rho_hat": {value},'))
     assert main(["ablate", "--model", str(tmp_path / "m.json"), "--data", str(data),
                  "--report", str(tmp_path / "r.json"), "--deploy",
@@ -427,30 +429,57 @@ def test_deploy_report_with_a_non_finite_or_out_of_range_rho_hat_is_an_input_err
     assert not list(tmp_path.glob("a.*"))
 
 
-# (edit, message after "malformed range report: ") of a final-mode report
-# whose fields disagree; each used to load.
+# (edit, message after "malformed range report: ") of the final-mode report
+# of a shift-copy-2 model, whose per-rollout rho_hat values are all 2.0 and
+# whose weight is all at lag 2; each edit leaves the per-rollout values and
+# weights a derived field is rebuilt from as they are.  Each of the
+# "config with an extra key", "degenerate, null ranges", "pooled_rho_hat",
+# "rho", "rho_hat 5.5", "rho_hat_std" and "weight from lag 2 to lag 5"
+# edits used to load: "rho_hat 5.5" made the deployment window 7, not 3.
 INCONSISTENT_REPORTS = {
     "degenerate": (lambda doc: doc.update(degenerate=True),
-                   "degenerate is true, but rho_hat is {rho_hat}"),
+                   "degenerate is true, but analyze writes false for these values"),
+    "degenerate, null ranges": (
+        lambda doc: doc.update(degenerate=True, rho_hat=None, rho_hat_std=None,
+                               pooled_rho_hat=None),
+        "degenerate is true, but analyze writes false for these values"),
+    "rho missing": (lambda doc: doc.pop("rho"), "missing field 'rho'"),
     "rho_hat null": (lambda doc: doc.update(rho_hat=None),
-                     "degenerate is false, but rho_hat is null"),
+                     "rho_hat is null, but analyze writes 2.0 for these values"),
+    "rho_hat 5.5": (lambda doc: doc.update(rho_hat=5.5),
+                    "rho_hat is 5.5, but analyze writes 2.0 for these values"),
+    "rho": (lambda doc: doc.update(rho=5.0),
+            "rho is 5.0, but analyze writes 4.0 for these values"),
+    "rho_hat_std": (lambda doc: doc.update(rho_hat_std=0.5),
+                    "rho_hat_std is 0.5, but analyze writes 0.0 for these values"),
+    "pooled_rho_hat": (lambda doc: doc.update(pooled_rho_hat=3.0),
+                       "pooled_rho_hat is 3.0, but analyze writes 2.0 for these values"),
+    "weight from lag 2 to lag 5": (
+        lambda doc: doc.update(weights_mean_by_position=[0.0, 0.0, 2.0] + [0.0] * 5),
+        "pooled_rho_hat is 2.0, but analyze writes 5.0 for these values"),
     "n_degenerate_rollouts": (lambda doc: doc.update(n_degenerate_rollouts=2),
-                              "n_degenerate_rollouts is 2, but 0 per-rollout rho_hat "
-                              "values are null"),
+                              "n_degenerate_rollouts is 2, but analyze writes 0 for these "
+                              "values"),
     "fingerprint": (lambda doc: doc.update(config_fingerprint="0" * 16),
-                    'config_fingerprint "0000000000000000" is not {fingerprint}, the '
-                    "fingerprint of its config"),
+                    'config_fingerprint is "0000000000000000", but analyze writes '
+                    '"{fingerprint}" for these values'),
+    "config with an extra key": (
+        lambda doc: doc.update(config=(config := {**doc["config"], "extra": 1}),
+                               config_fingerprint=config_fingerprint(config)),
+        'config is {{"T": 8, "aggregation": "mean", "extra": 1, "mode": "final_output", '
+        '"norm": "frobenius", "schema": 1}}, but analyze writes {{"T": 8, "aggregation": '
+        '"mean", "mode": "final_output", "norm": "frobenius", "schema": 1}} for these values'),
 }
 
 
 @pytest.mark.parametrize("case", sorted(INCONSISTENT_REPORTS))
 def test_report_whose_fields_disagree_is_an_input_error(tmp_path, capsys, case):
-    paths = _chain_inputs(tmp_path)
+    paths = _chain_inputs(tmp_path, k=2)
     doc = json.loads(paths["report"].read_text())
-    assert doc["n_rollouts"] >= 2 and doc["rho_hat"] is not None
+    assert doc["n_rollouts"] >= 2 and set(doc["per_rollout_rho_hat"]) == {2.0}
+    assert doc["weights_mean_by_position"] == [0.0] * 5 + [2.0, 0.0, 0.0]
     edit, message = INCONSISTENT_REPORTS[case]
-    message = message.format(rho_hat=json.dumps(doc["rho_hat"]),
-                             fingerprint=config_fingerprint(doc["config"]))
+    message = message.format(fingerprint=config_fingerprint(doc["config"]))
     edit(doc)
     bad = tmp_path / "bad.report.json"
     bad.write_text(json.dumps(doc))
@@ -458,7 +487,26 @@ def test_report_whose_fields_disagree_is_an_input_error(tmp_path, capsys, case):
         report_from_json(bad.read_bytes())
     capsys.readouterr()
     assert main(["ablate", "--model", str(paths["model"]), "--data", str(paths["data"]),
-                 "--report", str(bad), "--out-prefix", str(tmp_path / "a")]) == 2
+                 "--report", str(bad), "--deploy", "--out-prefix", str(tmp_path / "a")]) == 2
+    assert _error_line(capsys) == f"error: malformed range report: {message}"
+    assert not list(tmp_path.glob("a.*"))
+
+
+@pytest.mark.parametrize("case, message", [
+    ("dataset", "missing field 'schema'"),
+    ("checkpoint", "missing field 'schema'"),
+    ("JSON list", "not a JSON object"),
+])
+def test_document_that_is_not_a_report_is_an_input_error(tmp_path, capsys, case, message):
+    # Each used to say only "'schema'" or "list indices must be integers or
+    # slices, not str".
+    paths = _chain_inputs(tmp_path)
+    bad = {"dataset": paths["data"], "checkpoint": paths["model"],
+           "JSON list": tmp_path / "list.json"}[case]
+    (tmp_path / "list.json").write_text("[]")
+    capsys.readouterr()
+    assert main(["ablate", "--model", str(paths["model"]), "--data", str(paths["data"]),
+                 "--report", str(bad), "--deploy", "--out-prefix", str(tmp_path / "a")]) == 2
     assert _error_line(capsys) == f"error: malformed range report: {message}"
     assert not list(tmp_path.glob("a.*"))
 
@@ -655,15 +703,15 @@ def test_every_flag_floor_is_checked_before_any_file_is_read(tmp_path, capsys,
     assert not list(tmp_path.iterdir())
 
 
-def _chain_inputs(tmp_path) -> dict:
-    """A copy-1 dataset (T = 8, V = 4), a shift-copy checkpoint and its
-    final-mode range report, in a directory of their own."""
+def _chain_inputs(tmp_path, k: int = 1) -> dict:
+    """A copy-1 dataset (T = 8, V = 4), a shift-copy-``k`` checkpoint and
+    its final-mode range report, in a directory of their own."""
     inputs = tmp_path / "inputs"
     inputs.mkdir()
     paths = {"data": inputs / "d.json", "model": inputs / "m.json"}
     assert main(["gen-data", "--task", "copy", "--k", "1", "--T", "8", "--n", "8",
                  "--out", str(paths["data"])]) == 0
-    save_model(build_shift_copy_model(1, 4), paths["model"])
+    save_model(build_shift_copy_model(k, 4), paths["model"])
     assert main(["analyze", "--model", str(paths["model"]), "--data", str(paths["data"]),
                  "--mode", "final", "--out-prefix", str(inputs / "r")]) == 0
     return {**paths, "report": inputs / "r.report.json"}
@@ -780,6 +828,11 @@ V2_CHECKPOINT_CORRUPTIONS = {
     "shape against bytes": (lambda doc: doc["params"]["A"].update(shape=[4, 3]),
                             "checkpoint {path}: parameter 'A' holds 128 bytes, not the 96 of "
                             "shape (4, 3) that its header declares"),
+    # Each used to end in an AttributeError traceback.
+    "params a list": (lambda doc: doc.update(params=[]),
+                      "malformed checkpoint {path}: params must be a JSON object, got []"),
+    "params a string": (lambda doc: doc.update(params="x"),
+                        'malformed checkpoint {path}: params must be a JSON object, got "x"'),
 }
 
 
@@ -924,6 +977,25 @@ def test_input_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys, kind):
                    "invalid start byte at byte offset 0",
         "report": "error: malformed range report: 'utf-8' codec can't decode byte 0xff "
                   "in position 0: invalid start byte"}[kind]
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "dataset", "report"])
+def test_input_file_nested_too_deeply_is_an_input_error(tmp_path, capsys, kind):
+    # Each used to end in a RecursionError traceback and exit 1.
+    paths = _chain_inputs(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text("[" * 1000 + "]" * 1000)
+    argv = {"checkpoint": ["analyze", "--model", str(bad), "--data", str(paths["data"])],
+            "dataset": ["train", "--data", str(bad), "--hidden", "4", "--steps", "1"],
+            "report": ["ablate", "--model", str(paths["model"]), "--data",
+                       str(paths["data"]), "--report", str(bad), "--deploy"]}[kind]
+    capsys.readouterr()
+    assert main(argv + ["--out-prefix", str(tmp_path / "out")]) == 2
+    assert _error_line(capsys) == {
+        "checkpoint": f"error: corrupt checkpoint {bad}: JSON nested too deeply to parse",
+        "dataset": f"error: corrupt dataset {bad}: JSON nested too deeply to parse",
+        "report": "error: malformed range report: JSON nested too deeply to parse"}[kind]
     assert not list(tmp_path.glob("out*"))
 
 
