@@ -8,31 +8,46 @@ step then issues one product per entry of ``recurrent_names`` against the
 stacked recurrent weights (``recurrent_stacks``).  This is the cuDNN-style
 layout of Appleyard, Kocisky & Blunsom (2016), arXiv:1604.01946.
 
+The products keep that flat layout, ``(B, G*p)``, so each one is the same
+BLAS call, and rounds the same way, whatever the batch; everything
+elementwise runs gate-major.  A state is ``K = state_mult`` blocks ``(K, B,
+p)``: ``[h]`` for the linear recurrence and the GRU, ``[h, c]`` for the
+LSTM and ``[y, z]`` for the LEM cell; block 0 is the decoder-visible part.
+A field of ``k`` gates is ``(k, B, p)``.  So every gate and every state half
+is one contiguous ``(B, p)`` block, not a strided column slice, which NumPy
+would walk one row at a time.  A step's recurrent product moves to the gate
+blocks in one copy (``_activate``); a backward rule writes its gate
+gradients gate-major and moves them to the flat ``d_pre`` in one copy.
+
 Each cell kind provides:
 
 * ``param_shapes(d_in, p)``: ordered name -> shape map for initialization.
 * ``fields``: the per-step arrays its ``backward`` rule, ``step_jacobians``
-  and the weight gradients read beyond the states, as name -> width in
-  units of ``p``, in order (GRU ``zr``, ``n``, ``rh``; LSTM ``ifo``, ``g``,
-  ``hc``; LEM ``g``, ``tz``, ``ty``; none for the linear recurrence).
-* ``step(rec, state, proj, out)``: one batched transition ``(B, S) ->
-  (B, S)`` from the stacked recurrent weights ``rec`` and the step's input
-  parts ``proj`` (B, G*p).  It writes the new state and each field into
-  the targets ``out = (new, *fields)``, none of which may overlap
+  and the weight gradients read beyond the states, as name -> number of
+  gates, in order (GRU ``zr``, ``n``, ``rh``; LSTM ``act``: i, f, o, g and
+  tanh(c'); LEM ``gz``: g1, g2 and tanh of z's candidate, and ``ty``; none
+  for the linear recurrence).
+* ``step(rec, state, proj, out)``: one batched transition ``(K, B, p) ->
+  (K, B, p)`` from the stacked recurrent weights ``rec`` and the step's
+  input parts ``proj`` (B, G*p).  It writes the new state and each field
+  into the targets ``out = (new, *fields)``, none of which may overlap
   ``state``, and returns them.  The LEM step also takes its base step
   ``dt`` by keyword, from ``CellSpec.lem_dt``.  The forward pass supplies
   the targets (``SequenceModel._unroll``), so nothing is copied after a
   step.
-* ``views(prev, fields)``: the named arrays a step's cache holds (``h``,
-  ``z``, ``r``, ... as views of the previous state and the fields), for
-  any leading axes: one step, or all steps of a trace at once.
+* ``views(prev, fields)``: the named ``(B, p)`` blocks a step's cache holds
+  (``h``, ``z``, ``r``, ... of the previous state ``(K, B, p)`` and the
+  fields ``(k, B, p)``), for at most one leading axis: one step, or all
+  steps of a trace at once.
 * ``operands(states, fields)``: the left operands of the recurrent
-  products over all steps, as views of the state trajectory
-  ``(T+1, B, S)`` and the fields, one per entry of ``recurrent_names``.
+  products over all steps, as ``(T, B, p)`` views of a trace's states
+  ``(K, T+1, B, p)`` and fields ``(T, k, B, p)``, one per entry of
+  ``recurrent_names``.
 * ``step_jacobians(params, cache, w_x, out)``: exact Jacobians of every
   sequence's new state with respect to its previous state ``(B, S, S)`` and
-  an input ``x`` of width ``d`` ``(B, S, d)``, evaluated from a batched
-  cache.  ``w_x`` is ``d (stacked input parts) / d x``: the stacked input
+  an input ``x`` of width ``d`` ``(B, S, d)``, with ``S = K*p`` in block
+  order, evaluated from a batched cache.  ``w_x`` is ``d (stacked input
+  parts) / d x``: the stacked input
   weights ``(G*p, d_in)`` for the cell input itself, or, for the model's
   observation behind an encoder, those weights times the encoder's
   derivative, ``(B, G*p, d)``.  Each gate's input block is a slice of it, so
@@ -49,17 +64,13 @@ Each cell kind provides:
 * ``backward(rec, cache, d_new, d_pre, d_prev)``: the recurrent part of the
   reverse-mode rule; writes the gradient of every gate pre-activation into
   ``d_pre`` (..., B, G*p) and the gradient with respect to the previous
-  state into ``d_prev`` (..., B, S).  It indexes trailing axes only, so an
-  adjoint ``d_new`` (..., B, S) with leading axes broadcasts against a
-  ``(B, .)`` step cache.  It serves training (BPTT), with no leading axes,
+  state into ``d_prev`` (..., K, B, p).  An adjoint ``d_new`` (..., K, B,
+  p) with one leading axis broadcasts against a step cache.  It serves
+  training (BPTT), with no leading axis,
   where weight gradients are products of ``d_pre`` with the cell inputs
   and the operands, taken over all steps at once by the caller, and
   final-output Jacobians, one leading row per output, where ``d_pre``
   times the stacked input weights is a row block of ``d y_T / d u_t``.
-
-States are flat vectors: plain hidden ``h`` for the linear recurrence and
-the GRU, ``[h, c]`` for the LSTM, and ``[y, z]`` for the LEM cell.  The
-first ``hidden_dim`` entries are always the decoder-visible part.
 
 The LEM (long expressive memory) transition, with elementwise gates and a
 fixed base step ``dt``, is:
@@ -86,15 +97,6 @@ class CellKind(enum.Enum):
     LEM = "lem"
 
 
-def _sigmoid(a, out=None):
-    # The tanh form has no exp to overflow in either tail.
-    s = np.multiply(a, 0.5, out=out)
-    np.tanh(s, out=s)
-    s *= 0.5
-    s += 0.5
-    return s
-
-
 def _diagonal(a):
     """Writable view ``(..., p)`` of the diagonals of a stack ``(..., p, p)``."""
     return np.einsum("...ii->...i", a)
@@ -109,6 +111,34 @@ def _gate_sum(coefs, weights, out) -> None:
     The contraction writes a fresh contiguous array, which is faster than
     writing a strided ``out`` directly."""
     out[...] = np.einsum("g...i,g...ij->...ij", coefs, np.array(weights))
+
+
+def _blocks(a) -> np.ndarray:
+    """The blocks of ``a`` (..., K, B, p) along its block axis, as views
+    (K, ..., B, p): a state's halves, or a field's gates.  With at most one
+    leading axis (all that callers pass), the others keep their order."""
+    return a.swapaxes(0, -3)
+
+
+def _gates(flat, G) -> np.ndarray:
+    """Gate-major view (..., G, B, p) of a flat ``(..., B, G*p)`` array."""
+    return flat.reshape(flat.shape[:-1] + (G, -1)).swapaxes(-3, -2)
+
+
+def _activate(a, out, n_sigmoid):
+    """Write into ``out`` (G, B, p) the activations of the stacked
+    pre-activations ``a`` (B, G*p): the sigmoid of the first ``n_sigmoid``
+    gates and the tanh of the others.  One copy lays ``a`` out gate-major,
+    so every op after it runs on contiguous blocks, and one tanh pass serves
+    all gates: the sigmoid takes the form ``tanh(x/2)/2 + 1/2``, which has no
+    exp to overflow in either tail."""
+    out[...] = _gates(a, len(out))
+    s = out[:n_sigmoid]
+    s *= 0.5
+    np.tanh(out, out=out)
+    s *= 0.5
+    s += 0.5
+    return out
 
 
 def stacked(params, names) -> np.ndarray:
@@ -137,18 +167,18 @@ class _LinearRec:
 
     @staticmethod
     def step(rec, state, proj, out):
-        new, = out
-        np.matmul(state, rec[0], out=new)
-        new += proj
-        return (new,)
+        h_new = out[0][0]
+        np.matmul(state[0], rec[0], out=h_new)
+        h_new += proj
+        return out
 
     @staticmethod
     def views(prev, fields):
-        return {"h": prev}
+        return {"h": prev[..., 0, :, :]}
 
     @staticmethod
     def operands(states, fields):
-        return (states[:-1],)
+        return (states[0, :-1],)
 
     @staticmethod
     def step_jacobians(params, cache, w_x, out):
@@ -158,8 +188,9 @@ class _LinearRec:
 
     @staticmethod
     def backward(rec, cache, d_new, d_pre, d_prev):
-        d_pre[...] = d_new
-        np.matmul(d_new, rec[0].T, out=d_prev)
+        d_h = d_new[..., 0, :, :]
+        d_pre[...] = d_h
+        np.matmul(d_h, rec[0].T, out=d_prev[..., 0, :, :])
 
 
 class _GRU:
@@ -181,32 +212,33 @@ class _GRU:
 
     @staticmethod
     def step(rec, state, proj, out):
-        new, zr, n, rh = out
-        h = state
+        zr = out[1]
+        h, h_new, n, rh = state[0], out[0][0], out[2][0], out[3][0]
         p = h.shape[-1]
-        np.matmul(h, rec[0], out=zr)
-        zr += proj[..., :2 * p]
-        _sigmoid(zr, out=zr)
-        np.multiply(zr[..., p:], h, out=rh)
+        a = h @ rec[0]
+        a += proj[..., :2 * p]
+        _activate(a, zr, 2)
+        z, r = zr[0], zr[1]
+        np.multiply(r, h, out=rh)
         np.matmul(rh, rec[1], out=n)
         n += proj[..., 2 * p:]
         np.tanh(n, out=n)
         # n + z * (h - n)
-        np.subtract(h, n, out=new)
-        new *= zr[..., :p]
-        new += n
-        return new, zr, n, rh
+        np.subtract(h, n, out=h_new)
+        h_new *= z
+        h_new += n
+        return out
 
     @staticmethod
     def views(prev, fields):
-        p = prev.shape[-1]
         zr = fields["zr"]
-        return {"h": prev, "zr": zr, "z": zr[..., :p], "r": zr[..., p:],
-                "n": fields["n"]}
+        z, r = _blocks(zr)
+        return {"h": prev[..., 0, :, :], "zr": zr, "z": z, "r": r,
+                "n": fields["n"][..., 0, :, :]}
 
     @staticmethod
     def operands(states, fields):
-        return states[:-1], fields["rh"]
+        return states[0, :-1], fields["rh"][:, 0]
 
     @staticmethod
     def step_jacobians(params, cache, w_x, out):
@@ -241,20 +273,23 @@ class _GRU:
 
     @staticmethod
     def backward(rec, cache, d_new, d_pre, d_prev):
-        h, zr, z, r, n = (cache[k] for k in ("h", "zr", "z", "r", "n"))
+        h, zr, z, r, n = cache["h"], cache["zr"], cache["z"], cache["r"], cache["n"]
         p = h.shape[-1]
-        dh = d_new * z
-        dan = d_pre[..., 2 * p:]
-        np.multiply(d_new - dh, 1.0 - n * n, out=dan)
+        d_h, d_prev = d_new[..., 0, :, :], d_prev[..., 0, :, :]
+        dh = d_h * z
+        gates = _gates(d_pre, 3)
+        d_gates = np.empty(gates.shape)
+        daz, dar, dan = d_gates[..., 0, :, :], d_gates[..., 1, :, :], d_gates[..., 2, :, :]
+        np.multiply(d_h - dh, 1.0 - n * n, out=dan)
         drh = dan @ rec[1].T
-        dzr = d_pre[..., :2 * p]
-        np.multiply(d_new, h - n, out=dzr[..., :p])
-        np.multiply(drh, h, out=dzr[..., p:])
-        dzr *= zr * (1.0 - zr)
+        np.multiply(d_h, h - n, out=daz)
+        np.multiply(drh, h, out=dar)
+        d_gates[..., :2, :, :] *= zr * (1.0 - zr)
+        gates[...] = d_gates
         # dh + drh * r + dzr @ Uzr
         np.multiply(drh, r, out=d_prev)
         d_prev += dh
-        d_prev += dzr @ rec[0].T
+        d_prev += d_pre[..., :2 * p] @ rec[0].T
 
 
 class _LSTM:
@@ -264,7 +299,7 @@ class _LSTM:
     input_names = ("Wi", "Wf", "Wo", "Wg")
     bias_names = ("bi", "bf", "bo", "bg")
     recurrent_names = (("Ui", "Uf", "Uo", "Ug"),)
-    fields = {"ifo": 3, "g": 1, "hc": 1}
+    fields = {"act": 5}
 
     @staticmethod
     def param_shapes(d_in, p):
@@ -277,32 +312,29 @@ class _LSTM:
 
     @staticmethod
     def step(rec, state, proj, out):
-        new, ifo, g, hc = out
-        p = state.shape[-1] // 2
-        h, c = state[..., :p], state[..., p:]
+        new, act = out
+        h, c, h_new, c_new = state[0], state[1], new[0], new[1]
         a = h @ rec[0]
         a += proj
-        _sigmoid(a[..., :3 * p], out=ifo)
-        np.tanh(a[..., 3 * p:], out=g)
+        _activate(a, act[:4], 3)
+        i, f, o, g, hc = act[0], act[1], act[2], act[3], act[4]
         # c' = f * c + i * g, h' = o * tanh(c')
-        c_new = new[..., p:]
-        np.multiply(ifo[..., p:2 * p], c, out=c_new)
-        c_new += ifo[..., :p] * g
+        np.multiply(f, c, out=c_new)
+        c_new += i * g
         np.tanh(c_new, out=hc)
-        np.multiply(ifo[..., 2 * p:], hc, out=new[..., :p])
-        return new, ifo, g, hc
+        np.multiply(o, hc, out=h_new)
+        return out
 
     @staticmethod
     def views(prev, fields):
-        p = prev.shape[-1] // 2
-        ifo = fields["ifo"]
-        return {"h": prev[..., :p], "c": prev[..., p:], "ifo": ifo,
-                "i": ifo[..., :p], "f": ifo[..., p:2 * p], "o": ifo[..., 2 * p:],
-                "g": fields["g"], "hc": fields["hc"]}
+        act = fields["act"]
+        (h, c), (i, f, o, g, hc) = _blocks(prev), _blocks(act)
+        return {"h": h, "c": c, "ifo": act[..., :3, :, :], "i": i, "f": f, "o": o,
+                "g": g, "hc": hc, "ghc": act[..., 3:, :, :]}
 
     @staticmethod
     def operands(states, fields):
-        return (states[:-1, :, :states.shape[-1] // 2],)
+        return (states[0, :-1],)
 
     @staticmethod
     def step_jacobians(params, cache, w_x, out):
@@ -328,19 +360,25 @@ class _LSTM:
 
     @staticmethod
     def backward(rec, cache, d_new, d_pre, d_prev):
-        c, ifo, i, f, o, g, hc = (
-            cache[k] for k in ("c", "ifo", "i", "f", "o", "g", "hc"))
-        p = c.shape[-1]
-        dh_new, dc_ext = d_new[..., :p], d_new[..., p:]
-        dcn = dc_ext + dh_new * o * (1.0 - hc * hc)
-        difo = d_pre[..., :3 * p]
-        np.multiply(dcn, g, out=difo[..., :p])
-        np.multiply(dcn, c, out=difo[..., p:2 * p])
-        np.multiply(dh_new, hc, out=difo[..., 2 * p:])
-        difo *= ifo * (1.0 - ifo)
-        np.multiply(dcn * i, 1.0 - g * g, out=d_pre[..., 3 * p:])
-        np.matmul(d_pre, rec[0].T, out=d_prev[..., :p])
-        np.multiply(dcn, f, out=d_prev[..., p:])
+        c, ifo, i, f, o, g, hc, ghc = (cache["c"], cache["ifo"], cache["i"], cache["f"],
+                                       cache["o"], cache["g"], cache["hc"], cache["ghc"])
+        # The tanh derivatives 1 - g^2 and 1 - tanh(c')^2 in one pass.
+        d_tanh = 1.0 - ghc * ghc
+        dh_new, dc_ext = d_new[..., 0, :, :], d_new[..., 1, :, :]
+        dcn = dc_ext + dh_new * o * d_tanh[1]
+        gates = _gates(d_pre, 4)
+        d_gates = np.empty(gates.shape)
+        dai, daf, dao, dag = (d_gates[..., 0, :, :], d_gates[..., 1, :, :],
+                              d_gates[..., 2, :, :], d_gates[..., 3, :, :])
+        np.multiply(dcn, g, out=dai)
+        np.multiply(dcn, c, out=daf)
+        np.multiply(dh_new, hc, out=dao)
+        d_gates[..., :3, :, :] *= ifo * (1.0 - ifo)
+        np.multiply(dcn * i, d_tanh[0], out=dag)
+        gates[...] = d_gates
+        dh_prev, dc_prev = d_prev[..., 0, :, :], d_prev[..., 1, :, :]
+        np.matmul(d_pre, rec[0].T, out=dh_prev)
+        np.multiply(dcn, f, out=dc_prev)
 
 
 class _LEM:
@@ -350,7 +388,7 @@ class _LEM:
     input_names = ("V1", "V2", "Vz", "Vy")
     bias_names = ("b1", "b2", "bz", "by")
     recurrent_names = (("W1", "W2", "Wz"), ("Wy",))
-    fields = {"g": 2, "tz": 1, "ty": 1}
+    fields = {"gz": 3, "ty": 1}
 
     @staticmethod
     def param_shapes(d_in, p):
@@ -363,38 +401,34 @@ class _LEM:
 
     @staticmethod
     def step(rec, state, proj, out, *, dt):
-        new, g, tz, ty = out
-        p = state.shape[-1] // 2
-        y, z = state[..., :p], state[..., p:]
+        new, gz, ty = out
+        y, z, y_new, z_new, ty = state[0], state[1], new[0], new[1], ty[0]
+        p = y.shape[-1]
         a = y @ rec[0]
         a += proj[..., :3 * p]
-        _sigmoid(a[..., :2 * p], out=g)
-        np.tanh(a[..., 2 * p:], out=tz)
-        dt1 = dt * g[..., :p]
-        z_new = new[..., p:]
+        _activate(a, gz, 2)
+        g1, g2, tz = gz[0], gz[1], gz[2]
+        dt1 = dt * g1
         np.multiply(1.0 - dt1, z, out=z_new)
         z_new += dt1 * tz
         np.matmul(z_new, rec[1], out=ty)
         ty += proj[..., 3 * p:]
         np.tanh(ty, out=ty)
-        dt2 = dt * g[..., p:]
-        y_new = new[..., :p]
+        dt2 = dt * g2
         np.multiply(1.0 - dt2, y, out=y_new)
         y_new += dt2 * ty
-        return new, g, tz, ty
+        return out
 
     @staticmethod
     def views(prev, fields):
-        p = prev.shape[-1] // 2
-        g = fields["g"]
-        return {"y": prev[..., :p], "z": prev[..., p:], "g": g,
-                "g1": g[..., :p], "g2": g[..., p:], "tz": fields["tz"],
-                "ty": fields["ty"]}
+        gz = fields["gz"]
+        (y, z), (g1, g2, tz) = _blocks(prev), _blocks(gz)
+        return {"y": y, "z": z, "g": gz[..., :2, :, :], "g1": g1, "g2": g2, "tz": tz,
+                "ty": fields["ty"][..., 0, :, :]}
 
     @staticmethod
     def operands(states, fields):
-        p = states.shape[-1] // 2
-        return states[:-1, :, :p], states[1:, :, p:]
+        return states[0, :-1], states[1, 1:]
 
     @staticmethod
     def step_jacobians(params, cache, w_x, out):
@@ -425,22 +459,27 @@ class _LEM:
     @staticmethod
     def backward(rec, cache, d_new, d_pre, d_prev):
         y, z, g, g1, g2, tz, ty = (
-            cache[k] for k in ("y", "z", "g", "g1", "g2", "tz", "ty"))
+            cache["y"], cache["z"], cache["g"], cache["g1"], cache["g2"], cache["tz"],
+            cache["ty"])
         dt = cache["dt"]
         p = y.shape[-1]
-        dy_new, dz_ext = d_new[..., :p], d_new[..., p:]
+        dy_new, dz_ext = d_new[..., 0, :, :], d_new[..., 1, :, :]
         dt1, dt2 = dt * g1, dt * g2
-        day = d_pre[..., 3 * p:]
+        gates = _gates(d_pre, 4)
+        d_gates = np.empty(gates.shape)
+        da1, da2, daz, day = (d_gates[..., 0, :, :], d_gates[..., 1, :, :],
+                              d_gates[..., 2, :, :], d_gates[..., 3, :, :])
         np.multiply(dy_new * dt2, 1.0 - ty * ty, out=day)
         dz_new = dz_ext + day @ rec[1].T
-        np.multiply(dz_new * dt1, 1.0 - tz * tz, out=d_pre[..., 2 * p:3 * p])
-        dg = d_pre[..., :2 * p]
-        np.multiply(dz_new, tz - z, out=dg[..., :p])
-        np.multiply(dy_new, ty - y, out=dg[..., p:])
-        dg *= dt * g * (1.0 - g)
-        np.matmul(d_pre[..., :3 * p], rec[0].T, out=d_prev[..., :p])
-        d_prev[..., :p] += dy_new * (1.0 - dt2)
-        np.multiply(dz_new, 1.0 - dt1, out=d_prev[..., p:])
+        np.multiply(dz_new * dt1, 1.0 - tz * tz, out=daz)
+        np.multiply(dz_new, tz - z, out=da1)
+        np.multiply(dy_new, ty - y, out=da2)
+        d_gates[..., :2, :, :] *= dt * g * (1.0 - g)
+        gates[...] = d_gates
+        dy_prev, dz_prev = d_prev[..., 0, :, :], d_prev[..., 1, :, :]
+        np.matmul(d_pre[..., :3 * p], rec[0].T, out=dy_prev)
+        dy_prev += dy_new * (1.0 - dt2)
+        np.multiply(dz_new, 1.0 - dt1, out=dz_prev)
 
 
 _IMPLS = {

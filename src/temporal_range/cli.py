@@ -25,7 +25,7 @@ from pathlib import Path
 from . import __version__
 from .ablation import (ablation_sweep, curve_csv, deployment_windows,
                        sweep_with_deployment)
-from .errors import SpecError, TemporalRangeError
+from .errors import FormatError, SpecError, TemporalRangeError
 from .gradients import JacobianMode
 from .linalg import NormKind, Rng
 from .metric import (Aggregation, TRConfig, analyze, artifact_json,
@@ -245,7 +245,12 @@ def _cmd_ablate(args) -> int:
         raise SpecError(f"--windows: {exc}") from None
     report = None
     if args.report:
-        report = report_from_json(Path(args.report).read_bytes())
+        try:
+            report = report_from_json(Path(args.report).read_bytes())
+        except FormatError as exc:
+            # The loader reads text; only the command knows the file's name.
+            raise FormatError(str(exc).replace("range report:", f"range report {args.report}:",
+                                               1)) from None
         if args.deploy:
             deployment_windows(report)  # rejects a degenerate report before the sweep
     model = load_model(args.model)

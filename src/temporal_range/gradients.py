@@ -160,10 +160,11 @@ def multi_output_blocks(model: SequenceModel, X):
 
 def final_output_blocks(model: SequenceModel, X) -> np.ndarray:
     """Blocks ``J[T, t]`` of a batch ``X`` (R, T, d), shape (R, T, c, d), by
-    reverse accumulation: the adjoint ``d y_T / d state_t`` (c, R, S), one
-    leading row per output, starts at the decoder rows and goes back through
-    the trace's steps by the cell's ``backward`` rule, which broadcasts it
-    against each step's ``(R, .)`` cache.  Each step's gate gradients times
+    reverse accumulation: the adjoint ``d y_T / d state_t`` (c, K, R, p), one
+    leading row per output, in the state's ``K`` blocks, starts at the
+    decoder rows and goes back through the trace's steps by the cell's
+    ``backward`` rule, which broadcasts it against each step's ``(R, p)``
+    cache blocks.  Each step's gate gradients times
     the stacked input weights (and the encoder's derivative) give ``J[T, t]``.
     Every step's adjoint is kept in one buffer, which is checked once after
     the pass, as ``batch_param_gradients`` does.
@@ -182,8 +183,9 @@ def final_output_blocks(model: SequenceModel, X) -> np.ndarray:
     w_in = stacked(params, impl.input_names)
     _, _, trace = model.forward_batch(X)
     # adjoints[t] is d y_T / d state_t; adjoints[T] holds the decoder rows.
-    adjoints = np.empty((T + 1, c, R, model.state_dim))
-    adjoints[T] = _decoder_rows(model)[:, None]
+    adjoints = np.empty((T + 1, c, impl.state_mult, R, model.cell.hidden_dim))
+    adjoints[T] = 0.0
+    adjoints[T, :, 0] = params["dec_W"][:, None]
     d_pre = np.empty((c, R, w_in.shape[0]))
     blocks = np.empty((R, T, c, d))
     # Overflow here is caught by the finiteness check below.
@@ -197,7 +199,7 @@ def final_output_blocks(model: SequenceModel, X) -> np.ndarray:
             blocks[:, t - 1] = np.swapaxes(block, 0, 1)
     # Step t fails on its block or, for t > 1, on the adjoint it hands on.
     bad = ~np.isfinite(blocks).all(axis=(0, 2, 3))
-    bad[1:] |= ~np.isfinite(adjoints[1:T]).all(axis=(1, 2, 3))
+    bad[1:] |= ~np.isfinite(adjoints[1:T]).all(axis=(1, 2, 3, 4))
     if bad.any():
         # The loop reaches the latest such step first.
         raise NumericalError(f"non-finite adjoint at step t={np.flatnonzero(bad)[-1] + 1}")
@@ -307,21 +309,21 @@ def batch_param_gradients(model: SequenceModel, X, step_grads,
     T, B = d_read.shape[:2]
     d_pre = np.empty((T, B, len(impl.input_names) * p))
     # adjoint[t] is d loss / d state_t through step t+1's rule.
-    adjoint = np.empty((T, B, model.state_dim))
-    d_new = np.zeros((B, model.state_dim))
+    adjoint = np.empty((T, impl.state_mult, B, p))
+    d_new = np.zeros(adjoint.shape[1:])
     # Overflow here is caught by the finiteness check below.
     with np.errstate(over="ignore", invalid="ignore"):
         for t, cache in zip(range(T - 1, -1, -1), reversed(trace.steps)):
-            d_new[:, :p] += d_read[t]
+            d_new[0] += d_read[t]
             impl.backward(rec, cache, d_new, d_pre[t], adjoint[t])
             d_new[...] = adjoint[t]
-    finite = np.isfinite(adjoint).all(axis=(1, 2))
+    finite = np.isfinite(adjoint).all(axis=(1, 2, 3))
     if not finite.all():
         # The loop reaches the latest such step first.
         s = np.flatnonzero(~finite)[-1] + 1
         raise NumericalError(f"non-finite adjoint at step s={s}")
     rows_pre = _rows(d_pre)
-    grads = {"dec_W": _rows(dY).T @ _rows(trace.states[1:, :, :p]),
+    grads = {"dec_W": _rows(dY).T @ _rows(trace.states[0, 1:]),
              "dec_b": _rows(dY).sum(axis=0)}
     _split(grads, impl.input_names, rows_pre.T @ _rows(trace.inputs))
     _split(grads, impl.bias_names, rows_pre.sum(axis=0))

@@ -283,6 +283,8 @@ def report_from_json(text: str | bytes) -> TemporalRangeReport:
                 f"unsupported report schema {doc['schema']!r} "
                 f"(expected {REPORT_SCHEMA_VERSION})")
         cfg_doc = doc["config"]
+        if type(cfg_doc) is not dict:
+            raise ValueError(f"config must be a JSON object, got {json.dumps(cfg_doc)}")
         cfg = TRConfig(norm=NormKind(cfg_doc["norm"]),
                        aggregation=Aggregation(cfg_doc["aggregation"]),
                        mode=JacobianMode(cfg_doc["mode"]),

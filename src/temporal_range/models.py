@@ -15,6 +15,7 @@ checkpoints, one hex-float string per value, still load.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -78,26 +79,33 @@ class CellSpec:
 @dataclasses.dataclass
 class Trace:
     """What a forward pass keeps for the backward pass and the Jacobian
-    engine, time-major over its T steps of B sequences: the cell inputs
-    ``(T, B, d_in)``, the states ``(T+1, B, S)`` from the zero initial
-    state, and one buffer ``(T, B, k)`` per field of the cell
+    engine over its T steps of B sequences: the cell inputs ``(T, B,
+    d_in)``, the states ``(K, T+1, B, p)`` from the zero initial state, in
+    ``K = state_mult`` blocks of width ``p`` (``[h]``, ``[h, c]`` or ``[y,
+    z]``), and one buffer ``(T, k, B, p)`` per field of ``k`` gates
     (``cells``), which each step wrote in place along with its new state.
+    The states are block-major, so a block's rows over all steps are one
+    ``(T*B, p)`` view, the left operand of a weight gradient; the fields
+    are step-major, so each step's gates are one contiguous block for the
+    elementwise ops of its rules.
 
     ``steps[t]`` is step ``t+1``'s cache: the cell's named views of its
-    previous state and its fields, plus the cell's constant arguments.
-    Training's backward pass and final-output Jacobians both walk these
-    caches; neither copies a row of them.  ``operands`` are the left
-    operands of the recurrent products over all steps, as views of the
-    same buffers."""
+    previous state and its fields, plus the cell's constant arguments,
+    built once per trace.  Training's backward pass and final-output
+    Jacobians both walk these caches; neither copies a row of them.
+    ``operands`` are the left operands of the recurrent products over all
+    steps, as views of the same buffers."""
 
     cell: CellSpec
     inputs: np.ndarray
     states: np.ndarray
     fields: dict[str, np.ndarray]
 
-    @property
+    @functools.cached_property
     def steps(self) -> list[dict]:
-        views = cell_impl(self.cell.kind).views(self.states[:-1], self.fields)
+        # Step-major states, so the cell's views index each step's blocks.
+        views = cell_impl(self.cell.kind).views(
+            self.states[:, :-1].swapaxes(0, 1), self.fields)
         return [dict(zip(views, step), **self.cell.step_kwargs)
                 for step in zip(*views.values())]
 
@@ -142,11 +150,10 @@ class SequenceModel:
             return X
         return np.tanh(X @ self.params["enc_W"].T + self.params["enc_b"])
 
-    def decode(self, states):
-        """Decoder readout from rows of states ``(..., S)`` to outputs
-        ``(..., c)``."""
-        p = self.cell.hidden_dim
-        return states[..., :p] @ self.params["dec_W"].T + self.params["dec_b"]
+    def decode(self, h):
+        """Decoder readout from rows ``(..., p)`` of the decoder-visible
+        state block to outputs ``(..., c)``."""
+        return h @ self.params["dec_W"].T + self.params["dec_b"]
 
     def forward_batch(self, X):
         """Run a real batch ``(B, T, d)``; returns outputs, states and the
@@ -159,21 +166,23 @@ class SequenceModel:
         arithmetic at step ``t`` does not depend on the sequence length: a
         prefix run reproduces the full run's outputs bit for bit.  The
         trace's buffers are allocated once per pass; each step writes its
-        new state and fields into its slice of them.
+        new state and fields into its slice of them.  The states are
+        returned as ``(B, T+1, S)``, the trace's blocks side by side.
         """
         X = self._check_batch(X)
         if np.iscomplexobj(X):
             raise SpecError("forward_batch is real-valued; complex passes run in outputs")
         B, T, _ = X.shape
         p = self.cell.hidden_dim
-        fields = cell_impl(self.cell.kind).fields
+        impl = cell_impl(self.cell.kind)
         trace = Trace(cell=self.cell, inputs=np.empty((T, B, self.cell_input_dim)),
-                      states=np.zeros((T + 1, B, self.state_dim)),
-                      fields={k: np.empty((T, B, w * p)) for k, w in fields.items()})
+                      states=np.zeros((impl.state_mult, T + 1, B, p)),
+                      fields={k: np.empty((T, w, B, p)) for k, w in impl.fields.items()})
         for _ in self._unroll(X, trace=trace):
             pass
-        ys = self.decode(trace.states[1:])
-        return np.swapaxes(ys, 0, 1), np.swapaxes(trace.states, 0, 1), trace
+        ys = self.decode(trace.states[0, 1:])
+        states = trace.states.transpose(2, 1, 0, 3).reshape(B, T + 1, self.state_dim)
+        return np.swapaxes(ys, 0, 1), states, trace
 
     def outputs(self, X):
         """``forward_batch(X)[0]`` bit for bit, keeping neither the trace
@@ -185,12 +194,12 @@ class SequenceModel:
         dtype = np.result_type(X, *self.params.values())
         ys = np.empty((X.shape[1], X.shape[0], self.output_dim), dtype)
         for t, state in enumerate(self._unroll(X, dtype)):
-            ys[t] = self.decode(state)
+            ys[t] = self.decode(state[0])
         return np.swapaxes(ys, 0, 1)
 
     def _unroll(self, X, dtype=np.float64, trace: Trace | None = None):
-        """Yield each step's new state over a checked batch ``X``.  Cell
-        inputs and every gate's input part are computed
+        """Yield each step's new state ``(K, B, p)`` over a checked batch
+        ``X``.  Cell inputs and every gate's input part are computed
         ``UNROLL_CHUNK_STEPS`` steps at a time, as stacked products over the
         time-major observations.  With a ``trace``, the cell inputs, each
         new state and each field are written into its buffers.  Without
@@ -206,12 +215,13 @@ class SequenceModel:
         X_tm = np.swapaxes(X, 0, 1)
         if trace is None:
             B, p = X.shape[0], self.cell.hidden_dim
-            state = np.zeros((B, self.state_dim), dtype=dtype)
-            fields = [np.empty((B, w * p), dtype=dtype) for w in impl.fields.values()]
-            targets = itertools.cycle([(new, *fields) for new
-                                       in np.empty((2, B, self.state_dim), dtype=dtype)])
+            state = np.zeros((impl.state_mult, B, p), dtype=dtype)
+            fields = [np.empty((w, B, p), dtype=dtype) for w in impl.fields.values()]
+            targets = itertools.cycle([(new, *fields) for new in np.empty(
+                (2, impl.state_mult, B, p), dtype=dtype)])
         else:
-            state, targets = trace.states[0], zip(trace.states[1:], *trace.fields.values())
+            state = trace.states[:, 0]
+            targets = zip(trace.states[:, 1:].swapaxes(0, 1), *trace.fields.values())
         for t0 in range(0, X_tm.shape[0], UNROLL_CHUNK_STEPS):
             U = self.encode(X_tm[t0:t0 + UNROLL_CHUNK_STEPS])
             if trace is not None:
@@ -383,6 +393,9 @@ def load_model(path) -> SequenceModel:
                               f"got {json.dumps(doc['params'])}")
         params = {}
         for name, entry in doc["params"].items():
+            if type(entry) is not dict:
+                raise FormatError(f"malformed checkpoint {path}: parameter {name!r} must be "
+                                  f"a JSON object, got {json.dumps(entry)}")
             shape = entry["shape"]
             if not (type(shape) is list and all(type(s) is int and s >= 0 for s in shape)):
                 raise FormatError(f"malformed checkpoint {path}: parameter {name!r} shape "

@@ -425,7 +425,7 @@ def test_deploy_report_with_a_non_finite_or_out_of_range_rho_hat_is_an_input_err
     assert main(["ablate", "--model", str(tmp_path / "m.json"), "--data", str(data),
                  "--report", str(tmp_path / "r.json"), "--deploy",
                  "--out-prefix", str(tmp_path / "a")]) == 2
-    assert _error_line(capsys) == f"error: malformed range report: {message}"
+    assert _error_line(capsys) == f"error: malformed range report {tmp_path / 'r.json'}: {message}"
     assert not list(tmp_path.glob("a.*"))
 
 
@@ -488,7 +488,7 @@ def test_report_whose_fields_disagree_is_an_input_error(tmp_path, capsys, case):
     capsys.readouterr()
     assert main(["ablate", "--model", str(paths["model"]), "--data", str(paths["data"]),
                  "--report", str(bad), "--deploy", "--out-prefix", str(tmp_path / "a")]) == 2
-    assert _error_line(capsys) == f"error: malformed range report: {message}"
+    assert _error_line(capsys) == f"error: malformed range report {bad}: {message}"
     assert not list(tmp_path.glob("a.*"))
 
 
@@ -507,7 +507,20 @@ def test_document_that_is_not_a_report_is_an_input_error(tmp_path, capsys, case,
     capsys.readouterr()
     assert main(["ablate", "--model", str(paths["model"]), "--data", str(paths["data"]),
                  "--report", str(bad), "--deploy", "--out-prefix", str(tmp_path / "a")]) == 2
-    assert _error_line(capsys) == f"error: malformed range report: {message}"
+    assert _error_line(capsys) == f"error: malformed range report {bad}: {message}"
+    assert not list(tmp_path.glob("a.*"))
+
+
+def test_ablate_names_the_report_file_it_cannot_read(tmp_path, capsys):
+    # The checkpoint and dataset errors name their files; a report error
+    # used to say only "malformed range report: ...".
+    paths = _chain_inputs(tmp_path)
+    bad = tmp_path / "renamed.report.json"
+    bad.write_text(paths["report"].read_text().replace('"n_rollouts": ', '"n_rollouts": -'))
+    assert main(["ablate", "--model", str(paths["model"]), "--data", str(paths["data"]),
+                 "--report", str(bad), "--out-prefix", str(tmp_path / "a")]) == 2
+    line = _error_line(capsys)
+    assert line.startswith(f"error: malformed range report {bad}: n_rollouts must be")
     assert not list(tmp_path.glob("a.*"))
 
 
@@ -833,6 +846,10 @@ V2_CHECKPOINT_CORRUPTIONS = {
                       "malformed checkpoint {path}: params must be a JSON object, got []"),
     "params a string": (lambda doc: doc.update(params="x"),
                         'malformed checkpoint {path}: params must be a JSON object, got "x"'),
+    # Used to print "list indices must be integers or slices, not str".
+    "parameter a list": (lambda doc: doc["params"].update(A=[]),
+                         "malformed checkpoint {path}: parameter 'A' must be a JSON object, "
+                         "got []"),
 }
 
 
@@ -975,8 +992,8 @@ def test_input_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys, kind):
                       "invalid start byte at byte offset 0",
         "dataset": f"error: corrupt dataset {bad}: not UTF-8 text, "
                    "invalid start byte at byte offset 0",
-        "report": "error: malformed range report: 'utf-8' codec can't decode byte 0xff "
-                  "in position 0: invalid start byte"}[kind]
+        "report": f"error: malformed range report {bad}: 'utf-8' codec can't decode byte "
+                  "0xff in position 0: invalid start byte"}[kind]
     assert not list(tmp_path.glob("out*"))
 
 
@@ -995,7 +1012,7 @@ def test_input_file_nested_too_deeply_is_an_input_error(tmp_path, capsys, kind):
     assert _error_line(capsys) == {
         "checkpoint": f"error: corrupt checkpoint {bad}: JSON nested too deeply to parse",
         "dataset": f"error: corrupt dataset {bad}: JSON nested too deeply to parse",
-        "report": "error: malformed range report: JSON nested too deeply to parse"}[kind]
+        "report": f"error: malformed range report {bad}: JSON nested too deeply to parse"}[kind]
     assert not list(tmp_path.glob("out*"))
 
 

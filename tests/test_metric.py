@@ -286,6 +286,8 @@ def test_report_with_a_non_finite_or_out_of_range_value_is_a_format_error(key, v
 
 @pytest.mark.parametrize("key, value, message", [
     ("T", 6.9, "T must be an integer in [2, inf], got 6.9"),
+    # Used to say "list indices must be integers or slices, not str".
+    ("config", [], "config must be a JSON object, got []"),
     ("n_rollouts", 2.5, "n_rollouts must be an integer in [1, inf], got 2.5"),
     ("n_rollouts", 0, "n_rollouts must be an integer in [1, inf], got 0"),
     ("n_rollouts", 7, "per_rollout_rho must be a list of 7 numbers, got 1 entries"),

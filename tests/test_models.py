@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from temporal_range.cells import _sigmoid, cell_impl, recurrent_stacks, stacked
+from temporal_range.cells import _activate, cell_impl, recurrent_stacks, stacked
 from temporal_range.errors import FormatError, ShapeMismatch, SpecError, VersionError
 from temporal_range.linalg import Rng
 from temporal_range.models import (UNROLL_CHUNK_STEPS, CellKind, CellSpec,
@@ -104,22 +104,28 @@ def test_trace_buffers_equal_a_step_by_step_recomputation(kind, encoder_dim):
     # previous state must give the new state and fields the forward pass
     # wrote in place.  T spans two full chunks and a short one.
     model = init_model(_spec(kind, 3, 5), 2, Rng(25), encoder_dim=encoder_dim)
-    X = np.asarray(Rng(26).gaussian(size=(4, 2 * UNROLL_CHUNK_STEPS + 5, 3)))
+    B, T, p = 4, 2 * UNROLL_CHUNK_STEPS + 5, 5
+    X = np.asarray(Rng(26).gaussian(size=(B, T, 3)))
     _, states, trace = model.forward_batch(X)
     impl = cell_impl(kind)
     rec = recurrent_stacks(impl, model.params)
     W = stacked(model.params, impl.input_names).T
+    K = impl.state_mult
     assert list(trace.fields) == list(impl.fields)
-    assert np.array_equal(trace.states, np.swapaxes(states, 0, 1))
-    assert not trace.states[0].any()
-    for t in range(X.shape[1]):
+    assert trace.states.shape == (K, T + 1, B, p)
+    assert {k: f.shape for k, f in trace.fields.items()} == {
+        k: (T, w, B, p) for k, w in impl.fields.items()}
+    # The returned states are the trace's blocks side by side.
+    assert np.array_equal(trace.states, states.reshape(B, T + 1, K, p).transpose(2, 1, 0, 3))
+    assert not trace.states[:, 0].any()
+    for t in range(T):
         u = model.encode(X[:, t])
         assert u.tobytes() == trace.inputs[t].tobytes()
         proj = u @ W
         if impl.bias_names:
             proj += np.concatenate([model.params[n] for n in impl.bias_names])
-        want = (trace.states[t + 1], *(f[t] for f in trace.fields.values()))
-        got = impl.step(rec, trace.states[t], proj, tuple(map(np.empty_like, want)),
+        want = (trace.states[:, t + 1], *(f[t] for f in trace.fields.values()))
+        got = impl.step(rec, trace.states[:, t], proj, tuple(map(np.empty_like, want)),
                         **model.cell.step_kwargs)
         assert len(got) == len(want)
         for a, b in zip(got, want):
@@ -136,14 +142,19 @@ def test_backward_broadcasts_an_adjoint_over_leading_axes(kind):
     rec = recurrent_stacks(impl, model.params)
     cache = trace.steps[1]
     c, G = 3, len(impl.input_names) * model.cell.hidden_dim
-    d_new = np.asarray(Rng(29).gaussian(size=(c, 4, model.state_dim)))
+    d_new = np.asarray(Rng(29).gaussian(size=(c, impl.state_mult, 4, model.cell.hidden_dim)))
     d_pre, d_prev = np.empty((c, 4, G)), np.empty_like(d_new)
     impl.backward(rec, cache, d_new, d_pre, d_prev)
     for j in range(c):
-        want_pre, want_prev = np.empty((4, G)), np.empty((4, model.state_dim))
+        want_pre, want_prev = np.empty((4, G)), np.empty_like(d_new[j])
         impl.backward(rec, cache, d_new[j], want_pre, want_prev)
         assert d_pre[j].tobytes() == want_pre.tobytes(), j
         assert d_prev[j].tobytes() == want_prev.tobytes(), j
+
+
+def _sigmoid(a):
+    """The cells' sigmoid of a 1-D array: one gate, one row."""
+    return _activate(a[None], np.empty((1, 1, a.size)), 1)[0, 0]
 
 
 def test_sigmoid_tails_are_finite_and_silent():
@@ -157,6 +168,17 @@ def test_sigmoid_tails_are_finite_and_silent():
 def test_sigmoid_matches_the_logistic_function():
     a = np.linspace(-30.0, 30.0, 6001)
     assert np.max(np.abs(_sigmoid(a) - 1.0 / (1.0 + np.exp(-a)))) <= 1e-15
+
+
+def test_gate_activations_are_the_sigmoid_and_the_tanh_of_each_gate():
+    # Gates i, f, o of an LSTM through the sigmoid, g through the tanh, from
+    # the stacked (B, 4p) pre-activations.
+    a = np.asarray(Rng(30).gaussian(size=(3, 4 * 5)))
+    out = _activate(a, np.empty((4, 3, 5)), 3)
+    for k in range(4):
+        gate = a[:, 5 * k:5 * (k + 1)]
+        want = np.tanh(gate) if k == 3 else np.array([_sigmoid(row) for row in gate])
+        assert out[k].tobytes() == want.tobytes(), k
 
 
 def test_causality_future_perturbations_do_not_change_past_outputs():
