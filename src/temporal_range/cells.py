@@ -21,7 +21,8 @@ gradients gate-major and moves them to the flat ``d_pre`` in one copy.
 
 Each cell kind provides:
 
-* ``param_shapes(d_in, p)``: ordered name -> shape map for initialization.
+* ``param_order``: its parameter names in initialization order; each one's
+  shape follows from its role (``param_shapes``).
 * ``fields``: the per-step arrays its ``backward`` rule, ``step_jacobians``
   and the weight gradients read beyond the states, as name -> number of
   gates, in order (GRU ``zr``, ``n``, ``rh``; LSTM ``act``: i, f, o, g and
@@ -31,46 +32,42 @@ Each cell kind provides:
   (K, B, p)`` from the stacked recurrent weights ``rec`` and the step's
   input parts ``proj`` (B, G*p).  It writes the new state and each field
   into the targets ``out = (new, *fields)``, none of which may overlap
-  ``state``, and returns them.  The LEM step also takes its base step
-  ``dt`` by keyword, from ``CellSpec.lem_dt``.  The forward pass supplies
-  the targets (``SequenceModel._unroll``), so nothing is copied after a
-  step.
-* ``views(prev, fields)``: the named ``(B, p)`` blocks a step's cache holds
-  (``h``, ``z``, ``r``, ... of the previous state ``(K, B, p)`` and the
-  fields ``(k, B, p)``), for at most one leading axis: one step, or all
-  steps of a trace at once.
+  ``state``, and returns them.  The forward pass supplies the targets
+  (``SequenceModel._unroll``), so nothing is copied after a step.
 * ``operands(states, fields)``: the left operands of the recurrent
   products over all steps, as ``(T, B, p)`` views of a trace's states
   ``(K, T+1, B, p)`` and fields ``(T, k, B, p)``, one per entry of
   ``recurrent_names``.
-* ``step_jacobians(params, cache, w_x, out)``: exact Jacobians of every
-  sequence's new state with respect to its previous state ``(B, S, S)`` and
-  an input ``x`` of width ``d`` ``(B, S, d)``, with ``S = K*p`` in block
-  order, evaluated from a batched cache.  ``w_x`` is ``d (stacked input
-  parts) / d x``: the stacked input
-  weights ``(G*p, d_in)`` for the cell input itself, or, for the model's
-  observation behind an encoder, those weights times the encoder's
-  derivative, ``(B, G*p, d)``.  Each gate's input block is a slice of it, so
-  the input factor is built in the observation's width.  The factors are
-  written into ``out = (j_state, j_input)``, which the caller allocates
-  once per pass, ``j_state`` zero-filled: every step rewrites all entries
-  but the LSTM's and LEM's structural zeros, so a step's factors stay
-  valid until the next step.  A row block that sums row-scaled gate
-  weights (LSTM ``dc``: gates f, i, g; LEM ``dz/dy``: gates 1, z) is one
-  contraction over a stacked gate axis (``_gate_sum``).  The linear
-  recurrence returns broadcast views of its weights and leaves ``out``
-  alone.  Only forward-mode sensitivities (multi-output Jacobians) use
-  these factors.
-* ``backward(rec, cache, d_new, d_pre, d_prev)``: the recurrent part of the
-  reverse-mode rule; writes the gradient of every gate pre-activation into
-  ``d_pre`` (..., B, G*p) and the gradient with respect to the previous
-  state into ``d_prev`` (..., K, B, p).  An adjoint ``d_new`` (..., K, B,
-  p) with one leading axis broadcasts against a step cache.  It serves
-  training (BPTT), with no leading axis,
-  where weight gradients are products of ``d_pre`` with the cell inputs
-  and the operands, taken over all steps at once by the caller, and
-  final-output Jacobians, one leading row per output, where ``d_pre``
-  times the stacked input weights is a row block of ``d y_T / d u_t``.
+* ``step_jacobians(params, prev, fields, w_x, out)``: exact Jacobians of
+  every sequence's new state with respect to its previous state ``(B, S,
+  S)`` and an input ``x`` of width ``d`` ``(B, S, d)``, with ``S = K*p`` in
+  block order, evaluated from a step's cache: its previous state ``prev``
+  ``(K, B, p)`` and its fields, a tuple of ``(k, B, p)`` blocks in
+  ``fields`` order (``Trace.step``).  ``w_x`` is ``d (stacked input parts)
+  / d x``: the stacked input weights ``(G*p, d_in)`` for the cell input
+  itself, or, for the model's observation behind an encoder, those weights
+  times the encoder's derivative, ``(B, G*p, d)``.  Each gate's input
+  block is a slice of it, so the input factor is built in the
+  observation's width.  The factors are written into ``out = (j_state,
+  j_input)``, which the caller allocates once per pass, ``j_state``
+  zero-filled: every step rewrites all entries but the LSTM's and LEM's
+  structural zeros, so a step's factors stay valid until the next step.  A
+  row block that sums row-scaled gate weights (LSTM ``dc``: gates f, i, g;
+  LEM ``dz/dy``: gates 1, z) is one contraction over a stacked gate axis
+  (``_gate_sum``).  The linear recurrence returns broadcast views of its
+  weights and leaves ``out`` alone.  Only forward-mode sensitivities
+  (multi-output Jacobians) use these factors.
+* ``backward(rec, prev, fields, d_new, d_pre, d_prev)``: the recurrent
+  part of the reverse-mode rule at a step's cache ``prev, fields``; writes
+  the gradient of every gate pre-activation into ``d_pre`` (..., B, G*p)
+  and the gradient with respect to the previous state into ``d_prev``
+  (..., K, B, p).  An adjoint ``d_new`` (..., K, B, p) with one leading
+  axis broadcasts against the cache's ``(B, p)`` blocks.  It serves
+  training (BPTT), with no leading axis, where weight gradients are
+  products of ``d_pre`` with the cell inputs and the operands, taken over
+  all steps at once by the caller, and final-output Jacobians, one leading
+  row per output, where ``d_pre`` times the stacked input weights is a row
+  block of ``d y_T / d u_t``.
 
 The LEM (long expressive memory) transition, with elementwise gates and a
 fixed base step ``dt``, is:
@@ -79,6 +76,9 @@ fixed base step ``dt``, is:
     g2 = sigmoid(W2 y + V2 u + b2)         # time-scale gate for y
     z' = (1 - dt*g1) * z + dt*g1 * tanh(Wz y + Vz u + bz)
     y' = (1 - dt*g2) * y + dt*g2 * tanh(Wy z' + Vy u + by)
+
+Its ``step``, ``step_jacobians`` and ``backward`` take ``dt`` by keyword,
+from ``CellSpec.step_kwargs``.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ import enum
 
 import numpy as np
 
-__all__ = ["CellKind", "cell_impl", "recurrent_stacks", "stacked"]
+__all__ = ["CellKind", "cell_impl", "param_shapes", "recurrent_stacks", "stacked"]
 
 
 class CellKind(enum.Enum):
@@ -111,13 +111,6 @@ def _gate_sum(coefs, weights, out) -> None:
     The contraction writes a fresh contiguous array, which is faster than
     writing a strided ``out`` directly."""
     out[...] = np.einsum("g...i,g...ij->...ij", coefs, np.array(weights))
-
-
-def _blocks(a) -> np.ndarray:
-    """The blocks of ``a`` (..., K, B, p) along its block axis, as views
-    (K, ..., B, p): a state's halves, or a field's gates.  With at most one
-    leading axis (all that callers pass), the others keep their order."""
-    return a.swapaxes(0, -3)
 
 
 def _gates(flat, G) -> np.ndarray:
@@ -146,6 +139,14 @@ def stacked(params, names) -> np.ndarray:
     return np.concatenate([params[name] for name in names])
 
 
+def param_shapes(impl, d_in, p) -> dict:
+    """Name -> shape of a cell's parameters, in ``impl.param_order``: an
+    input weight is ``(p, d_in)``, a bias ``(p,)`` and a recurrent weight
+    ``(p, p)``."""
+    roles = dict.fromkeys(impl.input_names, (p, d_in)) | dict.fromkeys(impl.bias_names, (p,))
+    return {name: roles.get(name, (p, p)) for name in impl.param_order}
+
+
 def recurrent_stacks(impl, params) -> tuple:
     """Right operands of a cell's recurrent products, one per entry of
     ``impl.recurrent_names``: the group's weights stacked, transposed."""
@@ -160,10 +161,7 @@ class _LinearRec:
     bias_names = ()
     recurrent_names = (("A",),)
     fields = {}
-
-    @staticmethod
-    def param_shapes(d_in, p):
-        return {"A": (p, p), "C": (p, d_in)}
+    param_order = ("A", "C")
 
     @staticmethod
     def step(rec, state, proj, out):
@@ -173,21 +171,17 @@ class _LinearRec:
         return out
 
     @staticmethod
-    def views(prev, fields):
-        return {"h": prev[..., 0, :, :]}
-
-    @staticmethod
     def operands(states, fields):
         return (states[0, :-1],)
 
     @staticmethod
-    def step_jacobians(params, cache, w_x, out):
-        B = cache["h"].shape[0]
+    def step_jacobians(params, prev, fields, w_x, out):
+        B = prev.shape[1]
         return (np.broadcast_to(params["A"], (B,) + params["A"].shape),
                 np.broadcast_to(w_x, (B,) + w_x.shape[-2:]))
 
     @staticmethod
-    def backward(rec, cache, d_new, d_pre, d_prev):
+    def backward(rec, prev, fields, d_new, d_pre, d_prev):
         d_h = d_new[..., 0, :, :]
         d_pre[...] = d_h
         np.matmul(d_h, rec[0].T, out=d_prev[..., 0, :, :])
@@ -201,14 +195,7 @@ class _GRU:
     bias_names = ("bz", "br", "bn")
     recurrent_names = (("Uz", "Ur"), ("Un",))
     fields = {"zr": 2, "n": 1, "rh": 1}
-
-    @staticmethod
-    def param_shapes(d_in, p):
-        return {
-            "Wz": (p, d_in), "Uz": (p, p), "bz": (p,),
-            "Wr": (p, d_in), "Ur": (p, p), "br": (p,),
-            "Wn": (p, d_in), "Un": (p, p), "bn": (p,),
-        }
+    param_order = ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wn", "Un", "bn")
 
     @staticmethod
     def step(rec, state, proj, out):
@@ -230,20 +217,13 @@ class _GRU:
         return out
 
     @staticmethod
-    def views(prev, fields):
-        zr = fields["zr"]
-        z, r = _blocks(zr)
-        return {"h": prev[..., 0, :, :], "zr": zr, "z": z, "r": r,
-                "n": fields["n"][..., 0, :, :]}
-
-    @staticmethod
     def operands(states, fields):
         return states[0, :-1], fields["rh"][:, 0]
 
     @staticmethod
-    def step_jacobians(params, cache, w_x, out):
+    def step_jacobians(params, prev, fields, w_x, out):
         j_state, j_input = out
-        h, z, r, n = (cache[k] for k in ("h", "z", "r", "n"))
+        (h,), ((z, r), (n,), _) = prev, fields
         p = h.shape[-1]
         Uz, Ur, Un = params["Uz"], params["Ur"], params["Un"]
         Wz, Wr, Wn = (w_x[..., k * p:(k + 1) * p, :] for k in range(3))
@@ -272,8 +252,9 @@ class _GRU:
         return j_state, j_input
 
     @staticmethod
-    def backward(rec, cache, d_new, d_pre, d_prev):
-        h, zr, z, r, n = cache["h"], cache["zr"], cache["z"], cache["r"], cache["n"]
+    def backward(rec, prev, fields, d_new, d_pre, d_prev):
+        (h,), (zr, (n,), _) = prev, fields
+        z, r = zr
         p = h.shape[-1]
         d_h, d_prev = d_new[..., 0, :, :], d_prev[..., 0, :, :]
         dh = d_h * z
@@ -300,15 +281,8 @@ class _LSTM:
     bias_names = ("bi", "bf", "bo", "bg")
     recurrent_names = (("Ui", "Uf", "Uo", "Ug"),)
     fields = {"act": 5}
-
-    @staticmethod
-    def param_shapes(d_in, p):
-        return {
-            "Wi": (p, d_in), "Ui": (p, p), "bi": (p,),
-            "Wf": (p, d_in), "Uf": (p, p), "bf": (p,),
-            "Wo": (p, d_in), "Uo": (p, p), "bo": (p,),
-            "Wg": (p, d_in), "Ug": (p, p), "bg": (p,),
-        }
+    param_order = ("Wi", "Ui", "bi", "Wf", "Uf", "bf",
+                   "Wo", "Uo", "bo", "Wg", "Ug", "bg")
 
     @staticmethod
     def step(rec, state, proj, out):
@@ -326,20 +300,13 @@ class _LSTM:
         return out
 
     @staticmethod
-    def views(prev, fields):
-        act = fields["act"]
-        (h, c), (i, f, o, g, hc) = _blocks(prev), _blocks(act)
-        return {"h": h, "c": c, "ifo": act[..., :3, :, :], "i": i, "f": f, "o": o,
-                "g": g, "hc": hc, "ghc": act[..., 3:, :, :]}
-
-    @staticmethod
     def operands(states, fields):
         return (states[0, :-1],)
 
     @staticmethod
-    def step_jacobians(params, cache, w_x, out):
+    def step_jacobians(params, prev, fields, w_x, out):
         j_state, j_input = out
-        c, i, f, o, g, hc = (cache[k] for k in ("c", "i", "f", "o", "g", "hc"))
+        (_, c), ((i, f, o, g, hc),) = prev, fields
         p = c.shape[-1]
         # Rows [dh; dc], columns [h, c] or x.  dc sums the gates f, i, g.
         dc_coefs = np.array((c * (f * (1 - f)), g * (i * (1 - i)), i * (1.0 - g * g)))
@@ -359,9 +326,10 @@ class _LSTM:
         return j_state, j_input
 
     @staticmethod
-    def backward(rec, cache, d_new, d_pre, d_prev):
-        c, ifo, i, f, o, g, hc, ghc = (cache["c"], cache["ifo"], cache["i"], cache["f"],
-                                       cache["o"], cache["g"], cache["hc"], cache["ghc"])
+    def backward(rec, prev, fields, d_new, d_pre, d_prev):
+        (_, c), (act,) = prev, fields
+        i, f, o, g, hc = act
+        ifo, ghc = act[:3], act[3:]
         # The tanh derivatives 1 - g^2 and 1 - tanh(c')^2 in one pass.
         d_tanh = 1.0 - ghc * ghc
         dh_new, dc_ext = d_new[..., 0, :, :], d_new[..., 1, :, :]
@@ -389,15 +357,8 @@ class _LEM:
     bias_names = ("b1", "b2", "bz", "by")
     recurrent_names = (("W1", "W2", "Wz"), ("Wy",))
     fields = {"gz": 3, "ty": 1}
-
-    @staticmethod
-    def param_shapes(d_in, p):
-        return {
-            "W1": (p, p), "V1": (p, d_in), "b1": (p,),
-            "W2": (p, p), "V2": (p, d_in), "b2": (p,),
-            "Wz": (p, p), "Vz": (p, d_in), "bz": (p,),
-            "Wy": (p, p), "Vy": (p, d_in), "by": (p,),
-        }
+    param_order = ("W1", "V1", "b1", "W2", "V2", "b2",
+                   "Wz", "Vz", "bz", "Wy", "Vy", "by")
 
     @staticmethod
     def step(rec, state, proj, out, *, dt):
@@ -420,21 +381,13 @@ class _LEM:
         return out
 
     @staticmethod
-    def views(prev, fields):
-        gz = fields["gz"]
-        (y, z), (g1, g2, tz) = _blocks(prev), _blocks(gz)
-        return {"y": y, "z": z, "g": gz[..., :2, :, :], "g1": g1, "g2": g2, "tz": tz,
-                "ty": fields["ty"][..., 0, :, :]}
-
-    @staticmethod
     def operands(states, fields):
         return states[0, :-1], states[1, 1:]
 
     @staticmethod
-    def step_jacobians(params, cache, w_x, out):
+    def step_jacobians(params, prev, fields, w_x, out, *, dt):
         j_state, j_input = out
-        y, z, g1, g2, tz, ty = (cache[k] for k in ("y", "z", "g1", "g2", "tz", "ty"))
-        dt = cache["dt"]
+        (y, z), ((g1, g2, tz), (ty,)) = prev, fields
         p = y.shape[-1]
         dt1, dt2 = dt * g1, dt * g2
         # Rows [dy; dz], columns [y, z] or x.  dz sums the gates 1 and z.
@@ -457,11 +410,10 @@ class _LEM:
         return j_state, j_input
 
     @staticmethod
-    def backward(rec, cache, d_new, d_pre, d_prev):
-        y, z, g, g1, g2, tz, ty = (
-            cache["y"], cache["z"], cache["g"], cache["g1"], cache["g2"], cache["tz"],
-            cache["ty"])
-        dt = cache["dt"]
+    def backward(rec, prev, fields, d_new, d_pre, d_prev, *, dt):
+        (y, z), (gz, (ty,)) = prev, fields
+        g1, g2, tz = gz
+        g = gz[:2]
         p = y.shape[-1]
         dy_new, dz_ext = d_new[..., 0, :, :], d_new[..., 1, :, :]
         dt1, dt2 = dt * g1, dt * g2

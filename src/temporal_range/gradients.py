@@ -95,15 +95,16 @@ def _step_factors(model: SequenceModel, X):
     impl = cell_impl(model.cell.kind)
     w_in = stacked(model.params, impl.input_names)
     _, _, trace = model.forward_batch(X)
-    R, _, d = np.shape(X)
+    R, T, d = np.shape(X)
     out = (np.zeros((R, model.state_dim, model.state_dim)),
            np.empty((R, model.state_dim, d)))
-    for t, cache in enumerate(trace.steps):
+    for t in range(T):
         w_x = w_in
         if model.encoder_dim is not None:
             u = trace.inputs[t]
             w_x = w_in @ ((1.0 - u * u)[..., None] * model.params["enc_W"])
-        yield impl.step_jacobians(model.params, cache, w_x, out)
+        yield impl.step_jacobians(model.params, *trace.step(t), w_x, out,
+                                  **model.cell.step_kwargs)
 
 
 def per_step_jacobians(model: SequenceModel, x):
@@ -163,9 +164,10 @@ def final_output_blocks(model: SequenceModel, X) -> np.ndarray:
     reverse accumulation: the adjoint ``d y_T / d state_t`` (c, K, R, p), one
     leading row per output, in the state's ``K`` blocks, starts at the
     decoder rows and goes back through the trace's steps by the cell's
-    ``backward`` rule, which broadcasts it against each step's ``(R, p)``
-    cache blocks.  Each step's gate gradients times
-    the stacked input weights (and the encoder's derivative) give ``J[T, t]``.
+    ``backward`` rule, which broadcasts it against the ``(R, p)`` blocks of
+    each step's cache (``Trace.step``, views of the trace).  Each step's
+    gate gradients times the stacked input weights (and the encoder's
+    derivative) give ``J[T, t]``.
     Every step's adjoint is kept in one buffer, which is checked once after
     the pass, as ``batch_param_gradients`` does.
 
@@ -190,8 +192,9 @@ def final_output_blocks(model: SequenceModel, X) -> np.ndarray:
     blocks = np.empty((R, T, c, d))
     # Overflow here is caught by the finiteness check below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, cache in zip(range(T, 0, -1), reversed(trace.steps)):
-            impl.backward(rec, cache, adjoints[t], d_pre, adjoints[t - 1])
+        for t in range(T, 0, -1):
+            impl.backward(rec, *trace.step(t - 1), adjoints[t], d_pre, adjoints[t - 1],
+                          **model.cell.step_kwargs)
             block = d_pre @ w_in
             if model.encoder_dim is not None:
                 u = trace.inputs[t - 1]
@@ -289,11 +292,12 @@ def batch_param_gradients(model: SequenceModel, X, step_grads,
     ``forward`` is the caller's ``model.forward_batch(X)``, whose outputs
     gave ``step_grads`` (B, T, c): d loss / d y_s for every sequence and
     step (zero rows for steps outside the loss).  Each step does only the
-    recurrent work and writes the gradients of its gate pre-activations and
-    of its previous state into time-major buffers, which are checked once
-    after the loop; every weight gradient is then one product over all B*T
-    rows, against the trace's inputs and operands.  Returns the exact
-    gradient of that scalar loss for every parameter.
+    recurrent work, from its cache (``Trace.step``, views of the trace),
+    and writes the gradients of its gate pre-activations and of its
+    previous state into time-major buffers, which are checked once after
+    the loop; every weight gradient is then one product over all B*T rows,
+    against the trace's inputs and operands.  Returns the exact gradient of
+    that scalar loss for every parameter.
 
     Raises:
         NumericalError: naming the first step, in backward order, whose
@@ -313,9 +317,10 @@ def batch_param_gradients(model: SequenceModel, X, step_grads,
     d_new = np.zeros(adjoint.shape[1:])
     # Overflow here is caught by the finiteness check below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, cache in zip(range(T - 1, -1, -1), reversed(trace.steps)):
+        for t in range(T - 1, -1, -1):
             d_new[0] += d_read[t]
-            impl.backward(rec, cache, d_new, d_pre[t], adjoint[t])
+            impl.backward(rec, *trace.step(t), d_new, d_pre[t], adjoint[t],
+                          **model.cell.step_kwargs)
             d_new[...] = adjoint[t]
     finite = np.isfinite(adjoint).all(axis=(1, 2, 3))
     if not finite.all():

@@ -15,14 +15,13 @@ checkpoints, one hex-float string per value, still load.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import json
 import math
 
 import numpy as np
 
-from .cells import CellKind, cell_impl, recurrent_stacks, stacked
+from .cells import CellKind, cell_impl, param_shapes, recurrent_stacks, stacked
 from .errors import FormatError, ShapeMismatch, SpecError, VersionError
 from .linalg import Rng
 
@@ -49,8 +48,9 @@ UNROLL_CHUNK_STEPS = 8
 class CellSpec:
     """Recurrent cell configuration.
 
-    ``lem_dt`` is the base time step of the LEM cell and is ignored by the
-    other kinds.
+    ``lem_dt`` is the base time step of the LEM cell.  The other kinds
+    ignore it, but checkpoints and run manifests record it, so it must be
+    finite and > 0 for every kind.
     """
 
     kind: CellKind
@@ -66,13 +66,13 @@ class CellSpec:
             raise SpecError(
                 f"cell dims must be >= 1, got input_dim={self.input_dim}, "
                 f"hidden_dim={self.hidden_dim}")
-        if self.kind is CellKind.LEM and not 0 < self.lem_dt < math.inf:
+        if not 0 < self.lem_dt < math.inf:
             raise SpecError(f"lem_dt must be finite and > 0, got {self.lem_dt}")
 
     @property
     def step_kwargs(self) -> dict:
-        """The cell's constant arguments of ``step``, also kept in each
-        step's cache: LEM's ``dt``."""
+        """The cell's constant keyword arguments of ``step``,
+        ``step_jacobians`` and ``backward``: LEM's ``dt``."""
         return {"dt": self.lem_dt} if self.kind is CellKind.LEM else {}
 
 
@@ -89,10 +89,11 @@ class Trace:
     are step-major, so each step's gates are one contiguous block for the
     elementwise ops of its rules.
 
-    ``steps[t]`` is step ``t+1``'s cache: the cell's named views of its
-    previous state and its fields, plus the cell's constant arguments,
-    built once per trace.  Training's backward pass and final-output
-    Jacobians both walk these caches; neither copies a row of them.
+    ``step(t)`` is step ``t+1``'s cache, the ``prev, fields`` arguments of
+    the cell's rules: views of its previous state ``(K, B, p)`` and of its
+    fields, each ``(k, B, p)``; LEM's ``dt`` is passed to the rules apart
+    from it (``CellSpec.step_kwargs``).  Training's backward pass and both
+    Jacobian engines read these caches; none copies a row of them.
     ``operands`` are the left operands of the recurrent products over all
     steps, as views of the same buffers."""
 
@@ -101,13 +102,8 @@ class Trace:
     states: np.ndarray
     fields: dict[str, np.ndarray]
 
-    @functools.cached_property
-    def steps(self) -> list[dict]:
-        # Step-major states, so the cell's views index each step's blocks.
-        views = cell_impl(self.cell.kind).views(
-            self.states[:, :-1].swapaxes(0, 1), self.fields)
-        return [dict(zip(views, step), **self.cell.step_kwargs)
-                for step in zip(*views.values())]
+    def step(self, t: int) -> tuple:
+        return self.states[:, t], tuple(f[t] for f in self.fields.values())
 
     @property
     def operands(self) -> tuple:
@@ -267,7 +263,7 @@ def init_model(cell: CellSpec, output_dim: int, rng: Rng,
         params["enc_W"] = _glorot(rng, (encoder_dim, cell.input_dim))
         params["enc_b"] = np.zeros(encoder_dim)
     d_in = encoder_dim if encoder_dim is not None else cell.input_dim
-    for name, shape in cell_impl(cell.kind).param_shapes(d_in, cell.hidden_dim).items():
+    for name, shape in param_shapes(cell_impl(cell.kind), d_in, cell.hidden_dim).items():
         params[name] = _glorot(rng, shape)
     params["dec_W"] = _glorot(rng, (output_dim, cell.hidden_dim))
     params["dec_b"] = np.zeros(output_dim)
@@ -418,8 +414,8 @@ def load_model(path) -> SequenceModel:
 
 
 def _check_param_shapes(model: SequenceModel, path) -> None:
-    expected = dict(cell_impl(model.cell.kind).param_shapes(
-        model.cell_input_dim, model.cell.hidden_dim))
+    expected = param_shapes(cell_impl(model.cell.kind), model.cell_input_dim,
+                            model.cell.hidden_dim)
     if model.encoder_dim is not None:
         expected["enc_W"] = (model.encoder_dim, model.cell.input_dim)
         expected["enc_b"] = (model.encoder_dim,)

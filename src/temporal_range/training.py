@@ -55,7 +55,7 @@ class OptConfig:
     def __post_init__(self):
         checks = (
             ("lr", 0 < self.lr < np.inf, "finite and > 0"),
-            ("grad_clip", self.grad_clip > 0, "> 0"),
+            ("grad_clip", 0 < self.grad_clip < np.inf, "finite and > 0"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
             ("steps", self.steps >= 1, ">= 1"),
         )

@@ -20,6 +20,7 @@ from temporal_range.oracles import axiom_suite
 from temporal_range.tasks import (DATASET_ARRAYS, CopyTaskSpec, ObsKind, ObsVariant,
                                   gen_copyk, gen_imitation, gen_repeatfirst,
                                   load_dataset)
+from temporal_range.training import OptConfig, train
 import v1_checkpoint
 from v1_dataset import v1_document
 
@@ -622,6 +623,24 @@ def test_train_rejects_a_lem_dt_that_is_not_finite(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--clip", "inf"], "grad_clip must be finite and > 0, got inf"),
+    (["--clip", "nan"], "grad_clip must be finite and > 0, got nan"),
+    (["--model", "gru", "--lem-dt", "nan"], "lem_dt must be finite and > 0, got nan"),
+    (["--model", "gru", "--lem-dt", "-3"], "lem_dt must be finite and > 0, got -3.0"),
+])
+def test_train_rejects_a_clip_or_lem_dt_out_of_range(tmp_path, capsys, flags, message):
+    # Both values are written to the run manifest, and lem_dt to the
+    # checkpoint, even where the run leaves them unused, so neither may be
+    # a non-finite JSON constant or out of range; no file, manifest
+    # included, is written.
+    assert main(["train", "--task", "copy", "--k", "1", "--T", "8", "--n", "4",
+                 "--hidden", "4", "--steps", "1", *flags,
+                 "--out-prefix", str(tmp_path / "r")]) == 2
+    assert _error_line(capsys) == f"error: {message}"
+    assert not list(tmp_path.iterdir())
+
+
 def test_train_lem_dt_changes_the_fingerprint(tmp_path):
     fps = {}
     for dt in ("0.3", "0.7"):
@@ -894,13 +913,19 @@ def test_ablate_has_no_metric_flag(capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_bench_tracer_patches_and_restores_every_traced_name():
-    # The benchmark's tracer looks up functions and cell methods by name;
-    # installing it fails if one of them is gone.
+def _bench_tracer_module():
+    """``bench/tracer.py``, loaded by path."""
     path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     tracer_module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_module)
+    return tracer_module
+
+
+def test_bench_tracer_patches_and_restores_every_traced_name():
+    # The benchmark's tracer looks up functions and cell methods by name;
+    # installing it fails if one of them is gone.
+    tracer_module = _bench_tracer_module()
     tracer = tracer_module.Tracer()
     try:
         tracer.install()
@@ -912,6 +937,33 @@ def test_bench_tracer_patches_and_restores_every_traced_name():
     assert len(patched) > len(tracer_module.FUNCTIONS)
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original
+
+
+def test_bench_tracer_records_every_cell_method_it_wraps():
+    # The engines reach the cell methods through the tracer's wrappers; a
+    # method they no longer call, or whose arguments a wrapper does not pass
+    # through, fails here rather than in a benchmark run.  Final mode runs
+    # each cell's backward rule, multi mode its step_jacobians, and one
+    # training step the GRU's backward rule.
+    tracer_module = _bench_tracer_module()
+    tracer = tracer_module.Tracer()
+    rollouts = np.asarray(Rng(5).gaussian(size=(2, 4, 2)))
+    models = [init_model(CellSpec(kind=kind, input_dim=2, hidden_dim=3), 2, Rng(6))
+              for kind in CellKind]
+    data = gen_copyk(CopyTaskSpec(k=1, T=6, V=3), 8, Rng(7))
+    gru = init_model(CellSpec(kind=CellKind.GRU, input_dim=data.x.shape[2], hidden_dim=3),
+                     3, Rng(8))
+    tracer.install()
+    try:
+        for model in models:
+            for mode in JacobianMode:
+                analyze(model, rollouts, TRConfig(mode=mode, T=4))
+        train(gru, data, OptConfig(lr=1e-3, batch_size=4, steps=1, seed=1))
+    finally:
+        tracer.uninstall()
+    recorded = {tracer_module.SPAN_NAMES[i] for i in tracer.span_name}
+    for kind, method in tracer_module.CELL_METHODS:
+        assert f"cells.{kind}.{method}" in recorded
 
 
 def _set_entry(doc, key, index, value):

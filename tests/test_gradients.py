@@ -230,15 +230,16 @@ def test_reverse_final_blocks_equal_forward_chain_products(kind, encoder_dim):
             assert np.max(np.abs(reverse[r, t - 1] - forward)) <= 1e-12 * scale
 
 
-def _block_assembled_factors(kind, params, cache):
+def _block_assembled_factors(kind, params, prev, fields, dt):
     """Reference: every factor built from ``v * np.eye`` diagonal matrices
     and, for the two-part states, joined with ``np.block``, as the factors
     were first written."""
     def diag(v):
         return v * np.eye(v.shape[-2])
 
+    prev, fields = prev[..., None], tuple(f[..., None] for f in fields)
     if kind is CellKind.GRU:
-        h, z, r, n = (cache[k][..., None] for k in ("h", "z", "r", "n"))
+        (h,), ((z, r), (n,), _) = prev, fields
         dz, dr, dn = z * (1.0 - z), r * (1.0 - r), 1.0 - n * n
         m_rh_h = diag(r) + (h * dr) * params["Ur"]
         dn_dh = dn * (params["Un"] @ m_rh_h)
@@ -246,8 +247,7 @@ def _block_assembled_factors(kind, params, cache):
         return (diag(z) + ((h - n) * dz) * params["Uz"] + (1.0 - z) * dn_dh,
                 ((h - n) * dz) * params["Wz"] + (1.0 - z) * dn_du)
     if kind is CellKind.LSTM:
-        h, c, i, f, o, g, hc = (
-            cache[k][..., None] for k in ("h", "c", "i", "f", "o", "g", "hc"))
+        (h, c), ((i, f, o, g, hc),) = prev, fields
         di, df, do = i * (1 - i), f * (1 - f), o * (1 - o)
         dg = 1.0 - g * g
         dc_dh = (c * df) * params["Uf"] + (g * di) * params["Ui"] + (i * dg) * params["Ug"]
@@ -257,9 +257,7 @@ def _block_assembled_factors(kind, params, cache):
         dh_du = (hc * do) * params["Wo"] + k * dc_du
         return (np.block([[dh_dh, diag(k * f)], [dc_dh, diag(f)]]),
                 np.concatenate([dh_du, dc_du], axis=-2))
-    y, z, g1, g2, tz, ty = (
-        cache[k][..., None] for k in ("y", "z", "g1", "g2", "tz", "ty"))
-    dt = cache["dt"]
+    (y, z), ((g1, g2, tz), (ty,)) = prev, fields
     dt1, dt2 = dt * g1, dt * g2
     dg1, dg2 = dt * g1 * (1.0 - g1), dt * g2 * (1.0 - g2)
     ktz, kty = dt1 * (1.0 - tz * tz), dt2 * (1.0 - ty * ty)
@@ -284,10 +282,14 @@ def test_in_place_factors_equal_the_block_assembly_bit_for_bit(kind, encoder_dim
     # One pair of buffers for every step, as the engine passes them.
     out = (np.zeros((5, model.state_dim, model.state_dim)),
            np.empty((5, model.state_dim, model.cell_input_dim)))
-    for cache in model.forward_batch(X)[2].steps:
-        got = impl.step_jacobians(model.params, cache,
-                                  stacked(model.params, impl.input_names), out)
-        for a, b in zip(got, _block_assembled_factors(kind, model.params, cache)):
+    trace = model.forward_batch(X)[2]
+    for t in range(6):
+        prev, fields = trace.step(t)
+        got = impl.step_jacobians(model.params, prev, fields,
+                                  stacked(model.params, impl.input_names), out,
+                                  **model.cell.step_kwargs)
+        for a, b in zip(got, _block_assembled_factors(kind, model.params, prev, fields,
+                                                      model.cell.lem_dt)):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
@@ -309,8 +311,9 @@ def test_step_factors_build_the_input_factor_in_observation_space(kind, encoder_
     assert len(factors) == 6
     ref_out = (np.zeros((5, model.state_dim, model.state_dim)),
                np.empty((5, model.state_dim, model.cell_input_dim)))
-    for t, (cache, (j_state, j_x)) in enumerate(zip(trace.steps, factors)):
-        ref_state, ref_input = impl.step_jacobians(model.params, cache, w_in, ref_out)
+    for t, (j_state, j_x) in enumerate(factors):
+        ref_state, ref_input = impl.step_jacobians(model.params, *trace.step(t), w_in,
+                                                   ref_out, **model.cell.step_kwargs)
         assert j_state.tobytes() == ref_state.tobytes()
         if encoder_dim is None:
             assert j_x.shape == ref_input.shape and j_x.tobytes() == ref_input.tobytes()

@@ -140,16 +140,34 @@ def test_backward_broadcasts_an_adjoint_over_leading_axes(kind):
     _, _, trace = model.forward_batch(np.asarray(Rng(28).gaussian(size=(4, 3, 3))))
     impl = cell_impl(kind)
     rec = recurrent_stacks(impl, model.params)
-    cache = trace.steps[1]
+    cache, kwargs = trace.step(1), model.cell.step_kwargs
     c, G = 3, len(impl.input_names) * model.cell.hidden_dim
     d_new = np.asarray(Rng(29).gaussian(size=(c, impl.state_mult, 4, model.cell.hidden_dim)))
     d_pre, d_prev = np.empty((c, 4, G)), np.empty_like(d_new)
-    impl.backward(rec, cache, d_new, d_pre, d_prev)
+    impl.backward(rec, *cache, d_new, d_pre, d_prev, **kwargs)
     for j in range(c):
         want_pre, want_prev = np.empty((4, G)), np.empty_like(d_new[j])
-        impl.backward(rec, cache, d_new[j], want_pre, want_prev)
+        impl.backward(rec, *cache, d_new[j], want_pre, want_prev, **kwargs)
         assert d_pre[j].tobytes() == want_pre.tobytes(), j
         assert d_prev[j].tobytes() == want_prev.tobytes(), j
+
+
+@pytest.mark.parametrize("kind", list(CellKind))
+@pytest.mark.parametrize("encoder_dim", [None, 4])
+def test_a_step_cache_is_views_of_the_trace(kind, encoder_dim):
+    # The rules read each step's previous state and fields in the slice of
+    # the trace the forward pass wrote; no block of a cache is a copy.
+    model = init_model(_spec(kind, 3, 5), 2, Rng(30), encoder_dim=encoder_dim)
+    T = 4
+    _, _, trace = model.forward_batch(np.asarray(Rng(31).gaussian(size=(2, T, 3))))
+    for t in range(T):
+        prev, fields = trace.step(t)
+        assert prev.shape == (cell_impl(kind).state_mult, 2, 5)
+        assert np.shares_memory(prev, trace.states[:, t])
+        assert len(fields) == len(trace.fields)
+        for block, (name, buffer) in zip(fields, trace.fields.items()):
+            assert block.shape == buffer.shape[1:], name
+            assert np.shares_memory(block, buffer[t]), name
 
 
 def _sigmoid(a):
@@ -427,15 +445,19 @@ def test_cell_spec_validation():
         CellSpec(kind=CellKind.GRU, input_dim=0, hidden_dim=4)
     with pytest.raises(SpecError):
         CellSpec(kind=CellKind.LEM, input_dim=2, hidden_dim=4, lem_dt=0.0)
+    # Checkpoints record lem_dt for every kind, so every kind checks it.
+    with pytest.raises(SpecError, match="lem_dt must be finite and > 0, got -3.0"):
+        CellSpec(kind=CellKind.GRU, input_dim=2, hidden_dim=4, lem_dt=-3.0)
 
 
+@pytest.mark.parametrize("kind", list(CellKind))
 @pytest.mark.parametrize("dt", [math.inf, math.nan])
-def test_cell_spec_rejects_a_lem_dt_that_is_not_finite(tmp_path, dt):
+def test_cell_spec_rejects_a_lem_dt_that_is_not_finite(tmp_path, kind, dt):
     with pytest.raises(SpecError, match=f"lem_dt must be finite and > 0, got {dt}"):
-        CellSpec(kind=CellKind.LEM, input_dim=2, hidden_dim=4, lem_dt=dt)
+        CellSpec(kind=kind, input_dim=2, hidden_dim=4, lem_dt=dt)
     # A checkpoint that holds one fails to load the same way.
     path = tmp_path / "model.json"
-    save_model(init_model(_spec(CellKind.LEM, 2, 3), 2, Rng(24)), path)
+    save_model(init_model(_spec(kind, 2, 3), 2, Rng(24)), path)
     doc = json.loads(path.read_text())
     doc["lem_dt"] = dt.hex()
     path.write_text(json.dumps(doc))

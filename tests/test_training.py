@@ -170,7 +170,8 @@ def test_evaluate_rejects_empty_mask():
 
 def test_opt_config_validation():
     for field, value in [
-        ("lr", 0.0), ("grad_clip", 0.0), ("batch_size", 0), ("steps", 0),
+        ("lr", 0.0), ("grad_clip", 0.0), ("grad_clip", math.inf), ("batch_size", 0),
+        ("steps", 0),
     ]:
         with pytest.raises(SpecError, match=field):
             OptConfig(**{field: value})
@@ -227,8 +228,8 @@ def test_train_rejects_a_wrong_analytic_gradient(monkeypatch):
     # spot check must stop training before the first Adam step.
     backward = cells._GRU.backward
 
-    def corrupted(rec, cache, d_new, d_pre, d_prev):
-        backward(rec, cache, d_new, d_pre, d_prev)
+    def corrupted(rec, prev, fields, d_new, d_pre, d_prev):
+        backward(rec, prev, fields, d_new, d_pre, d_prev)
         d_pre *= 1.5
 
     model, data, cfg = _tiny_run()
