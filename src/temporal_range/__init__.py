@@ -29,8 +29,8 @@ from .oracles import (AxiomReport, LinearTemporalMap, RecurrenceSpec,
                       axiom_suite, copyk_oracle, linear_map_as_model,
                       linear_map_range, pipeline_cross_checks,
                       recurrence_as_model, recurrence_profile)
-from .tasks import (CopyTaskSpec, Dataset, LabeledSequence, ObsKind,
-                    ObsVariant, gen_copyk, gen_imitation, gen_repeatfirst,
-                    load_dataset, save_dataset)
+from .tasks import (TASKS, CopyTaskSpec, Dataset, ImitationSpec, LabeledSequence,
+                    RepeatFirstSpec, gen_copyk, gen_imitation, load_dataset,
+                    save_dataset)
 from .training import (AdamState, OptConfig, TrainLog, adam_step,
                        clip_by_global_norm, evaluate, train)

@@ -34,8 +34,7 @@ from .metric import (Aggregation, TRConfig, analyze, artifact_json,
 from .models import CellKind, CellSpec, init_model, load_model, save_model
 from .oracles import axiom_suite, pipeline_cross_checks
 from .svgplot import bar_chart, line_chart
-from .tasks import (CopyTaskSpec, ObsKind, ObsVariant, gen_copyk,
-                    gen_imitation, gen_repeatfirst, load_dataset,
+from .tasks import (OBS_VARIANTS, TASKS, header_spec, load_dataset,
                     save_dataset)
 from .training import OptConfig, train
 
@@ -47,8 +46,6 @@ _AGGS = {"mean": Aggregation.MEAN, "max": Aggregation.MAX}
 _MODES = {"multi": JacobianMode.MULTI_OUTPUT, "final": JacobianMode.FINAL_OUTPUT}
 _CELLS = {"linear": CellKind.LINEAR_REC, "gru": CellKind.GRU,
           "lstm": CellKind.LSTM, "lem": CellKind.LEM}
-_VARIANTS = {"full": ObsKind.FULL, "stateless": ObsKind.STATELESS,
-             "noisy": ObsKind.NOISY_STATELESS}
 # The least value of every count, width and seed flag.  main checks each
 # flag the command has before dispatching, so a value below its floor is an
 # input error even where the run leaves the flag unused, and no file is
@@ -93,40 +90,35 @@ def _publish(args, config: dict, inputs, artifacts: dict) -> None:
 
 
 def _add_task_flags(p: argparse.ArgumentParser, task_required: bool = False) -> None:
-    p.add_argument("--task", choices=["copy", "repeatfirst", "cartpole"],
+    p.add_argument("--task", choices=sorted(TASKS),
                    required=task_required, help="generate sequences from this task")
-    p.add_argument("--k", type=int, default=3, help="copy offset")
+    p.add_argument("--k", type=int, default=3, help="offset of the recalled symbol")
     p.add_argument("--T", type=int, help=f"sequence length of a generated task "
                    f"(default {DEFAULT_T}); with --data, the dataset's T")
     p.add_argument("--V", type=int, default=4, help="symbol vocabulary size")
-    p.add_argument("--variant", choices=sorted(_VARIANTS), default="stateless",
-                   help="cartpole observation variant")
+    p.add_argument("--variant", choices=sorted(OBS_VARIANTS), default="stateless",
+                   help="observation variant of the imitation task")
     p.add_argument("--sigma", type=float, default=0.1,
                    help="observation noise std for the noisy variant")
 
 
 def _load_sequences(args, n: int, seed: int):
-    """A ``Dataset`` and its description: from --data if the command has it
-    and it is given, else ``n`` sequences generated from the --task flags.
-    An explicit --T must match the dataset's T."""
+    """A ``Dataset``, its task spec and description: from --data if the
+    command has it and it is given, else ``n`` sequences generated from the
+    --task spec's flags.  An explicit --T must match the dataset's T."""
     if getattr(args, "data", None):
         data, header = load_dataset(args.data)
         if args.T is not None and args.T != header["T"]:
             raise SpecError(f"--T {args.T} does not match the T={header['T']!r} "
                             f"of dataset {args.data}")
-        return data, {"source": args.data, **{k: header[k] for k in ("task", "spec")}}
+        return (data, header_spec(header),
+                {"source": args.data, **{k: header[k] for k in ("task", "spec")}})
     if not args.task:
         raise TemporalRangeError("either --data or --task is required")
-    rng, T = Rng(seed), DEFAULT_T if args.T is None else args.T
-    if args.task == "copy":
-        return (gen_copyk(CopyTaskSpec(k=args.k, T=T, V=args.V), n, rng),
-                {"task": "copy", "k": args.k, "T": T, "V": args.V})
-    if args.task == "repeatfirst":
-        return (gen_repeatfirst(T, args.V, n, rng),
-                {"task": "repeatfirst", "T": T, "V": args.V})
-    variant = ObsVariant(kind=_VARIANTS[args.variant], sigma=args.sigma)
-    return (gen_imitation(variant, n, T, rng),
-            {"task": "cartpole", "variant": args.variant, "sigma": args.sigma, "T": T})
+    flags = {**vars(args), "T": DEFAULT_T if args.T is None else args.T}
+    cls = TASKS[args.task]
+    spec = cls(**{field.name: flags[field.name] for field in dataclasses.fields(cls)})
+    return spec.generate(n, Rng(seed)), spec, {"task": spec.task, **dataclasses.asdict(spec)}
 
 
 def _check_floors(args) -> None:
@@ -138,21 +130,20 @@ def _check_floors(args) -> None:
 
 
 def _cmd_gen_data(args) -> int:
-    data, desc = _load_sequences(args, args.n, args.seed)
+    data, spec, _ = _load_sequences(args, args.n, args.seed)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    save_dataset(data, args.out, task=desc.pop("task"), spec=desc, seed=args.seed)
+    save_dataset(data, args.out, spec, args.seed)
     print(f"wrote {len(data)} sequences to {args.out}")
     return 0
 
 
 def _cmd_train(args) -> int:
     cell_kind = _CELLS[args.model]
-    data, desc = _load_sequences(args, args.n, args.data_seed)
-    n_classes = int(data.targets.max()) + 1
+    data, task, desc = _load_sequences(args, args.n, args.data_seed)
     spec = CellSpec(kind=cell_kind, input_dim=data.x.shape[2], hidden_dim=args.hidden,
                     lem_dt=args.lem_dt)
     encoder_dim = args.encoder_dim or None
-    model = init_model(spec, n_classes, Rng(args.seed), encoder_dim=encoder_dim)
+    model = init_model(spec, task.n_classes, Rng(args.seed), encoder_dim=encoder_dim)
     cfg = OptConfig(lr=args.lr, batch_size=args.batch, steps=args.steps,
                     seed=args.seed, grad_clip=args.clip)
     trained, log = train(model, data, cfg)
@@ -179,7 +170,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_analyze(args) -> int:
     model = load_model(args.model)
-    data, desc = _load_sequences(args, args.n_rollouts, args.seed)
+    data, _, desc = _load_sequences(args, args.n_rollouts, args.seed)
     rollouts = data.x[:args.n_rollouts]
     cfg = TRConfig(norm=_NORMS[args.norm], aggregation=_AGGS[args.agg],
                    mode=_MODES[args.mode], T=rollouts.shape[1])
@@ -254,7 +245,7 @@ def _cmd_ablate(args) -> int:
         if args.deploy:
             deployment_windows(report)  # rejects a degenerate report before the sweep
     model = load_model(args.model)
-    data, desc = _load_sequences(args, args.n, args.seed)
+    data, _, desc = _load_sequences(args, args.n, args.seed)
     if args.deploy:
         curve, check = sweep_with_deployment(model, data, windows, report)
     else:

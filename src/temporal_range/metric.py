@@ -25,7 +25,7 @@ import typing
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, SpecError, VersionError
+from .errors import ConfigError, FormatError, NumericalError, SpecError, VersionError
 from .gradients import (JacobianBlocks, JacobianMode, final_output_blocks,
                         multi_output_blocks)
 from .linalg import NormKind, mat_norms
@@ -192,8 +192,16 @@ class TemporalRangeReport:
 def _summary(cfg: TRConfig, rho, rho_hat, weights_mean, weights_std) -> TemporalRangeReport:
     """The report of per-rollout ``rho`` and ``rho_hat`` (NaN where
     degenerate) and the weights' mean and std by position: every other
-    field is derived here, for ``analyze`` and ``report_from_json``."""
+    field is derived here, for ``analyze`` and ``report_from_json``.
+    Raises ``NumericalError`` if ``rho`` (per rollout, their mean or
+    pooled) or a weight mean or std is not finite; callers ignore overflow
+    warnings, so that this error is all a user sees."""
     defined = rho_hat[~np.isnan(rho_hat)]
+    pooled = temporal_range(weights_mean)
+    for name, values in (("rho", [rho.mean(), pooled.rho]), ("weights_mean", weights_mean),
+                         ("weights_std", weights_std)):
+        if not np.isfinite(values).all():
+            raise NumericalError(f"{name} is not finite: the influence weights overflow")
     return TemporalRangeReport(
         config=cfg,
         n_rollouts=len(rho),
@@ -202,7 +210,7 @@ def _summary(cfg: TRConfig, rho, rho_hat, weights_mean, weights_std) -> Temporal
         per_rollout_rho=rho.tolist(),
         per_rollout_rho_hat=[None if math.isnan(v) else v for v in rho_hat.tolist()],
         rho_hat_std=float(defined.std()) if defined.size else None,
-        pooled_rho_hat=temporal_range(weights_mean).rho_hat,
+        pooled_rho_hat=pooled.rho_hat,
         weights_mean=weights_mean,
         weights_std=weights_std,
     )
@@ -231,8 +239,8 @@ def analyze(model: SequenceModel, rollouts, cfg: TRConfig) -> TemporalRangeRepor
         W = _position_weights((mat_norms(blocks, cfg.norm)
                                for _, blocks in multi_output_blocks(model, X)),
                               (len(rollouts), cfg.T), cfg.aggregation)
-    rho, rho_hat = range_values(W)
-    return _summary(cfg, rho, rho_hat, W.mean(axis=0), W.std(axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _summary(cfg, *range_values(W), W.mean(axis=0), W.std(axis=0))
 
 
 def report_json(report: TemporalRangeReport) -> str:
@@ -262,15 +270,16 @@ def report_from_json(text: str | bytes) -> TemporalRangeReport:
 
     Only the primary data is checked: the config, ``n_rollouts``, the
     per-rollout values (``rho_hat`` null or in ``[0, T-1]``) and the
-    weights (>= 0).  The report is rebuilt from it as ``analyze`` builds
-    it, and each field ``report_json`` writes must equal the file's.
+    weights (>= 0, each std at most its mean times ``sqrt(n_rollouts-1)``).
+    The report is rebuilt from it as ``analyze`` builds it, and each field
+    ``report_json`` writes must equal the file's.
 
     Raises:
         FormatError: on bytes that are not UTF-8, JSON nested too deeply
             to parse, a document that is not an object or lacks a field, a
             primary value of the wrong JSON type, length or range, a
-            non-finite number, or a field that differs from what
-            ``analyze`` writes.
+            non-finite number, weights whose rebuilt ``rho`` overflows,
+            or a field that differs from what ``analyze`` writes.
         VersionError: on a schema mismatch.
     """
     try:
@@ -300,7 +309,18 @@ def report_from_json(text: str | bytes) -> TemporalRangeReport:
                    for name in ("weights_mean_by_position", "weights_std_by_position")]
         if (least := min(map(min, weights))) < 0:
             raise ValueError(f"weights must be >= 0, got {least!r}")
-        report = _summary(cfg, *(np.array(v, dtype=np.float64) for v in (rho, rho_hat, *weights)))
+        rho, rho_hat, mean, std = (np.array(v, dtype=np.float64)
+                                   for v in (rho, rho_hat, *weights))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # The std of n values >= 0 with mean m is at most m * sqrt(n-1); the
+            # std a sum of n terms computes may round about n/4 ulps past it.
+            over = std > mean * math.sqrt(n - 1) * (1 + 2 * n * np.finfo(float).eps)
+            if over.any():
+                i = int(over.argmax())
+                raise ValueError(f"weights_std_by_position[{i}] is {weights[1][i]!r}, above "
+                                 f"mean * sqrt(n_rollouts - 1) = "
+                                 f"{weights[0][i] * math.sqrt(n - 1)!r}")
+            report = _summary(cfg, rho, rho_hat, mean, std)
         for key, value in json.loads(report_json(report)).items():
             got, want = (json.dumps(v, sort_keys=True) for v in (doc[key], value))
             if got != want:
@@ -310,7 +330,7 @@ def report_from_json(text: str | bytes) -> TemporalRangeReport:
         raise FormatError("malformed range report: JSON nested too deeply to parse") from None
     except KeyError as exc:
         raise FormatError(f"malformed range report: missing field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, NumericalError) as exc:
         raise FormatError(f"malformed range report: {exc}") from exc
 
 

@@ -7,15 +7,17 @@ dynamics, partial-observation variants, a hand-tuned balancing expert, and
 imitation datasets of (observation sequence, expert action) pairs for
 behavior cloning.
 
+Each task is one frozen spec class in ``TASKS``, which validates its
+fields, generates sequences and gives their class count and width.
+
 Datasets are stored in a versioned JSON container whose header records
-the generating task, its parameters, and the seed; version 2 stores each
+the task's name, its spec's fields, and the seed; version 2 stores each
 array as one hex string of its bytes, and version 1 files still load.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import enum
 import itertools
 import json
 import math
@@ -31,12 +33,14 @@ from .models import _read_versioned_json, decode_block, encode_block
 __all__ = [
     "CopyTaskSpec",
     "Dataset",
+    "ImitationSpec",
     "LabeledSequence",
-    "ObsKind",
-    "ObsVariant",
+    "OBS_VARIANTS",
+    "RepeatFirstSpec",
+    "TASKS",
     "gen_copyk",
     "gen_imitation",
-    "gen_repeatfirst",
+    "header_spec",
     "load_dataset",
     "save_dataset",
 ]
@@ -140,19 +144,97 @@ def _first_entry(values, ok) -> tuple[int, str]:
     return i, f"{value!r} at step {step}"
 
 
+def _check_types(spec) -> None:
+    """``SpecError`` unless each field of ``spec`` is of its annotated type
+    exactly (so ``True`` is no ``int`` and ``1`` no ``float``)."""
+    for field in dataclasses.fields(spec):
+        value = getattr(spec, field.name)
+        if type(value).__name__ != field.type:
+            raise SpecError(f"{field.name} must be of type {field.type}, got {value!r}")
+
+
 @dataclasses.dataclass(frozen=True)
 class CopyTaskSpec:
     """Recall the symbol seen exactly ``k`` steps ago."""
 
+    task = "copy"
     k: int
     T: int
     V: int = 4
 
     def __post_init__(self):
+        _check_types(self)
         if not 1 <= self.k <= self.T - 1:
             raise SpecError(f"need 1 <= k <= T-1, got k={self.k}, T={self.T}")
         if self.V < 2:
             raise SpecError(f"vocabulary size must be >= 2, got {self.V}")
+
+    n_classes = d = property(lambda self: self.V)  # one-hot symbols
+
+    def generate(self, n: int, rng: Rng) -> Dataset:
+        return gen_copyk(self, n, rng)
+
+
+@dataclasses.dataclass(frozen=True)
+class RepeatFirstSpec:
+    """Every step from the second onward must recall the first symbol."""
+
+    task = "repeatfirst"
+    T: int
+    V: int
+
+    def __post_init__(self):
+        _check_types(self)
+        if self.T < 2:
+            raise SpecError(f"need T >= 2, got {self.T}")
+        if self.V < 2:
+            raise SpecError(f"vocabulary size must be >= 2, got {self.V}")
+
+    n_classes = d = property(lambda self: self.V)  # one-hot symbols
+
+    def generate(self, n: int, rng: Rng) -> Dataset:
+        symbols = _symbol_draw(rng, self.V, n, self.T)
+        targets = np.repeat(symbols[:, :1], self.T, axis=1)
+        targets[:, 0] = 0
+        return _symbol_dataset(symbols, self.V, targets, 1)
+
+
+# Cart-pole observations: the full state, positions only, noisy positions.
+OBS_VARIANTS = ("full", "stateless", "noisy")
+
+
+@dataclasses.dataclass(frozen=True)
+class ImitationSpec:
+    """Imitate the cart-pole expert from the observations of ``variant``.
+
+    The stateless variants hide the velocities and expose ``(x, theta)``.
+    ``sigma``, the noise std, must be finite for every variant (dataset
+    headers record it) and positive for the noisy one.
+    """
+
+    task = "cartpole"
+    variant: str
+    sigma: float
+    T: int
+    n_classes = 2  # the expert's actions
+    d = property(lambda self: 4 if self.variant == "full" else 2)
+
+    def __post_init__(self):
+        _check_types(self)
+        if self.variant not in OBS_VARIANTS:
+            raise SpecError(f"variant must be one of {', '.join(OBS_VARIANTS)}, "
+                            f"got {self.variant!r}")
+        if not math.isfinite(self.sigma) or (self.variant == "noisy" and not self.sigma > 0):
+            raise SpecError(f"noise sigma must be finite and > 0, got {self.sigma}")
+        if self.T < 2:
+            raise SpecError(f"need T >= 2, got {self.T}")
+
+    def generate(self, n: int, rng: Rng) -> Dataset:
+        return gen_imitation(self, n, rng)
+
+
+# Every task, by the name a dataset header records.
+TASKS = {spec.task: spec for spec in (CopyTaskSpec, RepeatFirstSpec, ImitationSpec)}
 
 
 def _one_hot(symbols: np.ndarray, V: int) -> np.ndarray:
@@ -190,18 +272,6 @@ def gen_copyk(spec: CopyTaskSpec, n: int, rng: Rng) -> Dataset:
     return _symbol_dataset(symbols, spec.V, targets, spec.k)
 
 
-def gen_repeatfirst(T: int, V: int, n: int, rng: Rng) -> Dataset:
-    """Every step from the second onward must recall the first symbol."""
-    if T < 2:
-        raise SpecError(f"need T >= 2, got {T}")
-    if V < 2:
-        raise SpecError(f"vocabulary size must be >= 2, got {V}")
-    symbols = _symbol_draw(rng, V, n, T)
-    targets = np.repeat(symbols[:, :1], T, axis=1)
-    targets[:, 0] = 0
-    return _symbol_dataset(symbols, V, targets, 1)
-
-
 # The dynamics below take the state's fields as floats (one state) or as
 # arrays of one shape (a batch).  Every operation is elementwise, in the
 # order of the reference formulas, so a state steps to the same bits alone
@@ -226,30 +296,6 @@ def _euler_step(x, x_dot, theta, theta_dot, action) -> tuple:
     x_acc = temp - polemass_length * theta_acc * cos_t / total_mass
     return (x + TAU * x_dot, x_dot + TAU * x_acc,
             theta + TAU * theta_dot, theta_dot + TAU * theta_acc)
-
-
-class ObsKind(enum.Enum):
-    FULL = "full"
-    STATELESS = "stateless"
-    NOISY_STATELESS = "noisy_stateless"
-
-
-@dataclasses.dataclass(frozen=True)
-class ObsVariant:
-    """Observation channel: full state, positions only, or noisy positions.
-
-    The stateless variants hide the velocities and expose ``(x, theta)``.
-    ``sigma`` must be finite for every kind (dataset headers record it) and
-    positive for the noisy one.
-    """
-
-    kind: ObsKind = ObsKind.FULL
-    sigma: float = 0.1
-
-    def __post_init__(self):
-        if not math.isfinite(self.sigma) or (
-                self.kind is ObsKind.NOISY_STATELESS and not self.sigma > 0):
-            raise SpecError(f"noise sigma must be finite and > 0, got {self.sigma}")
 
 
 def _expert_actions(x, x_dot, theta, theta_dot):
@@ -284,10 +330,10 @@ def _expert_rollouts(starts, T: int):
     return states, actions, ended
 
 
-def gen_imitation(variant: ObsVariant, n: int, T: int, rng: Rng) -> Dataset:
+def gen_imitation(spec: ImitationSpec, n: int, rng: Rng) -> Dataset:
     """Behavior-cloning sequences: partial observations, expert actions.
 
-    Each sequence is a fresh ``T``-step expert rollout; rollouts that
+    Each sequence is a fresh ``spec.T``-step expert rollout; rollouts that
     terminate early (the expert practically never does) are resampled.
     Targets are the expert's actions and every step is masked in.
 
@@ -295,39 +341,61 @@ def gen_imitation(variant: ObsVariant, n: int, T: int, rng: Rng) -> Dataset:
     their starts ``(k, 4)`` and then (noisy variant) their noise
     ``(k, T, 2)``, and keeps the full-length episodes in order.
     """
-    if T < 2:
-        raise SpecError(f"need T >= 2, got {T}")
     _check_count(n)
-    columns = [0, 1, 2, 3] if variant.kind is ObsKind.FULL else [0, 2]
+    T = spec.T
+    columns = [0, 1, 2, 3] if spec.variant == "full" else [0, 2]
     x, targets = np.empty((0, T, len(columns))), np.empty((0, T), dtype=np.int64)
     while len(x) < n:
         k = n - len(x)
         states, actions, ended = _expert_rollouts(_random_starts(rng, k), T)
         obs = np.swapaxes(states[..., columns], 0, 1)
-        if variant.kind is ObsKind.NOISY_STATELESS:
-            obs = obs + rng.gaussian(size=(k, T, 2), std=variant.sigma)
+        if spec.variant == "noisy":
+            obs = obs + rng.gaussian(size=(k, T, 2), std=spec.sigma)
         x = np.concatenate([x, obs[~ended]])
         targets = np.concatenate([targets, actions.T[~ended]])
     return Dataset(x=x, targets=targets, mask=np.ones((n, T), dtype=bool))
 
 
-def save_dataset(data: Dataset, path, task: str, spec: dict, seed: int) -> None:
-    """Write sequences with a self-describing header to a JSON container."""
+def header_spec(header: dict):
+    """The spec of a dataset ``header`` as ``save_dataset`` writes it: a task
+    in ``TASKS``, exactly that task's fields (none defaulted), an integer
+    seed >= 0 and the spec's ``T`` and ``d``; else ``SpecError`` (or
+    ``TypeError`` on a field the task lacks)."""
+    task, fields, seed = header["task"], header["spec"], header["seed"]
+    if not (isinstance(task, str) and task in TASKS):
+        raise SpecError(f"task must be one of {', '.join(TASKS)}, got {json.dumps(task)}")
+    spec = TASKS[task](**fields)
+    got, want = (json.dumps(v, sort_keys=True) for v in (fields, dataclasses.asdict(spec)))
+    if got != want:
+        raise SpecError(f"spec is {got}, but gen-data writes {want} for it")
+    if type(seed) is not int or seed < 0:
+        raise SpecError(f"seed must be an integer >= 0, got {json.dumps(seed)}")
+    if (header["T"], header["d"]) != (spec.T, spec.d):
+        raise SpecError(f"T={header['T']}, d={header['d']} are not the T={spec.T}, "
+                        f"d={spec.d} of task {task} with spec {want}")
+    return spec
+
+
+def _check_classes(data: Dataset, spec) -> None:
+    """``SpecError`` naming the first target not below ``spec.n_classes``."""
+    if data.targets.max() >= spec.n_classes:
+        i, bad = _first_entry(data.targets, lambda v: v < spec.n_classes)
+        raise SpecError(f"sequence {i}: target {bad} is not below the "
+                        f"{spec.n_classes} classes of task {spec.task}")
+
+
+def save_dataset(data: Dataset, path, spec, seed: int) -> None:
+    """Write sequences that ``spec`` generated from ``seed`` to a JSON
+    container; ``SpecError`` if empty or not loadable (see ``header_spec``)."""
     if not data:
         raise SpecError("refusing to save an empty dataset")
     n, T, d = data.x.shape
-    doc = {
-        "format": DATASET_FORMAT,
-        "version": DATASET_VERSION,
-        "task": task,
-        "spec": spec,
-        "seed": seed,
-        "n": n,
-        "T": T,
-        "d": d,
-        **{key: encode_block(getattr(data, key), layout)
-           for key, layout in DATASET_ARRAYS.items()},
-    }
+    header = {"task": spec.task, "spec": dataclasses.asdict(spec), "seed": seed,
+              "n": n, "T": T, "d": d}
+    _check_classes(data, header_spec(header))
+    doc = {"format": DATASET_FORMAT, "version": DATASET_VERSION, **header,
+           **{key: encode_block(getattr(data, key), layout)
+              for key, layout in DATASET_ARRAYS.items()}}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
@@ -335,8 +403,9 @@ def save_dataset(data: Dataset, path, task: str, spec: dict, seed: int) -> None:
 def load_dataset(path) -> tuple[Dataset, dict]:
     """Read a dataset container of version 2, or of version 1 (written
     before version 2 existed); returns (dataset, header).  A header whose
-    n, T and d are not integers (n = 0 declares no sequences), arrays whose
-    sizes disagree with them, and values that ``Dataset`` rejects raise
+    n, T and d are not integers (n = 0 declares no sequences) or that
+    ``header_spec`` rejects, arrays whose sizes disagree with it, values
+    that ``Dataset`` rejects and targets outside the task's classes raise
     ``FormatError`` (naming the first bad sequence)."""
     doc = _read_versioned_json(path, "dataset", DATASET_FORMAT, (1, DATASET_VERSION),
                                "container", {"n": 0, "T": 1, "d": 1})
@@ -345,6 +414,7 @@ def load_dataset(path) -> tuple[Dataset, dict]:
         n, T, d = header["n"], header["T"], header["d"]
         if n == 0:
             raise FormatError(f"dataset {path} is empty: its header declares n=0")
+        spec = header_spec(header)
         if doc["version"] == 1:
             arrays = _v1_arrays(doc, path, n, T, d)
         else:
@@ -352,9 +422,10 @@ def load_dataset(path) -> tuple[Dataset, dict]:
                       for key, shape in (("x", (n, T, d)), ("targets", (n, T)), ("mask", (n, T)))]
         try:
             data = Dataset(*arrays)
+            _check_classes(data, spec)
         except SpecError as exc:
             raise FormatError(f"dataset {path}: {exc}") from None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, SpecError) as exc:
         raise FormatError(f"malformed dataset {path}: {exc}") from exc
     return data, header
 

@@ -1,7 +1,10 @@
 import dataclasses
+import hashlib
 import importlib.util
 import json
+import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +20,8 @@ from temporal_range.metric import (TRConfig, analyze, config_fingerprint, report
 from temporal_range.models import (CellKind, CellSpec, build_shift_copy_model,
                                    init_model, save_model)
 from temporal_range.oracles import axiom_suite
-from temporal_range.tasks import (DATASET_ARRAYS, CopyTaskSpec, ObsKind, ObsVariant,
-                                  gen_copyk, gen_imitation, gen_repeatfirst,
+from temporal_range.tasks import (DATASET_ARRAYS, CopyTaskSpec, ImitationSpec,
+                                  RepeatFirstSpec, gen_copyk, gen_imitation,
                                   load_dataset)
 from temporal_range.training import OptConfig, train
 import v1_checkpoint
@@ -385,7 +388,8 @@ def test_gen_data_rejects_a_non_finite_noise_sigma(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["train", "analyze", "ablate"])
 def test_dataset_non_finite_observation_is_an_input_error(tmp_path, capsys, command):
     data = tmp_path / "d.json"
-    doc = v1_document(gen_imitation(ObsVariant(kind=ObsKind.NOISY_STATELESS), 4, 8, Rng(0)))
+    spec = ImitationSpec("noisy", 0.1, 8)
+    doc = v1_document(gen_imitation(spec, 4, Rng(0)), spec.task, dataclasses.asdict(spec))
     doc["sequences"][2]["x"][5][1] = "-inf"
     data.write_text(json.dumps(doc))
     ckpt = tmp_path / "m.json"
@@ -667,7 +671,7 @@ def test_gen_data_writes_the_repeat_first_task(tmp_path):
                  "--n", "3", "--seed", "4", "--out", str(data)]) == 0
     sequences, header = load_dataset(data)
     assert header["task"] == "repeatfirst"
-    want = gen_repeatfirst(6, 3, 3, Rng(4))
+    want = RepeatFirstSpec(T=6, V=3).generate(3, Rng(4))
     assert len(sequences) == len(want)
     for got, ref in zip(sequences, want):
         assert np.array_equal(got.x, ref.x)
@@ -939,12 +943,13 @@ def test_bench_tracer_patches_and_restores_every_traced_name():
         assert owner.__dict__[attr] is original
 
 
-def test_bench_tracer_records_every_cell_method_it_wraps():
+def test_bench_tracer_records_every_cell_method_it_wraps(tmp_path):
     # The engines reach the cell methods through the tracer's wrappers; a
     # method they no longer call, or whose arguments a wrapper does not pass
     # through, fails here rather than in a benchmark run.  Final mode runs
     # each cell's backward rule, multi mode its step_jacobians, and one
-    # training step the GRU's backward rule.
+    # training step the GRU's backward rule.  gen-data must reach the
+    # generators and the writer through the module attributes it patches.
     tracer_module = _bench_tracer_module()
     tracer = tracer_module.Tracer()
     rollouts = np.asarray(Rng(5).gaussian(size=(2, 4, 2)))
@@ -959,11 +964,15 @@ def test_bench_tracer_records_every_cell_method_it_wraps():
             for mode in JacobianMode:
                 analyze(model, rollouts, TRConfig(mode=mode, T=4))
         train(gru, data, OptConfig(lr=1e-3, batch_size=4, steps=1, seed=1))
+        for task in ("copy", "cartpole"):
+            assert main(["gen-data", "--task", task, "--T", "6", "--n", "2",
+                         "--out", str(tmp_path / f"{task}.json")]) == 0
     finally:
         tracer.uninstall()
     recorded = {tracer_module.SPAN_NAMES[i] for i in tracer.span_name}
     for kind, method in tracer_module.CELL_METHODS:
         assert f"cells.{kind}.{method}" in recorded
+    assert {"tasks.gen_copyk", "tasks.gen_imitation", "tasks.save_dataset"} <= recorded
 
 
 def _set_entry(doc, key, index, value):
@@ -1090,3 +1099,121 @@ def test_every_json_file_the_cli_chain_writes_holds_only_finite_numbers(tmp_path
     assert len(files) == 13
     for path in files:
         json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+
+
+# gen-data flags of a small dataset of each task, and the spec's fields by
+# type: each field's valid value and values out of its range.
+HEADER_BASES = {
+    "copy": (["--task", "copy", "--k", "1", "--T", "8", "--V", "4"],
+             {"k": (1, [0, 8]), "T": (8, [1]), "V": (4, [1])}),
+    "repeatfirst": (["--task", "repeatfirst", "--T", "6", "--V", "3"],
+                    {"T": (6, [1]), "V": (3, [1])}),
+    "cartpole": (["--task", "cartpole", "--variant", "stateless", "--T", "8"],
+                 {"variant": ("stateless", ["noisy_stateless"]), "sigma": (0.1, [math.inf]),
+                  "T": (8, [1])}),
+}
+_MISSING = object()
+
+
+def _header_mutants():
+    """(base task, header key, value) of every header and class mutant;
+    the key is a top-level key, ("spec", field) or ("targets", index)."""
+    cases = {"task nosuch": ("copy", "task", "nosuch"), "task 3": ("copy", "task", 3)}
+    cases.update({f"seed {json.dumps(v)}": ("copy", "seed", v) for v in (-1, 1.5, [1], True)})
+    for base, (_, fields) in HEADER_BASES.items():
+        cases[f"{base} extra key"] = (base, ("spec", "extra"), 1)
+        for field, (good, out_of_range) in fields.items():
+            wrong_types = ([str(good), float(good)] if type(good) is int
+                           else [str(good), 1] if type(good) is float else [1.5, None])
+            for value in [_MISSING, True, *wrong_types, *out_of_range]:
+                name = "missing" if value is _MISSING else json.dumps(value)
+                cases[f"{base} {field} {name}"] = (base, ("spec", field), value)
+    # A valid spec that writes another T or width than the header's.
+    cases.update({"copy T 9": ("copy", ("spec", "T"), 9), "copy V 5": ("copy", ("spec", "V"), 5),
+                  "repeatfirst T 7": ("repeatfirst", ("spec", "T"), 7),
+                  "cartpole variant full": ("cartpole", ("spec", "variant"), "full"),
+                  "cartpole T 9": ("cartpole", ("spec", "T"), 9)})
+    # Targets outside the task's classes; 2**40 used to end in a MemoryError.
+    cases.update({"copy target 4": ("copy", ("targets", (1, 5)), 4),
+                  "copy target 2**40": ("copy", ("targets", (2, 7)), 2 ** 40),
+                  "repeatfirst target 3": ("repeatfirst", ("targets", (0, 3)), 3),
+                  "cartpole target 2": ("cartpole", ("targets", (3, 0)), 2)})
+    return [pytest.param(*case, id=name) for name, case in cases.items()]
+
+
+@pytest.mark.parametrize("base, key, value", _header_mutants())
+def test_dataset_header_or_class_mutant_is_an_input_error(tmp_path, capsys, base, key, value):
+    # Each of these used to train with exit 0, ignoring the header, or end
+    # in a traceback.
+    data = tmp_path / "d.json"
+    assert main(["gen-data", *HEADER_BASES[base][0], "--n", "4", "--seed", "0",
+                 "--out", str(data)]) == 0
+    doc = json.loads(data.read_text())
+    if key[0] == "targets":
+        _set_entry(doc, "targets", key[1], value)
+    elif value is _MISSING:
+        del doc[key[0]][key[1]]
+    elif isinstance(key, tuple):
+        doc[key[0]][key[1]] = value
+    else:
+        doc[key] = value
+    data.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--hidden", "4", "--steps", "1",
+                 "--out-prefix", str(tmp_path / "m")]) == 2
+    assert _error_line(capsys).startswith("error: ")
+    assert not list(tmp_path.glob("m.*"))
+
+
+# sha256 of what gen-data writes for these flags, so that no change to the
+# tasks moves a generated dataset's bytes.
+GEN_DATA_DIGESTS = {
+    "copy": (["--task", "copy", "--k", "3", "--T", "12", "--V", "4", "--n", "20", "--seed", "1"],
+             "8ab00a76fcd2e8735a4929c69fcdd76d649baea6d7b071780a2d4a604286e1e8"),
+    "repeatfirst": (["--task", "repeatfirst", "--T", "6", "--V", "5", "--n", "3",
+                     "--seed", "2"],
+                    "34c8854ff2d42ba66a885dc459b9b2ad4c593317723bfe652423f5d9ea0fe21a"),
+    "cartpole-full": (["--task", "cartpole", "--variant", "full", "--T", "10", "--n", "5",
+                       "--seed", "3"],
+                      "4f5147822616b4cb4829cece8b73868a39e8645c2ed74c51b9a5a108c0b9c98d"),
+    "cartpole-stateless": (["--task", "cartpole", "--variant", "stateless", "--T", "10",
+                            "--n", "5", "--seed", "3"],
+                           "0341454360694cd32c1752b8e20a699a939c1e7b189c3bee99258ddfbae44038"),
+    "cartpole-noisy": (["--task", "cartpole", "--variant", "noisy", "--sigma", "0.2",
+                        "--T", "10", "--n", "5", "--seed", "3"],
+                       "f539febe544f177ae1199d7a8be06b51a5e35f94bdd880a3356ff28af6f6f39c"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GEN_DATA_DIGESTS))
+def test_gen_data_writes_pinned_bytes(tmp_path, case):
+    flags, digest = GEN_DATA_DIGESTS[case]
+    data = tmp_path / "d.json"
+    assert main(["gen-data", *flags, "--out", str(data)]) == 0
+    assert hashlib.sha256(data.read_bytes()).hexdigest() == digest
+
+
+def test_train_sizes_its_decoder_from_the_task_not_the_sample(tmp_path):
+    # The three sequences of data seed 0 never hold symbol 4, so a decoder
+    # sized from the targets had 4 outputs for a task of 5 classes.
+    assert int(RepeatFirstSpec(T=6, V=5).generate(3, Rng(0)).targets.max()) == 3
+    assert main(["train", "--task", "repeatfirst", "--V", "5", "--T", "6", "--n", "3",
+                 "--hidden", "3", "--steps", "1", "--out-prefix", str(tmp_path / "m")]) == 0
+    assert json.loads((tmp_path / "m.model.json").read_text())["output_dim"] == 5
+
+
+def test_report_whose_weights_overflow_is_one_error_line(tmp_path, capsys):
+    # Rebuilding rho from a weight of 1e308 overflows; NumPy's overflow
+    # warning used to print before the error line.
+    paths = _chain_inputs(tmp_path)
+    doc = json.loads(paths["report"].read_text())
+    doc["weights_mean_by_position"][3] = 1e308
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["ablate", "--model", str(paths["model"]), "--data", str(paths["data"]),
+                     "--report", str(bad), "--deploy", "--out-prefix", str(tmp_path / "a")]) == 2
+    assert _error_line(capsys) == (f"error: malformed range report {bad}: rho is not "
+                                   "finite: the influence weights overflow")

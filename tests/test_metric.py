@@ -1,10 +1,13 @@
 import json
+import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from temporal_range import metric
 from temporal_range.errors import ConfigError, FormatError, SpecError, VersionError
 from temporal_range.gradients import JacobianBlocks, JacobianMode
 from temporal_range.linalg import NormKind, Rng, mat_norm
@@ -314,6 +317,59 @@ def test_report_value_of_the_wrong_json_type_or_length_is_a_format_error(key, va
     (doc["config"] if key == "T" else doc)[key] = value
     with pytest.raises(FormatError, match=f"^malformed range report: {re.escape(message)}$"):
         report_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 100, 1000])
+def test_weights_std_bound_holds_with_equality_and_rejects_any_larger_std(n):
+    # Where one rollout of n holds all of a position's weight, the std is
+    # its mean times sqrt(n-1), the most it can be; every such report that
+    # analyze writes loads, and one with a std over the bound does not.
+    rng = Rng(40 + n)
+    T = 6
+    W = np.zeros((n, T))
+    W[rng.integers(0, n, size=T), np.arange(T)] = 10.0 ** np.asarray(
+        rng.uniform(size=T, low=-100, high=100))
+    W[:, -1] = 0.0
+    report = metric._summary(TRConfig(T=T), *range_values(W), W.mean(axis=0), W.std(axis=0))
+    text = report_json(report)
+    assert report_from_json(text).weights_std.tolist() == W.std(axis=0).tolist()
+    doc = json.loads(text)
+    mean = doc["weights_mean_by_position"][2]
+    for std in (mean * math.sqrt(n - 1) * (1 + 1e-9) if n > 1 else 1e-300, 1e308):
+        doc["weights_std_by_position"][2] = std
+        with pytest.raises(FormatError, match=r"^malformed range report: "
+                                              r"weights_std_by_position\[2\] is .*, above "
+                                              r"mean \* sqrt\(n_rollouts - 1\) = "):
+            report_from_json(json.dumps(doc))
+
+
+def test_report_whose_weights_overflow_rho_is_one_format_error_and_no_warning():
+    doc = _report_doc()
+    doc["weights_mean_by_position"][3] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match="^malformed range report: rho is not finite: "
+                                              "the influence weights overflow$"):
+            report_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("mode", list(JacobianMode))
+def test_analyze_raises_where_rho_overflows_and_warns_nothing(mode):
+    # Finite spectral norms near 1.4e306 at every lag: the lag sum of a
+    # 64-step window overflows, and analyze used to write rho as Infinity.
+    from temporal_range.errors import NumericalError
+    from temporal_range.models import SequenceModel
+    p = 2
+    params = {"A": np.eye(p), "C": np.eye(p) * 1e306,
+              "dec_W": np.ones((1, p)), "dec_b": np.zeros(1)}
+    model = SequenceModel(cell=CellSpec(kind=CellKind.LINEAR_REC, input_dim=p,
+                                        hidden_dim=p),
+                          output_dim=1, encoder_dim=None, params=params)
+    cfg = TRConfig(norm=NormKind.SPECTRAL, mode=mode, T=64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="^rho is not finite"):
+            analyze(model, [np.zeros((64, p))] * 2, cfg)
 
 
 def test_rho_hat_with_all_weight_at_the_oldest_lag_stays_within_T_minus_1():

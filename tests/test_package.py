@@ -13,7 +13,7 @@ import pytest
 
 import temporal_range
 from temporal_range.linalg import Rng
-from temporal_range.tasks import CopyTaskSpec, ObsVariant, gen_copyk, gen_imitation
+from temporal_range.tasks import CopyTaskSpec, ImitationSpec, gen_copyk, gen_imitation
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(temporal_range.__path__))
 
@@ -90,7 +90,7 @@ def test_every_name_the_benchmark_workloads_read_resolves():
 
 @pytest.mark.parametrize("data", [
     gen_copyk(CopyTaskSpec(k=1, T=4), 2, Rng(0)),
-    gen_imitation(ObsVariant(), 2, 4, Rng(0))], ids=["gen_copyk", "gen_imitation"])
+    gen_imitation(ImitationSpec("full", 0.1, 4), 2, Rng(0))], ids=["gen_copyk", "gen_imitation"])
 def test_generated_sequences_expose_the_fields_the_benchmark_reads(data):
     # The benchmark iterates generated data and reads these fields.
     for seq in data:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,10 +11,10 @@ import pytest
 from temporal_range.errors import FormatError, SpecError, VersionError
 from temporal_range import tasks
 from temporal_range.linalg import Rng
-from temporal_range.tasks import (EXPERT_GAINS, CopyTaskSpec, Dataset, ObsKind,
-                                  ObsVariant, _euler_step, _expert_actions,
-                                  _expert_rollouts, _random_starts, _terminal,
-                                  gen_copyk, gen_imitation, gen_repeatfirst,
+from temporal_range.tasks import (EXPERT_GAINS, OBS_VARIANTS, TASKS, CopyTaskSpec, Dataset,
+                                  ImitationSpec, RepeatFirstSpec, _euler_step,
+                                  _expert_actions, _expert_rollouts, _random_starts,
+                                  _terminal, gen_copyk, gen_imitation, header_spec,
                                   load_dataset, save_dataset)
 from v1_dataset import v1_document, v1_text
 
@@ -66,8 +67,58 @@ def test_copy_spec_validation():
         CopyTaskSpec(k=1, T=8, V=1)
 
 
+@pytest.mark.parametrize("spec, n_classes, d", [
+    (CopyTaskSpec(k=2, T=8, V=5), 5, 5), (RepeatFirstSpec(T=6, V=3), 3, 3),
+    (ImitationSpec("full", 0.1, 8), 2, 4), (ImitationSpec("stateless", 0.1, 8), 2, 2),
+    (ImitationSpec("noisy", 0.3, 8), 2, 2)], ids=str)
+def test_each_task_spec_gives_its_classes_and_width(spec, n_classes, d):
+    assert TASKS[spec.task] is type(spec)
+    assert (spec.n_classes, spec.d) == (n_classes, d)
+    data = spec.generate(40, Rng(3))
+    assert data.x.shape == (40, spec.T, d)
+    assert 0 <= data.targets.min() and data.targets.max() < n_classes
+
+
+def test_tasks_registers_every_spec_under_its_header_name():
+    assert TASKS == {"copy": CopyTaskSpec, "repeatfirst": RepeatFirstSpec,
+                     "cartpole": ImitationSpec}
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: CopyTaskSpec(k=True, T=8), "k must be of type int, got True"),
+    (lambda: CopyTaskSpec(k=1, T=8.0), "T must be of type int, got 8.0"),
+    (lambda: RepeatFirstSpec(T=6, V="3"), "V must be of type int, got '3'"),
+    (lambda: ImitationSpec("noisy", 1, 8), "sigma must be of type float, got 1"),
+    (lambda: ImitationSpec(None, 0.1, 8), "variant must be of type str, got None"),
+    (lambda: ImitationSpec("noisy_stateless", 0.1, 8),
+     "variant must be one of full, stateless, noisy, got 'noisy_stateless'"),
+    (lambda: RepeatFirstSpec(T=1, V=3), "need T >= 2, got 1"),
+    (lambda: RepeatFirstSpec(T=4, V=1), "vocabulary size must be >= 2, got 1"),
+    (lambda: ImitationSpec("full", 0.1, 1), "need T >= 2, got 1"),
+])
+def test_task_specs_take_fields_of_their_type_and_range(make, message):
+    with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_save_dataset_refuses_sequences_that_load_dataset_would_reject(tmp_path):
+    spec = CopyTaskSpec(k=1, T=4, V=2)
+    data = spec.generate(3, Rng(16))
+    path = tmp_path / "dataset.json"
+    with pytest.raises(SpecError, match=r"^seed must be an integer >= 0, got -1$"):
+        save_dataset(data, path, spec, seed=-1)
+    with pytest.raises(SpecError, match=r"^T=4, d=2 are not the T=5, d=2 of task copy"):
+        save_dataset(data, path, CopyTaskSpec(k=1, T=5, V=2), seed=0)
+    targets = data.targets.copy()
+    targets[1, 2] = 2
+    with pytest.raises(SpecError, match=r"^sequence 1: target 2 at step 2 is not below the 2 "
+                                        r"classes of task copy$"):
+        save_dataset(Dataset(data.x, targets, data.mask), path, spec, seed=0)
+    assert not path.exists()
+
+
 def test_repeatfirst_targets_are_the_first_symbol():
-    seq = gen_repeatfirst(3, 4, 1, Rng(4))[0]
+    seq = RepeatFirstSpec(T=3, V=4).generate(1, Rng(4))[0]
     symbols = seq.x.argmax(axis=1)
     assert not seq.mask[0]
     assert seq.targets[1] == symbols[0]
@@ -75,7 +126,7 @@ def test_repeatfirst_targets_are_the_first_symbol():
 
 
 def test_repeatfirst_equals_copy_with_growing_offset():
-    seq = gen_repeatfirst(6, 4, 1, Rng(5))[0]
+    seq = RepeatFirstSpec(T=6, V=4).generate(1, Rng(5))[0]
     symbols = seq.x.argmax(axis=1)
     for s in range(1, 6):
         # Target at step s is the symbol s-1 steps back, i.e. step 1.
@@ -124,7 +175,7 @@ def test_symbol_generators_equal_one_draw_per_sequence():
     for seed, (T, V, n, k) in enumerate(_symbol_cases()):
         name = f"T={T} V={V} n={n} k={k}"
         if k is None:
-            got = gen_repeatfirst(T, V, n, rng := Rng(seed))
+            got = RepeatFirstSpec(T=T, V=V).generate(n, rng := Rng(seed))
             want = _one_at_a_time(ref_rng := Rng(seed), V, n, T, _repeatfirst_targets, 1)
         else:
             got = gen_copyk(CopyTaskSpec(k=k, T=T, V=V), n, rng := Rng(seed))
@@ -150,8 +201,8 @@ def test_symbol_generators_equal_one_draw_per_sequence():
 
 @pytest.mark.parametrize("generate", [
     lambda n, rng: gen_copyk(CopyTaskSpec(k=1, T=4), n, rng),
-    lambda n, rng: gen_repeatfirst(4, 3, n, rng),
-    lambda n, rng: gen_imitation(ObsVariant(), n, 8, rng)],
+    lambda n, rng: RepeatFirstSpec(T=4, V=3).generate(n, rng),
+    lambda n, rng: gen_imitation(ImitationSpec("full", 0.1, 8), n, rng)],
     ids=["copy", "repeatfirst", "imitation"])
 def test_symbol_generators_reject_a_negative_count(generate):
     # One batched draw of a negative count would be a bare ValueError.
@@ -194,8 +245,8 @@ def test_cartpole_angle_threshold_terminates():
 
 
 def test_observation_variants_dimensions():
-    full = gen_imitation(ObsVariant(kind=ObsKind.FULL), 2, 8, Rng(6))
-    stateless = gen_imitation(ObsVariant(kind=ObsKind.STATELESS), 2, 8, Rng(6))
+    full = gen_imitation(ImitationSpec("full", 0.1, 8), 2, Rng(6))
+    stateless = gen_imitation(ImitationSpec("stateless", 0.1, 8), 2, Rng(6))
     assert full.x.shape == (2, 8, 4)
     assert stateless.x.shape == (2, 8, 2)
     # The stateless variant sees (x, theta).
@@ -203,8 +254,8 @@ def test_observation_variants_dimensions():
 
 
 def test_noisy_observation_std_matches_sigma():
-    variant = ObsVariant(kind=ObsKind.NOISY_STATELESS, sigma=0.1)
-    data = gen_imitation(variant, 125, 200, Rng(6))
+    variant = ImitationSpec("noisy", 0.1, 200)
+    data = gen_imitation(variant, 125, Rng(6))
     episodes, _ = _scalar_episodes(variant, 125, 200, Rng(6))
     noise = data.x - np.array([states[:, [0, 2]] for states, _, _ in episodes])
     assert noise.size == 50_000
@@ -214,8 +265,8 @@ def test_noisy_observation_std_matches_sigma():
 def test_noise_never_touches_the_state_trajectory():
     # Actions come from true states, so the noisy dataset's targets are the
     # expert's actions in the states of the clean trajectory.
-    variant = ObsVariant(kind=ObsKind.NOISY_STATELESS, sigma=0.1)
-    data = gen_imitation(variant, 4, 50, Rng(7))
+    variant = ImitationSpec("noisy", 0.1, 50)
+    data = gen_imitation(variant, 4, Rng(7))
     episodes, _ = _scalar_episodes(variant, 4, 50, Rng(7))
     states = np.array([states for states, _, _ in episodes])
     assert np.array_equal(data.targets, _expert_actions(*np.moveaxis(states, -1, 0)))
@@ -225,14 +276,14 @@ def test_noise_never_touches_the_state_trajectory():
 @pytest.mark.parametrize("sigma", [math.inf, -math.inf, math.nan, 0.0, -0.1])
 def test_noisy_variant_rejects_a_non_finite_or_non_positive_sigma(sigma):
     with pytest.raises(SpecError, match="noise sigma must be finite and > 0"):
-        ObsVariant(kind=ObsKind.NOISY_STATELESS, sigma=sigma)
+        ImitationSpec("noisy", sigma, 8)
     # The other variants ignore sigma but a dataset header still records it.
-    for kind in (ObsKind.FULL, ObsKind.STATELESS):
+    for kind in ("full", "stateless"):
         if math.isfinite(sigma):
-            ObsVariant(kind=kind, sigma=sigma)
+            ImitationSpec(kind, sigma, 8)
         else:
             with pytest.raises(SpecError, match="noise sigma must be finite"):
-                ObsVariant(kind=kind, sigma=sigma)
+                ImitationSpec(kind, sigma, 8)
 
 
 def _scalar_episodes(variant, n, T, rng):
@@ -243,7 +294,7 @@ def _scalar_episodes(variant, n, T, rng):
     variant) their noise ``(k, T, 2)``, and keeps those that run ``T``
     steps."""
     episodes, ended = [], 0
-    noisy = variant.kind is ObsKind.NOISY_STATELESS
+    noisy = variant.variant == "noisy"
     while len(episodes) < n:
         k = n - len(episodes)
         starts = rng.uniform(size=(k, 4), low=-0.05, high=0.05).tolist()
@@ -260,14 +311,14 @@ def _scalar_episodes(variant, n, T, rng):
                 ended += 1
                 continue
             states = np.array(states)
-            obs = states if variant.kind is ObsKind.FULL else states[:, [0, 2]]
+            obs = states if variant.variant == "full" else states[:, [0, 2]]
             if noisy:
                 obs = obs + episode_noise
             episodes.append((states, obs, np.array(actions, dtype=np.int64)))
     return episodes, ended
 
 
-@pytest.mark.parametrize("kind", list(ObsKind))
+@pytest.mark.parametrize("kind", OBS_VARIANTS)
 @pytest.mark.parametrize("seed", [0, 3, 4])
 @pytest.mark.parametrize("theta_limit", [None, 0.05])
 def test_batched_imitation_equals_the_scalar_episode_loop(monkeypatch, kind, seed,
@@ -276,11 +327,11 @@ def test_batched_imitation_equals_the_scalar_episode_loop(monkeypatch, kind, see
     # it, so the generator must resample them in a later round.
     if theta_limit is not None:
         monkeypatch.setattr(tasks, "THETA_LIMIT", theta_limit)
-    variant = ObsVariant(kind=kind, sigma=0.3)
     n, T = 300, 20
+    variant = ImitationSpec(kind, 0.3, T)
     want, ended = _scalar_episodes(variant, n, T, ref_rng := Rng(seed))
     assert (ended > 0) == (theta_limit is not None)
-    got = gen_imitation(variant, n, T, rng := Rng(seed))
+    got = gen_imitation(variant, n, rng := Rng(seed))
     assert len(got) == n
     for seq, (_, x, actions) in zip(got, want):
         assert seq.x.tobytes() == x.tobytes()
@@ -305,7 +356,7 @@ def test_expert_is_odd_in_the_state():
 
 
 def test_imitation_full_variant_targets_follow_from_current_observation():
-    data = gen_imitation(ObsVariant(kind=ObsKind.FULL), 4, 16, Rng(10))
+    data = gen_imitation(ImitationSpec("full", 0.1, 16), 4, Rng(10))
     w = EXPERT_GAINS
     for seq in data:
         for x_row, target in zip(seq.x, seq.targets):
@@ -316,7 +367,7 @@ def test_imitation_full_variant_targets_follow_from_current_observation():
 def test_imitation_stateless_observation_is_ambiguous():
     # Two near-identical partial observations must exist whose expert
     # actions differ, because the hidden velocities drive the decision.
-    data = gen_imitation(ObsVariant(kind=ObsKind.STATELESS), 200, 16, Rng(11))
+    data = gen_imitation(ImitationSpec("stateless", 0.1, 16), 200, Rng(11))
     buckets = {}
     found = False
     for seq in data:
@@ -332,17 +383,18 @@ def test_imitation_stateless_observation_is_ambiguous():
 
 
 def test_imitation_fixed_seed_reproducible():
-    a = gen_imitation(ObsVariant(kind=ObsKind.NOISY_STATELESS, sigma=0.1), 3, 8, Rng(12))
-    b = gen_imitation(ObsVariant(kind=ObsKind.NOISY_STATELESS, sigma=0.1), 3, 8, Rng(12))
+    a = gen_imitation(ImitationSpec("noisy", 0.1, 8), 3, Rng(12))
+    b = gen_imitation(ImitationSpec("noisy", 0.1, 8), 3, Rng(12))
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.x, sb.x)
         assert np.array_equal(sa.targets, sb.targets)
 
 
 def test_dataset_round_trip_is_bitwise(tmp_path):
-    data = gen_imitation(ObsVariant(kind=ObsKind.NOISY_STATELESS, sigma=0.1), 3, 8, Rng(13))
+    spec = ImitationSpec("noisy", 0.1, 8)
+    data = gen_imitation(spec, 3, Rng(13))
     path = tmp_path / "dataset.json"
-    save_dataset(data, path, task="cartpole", spec={"variant": "noisy"}, seed=13)
+    save_dataset(data, path, spec, seed=13)
     loaded, header = load_dataset(path)
     assert header["task"] == "cartpole"
     assert header["n"] == 3
@@ -355,7 +407,7 @@ def test_dataset_round_trip_is_bitwise(tmp_path):
 def test_dataset_corrupt_and_version_errors(tmp_path):
     data = gen_copyk(CopyTaskSpec(k=1, T=4, V=2), 2, Rng(14))
     path = tmp_path / "dataset.json"
-    save_dataset(data, path, task="copy", spec={"k": 1}, seed=14)
+    save_dataset(data, path, CopyTaskSpec(k=1, T=4, V=2), seed=14)
     text = path.read_text()
     path.write_text(text[:len(text) // 3])
     with pytest.raises(FormatError):
@@ -380,29 +432,26 @@ def _json_encoder_text(data, task, spec, seed):
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
+# (spec, n, seed) of the sequences each case generates.
 WRITER_CASES = {
-    "copy": lambda: gen_copyk(CopyTaskSpec(k=3, T=16, V=4), 5, Rng(40)),
-    "repeat-first": lambda: gen_repeatfirst(12, 3, 4, Rng(41)),
-    "cartpole-full": lambda: gen_imitation(ObsVariant(), 3, 10, Rng(42)),
-    "cartpole-stateless": lambda: gen_imitation(
-        ObsVariant(kind=ObsKind.STATELESS), 3, 10, Rng(43)),
-    "cartpole-noisy": lambda: gen_imitation(
-        ObsVariant(kind=ObsKind.NOISY_STATELESS, sigma=0.1), 3, 10, Rng(44)),
-    "one-sequence": lambda: gen_copyk(CopyTaskSpec(k=1, T=6, V=3), 1, Rng(45)),
-    "d=1": lambda: Dataset(x=np.stack([Rng(46 + i).gaussian(size=(5, 1)) for i in range(3)]),
-                           targets=np.tile(np.arange(5) % 2, (3, 1)),
-                           mask=np.tile(np.arange(5) > 0, (3, 1))),
-    "T=2": lambda: gen_copyk(CopyTaskSpec(k=1, T=2, V=2), 4, Rng(47)),
+    "copy": (CopyTaskSpec(k=3, T=16, V=4), 5, 40),
+    "repeat-first": (RepeatFirstSpec(T=12, V=3), 4, 41),
+    "cartpole-full": (ImitationSpec("full", 0.1, 10), 3, 42),
+    "cartpole-stateless": (ImitationSpec("stateless", 0.1, 10), 3, 43),
+    "cartpole-noisy": (ImitationSpec("noisy", 0.1, 10), 3, 44),
+    "one-sequence": (CopyTaskSpec(k=1, T=6, V=3), 1, 45),
+    "T=2": (CopyTaskSpec(k=1, T=2, V=2), 4, 47),
 }
 
 
 @pytest.mark.parametrize("case", sorted(WRITER_CASES))
 def test_save_dataset_writes_the_json_encoders_bytes(tmp_path, case):
-    sequences = WRITER_CASES[case]()
-    spec = {"case": case, "k": 1, "sigma": 0.1, "variant": None}
+    task_spec, n, seed = WRITER_CASES[case]
+    sequences = task_spec.generate(n, Rng(seed))
+    task, spec = task_spec.task, dataclasses.asdict(task_spec)
     path = tmp_path / "dataset.json"
-    save_dataset(sequences, path, task="t", spec=spec, seed=48)
-    assert path.read_text(encoding="utf-8") == _json_encoder_text(sequences, "t", spec, 48)
+    save_dataset(sequences, path, task_spec, seed=48)
+    assert path.read_text(encoding="utf-8") == _json_encoder_text(sequences, task, spec, 48)
     loaded, _ = load_dataset(path)
     for field, dtype in (("x", np.float64), ("targets", np.int64), ("mask", bool)):
         array = getattr(loaded, field)
@@ -412,11 +461,13 @@ def test_save_dataset_writes_the_json_encoders_bytes(tmp_path, case):
 
 @pytest.mark.parametrize("case", sorted(WRITER_CASES))
 def test_v1_container_loads_to_the_arrays_it_holds(tmp_path, case):
-    data = WRITER_CASES[case]()
+    task_spec, n, seed = WRITER_CASES[case]
+    data = task_spec.generate(n, Rng(seed))
+    task, spec = task_spec.task, dataclasses.asdict(task_spec)
     path = tmp_path / "dataset.json"
-    path.write_text(v1_text(v1_document(data, "t", {"case": case}, 48)))
+    path.write_text(v1_text(v1_document(data, task, spec, 48)))
     loaded, header = load_dataset(path)
-    assert header == {"task": "t", "spec": {"case": case}, "seed": 48,
+    assert header == {"task": task, "spec": spec, "seed": 48,
                       "n": len(data), "T": data.x.shape[1], "d": data.x.shape[2]}
     for field in ("x", "targets", "mask"):
         assert getattr(loaded, field).tobytes() == getattr(data, field).tobytes()
@@ -448,7 +499,7 @@ def test_golden_v1_dataset_loads_to_pinned_arrays_and_reloads_from_version_2(tmp
     assert v1_text(v1_document(data, header["task"], header["spec"], header["seed"])) \
         == golden.read_text(encoding="utf-8")
     path = tmp_path / name
-    save_dataset(data, path, task=header["task"], spec=header["spec"], seed=header["seed"])
+    save_dataset(data, path, header_spec(header), seed=header["seed"])
     assert json.loads(path.read_text(encoding="utf-8"))["version"] == 2
     reloaded, reheader = load_dataset(path)
     assert reheader == header
@@ -468,7 +519,7 @@ def test_dataset_header_counts_must_be_json_integers_in_range(tmp_path, version,
                                                               value, least):
     data = gen_copyk(CopyTaskSpec(k=2, T=6), 4, Rng(15))
     path = tmp_path / "dataset.json"
-    save_dataset(data, path, task="copy", spec={}, seed=15)
+    save_dataset(data, path, CopyTaskSpec(k=2, T=6), seed=15)
     doc = json.loads(path.read_text()) if version == 2 else v1_document(data)
     doc[key] = value
     path.write_text(json.dumps(doc))
