@@ -40,6 +40,11 @@ def mat_norm(m, kind: NormKind = NormKind.FROBENIUS) -> float:
 def mat_norms(stack, kind: NormKind = NormKind.FROBENIUS) -> np.ndarray:
     """Norms of every matrix in a stack ``(..., m, n)``, shape ``(...)``.
 
+    The Frobenius norm is the square root of a block's sum of squares.  A
+    block whose sum overflows (entries near 1e154 and above) or underflows
+    below the normal range (entries near 1e-154 and below) is summed again
+    divided by its largest absolute entry ``s``, and its norm is ``s`` times
+    the root of that sum; every other block keeps its unscaled sum.
     The spectral norm of a block ``B`` is ``s * sqrt(lambda_max(G))``, where
     ``s`` is its largest absolute entry and ``G`` the Gram matrix of the
     smaller side of ``B / s``.  Without the scaling, ``G`` of a block near
@@ -57,7 +62,21 @@ def mat_norms(stack, kind: NormKind = NormKind.FROBENIUS) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise InvalidMatrix("matrix contains non-finite entries")
     if kind is NormKind.FROBENIUS:
-        return np.sqrt(np.sum(a * a, axis=(-2, -1)))
+        flagged = []
+        with np.errstate(over="call", under="call", call=lambda *_: flagged.append(1)):
+            squares = np.sum(a * a, axis=(-2, -1))
+        if not flagged:
+            return np.sqrt(squares)
+        # A square overflowed or underflowed: blocks whose sum of squares is
+        # inf or below the normal range are summed again scaled by their
+        # largest entry.
+        norms = np.sqrt(squares, out=np.empty(a.shape[:-2]))
+        far = (squares == np.inf) | (squares < np.finfo(np.float64).tiny)
+        b = a[far]
+        scale = np.max(np.abs(b), axis=(-2, -1), initial=0.0)
+        b /= np.where(scale > 0.0, scale, 1.0)[:, None, None]
+        norms[far] = scale * np.sqrt(np.sum(b * b, axis=(-2, -1)))
+        return norms
     if kind is NormKind.SPECTRAL:
         if a.size == 0:
             return np.zeros(a.shape[:-2])

@@ -240,7 +240,13 @@ def analyze(model: SequenceModel, rollouts, cfg: TRConfig) -> TemporalRangeRepor
                                for _, blocks in multi_output_blocks(model, X)),
                               (len(rollouts), cfg.T), cfg.aggregation)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _summary(cfg, *range_values(W), W.mean(axis=0), W.std(axis=0))
+        std = W.std(axis=0)
+        if not np.isfinite(std).all():
+            # Weights that differ by more than about 1e154 overflow the
+            # squared deviations; scaled by the largest weight, they do not.
+            scale = W.max(axis=0)
+            std = scale * (W / np.where(scale > 0.0, scale, 1.0)).std(axis=0)
+        return _summary(cfg, *range_values(W), W.mean(axis=0), std)
 
 
 def report_json(report: TemporalRangeReport) -> str:

@@ -39,9 +39,10 @@ __all__ = [
 CHECKPOINT_FORMAT = "temporal-range/model"
 CHECKPOINT_VERSION = 2
 PARAM_LAYOUT = "<f8"
-# Steps whose encoder outputs and gate input parts a forward pass computes
-# (and holds) at once.
-UNROLL_CHUNK_STEPS = 8
+# Bytes of gate input parts that a forward pass computes (and holds) at
+# once: each pass projects into one buffer of this size, or of one step if
+# a step needs more.
+UNROLL_BUDGET_BYTES = 1 << 20
 
 
 @dataclasses.dataclass(frozen=True)
@@ -140,11 +141,16 @@ class SequenceModel:
             params={k: v.copy() for k, v in self.params.items()},
         )
 
-    def encode(self, X):
-        """Encoder output for rows of step inputs ``(..., d)``."""
+    def encode(self, X, out=None):
+        """Encoder output for rows of step inputs ``(..., d)``, written
+        into ``out`` if given (of the dtype of ``X`` and the encoder's
+        parameters together)."""
         if self.encoder_dim is None:
             return X
-        return np.tanh(X @ self.params["enc_W"].T + self.params["enc_b"])
+        W, b = self.params["enc_W"].T, self.params["enc_b"]
+        if out is None:
+            out = np.empty((*X.shape[:-1], self.encoder_dim), np.result_type(X, W, b))
+        return np.tanh(_affine(X, W, b, out), out=out)
 
     def decode(self, h):
         """Decoder readout from rows ``(..., p)`` of the decoder-visible
@@ -156,14 +162,17 @@ class SequenceModel:
         trace.  A complex batch is a ``SpecError``.
 
         The encoder and every gate's input part are computed ahead of the
-        recurrence (``_unroll``) and the decoder runs once after it, each
-        as a stacked product over time-major steps.  A stacked product
-        multiplies each step's ``(B, .)`` slice on its own, so the
-        arithmetic at step ``t`` does not depend on the sequence length: a
-        prefix run reproduces the full run's outputs bit for bit.  The
-        trace's buffers are allocated once per pass; each step writes its
-        new state and fields into its slice of them.  The states are
-        returned as ``(B, T+1, S)``, the trace's blocks side by side.
+        recurrence (``_unroll``), the encoder straight into the trace's
+        cell inputs, and the decoder runs once after it, each as a stacked
+        product over time-major steps.  A stacked product multiplies each
+        step's ``(B, .)`` slice on its own, so the arithmetic at step ``t``
+        does not depend on the sequence length or on how many steps are
+        projected at once: a prefix run reproduces the full run's outputs
+        bit for bit.  The trace's buffers are allocated once per pass; each
+        step writes its new state and fields into its slice of them.  The
+        states are returned as ``(B, T+1, S)``, the trace's blocks side by
+        side: a view of the trace for a one-block cell (GRU, linear
+        recurrence), a copy for the LSTM and LEM.
         """
         X = self._check_batch(X)
         if np.iscomplexobj(X):
@@ -183,9 +192,11 @@ class SequenceModel:
     def outputs(self, X):
         """``forward_batch(X)[0]`` bit for bit, keeping neither the trace
         nor the states, so memory beyond the outputs does not grow with
-        ``T``: each state is decoded as soon as its step yields it.
-        Complex observations or parameters (the complex-step probes of
-        ``gradients`` and of training's spot check) give a complex pass."""
+        ``T``: the pass holds at most ``UNROLL_BUDGET_BYTES`` of input
+        parts (and their encoder outputs), and each state is decoded as
+        soon as its step yields it.  Complex observations or parameters
+        (the complex-step probes of ``gradients`` and of training's spot
+        check) give a complex pass."""
         X = self._check_batch(X)
         dtype = np.result_type(X, *self.params.values())
         ys = np.empty((X.shape[1], X.shape[0], self.output_dim), dtype)
@@ -195,13 +206,18 @@ class SequenceModel:
 
     def _unroll(self, X, dtype=np.float64, trace: Trace | None = None):
         """Yield each step's new state ``(K, B, p)`` over a checked batch
-        ``X``.  Cell inputs and every gate's input part are computed
-        ``UNROLL_CHUNK_STEPS`` steps at a time, as stacked products over the
-        time-major observations.  With a ``trace``, the cell inputs, each
-        new state and each field are written into its buffers.  Without
-        one, the steps take turns writing into two target sets of ``dtype``
-        allocated once, so a yielded state stays valid until the step after next;
-        the sets share their fields, which nothing reads after the step."""
+        ``X``.  Cell inputs and every gate's input part are computed a
+        chunk of steps at a time, as stacked products over the time-major
+        observations, into buffers allocated once per pass: the input
+        parts into one of ``dtype`` that holds as many steps as fit in
+        ``UNROLL_BUDGET_BYTES`` (at least one), the encoder outputs into
+        the trace's cell inputs or, without a trace, into one of as many
+        steps in the encoder's own dtype.  With a ``trace``, the cell
+        inputs, each new state and each field are written into its
+        buffers.  Without one, the steps take turns writing into two
+        target sets of ``dtype`` allocated once, so a yielded state stays
+        valid until the step after next; the sets share their fields,
+        which nothing reads after the step."""
         impl = cell_impl(self.cell.kind)
         rec = recurrent_stacks(impl, self.params)
         W = stacked(self.params, impl.input_names).T
@@ -209,8 +225,14 @@ class SequenceModel:
                 if impl.bias_names else None)
         kwargs = self.cell.step_kwargs
         X_tm = np.swapaxes(X, 0, 1)
+        (T, B, _), p = X_tm.shape, self.cell.hidden_dim
+        chunk = max(1, min(T, UNROLL_BUDGET_BYTES
+                           // max(1, B * W.shape[1] * np.dtype(dtype).itemsize)))
+        P = np.empty((chunk, B, W.shape[1]), dtype)
+        encoder = self.encoder_dim is not None
         if trace is None:
-            B, p = X.shape[0], self.cell.hidden_dim
+            inputs = (np.empty((chunk, B, self.encoder_dim), np.result_type(
+                X, self.params["enc_W"], self.params["enc_b"])) if encoder else None)
             state = np.zeros((impl.state_mult, B, p), dtype=dtype)
             fields = [np.empty((w, B, p), dtype=dtype) for w in impl.fields.values()]
             targets = itertools.cycle([(new, *fields) for new in np.empty(
@@ -218,15 +240,15 @@ class SequenceModel:
         else:
             state = trace.states[:, 0]
             targets = zip(trace.states[:, 1:].swapaxes(0, 1), *trace.fields.values())
-        for t0 in range(0, X_tm.shape[0], UNROLL_CHUNK_STEPS):
-            U = self.encode(X_tm[t0:t0 + UNROLL_CHUNK_STEPS])
-            if trace is not None:
-                trace.inputs[t0:t0 + len(U)] = U
-            P = (U @ W).astype(dtype, copy=False)
-            if bias is not None:
-                P += bias
+        for t0 in range(0, T, chunk):
+            U = X_tm[t0:t0 + chunk]
+            n = len(U)
+            if encoder:
+                U = self.encode(U, inputs[:n] if trace is None else trace.inputs[t0:t0 + n])
+            elif trace is not None:
+                trace.inputs[t0:t0 + n] = U
             # zip stops at the chunk's end without drawing another target.
-            for proj, out in zip(P, targets):
+            for proj, out in zip(_affine(U, W, bias, P[:n]), targets):
                 state = impl.step(rec, state, proj, out, **kwargs)[0]
                 yield state
 
@@ -236,6 +258,19 @@ class SequenceModel:
             raise ShapeMismatch(
                 f"expected batch of shape (B, T, {self.cell.input_dim}), got {X.shape}")
         return X
+
+
+def _affine(A, W, b, out) -> np.ndarray:
+    """``out`` holding ``A @ W + b`` (no bias if ``b`` is None), with the
+    bits of that expression: the product goes straight into ``out`` when
+    it has ``out``'s dtype, and is cast into it otherwise."""
+    if out.dtype == np.result_type(A, W):
+        np.matmul(A, W, out=out)
+    else:
+        out[...] = A @ W
+    if b is not None:
+        out += b
+    return out
 
 
 def _glorot(rng: Rng, shape) -> np.ndarray:

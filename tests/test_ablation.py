@@ -12,6 +12,7 @@ from temporal_range.linalg import Rng
 from temporal_range.metric import TRConfig, analyze
 from temporal_range.models import CellKind, CellSpec, build_shift_copy_model, init_model
 from temporal_range.tasks import CopyTaskSpec, gen_copyk
+from chunking import project_steps
 
 
 def test_windowed_forward_with_full_window_is_bitwise_identical():
@@ -25,12 +26,13 @@ def test_windowed_forward_with_full_window_is_bitwise_identical():
 
 
 @pytest.mark.parametrize("kind", list(CellKind))
-def test_windowed_outputs_equal_one_cold_restart_per_step(kind):
-    # T = 33 runs past UNROLL_CHUNK_STEPS, so passes of different lengths
-    # split their input projections into different chunks.
+def test_windowed_outputs_equal_one_cold_restart_per_step(kind, monkeypatch):
+    # Every pass projects 8 steps at a time, so passes of different lengths
+    # (T = 19 and 33) split their input projections into different chunks.
     for encoder_dim in (None, 3):
         model = init_model(CellSpec(kind=kind, input_dim=3, hidden_dim=4),
                            2, Rng(3), encoder_dim=encoder_dim)
+        project_steps(monkeypatch, model, 5, 8)
         for T in (19, 33):
             X = np.asarray(Rng(4).gaussian(size=(5, T, 3)))
             windows = [*range(1, T + 3), 1, 4, T]

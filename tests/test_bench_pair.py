@@ -15,9 +15,9 @@ def _bench_pair():
     return module
 
 
-def _run(round_s, correct=True, failed=0):
+def _run(round_s, correct=True, failed=0, minflt=1000, cpu_s=2.0):
     return {"seed": 1, "env": {}, "correct": correct, "attempted": 10, "failed": failed,
-            "metrics": {"round_s": round_s}}
+            "metrics": {"round_s": round_s}, "minflt": minflt, "cpu_s": cpu_s}
 
 
 def _doc(tool, base, head, tier1_exits=None):
@@ -42,6 +42,7 @@ def test_clean_runs_are_summarised_without_problems():
     assert lines == ["w round_s: 1.1 -> 1.05 (-4.5%), head better in 2/3, "
                      "beyond base quartiles: False",
                      "w incorrect runs: 0 -> 0, failed operations: 0 -> 0",
+                     "w median minor faults: 1000 -> 1000, median CPU s: 2 -> 2",
                      "tier-1 wall_s: 50 -> 50, non-zero exits: 0 -> 0"]
 
 
@@ -62,7 +63,34 @@ def test_fewer_failed_operations_on_the_head_side_are_no_problem():
     tool = _bench_pair()
     lines, problems = tool.summary(_doc(tool, [_run(1.0, failed=2)], [_run(1.0)]))
     assert problems == []
-    assert lines[-1] == "w incorrect runs: 0 -> 0, failed operations: 2 -> 0"
+    assert lines[-2] == "w incorrect runs: 0 -> 0, failed operations: 2 -> 0"
+
+
+def test_page_faults_and_cpu_seconds_are_summarised_by_median():
+    tool = _bench_pair()
+    base = [_run(1.0, minflt=f, cpu_s=c) for f, c in ((7000, 9.0), (6800, 8.5), (9000, 8.0))]
+    head = [_run(1.0, minflt=f, cpu_s=c) for f, c in ((180, 8.0), (120, 7.5))]
+    doc = _doc(tool, base, head)
+    w = doc["workloads"]["w"]
+    assert w["minflt"] == {"base": 7000, "head": 150}
+    assert w["cpu_s"] == {"base": 8.5, "head": 7.75}
+    assert [r["minflt"] for r in w["runs"]["head"]] == [180, 120]
+    assert tool.summary(doc)[0][-1] == ("w median minor faults: 7000 -> 150, "
+                                        "median CPU s: 8.5 -> 7.75")
+
+
+def test_a_run_records_its_own_page_faults_and_cpu_seconds(tmp_path):
+    # bench() takes both as the RUSAGE_CHILDREN delta around its one child;
+    # starting an interpreter alone faults in pages and takes CPU time.
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        "import json\n"
+        "print('env ' + json.dumps({'numpy': 'x'}))\n"
+        "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0,\n"
+        "                  'metrics': {'round_s': {'value': 0.5}}}))\n")
+    run = _bench_pair().bench(tmp_path, "w", 3, 1.0)
+    assert run["metrics"] == {"round_s": 0.5} and run["env"] == {"numpy": "x"}
+    assert run["minflt"] > 0 and run["cpu_s"] > 0
 
 
 def _git(repo, *args) -> str:

@@ -17,11 +17,13 @@ import pytest
 from temporal_range.gradients import batch_param_gradients, final_output_blocks
 from temporal_range.linalg import Rng
 from temporal_range.metric import TRConfig, analyze
-from temporal_range.models import UNROLL_CHUNK_STEPS, CellKind, CellSpec, init_model
+from temporal_range.models import CellKind, CellSpec, init_model
+from chunking import project_steps
 
 D, C, ENCODER = 3, 2, 4
-# Two full chunks and a short one.
-T = 2 * UNROLL_CHUNK_STEPS + 3
+# Every pass projects CHUNK steps at a time: two full chunks and a short one.
+CHUNK = 8
+T = 2 * CHUNK + 3
 
 CASES = [(kind, encoder_dim, B, p) for kind in CellKind for encoder_dim in (None, ENCODER)
          for B in (1, 5, 32) for p in (2, 16)]
@@ -35,10 +37,11 @@ def _digest(*arrays) -> str:
     return h.hexdigest()[:16]
 
 
-def _hashes(kind, encoder_dim, B, p) -> dict:
+def _hashes(monkeypatch, kind, encoder_dim, B, p) -> dict:
     seed = CASES.index((kind, encoder_dim, B, p))
     model = init_model(CellSpec(kind=kind, input_dim=D, hidden_dim=p), C,
                        Rng(100 + seed), encoder_dim=encoder_dim)
+    project_steps(monkeypatch, model, B, CHUNK)
     X = 2.0 * np.asarray(Rng(200 + seed).gaussian(size=(B, T, D)))
     step_grads = np.asarray(Rng(300 + seed).gaussian(size=(B, T, C)))
     forward = model.forward_batch(X)
@@ -158,6 +161,6 @@ PINNED = {
 
 
 @pytest.mark.parametrize("case", CASES, ids=IDS)
-def test_recurrence_bits_are_pinned(case):
+def test_recurrence_bits_are_pinned(case, monkeypatch):
     pinned = dict(zip(QUANTITIES, PINNED[IDS[CASES.index(case)]].split()))
-    assert _hashes(*case) == pinned
+    assert _hashes(monkeypatch, *case) == pinned

@@ -123,6 +123,24 @@ def test_spectral_mat_norms_of_zero_and_empty_blocks():
         assert np.array_equal(mat_norms(np.zeros(shape), NormKind.SPECTRAL), np.zeros(3))
 
 
+def test_frobenius_mat_norms_neither_overflow_nor_underflow():
+    # Sums of squares overflow above about 1e154 and leave the normal range
+    # below about 1e-154.  Blocks in range keep their unscaled sum's bits,
+    # even beside blocks that are rescaled.
+    base = np.asarray(Rng(10).gaussian(size=(6, 3, 4)))
+    scales = np.array([1.0, 1e-200, 1e-170, 1.0, 1e160, 1e200])
+    stack = base * scales[:, None, None]
+    stack[3] = 0.0
+    norms = mat_norms(stack, NormKind.FROBENIUS)
+    want = np.linalg.norm(base, axis=(-2, -1)) * scales
+    want[3] = 0.0
+    assert np.all(np.abs(norms - want) <= 1e-14 * want)
+    assert norms[0] == np.sqrt(np.sum(stack[0] * stack[0]))
+    assert mat_norm(stack[5], NormKind.FROBENIUS) == norms[5]
+    for shape in [(3, 0, 2), (3, 2, 0)]:
+        assert np.array_equal(mat_norms(np.zeros(shape), NormKind.FROBENIUS), np.zeros(3))
+
+
 @pytest.mark.parametrize("kind", [NormKind.FROBENIUS, NormKind.SPECTRAL])
 def test_mat_norms_rejects_non_finite(kind):
     stack = np.zeros((3, 2, 2))

@@ -492,3 +492,35 @@ def test_analyze_checks_every_rollout_length_before_any_jacobian_work(monkeypatc
     with pytest.raises(SpecError, match=r"\(5, 2\)"):
         analyze(model, [np.zeros((4, 2)), np.zeros((4, 2)), np.zeros((5, 2))],
                 TRConfig(T=4))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+@pytest.mark.parametrize("norm", list(NormKind))
+def test_delay_line_range_survives_extreme_readout_scales(scale, norm):
+    # Unscaled Frobenius sums overflow at 1e200 (a warning, then an error)
+    # and underflow to 0 at 1e-200 (a degenerate report).  rho_hat is
+    # rho / total = fl(3 w) / w, which may round an ulp below 3.
+    U = np.asarray(Rng(60).gaussian(size=(2, 4)))
+    model = build_shift_copy_model(3, 4, U * scale)
+    rollouts = list(np.asarray(Rng(61).gaussian(size=(3, 16, 4))))
+    report = analyze(model, rollouts, TRConfig(mode=JacobianMode.FINAL_OUTPUT, T=16,
+                                               norm=norm))
+    assert report.n_degenerate == 0
+    for rho_hat in (report.rho_hat, *report.per_rollout_rho_hat, report.pooled_rho_hat):
+        assert rho_hat == pytest.approx(3, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("norm", list(NormKind))
+def test_weights_std_survives_weights_far_apart(norm):
+    # A GRU's weights differ across rollouts; times 1e200, their squared
+    # deviations overflow unless the std is scaled.
+    model = init_model(CellSpec(kind=CellKind.GRU, input_dim=3, hidden_dim=4), 2, Rng(62))
+    rollouts = list(np.asarray(Rng(63).gaussian(size=(4, 8, 3))))
+    cfg = TRConfig(mode=JacobianMode.FINAL_OUTPUT, T=8, norm=norm)
+    want = analyze(model, rollouts, cfg)
+    model.params["dec_W"] = model.params["dec_W"] * 1e200
+    got = analyze(model, rollouts, cfg)
+    assert np.all(want.weights_std > 0)
+    assert np.allclose(got.weights_std, 1e200 * want.weights_std, rtol=1e-12, atol=0)
+    assert np.allclose(got.weights_mean, 1e200 * want.weights_mean, rtol=1e-12, atol=0)
+    assert got.rho_hat == pytest.approx(want.rho_hat, rel=1e-12)

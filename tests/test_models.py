@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,9 +12,10 @@ import pytest
 from temporal_range.cells import _activate, cell_impl, recurrent_stacks, stacked
 from temporal_range.errors import FormatError, ShapeMismatch, SpecError, VersionError
 from temporal_range.linalg import Rng
-from temporal_range.models import (UNROLL_CHUNK_STEPS, CellKind, CellSpec,
-                                   SequenceModel, build_shift_copy_model,
-                                   init_model, load_model, save_model)
+from temporal_range.models import (UNROLL_BUDGET_BYTES, CellKind, CellSpec,
+                                   SequenceModel, build_shift_copy_model, init_model,
+                                   load_model, save_model)
+from chunking import project_steps
 from v1_checkpoint import v1_document, v1_text
 
 
@@ -90,21 +92,93 @@ def test_forward_prefix_property():
 
 @pytest.mark.parametrize("kind", list(CellKind))
 @pytest.mark.parametrize("encoder_dim", [None, 4])
-def test_outputs_reproduce_forward_batch_bit_for_bit(kind, encoder_dim):
+def test_outputs_reproduce_forward_batch_bit_for_bit(kind, encoder_dim, monkeypatch):
     # T is not a multiple of the chunk, so the last chunk is a short one.
     model = init_model(_spec(kind, 3, 5), 2, Rng(23), encoder_dim=encoder_dim)
-    X = np.asarray(Rng(24).gaussian(size=(6, 2 * UNROLL_CHUNK_STEPS + 5, 3)))
+    X = np.asarray(Rng(24).gaussian(size=(6, 2 * 8 + 5, 3)))
+    project_steps(monkeypatch, model, 6, 8)
     assert np.array_equal(model.outputs(X), model.forward_batch(X)[0])
+
+
+def _stepwise_outputs(model, X):
+    """The outputs of ``model`` on ``X``, one step at a time into fresh
+    arrays: each step encodes and projects its own observations."""
+    impl = cell_impl(model.cell.kind)
+    rec = recurrent_stacks(impl, model.params)
+    W = stacked(model.params, impl.input_names).T
+    dtype = np.result_type(X, *model.params.values())
+    state = np.zeros((impl.state_mult, X.shape[0], model.cell.hidden_dim), dtype)
+    ys = []
+    for t in range(X.shape[1]):
+        proj = model.encode(X[:, t]) @ W
+        if impl.bias_names:
+            proj = proj + np.concatenate([model.params[n] for n in impl.bias_names])
+        out = (np.empty_like(state), *(np.empty((w, *state.shape[1:]), dtype)
+                                       for w in impl.fields.values()))
+        state = impl.step(rec, state, proj, out, **model.cell.step_kwargs)[0]
+        ys.append(model.decode(state[0]))
+    return np.stack(ys, axis=1)
 
 
 @pytest.mark.parametrize("kind", list(CellKind))
 @pytest.mark.parametrize("encoder_dim", [None, 4])
-def test_trace_buffers_equal_a_step_by_step_recomputation(kind, encoder_dim):
+@pytest.mark.parametrize("probe", ["real", "complex-observations", "complex-parameters"])
+def test_passes_are_bit_identical_at_any_projection_budget(kind, encoder_dim, probe,
+                                                           monkeypatch):
+    # Budgets of 1 step, 3 steps (T = 11 leaves a short chunk) and the whole
+    # sequence.  A complex pass keeps its encoder outputs complex even when
+    # only the parameters are.
+    B, T = 3, 11
+    model = init_model(_spec(kind, 3, 5), 2, Rng(40), encoder_dim=encoder_dim)
+    X = np.asarray(Rng(41).gaussian(size=(B, T, 3)))
+    if probe == "complex-observations":
+        X = X + 1e-30j * np.asarray(Rng(42).gaussian(size=X.shape))
+    elif probe == "complex-parameters":
+        rng = Rng(43)
+        model.params = {k: v + 1e-30j * np.asarray(rng.gaussian(size=v.shape))
+                        for k, v in model.params.items()}
+    want = _stepwise_outputs(model, X)
+    assert np.iscomplexobj(want) == (probe != "real")
+    itemsize = want.dtype.itemsize
+    passes = []
+    for steps in (1, 3, T):
+        project_steps(monkeypatch, model, B, steps, itemsize)
+        ys = model.outputs(X)
+        assert ys.dtype == want.dtype and ys.tobytes() == want.tobytes(), steps
+        if probe == "real":
+            ys, states, trace = model.forward_batch(X)
+            assert ys.tobytes() == want.tobytes(), steps
+            passes.append([states, trace.inputs, trace.states, *trace.fields.values()])
+    for arrays in passes[1:]:
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays, passes[0]))
+
+
+def test_outputs_hold_a_bounded_projection_buffer():
+    # evaluate's shape: 1,350 sequences through a GRU-32 behind a 32-wide
+    # encoder.  A pass holds its outputs (1.4 MB), one budget of input
+    # parts (here one step, 1.0 MB), their encoder outputs and the step
+    # buffers; it peaked at 6.0 MB, against 22.9 MB with input parts eight
+    # steps at a time in fresh arrays.
+    model = init_model(_spec(CellKind.GRU, 4, 32), 4, Rng(44), encoder_dim=32)
+    X = np.asarray(Rng(45).gaussian(size=(1350, 32, 4)))
+    tracemalloc.start()
+    try:
+        ys = model.outputs(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ys.nbytes + 6 * UNROLL_BUDGET_BYTES
+
+
+@pytest.mark.parametrize("kind", list(CellKind))
+@pytest.mark.parametrize("encoder_dim", [None, 4])
+def test_trace_buffers_equal_a_step_by_step_recomputation(kind, encoder_dim, monkeypatch):
     # Each step taken on its own, into fresh targets, from the trace's
     # previous state must give the new state and fields the forward pass
     # wrote in place.  T spans two full chunks and a short one.
     model = init_model(_spec(kind, 3, 5), 2, Rng(25), encoder_dim=encoder_dim)
-    B, T, p = 4, 2 * UNROLL_CHUNK_STEPS + 5, 5
+    B, T, p = 4, 2 * 8 + 5, 5
+    project_steps(monkeypatch, model, B, 8)
     X = np.asarray(Rng(26).gaussian(size=(B, T, 3)))
     _, states, trace = model.forward_batch(X)
     impl = cell_impl(kind)
@@ -115,8 +189,10 @@ def test_trace_buffers_equal_a_step_by_step_recomputation(kind, encoder_dim):
     assert trace.states.shape == (K, T + 1, B, p)
     assert {k: f.shape for k, f in trace.fields.items()} == {
         k: (T, w, B, p) for k, w in impl.fields.items()}
-    # The returned states are the trace's blocks side by side.
+    # The returned states are the trace's blocks side by side, a view of
+    # them for a one-block cell.
     assert np.array_equal(trace.states, states.reshape(B, T + 1, K, p).transpose(2, 1, 0, 3))
+    assert np.shares_memory(states, trace.states) == (K == 1)
     assert not trace.states[:, 0].any()
     for t in range(T):
         u = model.encode(X[:, t])

@@ -19,11 +19,13 @@ tier-1 suite on each side.
 The output holds, per workload and end-to-end metric, each side's median
 and quartiles, the relative change of the medians, the number of pairs the
 head side won and whether the medians lie further apart than the base
-side's quartiles; per workload, each side's count of incorrect runs and its
-total of failed operations; every run's figures and each side's ``env``
-line are kept too.  The exit status is 1 if a run was incorrect, a tier-1
-run exited non-zero or the head side failed more operations than the base
-side, so figures of broken runs are not read as a result.  Only the
+side's quartiles; per workload, each side's count of incorrect runs, its
+total of failed operations and its medians of the runs' minor page faults
+(``minflt``) and user+system CPU seconds (``cpu_s``), taken from
+``RUSAGE_CHILDREN`` around each run; every run's figures and each side's
+``env`` line are kept too.  The exit status is 1 if a run was incorrect, a
+tier-1 run exited non-zero or the head side failed more operations than the
+base side, so figures of broken runs are not read as a result.  Only the
 standard library is used.  Bytecode writing is off in the runs, so nothing
 is written under ``bench/``; the temporary trees are removed on exit.
 """
@@ -34,6 +36,7 @@ import argparse
 import io
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -77,10 +80,13 @@ def run_env() -> dict:
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``bench/run.py`` run: its metrics, env line and operation counts."""
+    """One ``bench/run.py`` run: its metrics, env line and operation counts,
+    and the minor page faults and user+system CPU seconds of its process."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, cwd=tree, env=run_env(), capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
@@ -89,7 +95,9 @@ def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
     return {"seed": seed, "env": env, "correct": result["correct"],
             "attempted": result["attempted"], "failed": result["failed"],
-            "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+            "minflt": after.ru_minflt - before.ru_minflt,
+            "cpu_s": (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)}
 
 
 def tier1(tree: Path) -> dict:
@@ -185,11 +193,14 @@ def main() -> int:
 
 def workload_summary(runs: dict, better: dict) -> dict:
     """One workload's entry: ``compare`` of each end-to-end metric, each
-    side's count of incorrect runs and its total of failed operations, and
-    every run's figures without its ``env`` line."""
+    side's count of incorrect runs, its total of failed operations and its
+    medians of the runs' minor page faults and CPU seconds, and every run's
+    figures without its ``env`` line."""
     return {"metrics": {name: compare([r["metrics"][name] for r in runs["base"]],
                                       [r["metrics"][name] for r in runs["head"]], how)
                         for name, how in better.items()},
+            **{key: {side: statistics.median(r[key] for r in runs[side]) for side in runs}
+               for key in ("minflt", "cpu_s")},
             "incorrect": {side: sum(not r["correct"] for r in runs[side]) for side in runs},
             "failed": {side: sum(r["failed"] for r in runs[side]) for side in runs},
             "runs": {side: [{k: v for k, v in r.items() if k != "env"} for r in runs[side]]
@@ -220,6 +231,9 @@ def summary(doc: dict) -> tuple[list[str], list[str]]:
         incorrect, failed = w["incorrect"], w["failed"]
         lines.append(f"{workload} incorrect runs: {incorrect['base']} -> {incorrect['head']}, "
                      f"failed operations: {failed['base']} -> {failed['head']}")
+        lines.append(f"{workload} median minor faults: {w['minflt']['base']:.0f} -> "
+                     f"{w['minflt']['head']:.0f}, median CPU s: {w['cpu_s']['base']:.3g} -> "
+                     f"{w['cpu_s']['head']:.3g}")
         problems += [f"{workload}: {n} incorrect {side} run(s)"
                      for side, n in incorrect.items() if n]
         if failed["head"] > failed["base"]:
